@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -585,9 +586,19 @@ def _run_checks(spec: GroupSpec, args, dps: int) -> list[dict]:
 
     trunc = Truncation(q_total=args.max_q_degree, big_q=args.q_series_degree)
 
+    # Z and log Z are shared by the three series checks; a failure is not
+    # cached, so each check that needs the value reports it
+    @functools.cache
+    def z_series():
+        return partition_function(spec, trunc, dps).series
+
+    @functools.cache
+    def log_z():
+        return z_series().log()
+
     @check("partition-factorization")
     def _():
-        per_class = partition_function(spec, trunc, dps).series
+        per_class = z_series()
         per_root = partition_function_by_roots(spec, trunc, dps).series
         if per_class != per_root:
             raise InternalConsistencyError("per-class and per-root products differ")
@@ -595,16 +606,16 @@ def _run_checks(spec: GroupSpec, args, dps: int) -> list[dict]:
 
     @check("exp-log-round-trip")
     def _():
-        series = partition_function(spec, trunc, dps).series
-        if series.log().exp() != series:
+        series = z_series()
+        if log_z().exp() != series:
             raise InternalConsistencyError("exp(log Z) != Z")
         return "exp(log Z) == Z exactly"
 
     @check("bps-recovery")
     def _():
-        series = partition_function(spec, trunc, dps).series
+        series = z_series()
         table = bps_table(spec, dps)
-        free = series.log()
+        free = log_z()
         n_checked = 0
         for beta, n0 in sorted(table.counts.items()):
             if sum(beta) > args.max_q_degree or args.q_series_degree < 1:

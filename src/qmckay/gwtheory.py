@@ -24,11 +24,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import ConfigurationError
 from .grouprep import DEFAULT_DPS, GroupSpec, correspondence
 from .rootsys import root_system
-from .series import MultiSeries, Truncation, macmahon_factor, sin_power_expansion
+from .series import (
+    MultiSeries,
+    Truncation,
+    macmahon_exponent,
+    macmahon_factor,
+    sin_power_coefficients,
+)
 
 CurveClass = tuple[int, ...]
 
@@ -106,18 +113,23 @@ def _beta_exponents(variables, beta) -> dict[str, int]:
 def partition_function(
     spec: GroupSpec, truncation: Truncation, dps: int = DEFAULT_DPS
 ) -> PartitionFunction:
-    """Product over BPS classes of the MacMahon factor at weight n0."""
+    """Product over BPS classes of the MacMahon factor at weight n0, taken
+    as one exponential: Z = exp(-sum over classes of n0 * macmahon_exponent).
+
+    This is the exp-of-a-sum route; `partition_function_by_roots` is the
+    product-of-exps route it is checked against.
+    """
     table = bps_table(spec, dps)
     variables = q_variables(spec, dps) + ("Q",)
-    acc = MultiSeries.one(variables, truncation)
+    log_z = MultiSeries.zero(variables, truncation)
     factors = []
     for beta in sorted(table.counts):
         weight = table.counts[beta]
         factors.append((beta, weight))
-        acc = acc * macmahon_factor(
-            variables, truncation, _beta_exponents(variables, beta), weight
-        )
-    return PartitionFunction(spec=spec, series=acc, factors=tuple(factors))
+        log_z = log_z + macmahon_exponent(
+            variables, truncation, _beta_exponents(variables, beta)
+        ).scale(-weight)
+    return PartitionFunction(spec=spec, series=log_z.exp(), factors=tuple(factors))
 
 
 def partition_function_by_roots(
@@ -125,8 +137,11 @@ def partition_function_by_roots(
 ) -> PartitionFunction:
     """The same product taken root by root at weight 1/2.
 
-    Exactly equals `partition_function`; kept as an independent route so the
-    per-class collapse is testable rather than assumed.
+    This is the product-of-exps route: one `macmahon_factor` (an exp) per
+    positive root, multiplied together.  It exactly equals
+    `partition_function`, which takes a single exp of the per-class sum; it
+    is kept as an independent route so the per-class collapse and the
+    exp-of-a-sum are testable rather than assumed.
     """
     corr = correspondence(spec, dps)
     roots = root_system(corr.ade).positive_roots
@@ -155,7 +170,6 @@ def dt_partition(spec: GroupSpec, truncation: Truncation, dps: int = DEFAULT_DPS
 
 
 def _divisors_of_class(beta: CurveClass):
-    from math import gcd
     g = 0
     for b in beta:
         g = gcd(g, b)
@@ -197,8 +211,8 @@ def gw_all_genus(spec: GroupSpec, beta, g: int, dps: int = DEFAULT_DPS) -> Fract
         n0 = table.counts.get(base)
         if n0 is None:
             continue
-        kernel = sin_power_expansion(d, 0, order)
-        total += n0 * kernel.coefficient({"lam": 2 * g - 2})
+        kernel = sin_power_coefficients(-2, d, order)
+        total += n0 * kernel.get(2 * g - 2, 0) / d
     return total
 
 

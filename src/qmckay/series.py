@@ -16,13 +16,28 @@ A series also carries ``t_power``, the power of the equivariant weight the
 whole series is a multiple of.  It adds under multiplication and must agree
 under addition; it exists so localised integrals keep their weight bookkeeping
 through series arithmetic.
+
+Arithmetic is graded.  Every key has a grade triple (q-degree, Q-degree,
+lam-order), and products work on buckets of terms that share a triple: a
+pair of buckets whose grades add past a cap is skipped whole, before any of
+its terms is formed.  `exp` and `log` use the Euler-operator recurrence of
+Brent and Kung (Fast algorithms for manipulating formal power series,
+J. ACM 25, 1978).  Let D multiply a monomial by its total capped grade (the
+q-degree, the Q-degree and the lam-order, each counted only when its cap is
+set).  For f = exp(g), D f = (D g) f, so the grade-w parts satisfy
+
+    w * f_w = sum_{k=1..w} k * g_k * f_(w-k),
+
+which gives f from g (exp) or g from f (log) one grade at a time, forming
+only grade-w products.  Grades above the sum of the caps are zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from operator import add
+from typing import Mapping
 
 from .errors import ConfigurationError, InternalConsistencyError
 
@@ -113,6 +128,52 @@ class MultiSeries:
 
     def _like(self, terms) -> "MultiSeries":
         return MultiSeries(self.variables, self.truncation, terms, self.t_power)
+
+    def _from_graded(self, parts, t_power: int) -> "MultiSeries":
+        """A series in this ring from graded buckets whose keys already
+        respect the caps and the lambda floor; zero coefficients drop."""
+        out = object.__new__(MultiSeries)
+        out.variables = self.variables
+        out.truncation = self.truncation
+        out.t_power = t_power
+        out._qidx, out._Qidx, out._lidx = self._qidx, self._Qidx, self._lidx
+        out._terms = {
+            key: c for bucket in parts for key, c in bucket.items() if c
+        }
+        return out
+
+    def _graded(self) -> dict:
+        """Terms bucketed by grade triple: {(q, Q, lam): {key: coeff}}."""
+        out: dict[tuple[int, int, int], dict] = {}
+        for key, c in self._terms.items():
+            out.setdefault(self._grades(key), {})[key] = c
+        return out
+
+    def _accumulate(self, acc: dict, left: dict, right: dict) -> None:
+        """Add the capped product of two graded term sets into ``acc``.
+
+        A bucket pair whose grades pass a cap is skipped before any of its
+        terms is formed; one that passes the lambda floor raises, whether or
+        not a cap would have dropped it.
+        """
+        t = self.truncation
+        cq, cQ, cl = t.q_total, t.big_q, t.lam
+        for (qa, Qa, la), ta in left.items():
+            for (qb, Qb, lb), tb in right.items():
+                ld = la + lb
+                if ld < LAMBDA_FLOOR:
+                    raise InternalConsistencyError(
+                        f"lambda exponent {ld} fell below {LAMBDA_FLOOR}")
+                qd, Qd = qa + qb, Qa + Qb
+                if ((cq is not None and qd > cq) or (cQ is not None and Qd > cQ)
+                        or (cl is not None and ld > cl)):
+                    continue
+                bucket = acc.setdefault((qd, Qd, ld), {})
+                get = bucket.get
+                for ka, ca in ta.items():
+                    for kb, cb in tb.items():
+                        key = tuple(map(add, ka, kb))
+                        bucket[key] = get(key, 0) + ca * cb
 
     def _check_compatible(self, other: "MultiSeries") -> None:
         if self.variables != other.variables or self.truncation != other.truncation:
@@ -211,15 +272,9 @@ class MultiSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for ka, ca in self._terms.items():
-            for kb, cb in other._terms.items():
-                key = tuple(a + b for a, b in zip(ka, kb))
-                if not self._clip(key):
-                    continue
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return MultiSeries(self.variables, self.truncation, terms,
-                           self.t_power + other.t_power)
+        acc: dict = {}
+        self._accumulate(acc, self._graded(), other._graded())
+        return self._from_graded(acc.values(), self.t_power + other.t_power)
 
     __rmul__ = __mul__
 
@@ -244,64 +299,80 @@ class MultiSeries:
 
     # -- transcendental operations ----------------------------------------
 
-    def _nilpotency_bound(self, for_exp: bool) -> int:
-        """Largest n with u^n nonzero, from the truncation caps.
+    def _grade_parts(self, terms) -> dict[int, dict]:
+        """Split exp/log argument terms by total capped grade.
 
-        Every key must raise at least one capped grading, and lam exponents
-        must be nonnegative so powers cannot dive toward the lam floor.
+        Every term must raise at least one capped grading, and lam exponents
+        must be nonnegative so products cannot dive toward the lam floor.
         """
         t = self.truncation
-        caps = []
-        for key in self._terms:
-            qd, Qd, ld = self._grades(key)
+        parts: dict[int, dict] = {}
+        for key, c in terms.items():
+            qd, Qd, ld = grades = self._grades(key)
             if ld < 0:
                 raise ConfigurationError(
                     "exp/log need nonnegative lam exponents in the argument")
-            ok = (
-                (t.q_total is not None and qd >= 1)
-                or (t.big_q is not None and Qd >= 1)
-                or (t.lam is not None and ld >= 1)
-            )
-            if not ok:
+            w = ((qd if t.q_total is not None else 0)
+                 + (Qd if t.big_q is not None else 0)
+                 + (ld if t.lam is not None else 0))
+            if w == 0:
                 raise ConfigurationError(
                     "exp/log argument has a term no truncation cap controls")
-        for cap in (t.q_total, t.big_q, t.lam):
-            if cap is not None:
-                caps.append(cap)
-        return sum(caps) + 1
+            parts.setdefault(w, {}).setdefault(grades, {})[key] = c
+        return parts
+
+    def _top_grade(self) -> int:
+        """Total capped grade above which every key passes some cap."""
+        t = self.truncation
+        return sum(cap for cap in (t.q_total, t.big_q, t.lam) if cap is not None)
+
+    def _unit_part(self) -> dict:
+        return {(0, 0, 0): {(0,) * len(self.variables): Fraction(1)}}
 
     def exp(self) -> "MultiSeries":
-        """Exponential; the argument needs zero constant term."""
+        """Exponential; the argument needs zero constant term.
+
+        With g the argument, f = exp(g) grows grade by grade from f_0 = 1:
+        w * f_w = sum_k (k * g_k) * f_(w-k).
+        """
         if self.constant_term() != 0:
             raise ConfigurationError("exp needs a zero constant term")
         if self.t_power != 0:
             raise ConfigurationError("exp argument must be weightless")
-        bound = self._nilpotency_bound(for_exp=True)
-        acc = MultiSeries.one(self.variables, self.truncation)
-        term = MultiSeries.one(self.variables, self.truncation)
-        for n in range(1, bound + 1):
-            term = term * self
-            if term.is_zero():
-                break
-            acc = acc + term.scale(Fraction(1, _factorial(n)))
-        return acc
+        dg = {k: _scale_part(part, k) for k, part in self._grade_parts(self._terms).items()}
+        f = {0: self._unit_part()}
+        for w in range(1, self._top_grade() + 1):
+            acc: dict = {}
+            for k, part in dg.items():
+                if k <= w:
+                    self._accumulate(acc, part, f[w - k])
+            f[w] = _scale_part(acc, Fraction(1, w))
+        return self._from_graded(
+            [bucket for part in f.values() for bucket in part.values()], 0)
 
     def log(self) -> "MultiSeries":
-        """Logarithm; the argument needs constant term one."""
+        """Logarithm; the argument needs constant term one.
+
+        With f the argument, g = log(f) follows grade by grade:
+        w * g_w = w * f_w - sum_{k<w} (k * g_k) * f_(w-k).
+        """
         if self.constant_term() != 1:
             raise ConfigurationError("log needs constant term one")
         if self.t_power != 0:
             raise ConfigurationError("log argument must be weightless")
-        u = self - MultiSeries.one(self.variables, self.truncation)
-        bound = u._nilpotency_bound(for_exp=False)
-        acc = MultiSeries.zero(self.variables, self.truncation)
-        term = MultiSeries.one(self.variables, self.truncation)
-        for n in range(1, bound + 1):
-            term = term * u
-            if term.is_zero():
-                break
-            acc = acc + term.scale(Fraction((-1) ** (n + 1), n))
-        return acc
+        unit = (0,) * len(self.variables)
+        f = self._grade_parts({k: c for k, c in self._terms.items() if k != unit})
+        f[0] = self._unit_part()
+        minus_dg: dict[int, dict] = {}  # -(k * g_k) per grade k
+        out = []
+        for w in range(1, self._top_grade() + 1):
+            acc = _scale_part(f.get(w, {}), w)
+            for k, part in minus_dg.items():
+                if w - k in f:
+                    self._accumulate(acc, part, f[w - k])
+            minus_dg[w] = _scale_part(acc, -1)
+            out.extend(_scale_part(acc, Fraction(1, w)).values())
+        return self._from_graded(out, 0)
 
     def pow_rational(self, r: Fraction) -> "MultiSeries":
         """(series)^r for rational r; the base needs constant term one."""
@@ -351,11 +422,12 @@ class MultiSeries:
         return text
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+def _scale_part(part: dict, c) -> dict:
+    """Graded buckets times a rational, dropping zero coefficients."""
+    return {
+        grades: {key: c * v for key, v in bucket.items() if v}
+        for grades, bucket in part.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -414,62 +486,22 @@ def sin_power_coefficients(power: int, d: int, order: int) -> dict[int, Fraction
         raise ConfigurationError("the cover degree d must be positive")
     if order < power:
         return {}
-    # 2*sin(d*lam/2) = lam * u(lam), u(0) = d
-    n_terms = (order - power) + 1  # needed coefficients of u^power
-    u = [Fraction(0)] * (n_terms + 1)
+    # 2*sin(d*lam/2) = d * lam * v(lam) with v(0) = 1, so the power is
+    # d^power * lam^power * v^power; v^power is needed through lam^n
+    n = order - power
+    v = {}
     sign = 1
     fact = 1
     k = 0
-    while 2 * k <= n_terms:
-        # coefficient of lam^(2k) in 2*sin(d lam/2)/lam = d^(2k+1)/(2^(2k) (2k+1)!)
-        u[2 * k] = Fraction(sign * d ** (2 * k + 1), (2 ** (2 * k)) * fact)
+    while 2 * k <= n:
+        # coefficient of lam^(2k) in v: (-1)^k d^(2k) / (2^(2k) (2k+1)!)
+        v[(2 * k,)] = Fraction(sign * d ** (2 * k), (2 ** (2 * k)) * fact)
         k += 1
         fact *= (2 * k) * (2 * k + 1)
         sign = -sign
-    if power >= 0:
-        w = _poly_pow(u, power, n_terms)
-    else:
-        w = _poly_pow(_poly_inverse(u, n_terms), -power, n_terms)
-    out: dict[int, Fraction] = {}
-    for i, c in enumerate(w):
-        e = power + i
-        if c != 0 and e <= order:
-            out[e] = c
-    return out
-
-
-def _poly_mul(a, b, n):
-    out = [Fraction(0)] * (n + 1)
-    for i, ca in enumerate(a):
-        if ca == 0 or i > n:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > n:
-                break
-            out[i + j] += ca * cb
-    return out
-
-
-def _poly_pow(a, p, n):
-    out = [Fraction(0)] * (n + 1)
-    out[0] = Fraction(1)
-    for _ in range(p):
-        out = _poly_mul(out, a, n)
-    return out
-
-
-def _poly_inverse(a, n):
-    if a[0] == 0:
-        raise ConfigurationError("cannot invert a series with zero constant term")
-    inv = [Fraction(0)] * (n + 1)
-    inv[0] = 1 / a[0]
-    for i in range(1, n + 1):
-        s = Fraction(0)
-        for j in range(1, i + 1):
-            if j < len(a):
-                s += a[j] * inv[i - j]
-        inv[i] = -s / a[0]
-    return inv
+    vp = MultiSeries(("lam",), Truncation(lam=n), v).pow_rational(power)
+    scale = Fraction(d) ** power
+    return {power + key[0]: scale * c for key, c in sorted(vp.items())}
 
 
 def sin_power_series(variables, truncation, power: int, d: int) -> MultiSeries:

@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import mpmath as mp
@@ -26,6 +28,9 @@ from qmckay.cli import (
 from qmckay.errors import InternalConsistencyError
 from qmckay.grouprep import GroupSpec
 from qmckay.schemas import BY_COMMAND
+from qmckay.series import MultiSeries
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, argv):
@@ -251,6 +256,28 @@ def test_roots_payload_counts(capsys):
 # -- rendering --------------------------------------------------------------------
 
 
+def test_verify_shares_one_partition_function(capsys, monkeypatch):
+    calls = {"partition_function": 0, "log": 0}
+    partition_function = cli.partition_function
+    log = MultiSeries.log
+
+    def counting_partition_function(*args, **kwargs):
+        calls["partition_function"] += 1
+        return partition_function(*args, **kwargs)
+
+    def counting_log(self):
+        calls["log"] += 1
+        return log(self)
+
+    monkeypatch.setattr(cli, "partition_function", counting_partition_function)
+    monkeypatch.setattr(MultiSeries, "log", counting_log)
+    code, out, _ = run(capsys, ["verify", "--group", "C:3", "--max-q-degree", "3",
+                                "--q-series-degree", "3"])
+    assert code == EXIT_OK
+    assert json.loads(out)["status"] == "pass"
+    assert calls == {"partition_function": 1, "log": 1}
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     argv = ["crc", "--group", "D5", "--degree", "4"]
     _, first, _ = run(capsys, argv)
@@ -305,6 +332,23 @@ def test_console_script_round_trip():
     result = subprocess.run(
         ["qmckay", "roots", "--group", "E6"],
         capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["positive_root_count"] == 36
+
+
+def test_console_entry_point_from_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["qmckay"]
+    module, func = target.split(":")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", f"from {module} import {func}; {func}()",
+         "roots", "--group", "E6"],
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["positive_root_count"] == 36

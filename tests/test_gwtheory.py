@@ -21,7 +21,12 @@ from qmckay.gwtheory import (
 )
 from qmckay.rootsys import root_system
 from qmckay.schemas import BPS_TABLE
-from qmckay.series import Truncation
+from qmckay.series import (
+    MultiSeries,
+    Truncation,
+    macmahon_factor,
+    sin_power_expansion,
+)
 
 ALL_SPECS = (
     [GroupSpec.cyclic(k) for k in range(2, 9)]
@@ -132,6 +137,24 @@ def test_all_genus_primitive_class_has_no_higher_genus():
     assert gw_all_genus(D5, (1, 1), 2) == Fraction(2, 240)
 
 
+@pytest.mark.parametrize("spec", [D5, GroupSpec.cyclic(4)], ids=str)
+def test_all_genus_matches_cover_kernel_series(spec):
+    # divisor sum read off the (1/d)(2 sin(d lam/2))^-2 series, term by term
+    table = bps_table(spec)
+    for beta in table.counts:
+        for mult in (1, 2, 3):
+            cls = tuple(mult * b for b in beta)
+            for g in range(4):
+                want = Fraction(0)
+                for d in range(1, max(cls) + 1):
+                    base = tuple(b // d for b in cls)
+                    if all(b % d == 0 for b in cls) and base in table.counts:
+                        kernel = sin_power_expansion(d, 0, max(2 * g - 2, 0))
+                        want += table.counts[base] * kernel.coefficient(
+                            {"lam": 2 * g - 2})
+                assert gw_all_genus(spec, cls, g) == want, (cls, g)
+
+
 def test_negative_genus_rejected():
     with pytest.raises(ConfigurationError):
         gw_all_genus(D5, (1, 0), -1)
@@ -150,6 +173,19 @@ def test_per_class_equals_per_root_product(spec):
     positives = len(root_system(corr.ade).positive_roots)
     assert len(by_class.factors) == len(bps_table(spec).counts)
     assert len(by_root.factors) == positives - len(corr.binary_nodes)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
+def test_partition_function_is_the_product_of_its_factors(spec):
+    # one exp of the per-class sum against one exp per recorded factor
+    tr = Truncation(q_total=3, big_q=3)
+    z = partition_function(spec, tr)
+    variables = z.series.variables
+    product = MultiSeries.one(variables, tr)
+    for beta, weight in z.factors:
+        product = product * macmahon_factor(
+            variables, tr, dict(zip(variables, beta)), weight)
+    assert z.series == product
 
 
 def test_dt_series_is_the_partition_series():

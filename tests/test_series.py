@@ -134,6 +134,33 @@ def test_exp_requires_a_controlling_cap():
         q.exp()
 
 
+def test_exp_log_reject_negative_lam_exponents():
+    tr = Truncation(q_total=2, lam=2)
+    arg = MultiSeries.from_terms(("q1", "lam"), tr, {(1, -1): 1})
+    with pytest.raises(ConfigurationError):
+        arg.exp()
+    with pytest.raises(ConfigurationError):
+        (MultiSeries.one(("q1", "lam"), tr) + arg).log()
+
+
+def test_log_requires_a_controlling_cap():
+    tr = Truncation(q_total=2)
+    arg = MultiSeries.from_terms(("q1", "Q"), tr, {(0, 0): 1, (0, 1): 1})
+    with pytest.raises(ConfigurationError):
+        arg.log()
+
+
+def test_product_below_lambda_floor_raises():
+    tr = Truncation(q_total=2, lam=2)
+    a = MultiSeries.from_terms(("q1", "lam"), tr, {(0, -2): 1, (2, -2): 1})
+    b = MultiSeries.from_terms(("q1", "lam"), tr, {(1, -1): 1})
+    with pytest.raises(InternalConsistencyError):
+        a * b
+    # the floor is checked even where the q cap drops every product
+    with pytest.raises(InternalConsistencyError):
+        MultiSeries.from_terms(("q1", "lam"), tr, {(2, -2): 1}) * b
+
+
 def test_exp_rejects_weighted_argument():
     with pytest.raises(ConfigurationError):
         mono({"q1": 1}).with_t_power(2).exp()
@@ -320,3 +347,109 @@ def test_exp_log_round_trip(u):
     assert u.exp().log() == u
     v = MultiSeries.one(VARS, SMALL_TR) + u
     assert v.log().exp() == v
+
+
+# -- the graded kernel against the all-pairs reference --------------------------
+# The all-pairs multiply and the power-sum exp/log below are the kernel the
+# graded one replaced; every result must match them exactly.
+
+LAM_VARS = ("q1", "q2", "Q", "lam")
+LAM_RINGS = (
+    Truncation(q_total=3, big_q=2, lam=2),
+    Truncation(q_total=3, lam=2),  # Q uncapped
+    Truncation(big_q=2, lam=3),  # q uncapped
+    Truncation(q_total=2, big_q=2),  # lam uncapped
+)
+
+
+def grade_triple(key):
+    q1, q2, big_q, lam = key
+    return {"q": q1 + q2, "Q": big_q, "lam": lam}
+
+
+def survives(key, tr):
+    grades = grade_triple(key)
+    if grades["lam"] < -2:
+        raise InternalConsistencyError("lambda exponent fell below -2")
+    caps = {"q": tr.q_total, "Q": tr.big_q, "lam": tr.lam}
+    return all(cap is None or grades[g] <= cap for g, cap in caps.items())
+
+
+def naive_mul(a, b):
+    terms = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            if not survives(key, a.truncation):
+                continue
+            terms[key] = terms.get(key, Fraction(0)) + ca * cb
+    return MultiSeries.from_terms(a.variables, a.truncation, terms,
+                                  a.t_power + b.t_power)
+
+
+def power_sum_bound(tr):
+    return sum(cap for cap in (tr.q_total, tr.big_q, tr.lam) if cap is not None) + 1
+
+
+def naive_exp(u):
+    acc = term = MultiSeries.one(u.variables, u.truncation)
+    for n in range(1, power_sum_bound(u.truncation) + 1):
+        term = naive_mul(term, u)
+        if term.is_zero():
+            break
+        acc = acc + term.scale(Fraction(1, math.factorial(n)))
+    return acc
+
+
+def naive_log(f):
+    one = MultiSeries.one(f.variables, f.truncation)
+    u = f - one
+    acc = MultiSeries.zero(f.variables, f.truncation)
+    term = one
+    for n in range(1, power_sum_bound(f.truncation) + 1):
+        term = naive_mul(term, u)
+        if term.is_zero():
+            break
+        acc = acc + term.scale(Fraction((-1) ** (n + 1), n))
+    return acc
+
+
+def capped_grade(key, tr):
+    grades = grade_triple(key)
+    caps = {"q": tr.q_total, "Q": tr.big_q, "lam": tr.lam}
+    return sum(grades[g] for g, cap in caps.items() if cap is not None)
+
+
+@st.composite
+def lam_series(draw, tr, min_lam=-2, controlled=False):
+    keys = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                     st.integers(min_lam, 2))
+    if controlled:
+        keys = keys.filter(lambda k: capped_grade(k, tr) >= 1)
+    coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    terms = draw(st.dictionaries(keys, coeffs, max_size=5))
+    return MultiSeries.from_terms(LAM_VARS, tr, terms)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except InternalConsistencyError:
+        return InternalConsistencyError
+
+
+@given(data=st.data(), tr=st.sampled_from(LAM_RINGS))
+@settings(max_examples=80, deadline=None)
+def test_mul_matches_all_pairs_reference(data, tr):
+    a = data.draw(lam_series(tr))
+    b = data.draw(lam_series(tr))
+    assert outcome(lambda: a * b) == outcome(lambda: naive_mul(a, b))
+
+
+@given(data=st.data(), tr=st.sampled_from(LAM_RINGS))
+@settings(max_examples=40, deadline=None)
+def test_exp_log_match_power_sum_reference(data, tr):
+    u = data.draw(lam_series(tr, min_lam=0, controlled=True))
+    assert u.exp() == naive_exp(u)
+    f = MultiSeries.one(LAM_VARS, tr) + u
+    assert f.log() == naive_log(f)
