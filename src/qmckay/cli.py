@@ -664,7 +664,12 @@ def _run_checks(spec: GroupSpec, args, dps: int) -> list[dict]:
             raise InternalConsistencyError(
                 f"resolution vs orbifold residual {mp.nstr(worst, 5)}"
             )
-        return f"third partials agree to {mp.nstr(worst, 5)}"
+        return (
+            f"resolution route (classical cubic + root series) and orbifold "
+            f"tan formula third partials agree to {mp.nstr(worst, 5)} "
+            f"(tolerance 1e{20 - dps}; holds by identity "
+            f"(1+w)/(1-w) = i*cot(theta/2), not independent evidence)"
+        )
 
     return checks
 

@@ -18,20 +18,34 @@ Structure of the computation:
 * All derivatives of h, and of tan, are polynomials in T = tan of the base
   point; the polynomials have exact rational coefficients and are built
   once by recursion, so a degree-N Taylor expansion costs one tan per root.
+* Each coefficient is a sum over roots of (h^(n)(s0)/2) * prod_i l_i^e_i/e_i!,
+  so each root carries one table: the row l_i^e/e! per class, built by a
+  running product, and h^(n)(s0)/2 per degree.  The exponent vectors are
+  laid out once per call as a prefix tree, one class per level; every root
+  fills the tree level by level, so each prefix product is formed once and
+  the inner loop only multiplies and adds.
 * Roots whose restricted coefficient vector vanishes have constant
   arguments and are skipped; for every other root the base point is a
   rational angle whose distance from the tan pole is decided by an exact
-  integer test before any floating evaluation.
+  integer test before any floating evaluation.  The root forms are built
+  once per (group, precision) and cached.
 * Complex character values (cyclic groups) make individual contributions
   complex; the assembled coefficients must be real, which is asserted
-  against 10^(-dps/2) rather than symmetrized away.
+  against 10^(-dps/2) rather than symmetrized away.  A root coefficient
+  whose imaginary part is exactly zero (every non-cyclic group) is held as
+  a real number, which rounds exactly as the real part of the complex
+  product would.
 
 The resolution route (`resolution_third_partials`) evaluates the same third
 partials from the other side of the correspondence: the classical cubic
 intersection form plus one geometric series per root, glued by the change
-of variables y = i*L*x, q_rho = exp(2*pi*i*dim(rho)/|G|).  The agreement of
-the two routes (`crc_consistency`) is the numeric content of the
-genus-zero crepant resolution statement for these groups.
+of variables y = i*L*x, q_rho = exp(2*pi*i*dim(rho)/|G|).  The cubic is
+contracted with L one index at a time, and every third partial at x = 0 is
+formed in one pass on each side.  `crc_consistency` compares the two
+routes; by the identity (1+w)/(1-w) = i*cot(theta/2) both reduce to the
+same per-root sum once the cubic is written as (1/4) * sum over roots of
+r (x) r (x) r, so their agreement checks that identity and the definition
+of the cubic rather than giving independent evidence.
 """
 
 from __future__ import annotations
@@ -186,6 +200,7 @@ class _RootForm:
     coefficients: tuple  # complex, per nontrivial class
 
 
+@lru_cache(maxsize=None)
 def _root_forms(spec: GroupSpec, dps: int) -> tuple[FormSystem, tuple[_RootForm, ...]]:
     corr = correspondence(spec, dps)
     system = linear_forms(spec, dps)
@@ -253,14 +268,30 @@ class PotentialSeries:
         return out
 
 
-def _exponent_vectors(n_vars: int, total: int):
-    """All nonnegative integer vectors of the given length and sum."""
-    if n_vars == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _exponent_vectors(n_vars - 1, total - head):
-            yield (head,) + rest
+def _monomial_tree(n_vars: int, degree: int):
+    """Exponent vectors of total degree <= degree as a prefix tree.
+
+    Level i holds one (parent index, exponent) pair per vector over the
+    first i+1 classes, for every class but the last; the parent is that
+    vector's prefix in level i-1.  The leaves are returned as terms
+    (parent index, degree of the parent, last exponent, vector), one per
+    vector of total degree >= 3, ordered by degree then vector.
+    """
+    levels = []
+    keys: list[tuple[int, ...]] = [()]
+    used = [0]
+    for _ in range(n_vars - 1):
+        level = [(p, e) for p, u in enumerate(used) for e in range(degree - u + 1)]
+        keys = [keys[p] + (e,) for p, e in level]
+        used = [used[p] + e for p, e in level]
+        levels.append(level)
+    terms = [
+        (p, u, e, keys[p] + (e,))
+        for p, u in enumerate(used)
+        for e in range(max(3 - u, 0), degree - u + 1)
+    ]
+    terms.sort(key=lambda term: (term[1] + term[2], term[3]))
+    return levels, terms
 
 
 def orbifold_potential(spec: GroupSpec, degree: int, dps: int = DEFAULT_DPS) -> PotentialSeries:
@@ -269,34 +300,50 @@ def orbifold_potential(spec: GroupSpec, degree: int, dps: int = DEFAULT_DPS) -> 
         raise ConfigurationError("the potential starts at degree three")
     system, roots = _root_forms(spec, dps)
     order = correspondence(spec, dps).group.order
-    n_vars = len(system.class_labels)
+    levels, terms = _monomial_tree(len(system.class_labels), degree)
     with mp.workdps(dps + _GUARD):
-        factorials = [mp.mpf(1)]
-        for i in range(1, degree + 1):
-            factorials.append(factorials[-1] * i)
-        acc: dict[tuple[int, ...], mp.mpc] = {}
+        acc = [mp.mpf(0)] * len(terms)
         for root in roots:
             # base point s0 = pi + 2*pi*dim_sum/order; T = tan(-s0/2)
             t = mp.cot(mp.pi * mp.mpf(root.dim_sum) / order)
-            h_values = {n: _poly_eval(_h_poly(n), t) for n in range(3, degree + 1)}
-            for n in range(3, degree + 1):
-                hn = h_values[n]
-                for key in _exponent_vectors(n_vars, n):
-                    term = hn / 2
-                    for e, l in zip(key, root.coefficients):
-                        if e:
-                            term = term * l ** e / factorials[e]
-                    if term != 0:
-                        acc[key] = acc.get(key, mp.mpc(0)) + term
+            half_h = [None] * 3 + [
+                _poly_eval(_h_poly(n), t) / 2 for n in range(3, degree + 1)
+            ]
+            rows = []
+            for l in root.coefficients:
+                if l.imag == 0:
+                    l = l.real
+                row = [mp.mpf(1)]
+                for e in range(1, degree + 1):
+                    row.append(row[-1] * l / e)
+                rows.append(row)
+            # e = 0 entries carry the prefix over without a multiply
+            prods = [mp.mpf(1)]
+            for level, row in zip(levels, rows):
+                prods = [prods[p] * row[e] if e else prods[p] for p, e in level]
+            # the last class's row, weighted by h^(n)/2 at each total degree n
+            last = rows[-1]
+            weighted = [
+                [
+                    last[e] * half_h[u + e] if u + e >= 3 else None
+                    for e in range(degree - u + 1)
+                ]
+                for u in range(degree + 1)
+            ]
+            acc = [
+                a + prods[p] * weighted[u][e] for a, (p, u, e, _) in zip(acc, terms)
+            ]
         tol = mp.mpf(10) ** (-(dps // 2))
         coeffs: dict[tuple[int, ...], mp.mpf] = {}
-        for key, value in acc.items():
-            if abs(value.imag) > tol:
-                raise ConfigurationError(
-                    f"potential coefficient at {key} has imaginary part {value.imag}"
-                )
-            if abs(value.real) > tol:
-                coeffs[key] = value.real
+        for (_, _, _, key), value in zip(terms, acc):
+            if isinstance(value, mp.mpc):
+                if abs(value.imag) > tol:
+                    raise ConfigurationError(
+                        f"potential coefficient at {key} has imaginary part {value.imag}"
+                    )
+                value = value.real
+            if abs(value) > tol:
+                coeffs[key] = value
     return PotentialSeries(
         spec=spec,
         class_labels=system.class_labels,
@@ -440,56 +487,106 @@ def change_of_variables(spec: GroupSpec, dps: int = DEFAULT_DPS) -> ChangeOfVari
     )
 
 
+def _add_root_triples(totals: list, root_weights, n: int) -> None:
+    """totals[t] += sum over (weight, l) of weight * l_i l_j l_k, where t
+    runs over the triples i <= j <= k in combinations_with_replacement
+    order; each partial product weight * l_i * l_j is formed once."""
+    for weight, l in root_weights:
+        t = 0
+        for i in range(n):
+            wi = weight * l[i]
+            for j in range(i, n):
+                wij = wi * l[j]
+                for k in range(j, n):
+                    totals[t] += wij * l[k]
+                    t += 1
+
+
 def resolution_third_partials(spec: GroupSpec, dps: int = DEFAULT_DPS) -> dict:
     """Third partials at x = 0 computed from the resolution side:
 
         i^3 * (classical cubic contracted with L three times)
       + sum over roots of (i^3/2) l_k l_k' l_k'' w/(1-w),  w = exp(i*theta0).
 
+    The cubic is contracted one index at a time, last index first.
     Returns a dict over nondecreasing index triples with complex values
     (their imaginary parts vanishing is part of the statement under test).
     """
     system, roots = _root_forms(spec, dps)
-    cubic = classical_potential(spec, dps)
+    cubic = classical_potential(spec, dps).cubic
     order = correspondence(spec, dps).group.order
     n = len(system.class_labels)
-    r = len(system.forms)
+    lmat = [form.coefficients for form in system.forms]  # irrep x class
+    r = len(lmat)
     with mp.workdps(dps + _GUARD):
+        zero = mp.mpc(0)
+        # by_last[a][b][k] = sum_c cubic[a][b][c] L[c][k], then
+        # by_two[a][j][k] = sum_b L[b][j] by_last[a][b][k]
+        by_last = []
+        for a in range(r):
+            plane = []
+            for b in range(r):
+                row = [zero] * n
+                for c in range(r):
+                    w = cubic[a][b][c]
+                    if w:
+                        wf = mp.mpf(w.numerator) / w.denominator
+                        row = [acc + wf * l for acc, l in zip(row, lmat[c])]
+                plane.append(row)
+            by_last.append(plane)
+        by_two = [
+            [
+                [
+                    mp.fsum(lmat[b][j] * by_last[a][b][k] for b in range(r))
+                    for k in range(n)
+                ]
+                for j in range(n)
+            ]
+            for a in range(r)
+        ]
         i3 = mp.mpc(0, -1)  # i^3
-        out = {}
-        for triple in combinations_with_replacement(range(n), 3):
-            total = mp.mpc(0)
-            for a in range(r):
-                la = system.forms[a].coefficients[triple[0]]
-                for b in range(r):
-                    lb = system.forms[b].coefficients[triple[1]]
-                    for c in range(r):
-                        lc = system.forms[c].coefficients[triple[2]]
-                        w = cubic.cubic[a][b][c]
-                        if w:
-                            total += mp.mpf(w.numerator) / w.denominator * la * lb * lc
-            total = i3 * total
-            for root in roots:
-                w = mp.expjpi(2 * mp.mpf(root.dim_sum) / order)
-                geom = w / (1 - w)
-                prod = mp.mpc(1)
-                for i in triple:
-                    prod = prod * root.coefficients[i]
-                total += i3 / 2 * prod * geom
-            out[triple] = total
-    return out
+        triples = list(combinations_with_replacement(range(n), 3))
+        totals = [
+            i3 * mp.fsum(lmat[a][i] * by_two[a][j][k] for a in range(r))
+            for i, j, k in triples
+        ]
+        root_weights = []
+        for root in roots:
+            w = mp.expjpi(2 * mp.mpf(root.dim_sum) / order)
+            root_weights.append((i3 / 2 * w / (1 - w), root.coefficients))
+        _add_root_triples(totals, root_weights, n)
+    return dict(zip(triples, totals))
 
 
 def crc_consistency(spec: GroupSpec, dps: int = DEFAULT_DPS) -> mp.mpf:
     """Max absolute difference, over all index triples, between the
     resolution-route third partials and the quotient-side closed formula
-    at x = 0.  Small values are the numeric genus-zero correspondence."""
+    at x = 0,
+
+        -(1/4) * sum over roots of l_k l_k' l_k'' * tan(theta0/2 + pi/2),
+
+    with each root's tan taken once for all triples.  By the identity
+    (1+w)/(1-w) = i*cot(theta/2) the two sides agree as soon as the cubic
+    is (1/4) * sum over roots of r (x) r (x) r, so a small value confirms
+    that identity and the cubic's definition, not the correspondence
+    independently."""
     res = resolution_third_partials(spec, dps)
+    system, roots = _root_forms(spec, dps)
+    order = correspondence(spec, dps).group.order
     with mp.workdps(dps + _GUARD):
+        tans = [
+            (mp.tan(mp.pi * mp.mpf(root.dim_sum) / order + mp.pi / 2), root.coefficients)
+            for root in roots
+        ]
+        totals = [mp.mpc(0)] * len(res)
+        _add_root_triples(totals, tans, len(system.class_labels))
+        tol = mp.mpf(10) ** (-(dps // 2))
         worst = mp.mpf(0)
-        for triple, value in res.items():
-            direct = third_partial(spec, *triple, dps=dps)
-            worst = max(worst, abs(value - direct))
+        for value, total in zip(res.values(), totals):
+            direct = -total / 4
+            if abs(direct.imag) > tol:
+                raise ConfigurationError(f"third partial came out non-real: {direct}")
+            worst = max(worst, abs(value - direct.real))
         return worst
 
 

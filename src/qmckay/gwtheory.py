@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 from .errors import ConfigurationError
 from .grouprep import DEFAULT_DPS, GroupSpec, correspondence
@@ -169,6 +171,18 @@ def dt_partition(spec: GroupSpec, truncation: Truncation, dps: int = DEFAULT_DPS
     return partition_function(spec, truncation, dps).series
 
 
+@lru_cache(maxsize=None)
+def _bps_counts(spec: GroupSpec, dps: int) -> MappingProxyType:
+    """The n0 counts of `bps_table`, built once per (group, precision)."""
+    return MappingProxyType(bps_table(spec, dps).counts)
+
+
+@lru_cache(maxsize=None)
+def _cover_kernel(d: int, order: int) -> MappingProxyType:
+    """(2 sin(d lam/2))^-2 through lam^order, built once per (d, order)."""
+    return MappingProxyType(sin_power_coefficients(-2, d, order))
+
+
 def _divisors_of_class(beta: CurveClass):
     g = 0
     for b in beta:
@@ -183,11 +197,11 @@ def gw_genus0(spec: GroupSpec, beta, dps: int = DEFAULT_DPS) -> Fraction:
     beta = tuple(int(b) for b in beta)
     if all(b == 0 for b in beta):
         raise ConfigurationError("the zero class has no invariant")
-    table = bps_table(spec, dps)
+    counts = _bps_counts(spec, dps)
     total = Fraction(0)
     for d in _divisors_of_class(beta):
         base = tuple(b // d for b in beta)
-        n0 = table.counts.get(base)
+        n0 = counts.get(base)
         if n0 is not None:
             total += n0 / d ** 3
     return total
@@ -203,16 +217,15 @@ def gw_all_genus(spec: GroupSpec, beta, g: int, dps: int = DEFAULT_DPS) -> Fract
         raise ConfigurationError("the zero class has no invariant")
     if g < 0:
         raise ConfigurationError("the genus must be nonnegative")
-    table = bps_table(spec, dps)
+    counts = _bps_counts(spec, dps)
     order = max(2 * g - 2, 0)
     total = Fraction(0)
     for d in _divisors_of_class(beta):
         base = tuple(b // d for b in beta)
-        n0 = table.counts.get(base)
+        n0 = counts.get(base)
         if n0 is None:
             continue
-        kernel = sin_power_coefficients(-2, d, order)
-        total += n0 * kernel.get(2 * g - 2, 0) / d
+        total += n0 * _cover_kernel(d, order).get(2 * g - 2, 0) / d
     return total
 
 

@@ -7,6 +7,7 @@ import jsonschema
 import mpmath as mp
 import pytest
 
+import qmckay.crc as crc
 from qmckay.crc import (
     b_series,
     change_of_variables,
@@ -20,7 +21,8 @@ from qmckay.crc import (
     third_partial,
 )
 from qmckay.errors import ConfigurationError, PoleError
-from qmckay.grouprep import GroupSpec
+from qmckay.grouprep import GroupSpec, correspondence
+from qmckay.intersect import classical_potential
 from qmckay.schemas import CRC_REPORT
 
 D5 = GroupSpec.dihedral(3)
@@ -256,3 +258,122 @@ def test_rational_guess_accepts_exact_and_rejects_irrational():
         third = mp.mpf(1) / 3
         assert rational_guess(third) == Fraction(1, 3)
         assert rational_guess(mp.sqrt(2)) is None
+
+
+# -- the per-root kernels against the per-monomial loops they replaced ---------
+
+
+def _reference_exponent_vectors(n_vars, total):
+    if n_vars == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _reference_exponent_vectors(n_vars - 1, total - head):
+            yield (head,) + rest
+
+
+def _reference_potential(spec, degree, dps):
+    """One mpc term per (root, monomial), powers and factorials each time."""
+    system, roots = crc._root_forms(spec, dps)
+    order = correspondence(spec, dps).group.order
+    n_vars = len(system.class_labels)
+    with mp.workdps(dps + crc._GUARD):
+        factorials = [mp.mpf(1)]
+        for i in range(1, degree + 1):
+            factorials.append(factorials[-1] * i)
+        acc = {}
+        for root in roots:
+            t = mp.cot(mp.pi * mp.mpf(root.dim_sum) / order)
+            for n in range(3, degree + 1):
+                hn = crc._poly_eval(crc._h_poly(n), t)
+                for key in _reference_exponent_vectors(n_vars, n):
+                    term = hn / 2
+                    for e, l in zip(key, root.coefficients):
+                        if e:
+                            term = term * l ** e / factorials[e]
+                    if term != 0:
+                        acc[key] = acc.get(key, mp.mpc(0)) + term
+        tol = mp.mpf(10) ** (-(dps // 2))
+        return {
+            key: value.real for key, value in acc.items() if abs(value.real) > tol
+        }
+
+
+def _reference_resolution_partials(spec, dps):
+    """The cubic contracted with L over all (a, b, c) at once, per triple."""
+    system, roots = crc._root_forms(spec, dps)
+    cubic = classical_potential(spec, dps)
+    order = correspondence(spec, dps).group.order
+    n = len(system.class_labels)
+    r = len(system.forms)
+    with mp.workdps(dps + crc._GUARD):
+        i3 = mp.mpc(0, -1)
+        out = {}
+        for triple in combinations_with_replacement(range(n), 3):
+            total = mp.mpc(0)
+            for a in range(r):
+                la = system.forms[a].coefficients[triple[0]]
+                for b in range(r):
+                    lb = system.forms[b].coefficients[triple[1]]
+                    for c in range(r):
+                        lc = system.forms[c].coefficients[triple[2]]
+                        w = cubic.cubic[a][b][c]
+                        if w:
+                            total += mp.mpf(w.numerator) / w.denominator * la * lb * lc
+            total = i3 * total
+            for root in roots:
+                w = mp.expjpi(2 * mp.mpf(root.dim_sum) / order)
+                prod = mp.mpc(1)
+                for i in triple:
+                    prod = prod * root.coefficients[i]
+                total += i3 / 2 * prod * w / (1 - w)
+            out[triple] = total
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    D5, GroupSpec.dihedral(4), GroupSpec.tetrahedral(), GroupSpec.cyclic(5),
+], ids=str)
+def test_potential_matches_per_monomial_reference(spec):
+    dps = 64
+    got = orbifold_potential(spec, 5, dps).coefficients
+    want = _reference_potential(spec, 5, dps)
+    assert set(got) == set(want)
+    with mp.workdps(dps + crc._GUARD):
+        for key, value in want.items():
+            assert abs(got[key] - value) < mp.mpf(10) ** -dps, key
+
+
+@pytest.mark.parametrize("spec", [
+    D5, GroupSpec.cyclic(4), GroupSpec.tetrahedral(),
+], ids=str)
+def test_resolution_partials_match_full_contraction_reference(spec):
+    dps = 64
+    got = resolution_third_partials(spec, dps)
+    want = _reference_resolution_partials(spec, dps)
+    assert list(got) == list(want)
+    with mp.workdps(dps + crc._GUARD):
+        for triple, value in want.items():
+            assert abs(got[triple] - value) < mp.mpf(10) ** -dps, triple
+
+
+def test_root_forms_built_once_per_group_and_precision(monkeypatch):
+    calls = []
+    build = crc.linear_forms
+
+    def counting_linear_forms(spec, dps=crc.DEFAULT_DPS):
+        calls.append((spec, dps))
+        return build(spec, dps)
+
+    spec = GroupSpec.dihedral(2)
+    monkeypatch.setattr(crc, "linear_forms", counting_linear_forms)
+    crc._root_forms.cache_clear()
+    try:
+        orbifold_potential(spec, 4, 40)
+        crc_consistency(spec, 40)
+        third_partial(spec, 0, 1, 2, dps=40)
+        assert calls == [(spec, 40)]
+        crc_consistency(spec, 50)
+        assert calls == [(spec, 40), (spec, 50)]
+    finally:
+        crc._root_forms.cache_clear()
