@@ -14,11 +14,17 @@ icosahedral             60          120          E8
 ======================  ==========  ===========  ==============
 
 Character tables are closed-form and parametric in the family parameter.
-Entries are stored exactly as `fractions.Fraction` whenever the value is
-rational and otherwise as `mpmath` numbers computed at the model's working
-precision (`dps` decimal digits, default 64).  Integer quantities derived
-from them (tensor multiplicities, pairings) are obtained by rounding with a
-residual assertion below 1e-30.
+Every entry, and chi_V and chi_U, is stored exactly as a `Cyclotomic`: an
+element of Z[zeta_N] with one N per group (2k for cyclic(k), lcm(2m, 4) for
+dihedral(m), 12, 24 and 60 for the exceptional groups), written through
+2cos(2 pi a/n) = zeta^a + zeta^-a, omega = zeta_12^4,
+sqrt(2) = zeta_24^3 + zeta_24^21 and phi = 1 + zeta_60^12 + zeta_60^48.
+Integer quantities derived from them (tensor multiplicities, pairings) are
+exact integer sums: the products are accumulated as integer coefficients
+of powers of zeta_N, reduced once modulo the cyclotomic polynomial, and
+required to be rational.  No tolerance or rounding is involved, so the
+working precision `dps` never affects them; `as_mpc` is the one numeric
+view of a value.
 
 Fixed conventions (part of the public contract; consumers index by label):
 
@@ -48,9 +54,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
-from typing import Union
+from functools import lru_cache, wraps
+from math import gcd, lcm
 
 import mpmath as mp
 
@@ -58,10 +63,7 @@ from .errors import ConfigurationError, InternalConsistencyError
 from .rootsys import ADEType, cartan_matrix, root_system
 
 DEFAULT_DPS = 64
-_GUARD = 10  # extra working digits for table construction
-RESIDUAL_TOL = mp.mpf("1e-30")
-
-CharValue = Union[Fraction, mp.mpf, mp.mpc]
+_GUARD = 10  # extra digits when a character value is evaluated numerically
 
 _KINDS = ("cyclic", "dihedral", "tetrahedral", "octahedral", "icosahedral")
 
@@ -129,59 +131,187 @@ def root_system_of(spec: GroupSpec) -> ADEType:
 
 
 # ---------------------------------------------------------------------------
-# exact-where-possible character values
+# exact character values: elements of Z[zeta_n]
 # ---------------------------------------------------------------------------
 
-_COS_TABLE = {
-    Fraction(0): Fraction(1),
-    Fraction(1, 2): Fraction(-1),
-    Fraction(1, 3): Fraction(-1, 2),
-    Fraction(2, 3): Fraction(-1, 2),
-    Fraction(1, 4): Fraction(0),
-    Fraction(3, 4): Fraction(0),
-    Fraction(1, 6): Fraction(1, 2),
-    Fraction(5, 6): Fraction(1, 2),
-}
+
+def _poly_divide(num: list[int], den: tuple[int, ...]) -> list[int]:
+    """Quotient of integer polynomials (constant term first) when den, which
+    is monic, divides num exactly."""
+    num = list(num)
+    d = len(den) - 1
+    quotient = [0] * (len(num) - d)
+    for i in range(len(quotient) - 1, -1, -1):
+        c = num[i + d]
+        quotient[i] = c
+        if c:
+            for j, p in enumerate(den):
+                num[i + j] -= c * p
+    return quotient
 
 
-def cos_turn(t: Fraction) -> CharValue:
-    """cos(2*pi*t) for rational t, exact whenever the value is rational."""
-    t = Fraction(t) % 1
-    if t in _COS_TABLE:
-        return _COS_TABLE[t]
-    return mp.cospi(2 * mp.mpf(t.numerator) / t.denominator)
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of the n-th cyclotomic polynomial, constant term first.
+
+    Phi_n is monic with integer coefficients, so reduction modulo it stays
+    in the integers; it is x^n - 1 divided by every Phi_d with d | n, d < n.
+    """
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_divide(poly, cyclotomic_polynomial(d))
+    return tuple(poly)
 
 
-def exp_turn(t: Fraction) -> CharValue:
-    """exp(2*pi*i*t) for rational t, exact whenever the value is rational."""
-    t = Fraction(t) % 1
-    if t == 0:
-        return Fraction(1)
-    if t == Fraction(1, 2):
-        return Fraction(-1)
-    return mp.expjpi(2 * mp.mpf(t.numerator) / t.denominator)
+def reduce_cyclotomic(coefficients: list[int], n: int) -> tuple[int, ...]:
+    """The unique representative of sum c_e zeta_n^e of degree < phi(n).
+
+    ``coefficients[e]`` multiplies zeta_n^e for 0 <= e < n.  Two values of
+    Z[zeta_n] are equal exactly when their reductions are.
+    """
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    lower = [(j, p) for j, p in enumerate(phi[:d]) if p]
+    acc = list(coefficients)
+    for i in range(len(acc) - 1, d - 1, -1):
+        c = acc[i]
+        if c:
+            base = i - d
+            for j, p in lower:
+                acc[base + j] -= c * p
+    return tuple(acc[:d])
 
 
-def as_mpc(v: CharValue) -> mp.mpc:
-    if isinstance(v, Fraction):
-        return mp.mpc(mp.mpf(v.numerator) / v.denominator)
-    return mp.mpc(v)
+class Cyclotomic:
+    """An element sum c_e * zeta_n^e of Z[zeta_n], zeta_n = exp(2*pi*i/n).
+
+    ``terms`` holds the nonzero (e, c_e) pairs with 0 <= e < n, so products
+    are cyclic convolutions; equality and rationality are decided on the
+    reduction modulo the cyclotomic polynomial, which is exact.
+    """
+
+    __slots__ = ("n", "terms", "_reduced")
+
+    def __init__(self, n: int, coefficients: dict[int, int]):
+        self.n = n
+        acc: dict[int, int] = {}
+        for e, c in coefficients.items():
+            e %= n
+            acc[e] = acc.get(e, 0) + c
+        self.terms = tuple(sorted((e, c) for e, c in acc.items() if c))
+        self._reduced = None
+
+    @staticmethod
+    def integer(n: int, value: int) -> "Cyclotomic":
+        return Cyclotomic(n, {0: value})
+
+    def reduced(self) -> tuple[int, ...]:
+        if self._reduced is None:
+            dense = [0] * self.n
+            for e, c in self.terms:
+                dense[e] = c
+            self._reduced = reduce_cyclotomic(dense, self.n)
+        return self._reduced
+
+    def integer_value(self) -> int | None:
+        """The value as an int when it is rational (hence an integer), else None."""
+        head, *rest = self.reduced()
+        return None if any(rest) else head
+
+    def conjugate(self) -> "Cyclotomic":
+        return Cyclotomic(self.n, {-e: c for e, c in self.terms})
+
+    def _coerce(self, other) -> "Cyclotomic":
+        if isinstance(other, Cyclotomic):
+            if other.n != self.n:
+                raise ConfigurationError(f"zeta_{self.n} and zeta_{other.n} values do not mix")
+            return other
+        if isinstance(other, int):
+            return Cyclotomic.integer(self.n, other)
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        acc = dict(self.terms)
+        for e, c in other.terms:
+            acc[e] = acc.get(e, 0) + c
+        return Cyclotomic(self.n, acc)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Cyclotomic":
+        return Cyclotomic(self.n, {e: -c for e, c in self.terms})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        acc: dict[int, int] = {}
+        for e1, c1 in self.terms:
+            for e2, c2 in other.terms:
+                e = e1 + e2
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return Cyclotomic(self.n, acc)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return self.reduced() == other.reduced()
+
+    def __hash__(self) -> int:
+        value = self.integer_value()
+        return hash(self.reduced()) if value is None else hash(value)
+
+    def __repr__(self) -> str:
+        return f"Cyclotomic({self.n}, {dict(self.terms)})"
 
 
-def conj_value(v: CharValue) -> CharValue:
-    if isinstance(v, Fraction):
-        return v
-    return mp.conj(v)
+def exp_turn(t: Fraction, n: int) -> Cyclotomic:
+    """exp(2*pi*i*t) as zeta_n^(n*t); n*t must be an integer."""
+    e = Fraction(t) * n
+    if e.denominator != 1:
+        raise ConfigurationError(f"exp(2 pi i {t}) is not a power of zeta_{n}")
+    return Cyclotomic(n, {e.numerator: 1})
 
 
-def round_integer(x, tol=RESIDUAL_TOL) -> int:
-    """Round a (possibly complex) value to the nearest integer, asserting the
-    residual (including any imaginary part) stays below ``tol``."""
-    z = mp.mpc(x)
-    n = int(mp.nint(z.real))
-    if abs(z.real - n) > tol or abs(z.imag) > tol:
-        raise InternalConsistencyError(f"value {z} is not an integer within {tol}")
-    return n
+def two_cos_turn(t: Fraction, n: int) -> Cyclotomic:
+    """2*cos(2*pi*t) as zeta_n^(n*t) + zeta_n^(-n*t)."""
+    return exp_turn(t, n) + exp_turn(-t, n)
+
+
+def as_mpc(v: Cyclotomic) -> mp.mpc:
+    """The complex value of ``v`` at the ambient mpmath precision.
+
+    This is the only numeric view of a character value.  Integers are
+    converted exactly; a self-conjugate value is summed as cosines, so its
+    imaginary part is exactly 0; any other value is summed from exp(2*pi*i*e/n).
+    Sums run with guard digits and are rounded once.
+    """
+    value = v.integer_value()
+    if value is not None:
+        return mp.mpc(value)
+    n = v.n
+    with mp.extradps(_GUARD):
+        if v == v.conjugate():
+            z = mp.fsum(c * mp.cospi(mp.mpf(2 * min(e, n - e)) / n) for e, c in v.terms)
+        else:
+            z = mp.fsum(c * mp.expjpi(mp.mpf(2 * e) / n) for e, c in v.terms)
+    return mp.mpc(+z)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +350,9 @@ class GroupModel:
     is_binary: bool
     classes: tuple[ConjClass, ...]
     irreps: tuple[Irrep, ...]
-    table: tuple[tuple[CharValue, ...], ...]  # rows: irreps, columns: classes
-    chi_v: tuple[CharValue, ...] | None  # character of the rotation action on R^3
-    chi_u: tuple[CharValue, ...] | None  # character of the defining SU(2) action
+    table: tuple[tuple[Cyclotomic, ...], ...]  # rows: irreps, columns: classes
+    chi_v: tuple[Cyclotomic, ...] | None  # character of the rotation action on R^3
+    chi_u: tuple[Cyclotomic, ...] | None  # character of the defining SU(2) action
     center_class: int | None  # index of the central involution z (binary only)
     inverse_class: tuple[int, ...]  # class index -> class index of the inverses
     dps: int
@@ -239,7 +369,7 @@ class GroupModel:
                 return i
         raise ConfigurationError(f"{self.name} has no irrep {label!r}")
 
-    def character(self, label: str) -> tuple[CharValue, ...]:
+    def character(self, label: str) -> tuple[Cyclotomic, ...]:
         return self.table[self.irrep_index(label)]
 
     def nontrivial_irreps(self) -> tuple[int, ...]:
@@ -284,21 +414,30 @@ class Correspondence:
 # ---------------------------------------------------------------------------
 
 
-def inner_product(model: GroupModel, row_a, row_b) -> mp.mpc:
-    """(1/|G|) * sum over classes of size * a * conj(b).
+def inner_product(model: GroupModel, row_a, row_b) -> int:
+    """(1/|G|) * sum over classes of size * a * conj(b), exactly.
 
-    Runs at the model's working precision regardless of the ambient mpmath
-    context, so stored table entries are never truncated mid-sum.
+    The rows are class functions with values in Z[zeta_N] (characters,
+    products of characters, or integer combinations of them), so the sum is
+    an integer multiplicity.  The terms are accumulated as integer
+    coefficients of powers of zeta_N, reduced once modulo Phi_N, and the
+    result must be a rational integer divisible by |G|; anything else is a
+    broken table and raises InternalConsistencyError.
     """
-    with mp.workdps(model.dps + _GUARD):
-        acc = mp.mpc(0)
-        for cls, a, b in zip(model.classes, row_a, row_b):
-            acc += cls.size * as_mpc(a) * mp.conj(as_mpc(b))
-        return acc / model.order
-
-
-def multiplicity(model: GroupModel, row_a, row_b) -> int:
-    return round_integer(inner_product(model, row_a, row_b))
+    n = row_a[0].n
+    acc = [0] * n
+    for cls, a, b in zip(model.classes, row_a, row_b):
+        size = cls.size
+        for ea, ca in a.terms:
+            weight = size * ca
+            for eb, cb in b.terms:
+                acc[(ea - eb) % n] += weight * cb
+    total, *rest = reduce_cyclotomic(acc, n)
+    if any(rest) or total % model.order:
+        raise InternalConsistencyError(
+            f"{model.name}: character sum is not |G| = {model.order} times an integer"
+        )
+    return total // model.order
 
 
 def pulls_back(model: GroupModel, irrep_label: str) -> bool:
@@ -307,13 +446,13 @@ def pulls_back(model: GroupModel, irrep_label: str) -> bool:
         raise ConfigurationError("pulls_back applies to binary-group models")
     i = model.irrep_index(irrep_label)
     dim = model.irreps[i].dim
-    z = as_mpc(model.table[i][model.center_class])
-    if abs(z - dim) < RESIDUAL_TOL:
+    z = model.table[i][model.center_class]
+    if z == dim:
         return True
-    if abs(z + dim) < RESIDUAL_TOL:
+    if z == -dim:
         return False
     raise InternalConsistencyError(
-        f"character of {irrep_label} at the central involution is neither +-dim: {z}"
+        f"character of {irrep_label} at the central involution is neither +-dim: {z!r}"
     )
 
 
@@ -321,14 +460,11 @@ def mckay_graph(model: GroupModel) -> McKayGraph:
     """Adjacency a[i][j] = multiplicity of irrep j inside U (x) irrep i."""
     if not model.is_binary or model.chi_u is None:
         raise ConfigurationError("the McKay graph is built from a binary-group model")
-    with mp.workdps(model.dps + _GUARD):
-        rows = model.table
-        chi_u = model.chi_u
-        n = len(rows)
-        adj = []
-        for i in range(n):
-            prod = [as_mpc(u) * as_mpc(a) for u, a in zip(chi_u, rows[i])]
-            adj.append(tuple(multiplicity(model, prod, rows[j]) for j in range(n)))
+    rows = model.table
+    adj = []
+    for row in rows:
+        prod = [u * a for u, a in zip(model.chi_u, row)]
+        adj.append(tuple(inner_product(model, prod, other) for other in rows))
     return McKayGraph(
         labels=tuple(r.label for r in model.irreps),
         dims=tuple(r.dim for r in model.irreps),
@@ -395,8 +531,19 @@ def hard_lefschetz_check(model: GroupModel) -> tuple[bool, tuple[Fraction, ...]]
 # ---------------------------------------------------------------------------
 
 
-def _chi_v_from_turns(classes: tuple[ConjClass, ...]) -> tuple[CharValue, ...]:
-    return tuple(1 + 2 * cos_turn(cls.turn) for cls in classes)
+def _chi_v_from_turns(classes: tuple[ConjClass, ...], n: int) -> tuple[Cyclotomic, ...]:
+    return tuple(1 + two_cos_turn(cls.turn, n) for cls in classes)
+
+
+def _exact(value, n: int) -> Cyclotomic:
+    """A table entry as an element of Z[zeta_n]; integers become constants."""
+    if isinstance(value, Cyclotomic):
+        if value.n != n:
+            raise InternalConsistencyError(f"entry {value!r} is not in Z[zeta_{n}]")
+        return value
+    if Fraction(value).denominator != 1:
+        raise InternalConsistencyError(f"entry {value} is not an algebraic integer")
+    return Cyclotomic.integer(n, int(value))
 
 
 def _assemble(
@@ -411,10 +558,14 @@ def _assemble(
     chi_u,
     inverse,
     dps,
+    n,
 ) -> GroupModel:
+    """Validate one group's data and store every character value in Z[zeta_n]."""
     classes = tuple(classes)
     irreps = tuple(irreps)
-    rows = tuple(tuple(r) for r in rows)
+    rows = tuple(tuple(_exact(x, n) for x in r) for r in rows)
+    chi_v = tuple(_exact(x, n) for x in chi_v) if chi_v is not None else None
+    chi_u = tuple(_exact(x, n) for x in chi_u) if chi_u is not None else None
     if sum(c.size for c in classes) != order:
         raise InternalConsistencyError(f"{name}: class sizes do not sum to the order")
     if sum(r.dim * r.dim for r in irreps) != order:
@@ -427,7 +578,7 @@ def _assemble(
         if len(small) != 1:
             raise InternalConsistencyError(f"{name}: central involution not unique")
         center = small[0]
-        if abs(as_mpc(chi_u[center]) + 2) > RESIDUAL_TOL:
+        if chi_u[center] != -2:
             raise InternalConsistencyError(f"{name}: defining character at z is not -2")
     return GroupModel(
         spec=spec,
@@ -437,8 +588,8 @@ def _assemble(
         classes=classes,
         irreps=irreps,
         table=rows,
-        chi_v=tuple(chi_v) if chi_v is not None else None,
-        chi_u=tuple(chi_u) if chi_u is not None else None,
+        chi_v=chi_v,
+        chi_u=chi_u,
         center_class=center,
         inverse_class=tuple(inverse),
         dps=dps,
@@ -453,24 +604,26 @@ def _cyclic_family(k: int, dps: int):
         ConjClass(f"g{j}", 1, k // gcd(j, k), F(min(j, k - j), k)) for j in range(k)
     )
     irreps_g = tuple(Irrep(f"chi{a}", 1) for a in range(k))
-    rows_g = [[exp_turn(F(a * j, k)) for j in range(k)] for a in range(k)]
-    chi_v = tuple(1 + 2 * cos_turn(F(j, k)) for j in range(k))
+    n = 2 * k
+    rows_g = [[exp_turn(F(a * j, k), n) for j in range(k)] for a in range(k)]
+    chi_v = tuple(1 + two_cos_turn(F(j, k), n) for j in range(k))
     inv_g = tuple((k - j) % k for j in range(k))
     g = _assemble(
-        GroupSpec.cyclic(k), f"Z{k}", k, False, classes_g, irreps_g, rows_g, chi_v, None, inv_g, dps
+        GroupSpec.cyclic(k), f"Z{k}", k, False, classes_g, irreps_g, rows_g, chi_v, None, inv_g,
+        dps, n,
     )
 
-    n = 2 * k
     # Binary group = Z_{2k}; the generator covers the rotation by one k-th turn.
     classes_h = tuple(
         ConjClass(f"g{j}", 1, n // gcd(j, n), None, j % k) for j in range(n)
     )
     irreps_h = tuple(Irrep(f"chi{a}", 1) for a in range(n))
-    rows_h = [[exp_turn(F(a * j, n)) for j in range(n)] for a in range(n)]
-    chi_u = tuple(2 * cos_turn(F(j, n)) for j in range(n))
+    rows_h = [[exp_turn(F(a * j, n), n) for j in range(n)] for a in range(n)]
+    chi_u = tuple(two_cos_turn(F(j, n), n) for j in range(n))
     inv_h = tuple((n - j) % n for j in range(n))
     gh = _assemble(
-        GroupSpec.cyclic(k), f"Z{n}", n, True, classes_h, irreps_h, rows_h, None, chi_u, inv_h, dps
+        GroupSpec.cyclic(k), f"Z{n}", n, True, classes_h, irreps_h, rows_h, None, chi_u, inv_h,
+        dps, n,
     )
 
     node_irreps = tuple(p + 1 for p in range(n - 1))
@@ -482,6 +635,7 @@ def _dihedral_family(m: int, dps: int):
     F = Fraction
     even = m % 2 == 0
     half = m // 2
+    n = lcm(2 * m, 4)
 
     # G = dihedral group of order 2m: rotations r^j about the main axis and m
     # half-turn flips.  Class order: e, r1..r(half or half-1), [r(half) central
@@ -504,8 +658,8 @@ def _dihedral_family(m: int, dps: int):
     two_range = range(1, (half - 1 if even else (m - 1) // 2) + 1)
     irreps_g += [Irrep(f"rho{i}", 2) for i in two_range]
 
-    def g_row(label: str) -> list[CharValue]:
-        row: list[CharValue] = []
+    def g_row(label: str) -> list:
+        row: list = []
         for cls in classes_g:
             if cls.label == "e":
                 row.append(F(2) if label.startswith("rho") else F(1))
@@ -517,7 +671,7 @@ def _dihedral_family(m: int, dps: int):
                     row.append(F((-1) ** j))
                 else:
                     i = int(label[3:])
-                    row.append(2 * cos_turn(F(i * j, m)))
+                    row.append(two_cos_turn(F(i * j, m), n))
             else:  # flips
                 if label == "triv":
                     row.append(F(1))
@@ -532,7 +686,7 @@ def _dihedral_family(m: int, dps: int):
         return row
 
     rows_g = [g_row(r.label) for r in irreps_g]
-    chi_v = _chi_v_from_turns(tuple(classes_g))
+    chi_v = _chi_v_from_turns(tuple(classes_g), n)
     inv_g = tuple(range(len(classes_g)))
     g = _assemble(
         GroupSpec.dihedral(m),
@@ -546,6 +700,7 @@ def _dihedral_family(m: int, dps: int):
         None,
         inv_g,
         dps,
+        n,
     )
 
     # Binary group: order 4m with presentation x^(2m) = e, y^2 = x^m,
@@ -574,10 +729,10 @@ def _dihedral_family(m: int, dps: int):
     irreps_h = [Irrep("triv", 1), Irrep("sgn", 1), Irrep("psi1", 1), Irrep("psi2", 1)]
     irreps_h += [Irrep(f"rho{i}", 2) for i in range(1, m)]
 
-    plus_i, minus_i = exp_turn(F(1, 4)), exp_turn(F(3, 4))
+    plus_i, minus_i = exp_turn(F(1, 4), n), exp_turn(F(3, 4), n)
 
-    def h_row(label: str) -> list[CharValue]:
-        row: list[CharValue] = []
+    def h_row(label: str) -> list:
+        row: list = []
         for cls in classes_h:
             if cls.label == "e":
                 row.append(F(2) if label.startswith("rho") else F(1))
@@ -596,7 +751,7 @@ def _dihedral_family(m: int, dps: int):
                     row.append(F((-1) ** j))
                 else:
                     i = int(label[3:])
-                    row.append(2 * cos_turn(F(i * j, 2 * m)))
+                    row.append(two_cos_turn(F(i * j, 2 * m), n))
             else:  # ya / yb
                 ya = cls.label == "ya"
                 if label == "triv":
@@ -635,6 +790,7 @@ def _dihedral_family(m: int, dps: int):
         chi_u,
         inv_h,
         dps,
+        n,
     )
 
     # Node dictionary for D(m+2): sgn - rho1 - ... - rho(m-1) < (psi1, psi2).
@@ -650,7 +806,8 @@ def _dihedral_family(m: int, dps: int):
 
 def _tetrahedral_family(dps: int):
     F = Fraction
-    w, wb = exp_turn(F(1, 3)), exp_turn(F(2, 3))
+    n = 12
+    w, wb = exp_turn(F(1, 3), n), exp_turn(F(2, 3), n)
     classes_g = (
         ConjClass("e", 1, 1, F(0)),
         ConjClass("c2", 3, 2, F(1, 2)),
@@ -667,7 +824,7 @@ def _tetrahedral_family(dps: int):
     chi_v = rows_g[3]
     g = _assemble(
         GroupSpec.tetrahedral(), "T", 12, False, classes_g, irreps_g, rows_g, chi_v, None,
-        (0, 1, 3, 2), dps,
+        (0, 1, 3, 2), dps, n,
     )
 
     classes_h = (
@@ -689,12 +846,12 @@ def _tetrahedral_family(dps: int):
         [F(1), F(1), F(1), wb, w, wb, w],
         [F(3), F(3), F(-1), F(0), F(0), F(0), F(0)],
         [F(2), F(-2), F(0), F(1), F(1), F(-1), F(-1)],
-        [F(2), F(-2), F(0), w, wb, -as_mpc(w), -as_mpc(wb)],
-        [F(2), F(-2), F(0), wb, w, -as_mpc(wb), -as_mpc(w)],
+        [F(2), F(-2), F(0), w, wb, -w, -wb],
+        [F(2), F(-2), F(0), wb, w, -wb, -w],
     ]
     gh = _assemble(
         GroupSpec.tetrahedral(), "T^", 24, True, classes_h, irreps_h, rows_h, None,
-        rows_h[4], (0, 1, 2, 4, 3, 6, 5), dps,
+        rows_h[4], (0, 1, 2, 4, 3, 6, 5), dps, n,
     )
     # E6 nodes (Bourbaki, 0-based): om - u2om - std3 - u2omb - omb on the
     # chain, u2 on the branch node next to std3.
@@ -705,6 +862,7 @@ def _tetrahedral_family(dps: int):
 
 def _octahedral_family(dps: int):
     F = Fraction
+    n = 24
     classes_g = (
         ConjClass("e", 1, 1, F(0)),
         ConjClass("t2", 6, 2, F(1, 2)),
@@ -725,10 +883,10 @@ def _octahedral_family(dps: int):
     chi_v = rows_g[4]
     g = _assemble(
         GroupSpec.octahedral(), "O", 24, False, classes_g, irreps_g, rows_g, chi_v, None,
-        (0, 1, 2, 3, 4), dps,
+        (0, 1, 2, 3, 4), dps, n,
     )
 
-    s2 = mp.sqrt(2)
+    s2 = two_cos_turn(F(1, 8), n)  # sqrt(2) = zeta_24^3 + zeta_24^21
     classes_h = (
         ConjClass("e", 1, 1, None, 0),
         ConjClass("z", 1, 2, None, 0),
@@ -755,7 +913,7 @@ def _octahedral_family(dps: int):
     ]
     gh = _assemble(
         GroupSpec.octahedral(), "O^", 48, True, classes_h, irreps_h, rows_h, None,
-        rows_h[5], tuple(range(8)), dps,
+        rows_h[5], tuple(range(8)), dps, n,
     )
     # E7 nodes: u2 - stdsgn - spin4 - std - u2s - sgn on the chain, with the
     # 2-dimensional `two` on the branch node next to spin4.
@@ -766,7 +924,8 @@ def _octahedral_family(dps: int):
 
 def _icosahedral_family(dps: int):
     F = Fraction
-    ph = (1 + mp.sqrt(5)) / 2
+    n = 60
+    ph = 1 + two_cos_turn(F(1, 5), n)  # golden ratio = 1 + zeta_60^12 + zeta_60^48
     classes_g = (
         ConjClass("e", 1, 1, F(0)),
         ConjClass("d2", 15, 2, F(1, 2)),
@@ -787,7 +946,7 @@ def _icosahedral_family(dps: int):
     chi_v = rows_g[1]
     g = _assemble(
         GroupSpec.icosahedral(), "I", 60, False, classes_g, irreps_g, rows_g, chi_v, None,
-        (0, 1, 2, 3, 4), dps,
+        (0, 1, 2, 3, 4), dps, n,
     )
 
     classes_h = (
@@ -818,7 +977,7 @@ def _icosahedral_family(dps: int):
     ]
     gh = _assemble(
         GroupSpec.icosahedral(), "I^", 120, True, classes_h, irreps_h, rows_h, None,
-        rows_h[5], tuple(range(9)), dps,
+        rows_h[5], tuple(range(9)), dps, n,
     )
     # E8 nodes: u2p - four - six - five - spin4 - three - u2 on the chain,
     # threep on the branch node next to six.
@@ -844,70 +1003,87 @@ def _build_family(spec: GroupSpec, dps: int):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _cache_by_spec_and_dps(fn):
+    """lru_cache keyed on (spec, dps) however the caller passes them, so
+    ``f(spec)``, ``f(spec, 64)`` and ``f(spec, dps=64)`` share one entry."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def wrapper(spec: GroupSpec, dps: int = DEFAULT_DPS):
+        return cached(spec, dps)
+
+    wrapper.cache_info = cached.cache_info
+    wrapper.cache_clear = cached.cache_clear
+    return wrapper
+
+
+@_cache_by_spec_and_dps
 def correspondence(spec: GroupSpec, dps: int = DEFAULT_DPS) -> Correspondence:
-    with mp.workdps(dps + _GUARD):
-        g, gh, node_irreps, restriction = _build_family(spec, dps)
-        ade = root_system_of(spec)
-        rank = ade.rank
-        if len(node_irreps) != rank or set(node_irreps) != set(range(1, len(gh.irreps))):
-            raise InternalConsistencyError(f"{spec}: bad node dictionary")
+    """Build and cross-check the group, its binary cover and the node dictionary.
 
-        # The McKay adjacency, restricted along the node dictionary, must be
-        # exactly 2*Id - Cartan; this pins every hand-written table.
-        graph = mckay_graph(gh)
-        cartan = cartan_matrix(ade)
-        for p in range(rank):
-            for q in range(rank):
-                want = 2 * int(p == q) - cartan[p][q]
-                if graph.adjacency[node_irreps[p]][node_irreps[q]] != want:
-                    raise InternalConsistencyError(
-                        f"{spec}: McKay adjacency does not match the {ade} Cartan matrix"
-                    )
-        # The affine-kernel identity: adjacency * dims = 2 * dims.
-        for i in range(len(graph.dims)):
-            if sum(graph.adjacency[i][j] * graph.dims[j] for j in range(len(graph.dims))) \
-                    != 2 * graph.dims[i]:
-                raise InternalConsistencyError(f"{spec}: affine marks identity fails")
+    Every check is an exact identity in Z[zeta_N], so the result does not
+    depend on ``dps`` beyond recording it.
+    """
+    g, gh, node_irreps, restriction = _build_family(spec, dps)
+    ade = root_system_of(spec)
+    rank = ade.rank
+    if len(node_irreps) != rank or set(node_irreps) != set(range(1, len(gh.irreps))):
+        raise InternalConsistencyError(f"{spec}: bad node dictionary")
 
-        binary_nodes = frozenset(
-            p for p in range(rank) if not pulls_back(gh, gh.irreps[node_irreps[p]].label)
-        )
-        if set(restriction) != set(range(rank)) - binary_nodes:
-            raise InternalConsistencyError(f"{spec}: restriction map keys do not match")
+    # The McKay adjacency, restricted along the node dictionary, must be
+    # exactly 2*Id - Cartan; this pins every hand-written table.
+    graph = mckay_graph(gh)
+    cartan = cartan_matrix(ade)
+    for p in range(rank):
+        for q in range(rank):
+            want = 2 * int(p == q) - cartan[p][q]
+            if graph.adjacency[node_irreps[p]][node_irreps[q]] != want:
+                raise InternalConsistencyError(
+                    f"{spec}: McKay adjacency does not match the {ade} Cartan matrix"
+                )
+    # The affine-kernel identity: adjacency * dims = 2 * dims.
+    for i in range(len(graph.dims)):
+        if sum(graph.adjacency[i][j] * graph.dims[j] for j in range(len(graph.dims))) \
+                != 2 * graph.dims[i]:
+            raise InternalConsistencyError(f"{spec}: affine marks identity fails")
 
-        slots = g.nontrivial_irreps()
-        slot_labels = tuple(g.irreps[i].label for i in slots)
-        if sorted(restriction.values()) != sorted(slot_labels):
-            raise InternalConsistencyError(f"{spec}: restriction is not onto Irr*(G)")
-        node_slot: list[int | None] = [None] * rank
-        slot_node = [-1] * len(slots)
-        for p, lbl in restriction.items():
-            s = slot_labels.index(lbl)
-            node_slot[p] = s
-            slot_node[s] = p
-            # the node's character must restrict to the named G-irrep
-            hat_row = gh.table[node_irreps[p]]
-            g_row = g.table[g.irrep_index(lbl)]
-            for col, cls in enumerate(gh.classes):
-                diff = as_mpc(hat_row[col]) - as_mpc(g_row[cls.image_class])
-                if abs(diff) > RESIDUAL_TOL:
-                    raise InternalConsistencyError(
-                        f"{spec}: node {p} does not restrict to {lbl}"
-                    )
+    binary_nodes = frozenset(
+        p for p in range(rank) if not pulls_back(gh, gh.irreps[node_irreps[p]].label)
+    )
+    if set(restriction) != set(range(rank)) - binary_nodes:
+        raise InternalConsistencyError(f"{spec}: restriction map keys do not match")
 
-        return Correspondence(
-            spec=spec,
-            ade=ade,
-            group=g,
-            binary_group=gh,
-            node_irreps=node_irreps,
-            binary_nodes=binary_nodes,
-            slots=slots,
-            slot_labels=slot_labels,
-            node_slot=tuple(node_slot),
-            slot_node=tuple(slot_node),
-        )
+    slots = g.nontrivial_irreps()
+    slot_labels = tuple(g.irreps[i].label for i in slots)
+    if sorted(restriction.values()) != sorted(slot_labels):
+        raise InternalConsistencyError(f"{spec}: restriction is not onto Irr*(G)")
+    node_slot: list[int | None] = [None] * rank
+    slot_node = [-1] * len(slots)
+    for p, lbl in restriction.items():
+        s = slot_labels.index(lbl)
+        node_slot[p] = s
+        slot_node[s] = p
+        # the node's character must restrict to the named G-irrep
+        hat_row = gh.table[node_irreps[p]]
+        g_row = g.table[g.irrep_index(lbl)]
+        for col, cls in enumerate(gh.classes):
+            if hat_row[col] != g_row[cls.image_class]:
+                raise InternalConsistencyError(
+                    f"{spec}: node {p} does not restrict to {lbl}"
+                )
+
+    return Correspondence(
+        spec=spec,
+        ade=ade,
+        group=g,
+        binary_group=gh,
+        node_irreps=node_irreps,
+        binary_nodes=binary_nodes,
+        slots=slots,
+        slot_labels=slot_labels,
+        node_slot=tuple(node_slot),
+        slot_node=tuple(slot_node),
+    )
 
 
 def build_group(spec: GroupSpec, dps: int = DEFAULT_DPS) -> GroupModel:

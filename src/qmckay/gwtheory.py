@@ -81,7 +81,10 @@ class BPSTable:
         return out
 
 
-def bps_table(spec: GroupSpec, dps: int = DEFAULT_DPS) -> BPSTable:
+@lru_cache(maxsize=None)
+def _bps_fibers(spec: GroupSpec, dps: int) -> MappingProxyType:
+    """Positive roots over each nonzero curve class: the one scan of the
+    root system behind every `bps_table` of a (group, precision)."""
     corr = correspondence(spec, dps)
     roots = root_system(corr.ade).positive_roots
     fibers: dict[CurveClass, int] = {}
@@ -90,6 +93,11 @@ def bps_table(spec: GroupSpec, dps: int = DEFAULT_DPS) -> BPSTable:
         if all(b == 0 for b in beta):
             continue
         fibers[beta] = fibers.get(beta, 0) + 1
+    return MappingProxyType(fibers)
+
+
+def bps_table(spec: GroupSpec, dps: int = DEFAULT_DPS) -> BPSTable:
+    fibers = dict(_bps_fibers(spec, dps))
     counts = {beta: Fraction(f, 2) for beta, f in fibers.items()}
     return BPSTable(spec=spec, counts=counts, fibers=fibers)
 

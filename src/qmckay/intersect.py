@@ -17,17 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath as mp
+from functools import lru_cache
 
 from .exact import identity, mat_mul
-from .grouprep import (
-    DEFAULT_DPS,
-    GroupSpec,
-    as_mpc,
-    correspondence,
-    round_integer,
-)
+from .grouprep import DEFAULT_DPS, GroupSpec, correspondence, inner_product
 from .rootsys import root_system
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -62,28 +55,60 @@ class IntersectionData:
     three_point_t_power: int
 
 
-def _root_tensors(vectors) -> tuple[Matrix, tuple]:
-    """Sum of outer squares and cubes of the given integer vectors."""
+def _root_tensors(
+    vectors, two_denominator: int, three_denominator: int
+) -> tuple[Matrix, tuple]:
+    """Sums of outer squares and cubes of the given integer vectors, divided
+    by ``two_denominator`` and ``three_denominator`` respectively.
+
+    Each vector contributes only on its support, and each distinct sum
+    becomes one shared `Fraction`.
+    """
     if not vectors:
         raise ValueError("no vectors")
     n = len(vectors[0])
     two = [[0] * n for _ in range(n)]
     three = [[[0] * n for _ in range(n)] for _ in range(n)]
     for v in vectors:
-        for i in range(n):
-            if v[i] == 0:
-                continue
-            for j in range(n):
-                if v[j] == 0:
-                    continue
-                two[i][j] += v[i] * v[j]
-                for k in range(n):
-                    three[i][j][k] += v[i] * v[j] * v[k]
-    two_m = tuple(tuple(Fraction(x) for x in row) for row in two)
+        support = [(i, x) for i, x in enumerate(v) if x]
+        for i, vi in support:
+            row2 = two[i]
+            plane = three[i]
+            for j, vj in support:
+                vij = vi * vj
+                row2[j] += vij
+                row3 = plane[j]
+                for k, vk in support:
+                    row3[k] += vij * vk
+    two_values = {x: Fraction(x, two_denominator) for x in {x for row in two for x in row}}
+    three_values = {
+        x: Fraction(x, three_denominator)
+        for x in {x for plane in three for row in plane for x in row}
+    }
+    two_m = tuple(tuple(map(two_values.__getitem__, row)) for row in two)
     three_t = tuple(
-        tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in three
+        tuple(tuple(map(three_values.__getitem__, row)) for row in plane) for plane in three
     )
     return two_m, three_t
+
+
+@lru_cache(maxsize=None)
+def _threefold(spec: GroupSpec, dps: int) -> IntersectionData:
+    corr = correspondence(spec, dps)
+    rs = root_system(corr.ade)
+    restricted = [
+        tuple(alpha[node] for node in corr.slot_node) for alpha in rs.positive_roots
+    ]
+    two, three = _root_tensors(restricted, -2 * rs.coxeter_number, 4)
+    return IntersectionData(
+        basis=corr.slot_labels,
+        zero_point=EquivariantScalar(Fraction(1, spec.order), -3),
+        one_point=tuple(Fraction(0) for _ in corr.slots),
+        two_point=two,
+        two_point_t_power=-1,
+        three_point=three,
+        three_point_t_power=0,
+    )
 
 
 def threefold_integrals(spec: GroupSpec, dps: int = DEFAULT_DPS) -> IntersectionData:
@@ -91,29 +116,10 @@ def threefold_integrals(spec: GroupSpec, dps: int = DEFAULT_DPS) -> Intersection
 
     point class 1/(t^3 |G|); divisor one-points 0; two-point
     -(1/2h) * restricted root sum at t^-1; three-point (1/4) * restricted
-    root sum at t^0.
+    root sum at t^0.  Built once per (group, precision) and shared with
+    `classical_potential`.
     """
-    corr = correspondence(spec, dps)
-    rs = root_system(corr.ade)
-    restricted = [
-        tuple(alpha[node] for node in corr.slot_node) for alpha in rs.positive_roots
-    ]
-    two, three = _root_tensors(restricted)
-    h = rs.coxeter_number
-    n = len(corr.slots)
-    return IntersectionData(
-        basis=corr.slot_labels,
-        zero_point=EquivariantScalar(Fraction(1, spec.order), -3),
-        one_point=tuple(Fraction(0) for _ in range(n)),
-        two_point=tuple(
-            tuple(-x / (2 * h) for x in row) for row in two
-        ),
-        two_point_t_power=-1,
-        three_point=tuple(
-            tuple(tuple(x / 4 for x in row) for row in plane) for plane in three
-        ),
-        three_point_t_power=0,
-    )
+    return _threefold(spec, dps)
 
 
 def surface_integrals(spec: GroupSpec, dps: int = DEFAULT_DPS) -> IntersectionData:
@@ -124,8 +130,7 @@ def surface_integrals(spec: GroupSpec, dps: int = DEFAULT_DPS) -> IntersectionDa
     """
     corr = correspondence(spec, dps)
     rs = root_system(corr.ade)
-    two, three = _root_tensors(rs.positive_roots)
-    h = rs.coxeter_number
+    two, three = _root_tensors(rs.positive_roots, -rs.coxeter_number, 2)
     rank = rs.rank
     labels = tuple(
         corr.binary_group.irreps[i].label for i in corr.node_irreps
@@ -134,11 +139,9 @@ def surface_integrals(spec: GroupSpec, dps: int = DEFAULT_DPS) -> IntersectionDa
         basis=labels,
         zero_point=EquivariantScalar(Fraction(4, corr.binary_group.order), -2),
         one_point=tuple(Fraction(0) for _ in range(rank)),
-        two_point=tuple(tuple(-x / h for x in row) for row in two),
+        two_point=two,
         two_point_t_power=0,
-        three_point=tuple(
-            tuple(tuple(x / 2 for x in row) for row in plane) for plane in three
-        ),
+        three_point=three,
         three_point_t_power=1,
     )
 
@@ -149,29 +152,18 @@ def mckay_pairing(spec: GroupSpec, dps: int = DEFAULT_DPS):
         g[rho][rho'] = (1/|G|) sum over classes of size * (chi_V - 3)
                        * chi_rho * conj(chi_rho')
 
-    Rounding asserts a residual below 1e-30.  The product with the
-    two-point matrix of `threefold_integrals` is the identity; that
-    inversion is the content of `pairing_inverse_check`.
+    Each entry is the exact `inner_product` of the virtual character
+    (chi_V - 3) * chi_rho with chi_rho', an integer sum in Z[zeta_N].  The
+    product with the two-point matrix of `threefold_integrals` is the
+    identity; that inversion is the content of `pairing_inverse_check`.
     """
     corr = correspondence(spec, dps)
     g = corr.group
-    with mp.workdps(dps + 10):
-        rows = []
-        for s in corr.slots:
-            row = []
-            for s2 in corr.slots:
-                acc = mp.mpc(0)
-                for ci, cls in enumerate(g.classes):
-                    acc += (
-                        cls.size
-                        * (as_mpc(g.chi_v[ci]) - 3)
-                        * as_mpc(g.table[s][ci])
-                        * mp.conj(as_mpc(g.table[s2][ci]))
-                    )
-                row.append(round_integer(acc / g.order))
-            rows.append(tuple(row))
-    matrix = tuple(rows)
-    return matrix, 1
+    rows = []
+    for s in corr.slots:
+        weighted = [(v - 3) * a for v, a in zip(g.chi_v, g.table[s])]
+        rows.append(tuple(inner_product(g, weighted, g.table[s2]) for s2 in corr.slots))
+    return tuple(rows), 1
 
 
 def pairing_inverse_check(spec: GroupSpec, dps: int = DEFAULT_DPS) -> bool:
@@ -205,7 +197,7 @@ class ClassicalPotential:
 
 def classical_potential(spec: GroupSpec, dps: int = DEFAULT_DPS) -> ClassicalPotential:
     corr = correspondence(spec, dps)
-    data = threefold_integrals(spec, dps)
+    data = _threefold(spec, dps)
     g = corr.group
     assert g.classes[0].size == 1 and g.classes[0].element_order == 1
     pairs = {}

@@ -14,6 +14,7 @@ import mpmath as mp
 import pytest
 
 import qmckay.cli as cli
+import qmckay.gwtheory as gwtheory
 from qmckay.cli import (
     EXIT_ARGS,
     EXIT_GROUP,
@@ -163,6 +164,24 @@ def test_internal_failure_exits_four(capsys, monkeypatch):
     assert "internal consistency" in err
 
 
+LOW_PRECISION_GROUPS = ["C:5", "D:5", "T", "O", "I"]
+
+
+@pytest.mark.parametrize("precision", ["10", "15"])
+@pytest.mark.parametrize("group", LOW_PRECISION_GROUPS)
+@pytest.mark.parametrize("command", ["group", "bps", "intersect"])
+def test_low_precision_succeeds(capsys, monkeypatch, command, group, precision):
+    # character sums are exact, so the working precision cannot make the
+    # table checks fail; bps and intersect print exact data only
+    monkeypatch.delenv("QMCKAY_PRECISION", raising=False)
+    code, out, err = run(capsys, [command, "--group", group, "--precision", precision])
+    assert code == EXIT_OK, err
+    jsonschema.validate(json.loads(out), BY_COMMAND[command])
+    if command != "group":
+        _, default_out, _ = run(capsys, [command, "--group", group])
+        assert out == default_out
+
+
 # -- payload schemas ------------------------------------------------------------
 
 FAST_FLAGS = {
@@ -276,6 +295,37 @@ def test_verify_shares_one_partition_function(capsys, monkeypatch):
     assert code == EXIT_OK
     assert json.loads(out)["status"] == "pass"
     assert calls == {"partition_function": 1, "log": 1}
+
+
+def test_verify_builds_one_bps_table(capsys, monkeypatch):
+    calls = {"bps_table": 0}
+    table = cli.bps_table
+
+    def counting_bps_table(*args, **kwargs):
+        calls["bps_table"] += 1
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "bps_table", counting_bps_table)
+    gwtheory._bps_fibers.cache_clear()
+    code, out, _ = run(capsys, ["verify", "--group", "C:3", "--max-q-degree", "3",
+                                "--q-series-degree", "3"])
+    assert code == EXIT_OK
+    assert json.loads(out)["status"] == "pass"
+    # bps-fibers and bps-recovery share one table, and partition_function
+    # reuses the root scan behind it
+    assert calls == {"bps_table": 1}
+    assert gwtheory._bps_fibers.cache_info().misses == 1
+
+
+def test_crc_tolerance_stays_below_one_at_low_precision(capsys):
+    code, out, _ = run(capsys, ["verify", "--group", "D:2", "--precision", "12",
+                                "--max-q-degree", "2", "--q-series-degree", "2"])
+    assert code == EXIT_OK
+    detail = next(c["detail"] for c in json.loads(out)["checks"]
+                  if c["name"] == "crc-consistency")
+    tolerance = mp.mpf(detail.split("(tolerance ")[1].split(";")[0])
+    assert tolerance < 1
+    assert tolerance == mp.mpf("1e-6")
 
 
 def test_repeated_runs_are_byte_identical(capsys):

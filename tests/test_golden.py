@@ -1,10 +1,12 @@
-"""Byte-exact `crc` outputs against SHA-256 digests in golden_crc_sha256.json.
+"""Byte-exact CLI outputs against SHA-256 digests.
 
 The digests were taken from cold `python -m qmckay.cli` runs with no
-`QMCKAY_*` variables set: every supported group at `--degree 4` in JSON,
-and D:3, T and C:6 at `--degree 5` in CSV and text.  Any change to a
-printed digit, a row, or the row order of the orbifold potential shows up
-here.
+`QMCKAY_*` variables set.  golden_crc_sha256.json holds `crc`: every
+supported group at `--degree 4` in JSON, and D:3, T and C:6 at `--degree 5`
+in CSV and text.  golden_data_sha256.json holds `group`, `bps` and
+`intersect`: every supported group in JSON, D:5, T, O, I and C:6 in CSV and
+text, and `bps --group C:16 --format csv`.  Any change to a printed digit,
+a row, or the row order shows up here.
 """
 
 import hashlib
@@ -15,15 +17,24 @@ import pytest
 
 from qmckay.cli import EXIT_OK, main
 
-GOLDEN = json.loads(
-    (Path(__file__).resolve().parent / "golden_crc_sha256.json").read_text()
-)
+HERE = Path(__file__).resolve().parent
+GOLDEN = json.loads((HERE / "golden_crc_sha256.json").read_text())
+GOLDEN_DATA = json.loads((HERE / "golden_data_sha256.json").read_text())
 
 
-@pytest.mark.parametrize("request_line", sorted(GOLDEN))
-def test_crc_output_matches_golden_digest(request_line, capsys, monkeypatch):
+def _digest(request_line, capsys, monkeypatch) -> str:
     monkeypatch.delenv("QMCKAY_PRECISION", raising=False)
     code = main(request_line.split())
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[request_line]
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("request_line", sorted(GOLDEN))
+def test_crc_output_matches_golden_digest(request_line, capsys, monkeypatch):
+    assert _digest(request_line, capsys, monkeypatch) == GOLDEN[request_line]
+
+
+@pytest.mark.parametrize("request_line", sorted(GOLDEN_DATA))
+def test_data_output_matches_golden_digest(request_line, capsys, monkeypatch):
+    assert _digest(request_line, capsys, monkeypatch) == GOLDEN_DATA[request_line]

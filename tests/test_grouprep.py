@@ -1,22 +1,29 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from qmckay.errors import ConfigurationError
+from qmckay.errors import ConfigurationError, InternalConsistencyError
 from qmckay.grouprep import (
+    DEFAULT_DPS,
+    Cyclotomic,
     GroupSpec,
     age,
+    as_mpc,
     build_binary_group,
     build_group,
     binary_simple_roots,
     correspondence,
+    cyclotomic_polynomial,
+    exp_turn,
     hard_lefschetz_check,
     hard_lefschetz_exponents,
     inner_product,
     inverse_exponents,
     mckay_graph,
     root_system_of,
+    two_cos_turn,
 )
 from qmckay.rootsys import ADEType, root_system
 
@@ -53,7 +60,7 @@ def test_sigma3_closed_form():
     assert [c.label for c in g.classes] == ["e", "r1", "s"]
     assert [c.size for c in g.classes] == [1, 2, 3]
     assert [c.element_order for c in g.classes] == [1, 3, 2]
-    assert [Fraction(v) for v in g.chi_v] == [3, 0, -1]
+    assert [v.integer_value() for v in g.chi_v] == [3, 0, -1]
     assert sorted(r.dim for r in g.irreps) == [1, 1, 2]
 
 
@@ -61,7 +68,7 @@ def test_klein_four_closed_form():
     g = build_group(GroupSpec.dihedral(2))
     assert g.order == 4
     assert all(c.size == 1 for c in g.classes)
-    assert [Fraction(v) for v in g.chi_v] == [3, -1, -1, -1]
+    assert [v.integer_value() for v in g.chi_v] == [3, -1, -1, -1]
     assert all(r.dim == 1 for r in g.irreps)
 
 
@@ -84,30 +91,21 @@ def test_binary_exceptional_dimensions(spec, dims):
 def test_character_orthogonality(spec):
     for model in (build_group(spec), build_binary_group(spec)):
         n = len(model.irreps)
-        with mp.workdps(model.dps + 10):
-            for a in range(n):
-                for b in range(a, n):
-                    value = inner_product(model, model.table[a], model.table[b])
-                    target = 1 if a == b else 0
-                    assert abs(value - target) < mp.mpf("1e-30"), (spec, a, b)
+        for a in range(n):
+            for b in range(a, n):
+                value = inner_product(model, model.table[a], model.table[b])
+                assert value == (1 if a == b else 0), (spec, a, b)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
 def test_inverse_class_conjugates_characters(spec):
     for model in (build_group(spec), build_binary_group(spec)):
-        with mp.workdps(model.dps + 10):
-            for ci, cls in enumerate(model.classes):
-                inv = model.inverse_class[ci]
-                assert model.classes[inv].size == cls.size
-                assert model.classes[inv].element_order == cls.element_order
-                for row in model.table:
-                    a = mp.mpc(row[ci]) if not isinstance(row[ci], Fraction) else mp.mpc(
-                        mp.mpf(row[ci].numerator) / row[ci].denominator
-                    )
-                    b = mp.mpc(row[inv]) if not isinstance(row[inv], Fraction) else mp.mpc(
-                        mp.mpf(row[inv].numerator) / row[inv].denominator
-                    )
-                    assert abs(a - mp.conj(b)) < mp.mpf("1e-30")
+        for ci, cls in enumerate(model.classes):
+            inv = model.inverse_class[ci]
+            assert model.classes[inv].size == cls.size
+            assert model.classes[inv].element_order == cls.element_order
+            for row in model.table:
+                assert row[ci] == row[inv].conjugate()
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
@@ -116,7 +114,7 @@ def test_binary_center(spec):
     assert g.center_class is not None
     z = g.classes[g.center_class]
     assert z.size == 1 and z.element_order == 2
-    assert Fraction(g.chi_u[g.center_class]) == -2
+    assert g.chi_u[g.center_class].integer_value() == -2
 
 
 def _affine_adjacency(corr):
@@ -222,3 +220,90 @@ def test_class_and_irrep_counts_match(spec):
         assert len(model.classes) == len(model.irreps)
         assert sum(c.size for c in model.classes) == model.order
         assert sum(r.dim ** 2 for r in model.irreps) == model.order
+
+
+# -- exact values in Z[zeta_N] ---------------------------------------------------
+
+
+def test_cyclotomic_polynomials_small_cases():
+    assert cyclotomic_polynomial(1) == (-1, 1)
+    assert cyclotomic_polynomial(2) == (1, 1)
+    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    assert cyclotomic_polynomial(24) == (1, 0, 0, 0, -1, 0, 0, 0, 1)
+    assert len(cyclotomic_polynomial(60)) - 1 == 16
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for n in range(1, 121):
+        want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in want), n
+
+
+def test_surds_are_exact():
+    sqrt2 = two_cos_turn(Fraction(1, 8), 24)
+    assert sqrt2 * sqrt2 == 2
+    phi = 1 + two_cos_turn(Fraction(1, 5), 60)
+    assert phi * phi == phi + 1
+    omega = exp_turn(Fraction(1, 3), 12)
+    assert omega * omega + omega + 1 == 0
+    assert omega.conjugate() == omega * omega
+    assert (omega + omega.conjugate()).integer_value() == -1
+    assert phi.integer_value() is None
+    assert hash(omega * omega * omega) == hash(1)
+
+
+def test_as_mpc_rounds_once_at_the_ambient_precision():
+    phi = 1 + two_cos_turn(Fraction(1, 5), 60)
+    omega = exp_turn(Fraction(1, 3), 12)
+    for dps in (10, 15, 64):
+        with mp.workdps(dps + 30):
+            golden, cube_root = (1 + mp.sqrt(5)) / 2, mp.mpc(-1, mp.sqrt(3)) / 2
+        with mp.workdps(dps):
+            z = as_mpc(phi)
+            # self-conjugate: summed as cosines, imaginary part exactly 0
+            assert z.imag == 0
+            assert z.real == +golden
+            assert as_mpc(omega) == +cube_root
+    assert as_mpc(Cyclotomic.integer(12, -3)) == mp.mpc(-3)
+
+
+def test_inner_product_rejects_non_integer_sums():
+    model = build_group(GroupSpec.cyclic(3))
+    n = model.chi_v[0].n
+    one = Cyclotomic.integer(n, 1)
+    zero = Cyclotomic.integer(n, 0)
+    # (1/3) * zeta_6 is not rational, and 1/3 is not an integer
+    with pytest.raises(InternalConsistencyError):
+        inner_product(model, [exp_turn(Fraction(1, n), n), zero, zero], [one, one, one])
+    with pytest.raises(InternalConsistencyError):
+        inner_product(model, [one, zero, zero], [one, one, one])
+    assert inner_product(model, [one, one, one], [one, one, one]) == 1
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
+def test_one_zeta_order_per_correspondence(spec):
+    corr = correspondence(spec)
+    orders = {
+        v.n
+        for model in (corr.group, corr.binary_group)
+        for row in model.table + tuple(r for r in (model.chi_v, model.chi_u) if r)
+        for v in row
+    }
+    want = {
+        "cyclic": 2 * spec.parameter,
+        "dihedral": math.lcm(2 * spec.parameter, 4),
+        "tetrahedral": 12,
+        "octahedral": 24,
+        "icosahedral": 60,
+    }[spec.kind]
+    assert orders == {want}
+
+
+def test_correspondence_cache_key_is_normalised():
+    spec = GroupSpec.dihedral(5)
+    first = correspondence(spec)
+    assert correspondence(spec, DEFAULT_DPS) is first
+    assert correspondence(spec, dps=DEFAULT_DPS) is first
+    assert correspondence(spec, 30) is not first

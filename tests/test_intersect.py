@@ -4,16 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+import qmckay.cli as cli
+import qmckay.intersect as intersect
 from qmckay.exact import identity, mat_inverse, mat_mul
 from qmckay.grouprep import GroupSpec, correspondence
 from qmckay.intersect import (
+    _root_tensors,
     classical_potential,
     mckay_pairing,
     pairing_inverse_check,
     surface_integrals,
     threefold_integrals,
 )
-from qmckay.rootsys import root_system
+from qmckay.rootsys import parse_ade, root_system
 
 ALL_SPECS = (
     [GroupSpec.cyclic(k) for k in range(2, 9)]
@@ -174,3 +177,66 @@ def test_pairing_product_is_identity_matrix():
         [list(row) for row in data.two_point],
     )
     assert product == identity(2)
+
+
+# -- root tensors against the dense loop ----------------------------------------
+
+
+def _dense_root_tensors(vectors):
+    """The original all-index loop: every (i, j, k), Fraction(x) then scaled."""
+    n = len(vectors[0])
+    two = [[0] * n for _ in range(n)]
+    three = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for v in vectors:
+        for i in range(n):
+            if v[i] == 0:
+                continue
+            for j in range(n):
+                if v[j] == 0:
+                    continue
+                two[i][j] += v[i] * v[j]
+                for k in range(n):
+                    three[i][j][k] += v[i] * v[j] * v[k]
+    two_m = tuple(tuple(Fraction(x) for x in row) for row in two)
+    three_t = tuple(
+        tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in three
+    )
+    return two_m, three_t
+
+
+@pytest.mark.parametrize("name", ["D26", "A31", "E8"])
+def test_root_tensors_match_dense_reference(name):
+    rs = root_system(parse_ade(name))
+    h = rs.coxeter_number
+    two, three = _root_tensors(rs.positive_roots, -h, 2)
+    ref_two, ref_three = _dense_root_tensors(rs.positive_roots)
+    assert two == tuple(tuple(-x / h for x in row) for row in ref_two)
+    assert three == tuple(
+        tuple(tuple(x / 2 for x in row) for row in plane) for plane in ref_three
+    )
+
+
+def test_intersect_builds_threefold_data_once(capsys, monkeypatch):
+    calls = {"threefold_integrals": 0, "root_tensors": 0}
+    public = intersect.threefold_integrals
+    tensors = intersect._root_tensors
+
+    def counting_threefold(*args, **kwargs):
+        calls["threefold_integrals"] += 1
+        return public(*args, **kwargs)
+
+    def counting_tensors(*args, **kwargs):
+        calls["root_tensors"] += 1
+        return tensors(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "threefold_integrals", counting_threefold)
+    monkeypatch.setattr(intersect, "threefold_integrals", counting_threefold)
+    monkeypatch.setattr(intersect, "_root_tensors", counting_tensors)
+    intersect._threefold.cache_clear()
+    try:
+        assert cli.main(["intersect", "--group", "D:4"]) == cli.EXIT_OK
+    finally:
+        intersect._threefold.cache_clear()
+    capsys.readouterr()
+    # one threefold call and one tensor build per side (threefold, surface)
+    assert calls == {"threefold_integrals": 1, "root_tensors": 2}
