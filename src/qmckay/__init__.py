@@ -11,7 +11,6 @@ the orbifold genus-zero potential with its change-of-variables match.
 from .errors import ConfigurationError, InternalConsistencyError, PoleError
 from .rootsys import ADEType, RootSystem, parse_ade, root_system
 from .grouprep import (
-    DEFAULT_DPS,
     Correspondence,
     GroupModel,
     GroupSpec,
@@ -29,7 +28,6 @@ from .gwtheory import (
     BPSTable,
     bps_table,
     curve_class,
-    dt_partition,
     gw_all_genus,
     gw_genus0,
     normal_bundle_type,
@@ -45,6 +43,7 @@ from .intersect import (
     threefold_integrals,
 )
 from .crc import (
+    DEFAULT_DPS,
     PotentialSeries,
     b_series,
     change_of_variables,
@@ -85,7 +84,6 @@ __all__ = [
     "correspondence",
     "crc_consistency",
     "curve_class",
-    "dt_partition",
     "gw_all_genus",
     "gw_genus0",
     "h_derivative",

@@ -35,7 +35,6 @@ from . import crc
 from .errors import ConfigurationError, InternalConsistencyError, PoleError
 from .exact import mat_inverse
 from .grouprep import (
-    DEFAULT_DPS,
     GroupSpec,
     as_mpc,
     binary_simple_roots,
@@ -166,7 +165,7 @@ def _ade_name(ade) -> str:
     return f"{ade.family}{ade.rank}"
 
 
-def cmd_roots(spec: GroupSpec, args, dps: int) -> Report:
+def cmd_roots(spec: GroupSpec, args) -> Report:
     ade = root_system_of(spec)
     rs = root_system(ade)
     roots = [list(alpha) for alpha in rs.positive_roots]
@@ -189,8 +188,8 @@ def cmd_roots(spec: GroupSpec, args, dps: int) -> Report:
     return Report(payload, fields, rows, lines)
 
 
-def cmd_group(spec: GroupSpec, args, dps: int) -> Report:
-    corr = correspondence(spec, dps)
+def cmd_group(spec: GroupSpec, args) -> Report:
+    corr = correspondence(spec)
     g = corr.group
     rs = root_system(corr.ade)
     _, ages = hard_lefschetz_check(g)
@@ -251,10 +250,10 @@ def cmd_group(spec: GroupSpec, args, dps: int) -> Report:
     return Report(payload, fields, rows, lines)
 
 
-def cmd_bps(spec: GroupSpec, args, dps: int) -> Report:
-    table = bps_table(spec, dps)
+def cmd_bps(spec: GroupSpec, args) -> Report:
+    table = bps_table(spec)
     payload = table.jsonable()
-    slots = len(q_variables(spec, dps))
+    slots = len(q_variables(spec))
     fields = [f"class_{i}" for i in range(slots)] + ["n0", "fiber_size"]
     rows = []
     for entry in payload:
@@ -270,10 +269,10 @@ def cmd_bps(spec: GroupSpec, args, dps: int) -> Report:
     return Report(payload, fields, rows, lines)
 
 
-def cmd_gw(spec: GroupSpec, args, dps: int) -> Report:
+def cmd_gw(spec: GroupSpec, args) -> Report:
     cap = args.max_q_degree
     lam = args.lambda_order
-    table = bps_table(spec, dps)
+    table = bps_table(spec)
     classes = set()
     for beta in table.counts:
         size = sum(beta)
@@ -285,7 +284,7 @@ def cmd_gw(spec: GroupSpec, args, dps: int) -> Report:
     for beta in sorted(classes, key=lambda b: (sum(b), b)):
         g = 0
         while 2 * g - 2 <= lam:
-            value = gw_all_genus(spec, beta, g, dps)
+            value = gw_all_genus(spec, beta, g)
             invariants.append({
                 "class": list(beta),
                 "genus": g,
@@ -299,7 +298,7 @@ def cmd_gw(spec: GroupSpec, args, dps: int) -> Report:
         "lambda_order": lam,
         "invariants": invariants,
     }
-    slots = len(q_variables(spec, dps))
+    slots = len(q_variables(spec))
     fields = [f"class_{i}" for i in range(slots)] + [
         "genus", "lambda_power", "coefficient",
     ]
@@ -323,9 +322,9 @@ def cmd_gw(spec: GroupSpec, args, dps: int) -> Report:
     return Report(payload, fields, rows, lines)
 
 
-def _partition_report(spec: GroupSpec, args, dps: int, kind: str) -> Report:
+def _partition_report(spec: GroupSpec, args, kind: str) -> Report:
     trunc = Truncation(q_total=args.max_q_degree, big_q=args.q_series_degree)
-    series = partition_function(spec, trunc, dps).series
+    series = partition_function(spec, trunc).series
     terms = series.terms_jsonable()
     payload = {
         "group": canonical_token(spec),
@@ -354,12 +353,12 @@ def _partition_report(spec: GroupSpec, args, dps: int, kind: str) -> Report:
     return Report(payload, fields, rows, lines)
 
 
-def cmd_partition(spec: GroupSpec, args, dps: int) -> Report:
-    return _partition_report(spec, args, dps, "gw")
+def cmd_partition(spec: GroupSpec, args) -> Report:
+    return _partition_report(spec, args, "gw")
 
 
-def cmd_dt(spec: GroupSpec, args, dps: int) -> Report:
-    return _partition_report(spec, args, dps, "dt")
+def cmd_dt(spec: GroupSpec, args) -> Report:
+    return _partition_report(spec, args, "dt")
 
 
 def _scalar_block(scalar) -> dict:
@@ -390,12 +389,12 @@ def _integrals_block(data) -> dict:
     }
 
 
-def cmd_intersect(spec: GroupSpec, args, dps: int) -> Report:
-    three = threefold_integrals(spec, dps)
-    surface = surface_integrals(spec, dps)
-    pairing, pairing_t = mckay_pairing(spec, dps)
-    potential = classical_potential(spec, dps)
-    corr = correspondence(spec, dps)
+def cmd_intersect(spec: GroupSpec, args) -> Report:
+    three = threefold_integrals(spec)
+    surface = surface_integrals(spec)
+    pairing, pairing_t = mckay_pairing(spec)
+    potential = classical_potential(spec)
+    corr = correspondence(spec)
     delta_rows = [
         {
             "class": cls.label,
@@ -474,8 +473,8 @@ def cmd_intersect(spec: GroupSpec, args, dps: int) -> Report:
     return Report(payload, fields, rows, lines)
 
 
-def cmd_crc(spec: GroupSpec, args, dps: int) -> Report:
-    potential = crc.orbifold_potential(spec, args.degree, dps)
+def cmd_crc(spec: GroupSpec, args) -> Report:
+    potential = crc.orbifold_potential(spec, args.degree, args.precision)
     payload = potential.jsonable()
     fields = ["degree"] + [f"x_{lbl}" for lbl in potential.class_labels] + [
         "coefficient", "rational_guess",
@@ -506,7 +505,7 @@ def cmd_crc(spec: GroupSpec, args, dps: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _run_checks(spec: GroupSpec, args, dps: int) -> list[dict]:
+def _run_checks(spec: GroupSpec, args) -> list[dict]:
     checks: list[dict] = []
 
     def check(name: str):
@@ -518,7 +517,7 @@ def _run_checks(spec: GroupSpec, args, dps: int) -> list[dict]:
                 checks.append({"name": name, "status": "fail", "detail": str(exc)})
         return wrap
 
-    corr = correspondence(spec, dps)
+    corr = correspondence(spec)
     rs = root_system(corr.ade)
 
     @check("mckay-graph")
@@ -574,7 +573,7 @@ def _run_checks(spec: GroupSpec, args, dps: int) -> list[dict]:
     # one BPS table serves bps-fibers and bps-recovery
     @functools.cache
     def table():
-        return bps_table(spec, dps)
+        return bps_table(spec)
 
     @check("bps-fibers")
     def _():
@@ -582,7 +581,7 @@ def _run_checks(spec: GroupSpec, args, dps: int) -> list[dict]:
         sizes = set(fibers.values())
         if not sizes <= {1, 2, 4, 8}:
             raise InternalConsistencyError(f"fiber sizes {sorted(sizes)}")
-        expected = len(rs.positive_roots) - len(binary_simple_roots(spec, dps))
+        expected = len(rs.positive_roots) - len(binary_simple_roots(spec))
         got = sum(fibers.values())
         if got != expected:
             raise InternalConsistencyError(
@@ -596,7 +595,7 @@ def _run_checks(spec: GroupSpec, args, dps: int) -> list[dict]:
     # cached, so each check that needs the value reports it
     @functools.cache
     def z_series():
-        return partition_function(spec, trunc, dps).series
+        return partition_function(spec, trunc).series
 
     @functools.cache
     def log_z():
@@ -605,7 +604,7 @@ def _run_checks(spec: GroupSpec, args, dps: int) -> list[dict]:
     @check("partition-factorization")
     def _():
         per_class = z_series()
-        per_root = partition_function_by_roots(spec, trunc, dps).series
+        per_root = partition_function_by_roots(spec, trunc).series
         if per_class != per_root:
             raise InternalConsistencyError("per-class and per-root products differ")
         return f"{len(per_class)} terms agree"
@@ -638,13 +637,13 @@ def _run_checks(spec: GroupSpec, args, dps: int) -> list[dict]:
 
     @check("pairing-inversion")
     def _():
-        if not pairing_inverse_check(spec, dps):
+        if not pairing_inverse_check(spec):
             raise InternalConsistencyError("pairing x two-point != identity")
         return "pairing inverts the two-point matrix exactly"
 
     @check("surface-two-point")
     def _():
-        surface = surface_integrals(spec, dps)
+        surface = surface_integrals(spec)
         inverse = mat_inverse(rs.cartan)
         expected = tuple(tuple(-x for x in row) for row in inverse)
         if surface.two_point != expected:
@@ -654,7 +653,7 @@ def _run_checks(spec: GroupSpec, args, dps: int) -> list[dict]:
     @check("normal-bundles")
     def _():
         for label in corr.slot_labels:
-            a, b = normal_bundle_type(spec, label, dps)
+            a, b = normal_bundle_type(spec, label)
             if a + b != -2:
                 raise InternalConsistencyError(
                     f"normal bundle ({a},{b}) of {label} does not sum to -2"
@@ -663,6 +662,7 @@ def _run_checks(spec: GroupSpec, args, dps: int) -> list[dict]:
 
     @check("crc-consistency")
     def _():
+        dps = args.precision
         worst = crc.crc_consistency(spec, dps)
         # 20 digits below the working precision, but never looser than half of
         # it, so the check can still fail at low --precision
@@ -682,8 +682,13 @@ def _run_checks(spec: GroupSpec, args, dps: int) -> list[dict]:
     return checks
 
 
-def cmd_verify(spec: GroupSpec, args, dps: int) -> Report:
-    checks = _run_checks(spec, args, dps)
+def cmd_verify(spec: GroupSpec, args) -> Report:
+    if args.lambda_order is not None:
+        print(
+            "qmckay: --lambda-order is deprecated and ignored by verify",
+            file=sys.stderr,
+        )
+    checks = _run_checks(spec, args)
     failed = [c for c in checks if c["status"] == "fail"]
     payload = {
         "group": canonical_token(spec),
@@ -731,7 +736,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--precision", type=int, default=None,
-            help=f"working decimal digits (default ${PRECISION_ENV} or {DEFAULT_DPS})",
+            help=(
+                f"working decimal digits of crc and verify's crc-consistency "
+                f"(default ${PRECISION_ENV} or {crc.DEFAULT_DPS})"
+            ),
         )
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--output", default=None, help="write the report to a file")
@@ -781,8 +789,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(verify)
     series_flags(verify)
     verify.add_argument(
-        "--lambda-order", type=int, default=4,
-        help="accepted for symmetry with gw; the suite fixes its own orders",
+        "--lambda-order", type=int, default=None,
+        help="deprecated and ignored; the suite fixes its own orders",
     )
     return parser
 
@@ -804,7 +812,7 @@ def _resolve_precision(args) -> int:
     else:
         env = os.environ.get(PRECISION_ENV)
         if env is None:
-            return DEFAULT_DPS
+            return crc.DEFAULT_DPS
         try:
             dps = int(env)
         except ValueError:
@@ -851,13 +859,13 @@ def main(argv=None) -> int:
         return EXIT_ARGS
 
     try:
-        dps = _resolve_precision(args)
+        args.precision = _resolve_precision(args)
     except ValueError as exc:
         print(f"qmckay: {exc}", file=sys.stderr)
         return EXIT_ARGS
 
     try:
-        report = COMMANDS[args.command](spec, args, dps)
+        report = COMMANDS[args.command](spec, args)
     except (PoleError, InternalConsistencyError, ConfigurationError, AssertionError) as exc:
         print(f"qmckay: internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -58,10 +58,11 @@ from itertools import combinations_with_replacement
 import mpmath as mp
 
 from .errors import ConfigurationError, PoleError
-from .grouprep import DEFAULT_DPS, GroupSpec, as_mpc, correspondence
+from .grouprep import GroupSpec, as_mpc, correspondence
 from .intersect import classical_potential
 from .rootsys import root_system
 
+DEFAULT_DPS = 64
 _GUARD = 10
 
 
@@ -156,7 +157,7 @@ class FormSystem:
 
 
 def linear_forms(spec: GroupSpec, dps: int = DEFAULT_DPS) -> FormSystem:
-    corr = correspondence(spec, dps)
+    corr = correspondence(spec)
     g = corr.group
     order = g.order
     with mp.workdps(dps + _GUARD):
@@ -202,7 +203,7 @@ class _RootForm:
 
 @lru_cache(maxsize=None)
 def _root_forms(spec: GroupSpec, dps: int) -> tuple[FormSystem, tuple[_RootForm, ...]]:
-    corr = correspondence(spec, dps)
+    corr = correspondence(spec)
     system = linear_forms(spec, dps)
     order = corr.group.order
     dims = [corr.group.irreps[s].dim for s in corr.slots]
@@ -299,7 +300,7 @@ def orbifold_potential(spec: GroupSpec, degree: int, dps: int = DEFAULT_DPS) -> 
     if degree < 3:
         raise ConfigurationError("the potential starts at degree three")
     system, roots = _root_forms(spec, dps)
-    order = correspondence(spec, dps).group.order
+    order = correspondence(spec).group.order
     levels, terms = _monomial_tree(len(system.class_labels), degree)
     with mp.workdps(dps + _GUARD):
         acc = [mp.mpf(0)] * len(terms)
@@ -388,7 +389,7 @@ def third_partial(spec: GroupSpec, k, k2, k3, x=None, dps: int = DEFAULT_DPS):
     x maps class labels to real values; omitted entries are zero.
     """
     system, roots = _root_forms(spec, dps)
-    order = correspondence(spec, dps).group.order
+    order = correspondence(spec).group.order
     labels = system.class_labels
     idx = [_class_index(labels, kk) for kk in (k, k2, k3)]
     x = dict(x or {})
@@ -513,8 +514,8 @@ def resolution_third_partials(spec: GroupSpec, dps: int = DEFAULT_DPS) -> dict:
     (their imaginary parts vanishing is part of the statement under test).
     """
     system, roots = _root_forms(spec, dps)
-    cubic = classical_potential(spec, dps).cubic
-    order = correspondence(spec, dps).group.order
+    cubic = classical_potential(spec).cubic
+    order = correspondence(spec).group.order
     n = len(system.class_labels)
     lmat = [form.coefficients for form in system.forms]  # irrep x class
     r = len(lmat)
@@ -572,7 +573,7 @@ def crc_consistency(spec: GroupSpec, dps: int = DEFAULT_DPS) -> mp.mpf:
     independently."""
     res = resolution_third_partials(spec, dps)
     system, roots = _root_forms(spec, dps)
-    order = correspondence(spec, dps).group.order
+    order = correspondence(spec).group.order
     with mp.workdps(dps + _GUARD):
         tans = [
             (mp.tan(mp.pi * mp.mpf(root.dim_sum) / order + mp.pi / 2), root.coefficients)
@@ -593,12 +594,13 @@ def crc_consistency(spec: GroupSpec, dps: int = DEFAULT_DPS) -> mp.mpf:
 def rational_guess(value, max_denominator: int = 10 ** 6, dps: int = DEFAULT_DPS):
     """A small rational within 1e-20 of the value, or None.
 
-    The candidate comes from a float continued-fraction pass; acceptance is
-    decided at full precision.
+    The candidate comes from a continued-fraction pass on the exact binary
+    value; acceptance is decided at full precision.
     """
     with mp.workdps(dps + _GUARD):
         value = mp.mpf(value)
-        candidate = Fraction(float(value)).limit_denominator(max_denominator)
+        exact = Fraction(*mp.libmp.to_rational(value._mpf_))
+        candidate = exact.limit_denominator(max_denominator)
         delta = abs(value - mp.mpf(candidate.numerator) / candidate.denominator)
         if delta < mp.mpf("1e-20"):
             return candidate

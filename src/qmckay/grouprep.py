@@ -22,9 +22,8 @@ sqrt(2) = zeta_24^3 + zeta_24^21 and phi = 1 + zeta_60^12 + zeta_60^48.
 Integer quantities derived from them (tensor multiplicities, pairings) are
 exact integer sums: the products are accumulated as integer coefficients
 of powers of zeta_N, reduced once modulo the cyclotomic polynomial, and
-required to be rational.  No tolerance or rounding is involved, so the
-working precision `dps` never affects them; `as_mpc` is the one numeric
-view of a value.
+required to be rational.  No tolerance or rounding is involved; `as_mpc`
+is the one numeric view of a value.
 
 Fixed conventions (part of the public contract; consumers index by label):
 
@@ -54,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from math import gcd, lcm
 
 import mpmath as mp
@@ -62,7 +61,6 @@ import mpmath as mp
 from .errors import ConfigurationError, InternalConsistencyError
 from .rootsys import ADEType, cartan_matrix, root_system
 
-DEFAULT_DPS = 64
 _GUARD = 10  # extra digits when a character value is evaluated numerically
 
 _KINDS = ("cyclic", "dihedral", "tetrahedral", "octahedral", "icosahedral")
@@ -355,7 +353,6 @@ class GroupModel:
     chi_u: tuple[Cyclotomic, ...] | None  # character of the defining SU(2) action
     center_class: int | None  # index of the central involution z (binary only)
     inverse_class: tuple[int, ...]  # class index -> class index of the inverses
-    dps: int
 
     def class_index(self, label: str) -> int:
         for i, c in enumerate(self.classes):
@@ -557,7 +554,6 @@ def _assemble(
     chi_v,
     chi_u,
     inverse,
-    dps,
     n,
 ) -> GroupModel:
     """Validate one group's data and store every character value in Z[zeta_n]."""
@@ -592,11 +588,10 @@ def _assemble(
         chi_u=chi_u,
         center_class=center,
         inverse_class=tuple(inverse),
-        dps=dps,
     )
 
 
-def _cyclic_family(k: int, dps: int):
+def _cyclic_family(k: int):
     F = Fraction
     # G = Z_k.  Classes g0..g(k-1) (powers of the rotation by one k-th turn),
     # irreps chi0..chi(k-1) with chi_a(g^j) = exp(2 pi i a j / k).
@@ -610,7 +605,7 @@ def _cyclic_family(k: int, dps: int):
     inv_g = tuple((k - j) % k for j in range(k))
     g = _assemble(
         GroupSpec.cyclic(k), f"Z{k}", k, False, classes_g, irreps_g, rows_g, chi_v, None, inv_g,
-        dps, n,
+        n,
     )
 
     # Binary group = Z_{2k}; the generator covers the rotation by one k-th turn.
@@ -623,7 +618,7 @@ def _cyclic_family(k: int, dps: int):
     inv_h = tuple((n - j) % n for j in range(n))
     gh = _assemble(
         GroupSpec.cyclic(k), f"Z{n}", n, True, classes_h, irreps_h, rows_h, None, chi_u, inv_h,
-        dps, n,
+        n,
     )
 
     node_irreps = tuple(p + 1 for p in range(n - 1))
@@ -631,7 +626,7 @@ def _cyclic_family(k: int, dps: int):
     return g, gh, node_irreps, restriction
 
 
-def _dihedral_family(m: int, dps: int):
+def _dihedral_family(m: int):
     F = Fraction
     even = m % 2 == 0
     half = m // 2
@@ -699,7 +694,6 @@ def _dihedral_family(m: int, dps: int):
         chi_v,
         None,
         inv_g,
-        dps,
         n,
     )
 
@@ -789,7 +783,6 @@ def _dihedral_family(m: int, dps: int):
         None,
         chi_u,
         inv_h,
-        dps,
         n,
     )
 
@@ -804,7 +797,7 @@ def _dihedral_family(m: int, dps: int):
     return g, gh, node_irreps, restriction
 
 
-def _tetrahedral_family(dps: int):
+def _tetrahedral_family():
     F = Fraction
     n = 12
     w, wb = exp_turn(F(1, 3), n), exp_turn(F(2, 3), n)
@@ -824,7 +817,7 @@ def _tetrahedral_family(dps: int):
     chi_v = rows_g[3]
     g = _assemble(
         GroupSpec.tetrahedral(), "T", 12, False, classes_g, irreps_g, rows_g, chi_v, None,
-        (0, 1, 3, 2), dps, n,
+        (0, 1, 3, 2), n,
     )
 
     classes_h = (
@@ -851,7 +844,7 @@ def _tetrahedral_family(dps: int):
     ]
     gh = _assemble(
         GroupSpec.tetrahedral(), "T^", 24, True, classes_h, irreps_h, rows_h, None,
-        rows_h[4], (0, 1, 2, 4, 3, 6, 5), dps, n,
+        rows_h[4], (0, 1, 2, 4, 3, 6, 5), n,
     )
     # E6 nodes (Bourbaki, 0-based): om - u2om - std3 - u2omb - omb on the
     # chain, u2 on the branch node next to std3.
@@ -860,7 +853,7 @@ def _tetrahedral_family(dps: int):
     return g, gh, node_irreps, restriction
 
 
-def _octahedral_family(dps: int):
+def _octahedral_family():
     F = Fraction
     n = 24
     classes_g = (
@@ -883,7 +876,7 @@ def _octahedral_family(dps: int):
     chi_v = rows_g[4]
     g = _assemble(
         GroupSpec.octahedral(), "O", 24, False, classes_g, irreps_g, rows_g, chi_v, None,
-        (0, 1, 2, 3, 4), dps, n,
+        (0, 1, 2, 3, 4), n,
     )
 
     s2 = two_cos_turn(F(1, 8), n)  # sqrt(2) = zeta_24^3 + zeta_24^21
@@ -913,7 +906,7 @@ def _octahedral_family(dps: int):
     ]
     gh = _assemble(
         GroupSpec.octahedral(), "O^", 48, True, classes_h, irreps_h, rows_h, None,
-        rows_h[5], tuple(range(8)), dps, n,
+        rows_h[5], tuple(range(8)), n,
     )
     # E7 nodes: u2 - stdsgn - spin4 - std - u2s - sgn on the chain, with the
     # 2-dimensional `two` on the branch node next to spin4.
@@ -922,7 +915,7 @@ def _octahedral_family(dps: int):
     return g, gh, node_irreps, restriction
 
 
-def _icosahedral_family(dps: int):
+def _icosahedral_family():
     F = Fraction
     n = 60
     ph = 1 + two_cos_turn(F(1, 5), n)  # golden ratio = 1 + zeta_60^12 + zeta_60^48
@@ -946,7 +939,7 @@ def _icosahedral_family(dps: int):
     chi_v = rows_g[1]
     g = _assemble(
         GroupSpec.icosahedral(), "I", 60, False, classes_g, irreps_g, rows_g, chi_v, None,
-        (0, 1, 2, 3, 4), dps, n,
+        (0, 1, 2, 3, 4), n,
     )
 
     classes_h = (
@@ -977,7 +970,7 @@ def _icosahedral_family(dps: int):
     ]
     gh = _assemble(
         GroupSpec.icosahedral(), "I^", 120, True, classes_h, irreps_h, rows_h, None,
-        rows_h[5], tuple(range(9)), dps, n,
+        rows_h[5], tuple(range(9)), n,
     )
     # E8 nodes: u2p - four - six - five - spin4 - three - u2 on the chain,
     # threep on the branch node next to six.
@@ -986,16 +979,16 @@ def _icosahedral_family(dps: int):
     return g, gh, node_irreps, restriction
 
 
-def _build_family(spec: GroupSpec, dps: int):
+def _build_family(spec: GroupSpec):
     if spec.kind == "cyclic":
-        return _cyclic_family(spec.parameter, dps)
+        return _cyclic_family(spec.parameter)
     if spec.kind == "dihedral":
-        return _dihedral_family(spec.parameter, dps)
+        return _dihedral_family(spec.parameter)
     if spec.kind == "tetrahedral":
-        return _tetrahedral_family(dps)
+        return _tetrahedral_family()
     if spec.kind == "octahedral":
-        return _octahedral_family(dps)
-    return _icosahedral_family(dps)
+        return _octahedral_family()
+    return _icosahedral_family()
 
 
 # ---------------------------------------------------------------------------
@@ -1003,28 +996,13 @@ def _build_family(spec: GroupSpec, dps: int):
 # ---------------------------------------------------------------------------
 
 
-def _cache_by_spec_and_dps(fn):
-    """lru_cache keyed on (spec, dps) however the caller passes them, so
-    ``f(spec)``, ``f(spec, 64)`` and ``f(spec, dps=64)`` share one entry."""
-    cached = lru_cache(maxsize=None)(fn)
-
-    @wraps(fn)
-    def wrapper(spec: GroupSpec, dps: int = DEFAULT_DPS):
-        return cached(spec, dps)
-
-    wrapper.cache_info = cached.cache_info
-    wrapper.cache_clear = cached.cache_clear
-    return wrapper
-
-
-@_cache_by_spec_and_dps
-def correspondence(spec: GroupSpec, dps: int = DEFAULT_DPS) -> Correspondence:
+@lru_cache(maxsize=None)
+def correspondence(spec: GroupSpec) -> Correspondence:
     """Build and cross-check the group, its binary cover and the node dictionary.
 
-    Every check is an exact identity in Z[zeta_N], so the result does not
-    depend on ``dps`` beyond recording it.
+    Every check is an exact identity in Z[zeta_N].
     """
-    g, gh, node_irreps, restriction = _build_family(spec, dps)
+    g, gh, node_irreps, restriction = _build_family(spec)
     ade = root_system_of(spec)
     rank = ade.rank
     if len(node_irreps) != rank or set(node_irreps) != set(range(1, len(gh.irreps))):
@@ -1086,16 +1064,16 @@ def correspondence(spec: GroupSpec, dps: int = DEFAULT_DPS) -> Correspondence:
     )
 
 
-def build_group(spec: GroupSpec, dps: int = DEFAULT_DPS) -> GroupModel:
+def build_group(spec: GroupSpec) -> GroupModel:
     """The rotation group G with classes, character table and chi_V."""
-    return correspondence(spec, dps).group
+    return correspondence(spec).group
 
 
-def build_binary_group(spec: GroupSpec, dps: int = DEFAULT_DPS) -> GroupModel:
+def build_binary_group(spec: GroupSpec) -> GroupModel:
     """The binary cover with classes, character table, chi_U and z."""
-    return correspondence(spec, dps).binary_group
+    return correspondence(spec).binary_group
 
 
-def binary_simple_roots(spec: GroupSpec, dps: int = DEFAULT_DPS) -> tuple[int, ...]:
+def binary_simple_roots(spec: GroupSpec) -> tuple[int, ...]:
     """Nodes whose irreps do not pull back from the rotation group."""
-    return tuple(sorted(correspondence(spec, dps).binary_nodes))
+    return tuple(sorted(correspondence(spec).binary_nodes))

@@ -29,7 +29,7 @@ from math import gcd
 from types import MappingProxyType
 
 from .errors import ConfigurationError
-from .grouprep import DEFAULT_DPS, GroupSpec, correspondence
+from .grouprep import GroupSpec, correspondence
 from .rootsys import root_system
 from .series import (
     MultiSeries,
@@ -42,15 +42,15 @@ from .series import (
 CurveClass = tuple[int, ...]
 
 
-def q_variables(spec: GroupSpec, dps: int = DEFAULT_DPS) -> tuple[str, ...]:
+def q_variables(spec: GroupSpec) -> tuple[str, ...]:
     """q1..qr, one per nontrivial irrep of G, in the canonical order."""
-    corr = correspondence(spec, dps)
+    corr = correspondence(spec)
     return tuple(f"q{i + 1}" for i in range(len(corr.slots)))
 
 
-def curve_class(spec: GroupSpec, alpha, dps: int = DEFAULT_DPS) -> CurveClass:
+def curve_class(spec: GroupSpec, alpha) -> CurveClass:
     """Image of a positive root: its coefficients at the non-binary nodes."""
-    corr = correspondence(spec, dps)
+    corr = correspondence(spec)
     alpha = tuple(alpha)
     roots = root_system(corr.ade).positive_roots
     if alpha not in roots:
@@ -82,10 +82,10 @@ class BPSTable:
 
 
 @lru_cache(maxsize=None)
-def _bps_fibers(spec: GroupSpec, dps: int) -> MappingProxyType:
+def _bps_fibers(spec: GroupSpec) -> MappingProxyType:
     """Positive roots over each nonzero curve class: the one scan of the
-    root system behind every `bps_table` of a (group, precision)."""
-    corr = correspondence(spec, dps)
+    root system behind every `bps_table` of a group."""
+    corr = correspondence(spec)
     roots = root_system(corr.ade).positive_roots
     fibers: dict[CurveClass, int] = {}
     for alpha in roots:
@@ -96,8 +96,8 @@ def _bps_fibers(spec: GroupSpec, dps: int) -> MappingProxyType:
     return MappingProxyType(fibers)
 
 
-def bps_table(spec: GroupSpec, dps: int = DEFAULT_DPS) -> BPSTable:
-    fibers = dict(_bps_fibers(spec, dps))
+def bps_table(spec: GroupSpec) -> BPSTable:
+    fibers = dict(_bps_fibers(spec))
     counts = {beta: Fraction(f, 2) for beta, f in fibers.items()}
     return BPSTable(spec=spec, counts=counts, fibers=fibers)
 
@@ -121,7 +121,7 @@ def _beta_exponents(variables, beta) -> dict[str, int]:
 
 
 def partition_function(
-    spec: GroupSpec, truncation: Truncation, dps: int = DEFAULT_DPS
+    spec: GroupSpec, truncation: Truncation
 ) -> PartitionFunction:
     """Product over BPS classes of the MacMahon factor at weight n0, taken
     as one exponential: Z = exp(-sum over classes of n0 * macmahon_exponent).
@@ -129,8 +129,8 @@ def partition_function(
     This is the exp-of-a-sum route; `partition_function_by_roots` is the
     product-of-exps route it is checked against.
     """
-    table = bps_table(spec, dps)
-    variables = q_variables(spec, dps) + ("Q",)
+    table = bps_table(spec)
+    variables = q_variables(spec) + ("Q",)
     log_z = MultiSeries.zero(variables, truncation)
     factors = []
     for beta in sorted(table.counts):
@@ -143,7 +143,7 @@ def partition_function(
 
 
 def partition_function_by_roots(
-    spec: GroupSpec, truncation: Truncation, dps: int = DEFAULT_DPS
+    spec: GroupSpec, truncation: Truncation
 ) -> PartitionFunction:
     """The same product taken root by root at weight 1/2.
 
@@ -153,9 +153,9 @@ def partition_function_by_roots(
     is kept as an independent route so the per-class collapse and the
     exp-of-a-sum are testable rather than assumed.
     """
-    corr = correspondence(spec, dps)
+    corr = correspondence(spec)
     roots = root_system(corr.ade).positive_roots
-    variables = q_variables(spec, dps) + ("Q",)
+    variables = q_variables(spec) + ("Q",)
     half = Fraction(1, 2)
     acc = MultiSeries.one(variables, truncation)
     factors = []
@@ -170,19 +170,10 @@ def partition_function_by_roots(
     return PartitionFunction(spec=spec, series=acc, factors=tuple(factors))
 
 
-def dt_partition(spec: GroupSpec, truncation: Truncation, dps: int = DEFAULT_DPS) -> MultiSeries:
-    """The same series read as the reduced box-counting prediction.
-
-    Q is formal, so the change of variables between the two pictures is the
-    identity on coefficients; consumers label the output accordingly.
-    """
-    return partition_function(spec, truncation, dps).series
-
-
 @lru_cache(maxsize=None)
-def _bps_counts(spec: GroupSpec, dps: int) -> MappingProxyType:
-    """The n0 counts of `bps_table`, built once per (group, precision)."""
-    return MappingProxyType(bps_table(spec, dps).counts)
+def _bps_counts(spec: GroupSpec) -> MappingProxyType:
+    """The n0 counts of `bps_table`, built once per group."""
+    return MappingProxyType(bps_table(spec).counts)
 
 
 @lru_cache(maxsize=None)
@@ -200,12 +191,12 @@ def _divisors_of_class(beta: CurveClass):
             yield d
 
 
-def gw_genus0(spec: GroupSpec, beta, dps: int = DEFAULT_DPS) -> Fraction:
+def gw_genus0(spec: GroupSpec, beta) -> Fraction:
     """Genus-zero invariant: sum over d | beta of n0(beta/d) / d^3."""
     beta = tuple(int(b) for b in beta)
     if all(b == 0 for b in beta):
         raise ConfigurationError("the zero class has no invariant")
-    counts = _bps_counts(spec, dps)
+    counts = _bps_counts(spec)
     total = Fraction(0)
     for d in _divisors_of_class(beta):
         base = tuple(b // d for b in beta)
@@ -215,7 +206,7 @@ def gw_genus0(spec: GroupSpec, beta, dps: int = DEFAULT_DPS) -> Fraction:
     return total
 
 
-def gw_all_genus(spec: GroupSpec, beta, g: int, dps: int = DEFAULT_DPS) -> Fraction:
+def gw_all_genus(spec: GroupSpec, beta, g: int) -> Fraction:
     """Genus-g invariant from genus-zero BPS data:
 
         sum over d | beta of n0(beta/d) * [lam^(2g-2)] (1/d)(2 sin(d lam/2))^-2
@@ -225,7 +216,7 @@ def gw_all_genus(spec: GroupSpec, beta, g: int, dps: int = DEFAULT_DPS) -> Fract
         raise ConfigurationError("the zero class has no invariant")
     if g < 0:
         raise ConfigurationError("the genus must be nonnegative")
-    counts = _bps_counts(spec, dps)
+    counts = _bps_counts(spec)
     order = max(2 * g - 2, 0)
     total = Fraction(0)
     for d in _divisors_of_class(beta):
@@ -237,14 +228,14 @@ def gw_all_genus(spec: GroupSpec, beta, g: int, dps: int = DEFAULT_DPS) -> Fract
     return total
 
 
-def normal_bundle_type(spec: GroupSpec, rho, dps: int = DEFAULT_DPS) -> tuple[int, int]:
+def normal_bundle_type(spec: GroupSpec, rho) -> tuple[int, int]:
     """Normal bundle degrees (-k, k-2) of the curve attached to an irrep.
 
     k counts the binary nodes adjacent to the irrep's node in the Dynkin
     diagram, which is the number of surface components contracted onto the
     curve.  ``rho`` is an Irr*(G) label or its index in the canonical order.
     """
-    corr = correspondence(spec, dps)
+    corr = correspondence(spec)
     if isinstance(rho, str):
         if rho not in corr.slot_labels:
             raise ConfigurationError(f"{rho!r} is not a nontrivial irrep of {spec}")

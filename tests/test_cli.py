@@ -27,7 +27,7 @@ from qmckay.cli import (
     parse_group,
 )
 from qmckay.errors import InternalConsistencyError
-from qmckay.grouprep import GroupSpec
+from qmckay.grouprep import GroupSpec, correspondence
 from qmckay.schemas import BY_COMMAND
 from qmckay.series import MultiSeries
 
@@ -121,6 +121,18 @@ def test_negative_cap_exits_two(capsys):
     assert code == EXIT_ARGS
 
 
+def test_verify_lambda_order_is_deprecated(capsys):
+    base = ["verify", "--group", "C:2", "--max-q-degree", "1", "--q-series-degree", "1"]
+    code, out, err = run(capsys, base)
+    assert err == ""
+    code_flag, out_flag, err_flag = run(capsys, base + ["--lambda-order", "3"])
+    assert (code_flag, out_flag) == (code, out)
+    assert err_flag.startswith("qmckay: --lambda-order is deprecated")
+    assert err_flag.count("\n") == 1
+    code, _, _ = run(capsys, base + ["--lambda-order", "-1"])
+    assert code == EXIT_ARGS
+
+
 def test_bad_precision_env_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("QMCKAY_PRECISION", "banana")
     code, _, err = run(capsys, ["roots", "--group", "T"])
@@ -155,7 +167,7 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
 
 
 def test_internal_failure_exits_four(capsys, monkeypatch):
-    def boom(spec, dps):
+    def boom(spec):
         raise InternalConsistencyError("synthetic")
     monkeypatch.setattr(cli, "bps_table", boom)
     code, out, err = run(capsys, ["bps", "--group", "D5"])
@@ -314,6 +326,22 @@ def test_verify_builds_one_bps_table(capsys, monkeypatch):
     # bps-fibers and bps-recovery share one table, and partition_function
     # reuses the root scan behind it
     assert calls == {"bps_table": 1}
+    assert gwtheory._bps_fibers.cache_info().misses == 1
+
+
+def test_two_precisions_build_each_group_once(capsys, monkeypatch):
+    monkeypatch.delenv("QMCKAY_PRECISION", raising=False)
+    correspondence.cache_clear()
+    gwtheory._bps_fibers.cache_clear()
+    for precision in (["--precision", "30"], []):
+        for argv in (
+            ["group", "--group", "D:5"],
+            ["crc", "--group", "D:5", "--degree", "3"],
+            ["verify", "--group", "D:5", "--max-q-degree", "2", "--q-series-degree", "2"],
+        ):
+            code, _, _ = run(capsys, argv + precision)
+            assert code == EXIT_OK
+    assert correspondence.cache_info().misses == 1
     assert gwtheory._bps_fibers.cache_info().misses == 1
 
 

@@ -260,6 +260,14 @@ def test_rational_guess_accepts_exact_and_rejects_irrational():
         assert rational_guess(mp.sqrt(2)) is None
 
 
+def test_rational_guess_reads_the_exact_binary_value():
+    # past 2^53 a float pass drops the 1/2, and past 1e308 it overflows
+    assert rational_guess("1152921504606846976.5") == Fraction(2 ** 61 + 1, 2)
+    huge = rational_guess(10 ** 400)
+    assert huge.denominator == 1
+    assert abs(huge - 10 ** 400) < Fraction(10 ** 400, 10 ** 70)
+
+
 # -- the per-root kernels against the per-monomial loops they replaced ---------
 
 
@@ -275,7 +283,7 @@ def _reference_exponent_vectors(n_vars, total):
 def _reference_potential(spec, degree, dps):
     """One mpc term per (root, monomial), powers and factorials each time."""
     system, roots = crc._root_forms(spec, dps)
-    order = correspondence(spec, dps).group.order
+    order = correspondence(spec).group.order
     n_vars = len(system.class_labels)
     with mp.workdps(dps + crc._GUARD):
         factorials = [mp.mpf(1)]
@@ -302,8 +310,8 @@ def _reference_potential(spec, degree, dps):
 def _reference_resolution_partials(spec, dps):
     """The cubic contracted with L over all (a, b, c) at once, per triple."""
     system, roots = crc._root_forms(spec, dps)
-    cubic = classical_potential(spec, dps)
-    order = correspondence(spec, dps).group.order
+    cubic = classical_potential(spec)
+    order = correspondence(spec).group.order
     n = len(system.class_labels)
     r = len(system.forms)
     with mp.workdps(dps + crc._GUARD):

@@ -5,8 +5,12 @@ The digests were taken from cold `python -m qmckay.cli` runs with no
 supported group at `--degree 4` in JSON, and D:3, T and C:6 at `--degree 5`
 in CSV and text.  golden_data_sha256.json holds `group`, `bps` and
 `intersect`: every supported group in JSON, D:5, T, O, I and C:6 in CSV and
-text, and `bps --group C:16 --format csv`.  Any change to a printed digit,
-a row, or the row order shows up here.
+text, and `bps --group C:16 --format csv`.  golden_cli_sha256.json holds
+the remaining subcommands: `roots` for every supported group in JSON and
+E8, D:5 and C:6 in CSV and text; `gw`, `partition` and `dt` for D:5, T and
+C:6 at caps 2 in all three formats; `verify` for D:5, T and C:4 at caps 2
+in all three formats.  Any change to a printed digit, a row, or the row
+order shows up here.
 """
 
 import hashlib
@@ -20,6 +24,7 @@ from qmckay.cli import EXIT_OK, main
 HERE = Path(__file__).resolve().parent
 GOLDEN = json.loads((HERE / "golden_crc_sha256.json").read_text())
 GOLDEN_DATA = json.loads((HERE / "golden_data_sha256.json").read_text())
+GOLDEN_CLI = json.loads((HERE / "golden_cli_sha256.json").read_text())
 
 
 def _digest(request_line, capsys, monkeypatch) -> str:
@@ -38,3 +43,8 @@ def test_crc_output_matches_golden_digest(request_line, capsys, monkeypatch):
 @pytest.mark.parametrize("request_line", sorted(GOLDEN_DATA))
 def test_data_output_matches_golden_digest(request_line, capsys, monkeypatch):
     assert _digest(request_line, capsys, monkeypatch) == GOLDEN_DATA[request_line]
+
+
+@pytest.mark.parametrize("request_line", sorted(GOLDEN_CLI))
+def test_cli_output_matches_golden_digest(request_line, capsys, monkeypatch):
+    assert _digest(request_line, capsys, monkeypatch) == GOLDEN_CLI[request_line]

@@ -1,12 +1,15 @@
+import inspect
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+import qmckay.grouprep as grouprep
+import qmckay.gwtheory as gwtheory
+import qmckay.intersect as intersect
 from qmckay.errors import ConfigurationError, InternalConsistencyError
 from qmckay.grouprep import (
-    DEFAULT_DPS,
     Cyclotomic,
     GroupSpec,
     age,
@@ -301,9 +304,11 @@ def test_one_zeta_order_per_correspondence(spec):
     assert orders == {want}
 
 
-def test_correspondence_cache_key_is_normalised():
-    spec = GroupSpec.dihedral(5)
-    first = correspondence(spec)
-    assert correspondence(spec, DEFAULT_DPS) is first
-    assert correspondence(spec, dps=DEFAULT_DPS) is first
-    assert correspondence(spec, 30) is not first
+@pytest.mark.parametrize("module", [grouprep, gwtheory, intersect], ids=lambda m: m.__name__)
+def test_exact_layers_take_no_precision(module):
+    for name, obj in vars(module).items():
+        if inspect.isclass(obj) or not callable(obj):
+            continue
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        assert "dps" not in inspect.signature(obj).parameters, name

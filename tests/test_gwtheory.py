@@ -12,7 +12,6 @@ from qmckay.grouprep import GroupSpec, correspondence
 from qmckay.gwtheory import (
     bps_table,
     curve_class,
-    dt_partition,
     gw_all_genus,
     gw_genus0,
     normal_bundle_type,
@@ -218,11 +217,6 @@ def test_partition_function_is_the_product_of_its_factors(spec):
         product = product * macmahon_factor(
             variables, tr, dict(zip(variables, beta)), weight)
     assert z.series == product
-
-
-def test_dt_series_is_the_partition_series():
-    tr = Truncation(q_total=3, big_q=2)
-    assert dt_partition(D5, tr) == partition_function(D5, tr).series
 
 
 def test_log_partition_recovers_bps_counts():

@@ -217,26 +217,17 @@ def test_root_tensors_match_dense_reference(name):
 
 
 def test_intersect_builds_threefold_data_once(capsys, monkeypatch):
-    calls = {"threefold_integrals": 0, "root_tensors": 0}
-    public = intersect.threefold_integrals
+    calls = {"root_tensors": 0}
     tensors = intersect._root_tensors
-
-    def counting_threefold(*args, **kwargs):
-        calls["threefold_integrals"] += 1
-        return public(*args, **kwargs)
 
     def counting_tensors(*args, **kwargs):
         calls["root_tensors"] += 1
         return tensors(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "threefold_integrals", counting_threefold)
-    monkeypatch.setattr(intersect, "threefold_integrals", counting_threefold)
     monkeypatch.setattr(intersect, "_root_tensors", counting_tensors)
     intersect._threefold.cache_clear()
-    try:
-        assert cli.main(["intersect", "--group", "D:4"]) == cli.EXIT_OK
-    finally:
-        intersect._threefold.cache_clear()
+    assert cli.main(["intersect", "--group", "D:4"]) == cli.EXIT_OK
     capsys.readouterr()
-    # one threefold call and one tensor build per side (threefold, surface)
-    assert calls == {"threefold_integrals": 1, "root_tensors": 2}
+    # one threefold build and one tensor build per side (threefold, surface)
+    assert intersect._threefold.cache_info().misses == 1
+    assert calls == {"root_tensors": 2}
