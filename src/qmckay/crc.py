@@ -18,12 +18,24 @@ Structure of the computation:
 * All derivatives of h, and of tan, are polynomials in T = tan of the base
   point; the polynomials have exact rational coefficients and are built
   once by recursion, so a degree-N Taylor expansion costs one tan per root.
+* Only monomials allowed by the selection rule of the orbifold cup product
+  are formed: the coefficient of x_1^e_1 ... x_n^e_n is a degree-0
+  invariant <x_C1 ... x_Cn>, which can be nonzero only when the identity
+  lies in the class product C_1^e_1 ... C_n^e_n.  The class products come
+  from the exact class multiplication constants N_ijk of
+  `grouprep.class_multiplication` (integer sums in Z[zeta_N], built once
+  per group on first use); a pass over the classes carries the bitmask of
+  classes each prefix's product can reach, starting from {identity}, and
+  keeps a vector only if its mask holds the identity.
 * Each coefficient is a sum over roots of (h^(n)(s0)/2) * prod_i l_i^e_i/e_i!,
   so each root carries one table: the row l_i^e/e! per class, built by a
-  running product, and h^(n)(s0)/2 per degree.  The exponent vectors are
-  laid out once per call as a prefix tree, one class per level; every root
-  fills the tree level by level, so each prefix product is formed once and
-  the inner loop only multiplies and adds.
+  running product, and h^(n)(s0)/2 per degree.  The allowed vectors are
+  laid out once per call as a prefix tree, one class per level, holding
+  only prefixes of allowed vectors; every root fills the tree level by
+  level, so each prefix product is formed once and the inner loop only
+  multiplies and adds.  A coefficient is the same number it would be in the
+  tree of every vector; the vectors left out are the ones whose sums
+  cancel to rounding noise.
 * Roots whose restricted coefficient vector vanishes have constant
   arguments and are skipped; for every other root the base point is a
   rational angle whose distance from the tan pole is decided by an exact
@@ -52,13 +64,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, reduce
 from itertools import combinations_with_replacement
+from operator import or_
 
 import mpmath as mp
 
 from .errors import ConfigurationError, PoleError
-from .grouprep import GroupSpec, as_mpc, correspondence
+from .grouprep import GroupSpec, as_mpc, class_multiplication, correspondence
 from .intersect import classical_potential
 from .rootsys import root_system
 
@@ -269,28 +282,49 @@ class PotentialSeries:
         return out
 
 
-def _monomial_tree(n_vars: int, degree: int):
-    """Exponent vectors of total degree <= degree as a prefix tree.
+@lru_cache(maxsize=None)
+def _class_products(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
+    """products[c][k]: the classes of C_k C_c as a bitmask over class indices."""
+    constants = class_multiplication(correspondence(spec).group)
+    return tuple(
+        tuple(sum(1 << m for m, count in enumerate(constants[k][c]) if count)
+              for k in range(len(constants)))
+        for c in range(len(constants))
+    )
 
-    Level i holds one (parent index, exponent) pair per vector over the
-    first i+1 classes, for every class but the last; the parent is that
-    vector's prefix in level i-1.  The leaves are returned as terms
-    (parent index, degree of the parent, last exponent, vector), one per
-    vector of total degree >= 3, ordered by degree then vector.
+
+def _monomial_tree(products: tuple[tuple[int, ...], ...], degree: int):
+    """The exponent vectors the selection rule allows, as a prefix tree.
+
+    A vector (e_1, ..., e_n) over the nontrivial classes is allowed when it
+    has total degree 3..degree and the identity lies in the class product
+    C_1^e_1 ... C_n^e_n; the reachable classes are carried as a bitmask
+    that starts at {identity}.  Level i holds one (parent index, exponent)
+    pair per prefix over the first i+1 classes of an allowed vector, for
+    every class but the last; the parent is that prefix's own prefix in
+    level i-1.  The leaves are returned as terms (parent index, degree of
+    the parent, last exponent, vector), ordered by degree then vector.
     """
+    @cache
+    def times(mask: int, c: int) -> int:
+        return reduce(or_, (row for k, row in enumerate(products[c]) if mask >> k & 1), 0)
+
+    vectors = [((), 0, 1)]
+    for c in range(1, len(products)):
+        grown = []
+        for key, used, mask in vectors:
+            for e in range(degree - used + 1):
+                grown.append((key + (e,), used + e, mask))
+                mask = times(mask, c)
+        vectors = grown
+    allowed = [key for key, used, mask in vectors if used >= 3 and mask & 1]
     levels = []
-    keys: list[tuple[int, ...]] = [()]
-    used = [0]
-    for _ in range(n_vars - 1):
-        level = [(p, e) for p, u in enumerate(used) for e in range(degree - u + 1)]
-        keys = [keys[p] + (e,) for p, e in level]
-        used = [used[p] + e for p, e in level]
-        levels.append(level)
-    terms = [
-        (p, u, e, keys[p] + (e,))
-        for p, u in enumerate(used)
-        for e in range(max(3 - u, 0), degree - u + 1)
-    ]
+    index = {(): 0}
+    for i in range(1, len(products) - 1):
+        prefixes = dict.fromkeys(key[:i] for key in allowed)
+        levels.append([(index[p[:-1]], p[-1]) for p in prefixes])
+        index = {p: j for j, p in enumerate(prefixes)}
+    terms = [(index[key[:-1]], sum(key[:-1]), key[-1], key) for key in allowed]
     terms.sort(key=lambda term: (term[1] + term[2], term[3]))
     return levels, terms
 
@@ -301,7 +335,7 @@ def orbifold_potential(spec: GroupSpec, degree: int, dps: int = DEFAULT_DPS) -> 
         raise ConfigurationError("the potential starts at degree three")
     system, roots = _root_forms(spec, dps)
     order = correspondence(spec).group.order
-    levels, terms = _monomial_tree(len(system.class_labels), degree)
+    levels, terms = _monomial_tree(_class_products(spec), degree)
     with mp.workdps(dps + _GUARD):
         acc = [mp.mpf(0)] * len(terms)
         for root in roots:
@@ -595,10 +629,14 @@ def rational_guess(value, max_denominator: int = 10 ** 6, dps: int = DEFAULT_DPS
     """A small rational within 1e-20 of the value, or None.
 
     The candidate comes from a continued-fraction pass on the exact binary
-    value; acceptance is decided at full precision.
+    value; acceptance is decided at full precision.  A value whose last
+    place at that precision is coarser than 1e-20 gets None, because being
+    within 1e-20 of a rational says nothing about it.
     """
     with mp.workdps(dps + _GUARD):
         value = mp.mpf(value)
+        if value and mp.ldexp(1, mp.mag(value) - mp.mp.prec) > mp.mpf("1e-20"):
+            return None
         exact = Fraction(*mp.libmp.to_rational(value._mpf_))
         candidate = exact.limit_denominator(max_denominator)
         delta = abs(value - mp.mpf(candidate.numerator) / candidate.denominator)

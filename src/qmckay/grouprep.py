@@ -19,11 +19,12 @@ element of Z[zeta_N] with one N per group (2k for cyclic(k), lcm(2m, 4) for
 dihedral(m), 12, 24 and 60 for the exceptional groups), written through
 2cos(2 pi a/n) = zeta^a + zeta^-a, omega = zeta_12^4,
 sqrt(2) = zeta_24^3 + zeta_24^21 and phi = 1 + zeta_60^12 + zeta_60^48.
-Integer quantities derived from them (tensor multiplicities, pairings) are
-exact integer sums: the products are accumulated as integer coefficients
-of powers of zeta_N, reduced once modulo the cyclotomic polynomial, and
-required to be rational.  No tolerance or rounding is involved; `as_mpc`
-is the one numeric view of a value.
+Integer quantities derived from them (tensor multiplicities, pairings,
+class multiplication constants) are exact integer sums: the products are
+accumulated as integer coefficients of powers of zeta_N, reduced once
+modulo the cyclotomic polynomial, and required to be rational.  No
+tolerance or rounding is involved; `as_mpc` is the one numeric view of a
+value.
 
 Fixed conventions (part of the public contract; consumers index by label):
 
@@ -411,30 +412,73 @@ class Correspondence:
 # ---------------------------------------------------------------------------
 
 
+def _integer_sum(weights, row_a, row_b, n: int, divisor: int, what: str) -> int:
+    """(1/divisor) * sum of weight * a * conj(b) over the zipped rows, exactly.
+
+    The products are accumulated as integer coefficients of powers of
+    zeta_n and reduced once modulo Phi_n; the result must be a rational
+    integer divisible by ``divisor``, or the tables are broken and
+    InternalConsistencyError names ``what``.
+    """
+    acc = [0] * n
+    for weight, a, b in zip(weights, row_a, row_b):
+        for ea, ca in a.terms:
+            wa = weight * ca
+            for eb, cb in b.terms:
+                acc[(ea - eb) % n] += wa * cb
+    total, *rest = reduce_cyclotomic(acc, n)
+    if any(rest) or total % divisor:
+        raise InternalConsistencyError(f"{what} is not {divisor} times an integer")
+    return total // divisor
+
+
 def inner_product(model: GroupModel, row_a, row_b) -> int:
     """(1/|G|) * sum over classes of size * a * conj(b), exactly.
 
     The rows are class functions with values in Z[zeta_N] (characters,
     products of characters, or integer combinations of them), so the sum is
-    an integer multiplicity.  The terms are accumulated as integer
-    coefficients of powers of zeta_N, reduced once modulo Phi_N, and the
-    result must be a rational integer divisible by |G|; anything else is a
-    broken table and raises InternalConsistencyError.
+    an integer multiplicity; anything else is a broken table and raises
+    InternalConsistencyError.
     """
-    n = row_a[0].n
-    acc = [0] * n
-    for cls, a, b in zip(model.classes, row_a, row_b):
-        size = cls.size
-        for ea, ca in a.terms:
-            weight = size * ca
-            for eb, cb in b.terms:
-                acc[(ea - eb) % n] += weight * cb
-    total, *rest = reduce_cyclotomic(acc, n)
-    if any(rest) or total % model.order:
-        raise InternalConsistencyError(
-            f"{model.name}: character sum is not |G| = {model.order} times an integer"
-        )
-    return total // model.order
+    sizes = [cls.size for cls in model.classes]
+    return _integer_sum(
+        sizes, row_a, row_b, row_a[0].n, model.order, f"{model.name}: character sum"
+    )
+
+
+def class_multiplication(model: GroupModel) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Class multiplication constants: ``N[i][j][k]`` is the number of pairs
+    (a, b) in C_i x C_j with ab = c for a fixed c in C_k, so that
+    C_i C_j = sum_k N[i][j][k] C_k as class sums.
+
+    By Frobenius' formula N_ijk = (|C_i||C_j|/|G|) * sum over chi of
+    chi(a) chi(b) conj(chi(c)) / chi(1).  Each term is scaled by D/chi(1),
+    D the lcm of the dimensions, so the sum is an integer sum in Z[zeta_N]
+    that must come out |G| * D times a rational integer.
+    """
+    n = model.table[0][0].n
+    big_d = lcm(*(r.dim for r in model.irreps))
+    divisor = model.order * big_d
+    columns = list(zip(*model.table))  # columns[k][chi] = chi(C_k)
+    out = []
+    for i, ci in enumerate(model.classes):
+        plane = []
+        for j, cj in enumerate(model.classes):
+            if j < i:  # class sums are central, so N_ijk = N_jik
+                plane.append(out[j][i])
+                continue
+            scale = ci.size * cj.size * big_d
+            weights = [scale // irrep.dim for irrep in model.irreps]
+            products = [a * b for a, b in zip(columns[i], columns[j])]
+            plane.append(tuple(
+                _integer_sum(
+                    weights, products, column, n, divisor,
+                    f"{model.name}: class product {ci.label}*{cj.label} at {ck.label}",
+                )
+                for ck, column in zip(model.classes, columns)
+            ))
+        out.append(tuple(plane))
+    return tuple(out)
 
 
 def pulls_back(model: GroupModel, irrep_label: str) -> bool:

@@ -1,5 +1,6 @@
 """Quotient-side potential versus the resolution route, plus its pole guards."""
 
+import functools
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -9,6 +10,7 @@ import pytest
 
 import qmckay.crc as crc
 from qmckay.crc import (
+    DEFAULT_DPS,
     b_series,
     change_of_variables,
     crc_consistency,
@@ -263,9 +265,19 @@ def test_rational_guess_accepts_exact_and_rejects_irrational():
 def test_rational_guess_reads_the_exact_binary_value():
     # past 2^53 a float pass drops the 1/2, and past 1e308 it overflows
     assert rational_guess("1152921504606846976.5") == Fraction(2 ** 61 + 1, 2)
-    huge = rational_guess(10 ** 400)
-    assert huge.denominator == 1
-    assert abs(huge - 10 ** 400) < Fraction(10 ** 400, 10 ** 70)
+    assert rational_guess(10 ** 40) == 10 ** 40
+    assert rational_guess(10 ** 400) is None
+
+
+def test_rational_guess_refuses_values_coarser_than_its_tolerance():
+    # at 74 digits one unit in the last place of pi * 10^80 is about 10^6,
+    # so being within 1e-20 of an integer says nothing
+    with mp.workdps(DEFAULT_DPS + crc._GUARD):
+        assert rational_guess(mp.pi * 10 ** 80) is None
+        # 10^n + 1/4 is exact at 74 digits; its last place is finer than
+        # 1e-20 at n = 50 and coarser at n = 60
+        assert rational_guess(mp.mpf(10) ** 50 + 0.25) == 10 ** 50 + Fraction(1, 4)
+        assert rational_guess(mp.mpf(10) ** 60 + 0.25) is None
 
 
 # -- the per-root kernels against the per-monomial loops they replaced ---------
@@ -385,3 +397,129 @@ def test_root_forms_built_once_per_group_and_precision(monkeypatch):
         assert calls == [(spec, 40), (spec, 50)]
     finally:
         crc._root_forms.cache_clear()
+
+
+# -- the selection-rule tree against the dense tree it replaced ----------------
+
+
+def _dense_monomial_tree(n_vars, degree):
+    """Every exponent vector of total degree <= degree as a prefix tree, in
+    the (levels, terms) layout of `crc._monomial_tree`."""
+    levels = []
+    keys = [()]
+    used = [0]
+    for _ in range(n_vars - 1):
+        level = [(p, e) for p, u in enumerate(used) for e in range(degree - u + 1)]
+        keys = [keys[p] + (e,) for p, e in level]
+        used = [used[p] + e for p, e in level]
+        levels.append(level)
+    terms = [
+        (p, u, e, keys[p] + (e,))
+        for p, u in enumerate(used)
+        for e in range(max(3 - u, 0), degree - u + 1)
+    ]
+    terms.sort(key=lambda term: (term[1] + term[2], term[3]))
+    return levels, terms
+
+
+@functools.cache
+def _dense_potential(spec, degree, dps):
+    """The dense route: every vector filled per root with the same rows,
+    weights and multiply order as `orbifold_potential`, and returned before
+    the magnitude filter (real parts, the imaginary parts checked)."""
+    system, roots = crc._root_forms(spec, dps)
+    order = correspondence(spec).group.order
+    levels, terms = _dense_monomial_tree(len(system.class_labels), degree)
+    with mp.workdps(dps + crc._GUARD):
+        acc = [mp.mpf(0)] * len(terms)
+        for root in roots:
+            t = mp.cot(mp.pi * mp.mpf(root.dim_sum) / order)
+            half_h = [None] * 3 + [
+                crc._poly_eval(crc._h_poly(n), t) / 2 for n in range(3, degree + 1)
+            ]
+            rows = []
+            for l in root.coefficients:
+                if l.imag == 0:
+                    l = l.real
+                row = [mp.mpf(1)]
+                for e in range(1, degree + 1):
+                    row.append(row[-1] * l / e)
+                rows.append(row)
+            prods = [mp.mpf(1)]
+            for level, row in zip(levels, rows):
+                prods = [prods[p] * row[e] if e else prods[p] for p, e in level]
+            last = rows[-1]
+            weighted = [
+                [
+                    last[e] * half_h[u + e] if u + e >= 3 else None
+                    for e in range(degree - u + 1)
+                ]
+                for u in range(degree + 1)
+            ]
+            acc = [
+                a + prods[p] * weighted[u][e] for a, (p, u, e, _) in zip(acc, terms)
+            ]
+        tol = mp.mpf(10) ** (-(dps // 2))
+        out = {}
+        for (_, _, _, key), value in zip(terms, acc):
+            if isinstance(value, mp.mpc):
+                assert abs(value.imag) <= tol, key
+                value = value.real
+            out[key] = value
+    return out
+
+
+DENSE_CASES = [
+    (D5, 6),
+    (GroupSpec.dihedral(6), 6),
+    (GroupSpec.tetrahedral(), 6),
+    (GroupSpec.octahedral(), 6),
+    (GroupSpec.cyclic(6), 6),
+    (GroupSpec.cyclic(8), 5),
+]
+
+
+@pytest.mark.parametrize("spec, degree", DENSE_CASES, ids=lambda c: str(c))
+def test_potential_equals_the_dense_tree_bit_for_bit(spec, degree):
+    dps = 64
+    got = orbifold_potential(spec, degree, dps).coefficients
+    tol = mp.mpf(10) ** (-(dps // 2))
+    want = {
+        key: value for key, value in _dense_potential(spec, degree, dps).items()
+        if abs(value) > tol
+    }
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert got[key]._mpf_ == value._mpf_, key
+
+
+@pytest.mark.parametrize("spec, degree", DENSE_CASES, ids=lambda c: str(c))
+def test_dense_coefficients_outside_the_selection_rule_vanish(spec, degree):
+    # the rule comes from group multiplication alone, the dense values from
+    # the roots and the tangent series, so this is evidence for the rule
+    dps = 64
+    _, terms = crc._monomial_tree(crc._class_products(spec), degree)
+    allowed = {term[3] for term in terms}
+    dense = _dense_potential(spec, degree, dps)
+    assert allowed < set(dense)
+    outside = [abs(value) for key, value in dense.items() if key not in allowed]
+    assert max(outside) < mp.mpf(10) ** -dps
+
+
+def test_class_constants_built_once_per_group(monkeypatch):
+    calls = []
+    build = crc.class_multiplication
+
+    def counting_class_multiplication(model):
+        calls.append(model.spec)
+        return build(model)
+
+    spec = GroupSpec.dihedral(2)
+    monkeypatch.setattr(crc, "class_multiplication", counting_class_multiplication)
+    crc._class_products.cache_clear()
+    try:
+        orbifold_potential(spec, 4, 40)
+        orbifold_potential(spec, 5, 50)
+        assert calls == [spec]
+    finally:
+        crc._class_products.cache_clear()

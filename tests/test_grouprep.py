@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 from fractions import Fraction
@@ -17,6 +18,7 @@ from qmckay.grouprep import (
     build_binary_group,
     build_group,
     binary_simple_roots,
+    class_multiplication,
     correspondence,
     cyclotomic_polynomial,
     exp_turn,
@@ -283,6 +285,31 @@ def test_inner_product_rejects_non_integer_sums():
     with pytest.raises(InternalConsistencyError):
         inner_product(model, [one, zero, zero], [one, one, one])
     assert inner_product(model, [one, one, one], [one, one, one]) == 1
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
+def test_class_products_count_every_pair_once(spec):
+    # C_i C_j has |C_i||C_j| terms and C_k takes N_ijk |C_k| of them; the
+    # identity class is neutral, and C_i C_j meets it only for j = inverse(i)
+    model = build_group(spec)
+    constants = class_multiplication(model)
+    sizes = [c.size for c in model.classes]
+    identity = [[int(j == k) for k in range(len(sizes))] for j in range(len(sizes))]
+    assert [list(line) for line in constants[0]] == identity
+    for i, plane in enumerate(constants):
+        for j, line in enumerate(plane):
+            assert min(line) >= 0
+            assert sum(n * s for n, s in zip(line, sizes)) == sizes[i] * sizes[j]
+            assert line == constants[j][i]
+            assert line[0] == (sizes[i] if j == model.inverse_class[i] else 0)
+
+
+def test_class_multiplication_rejects_a_broken_table():
+    model = build_group(GroupSpec.dihedral(3))
+    rows = list(model.table)
+    rows[1] = (rows[1][0], rows[1][1], rows[1][1])  # sgn made 1 on the flips
+    with pytest.raises(InternalConsistencyError):
+        class_multiplication(dataclasses.replace(model, table=tuple(rows)))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)

@@ -10,6 +10,7 @@ character values per class, and the McKay adjacency built from the
 2-dimensional defining character.
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -21,6 +22,7 @@ from qmckay.grouprep import (
     as_mpc,
     build_binary_group,
     build_group,
+    class_multiplication,
     correspondence,
     mckay_graph,
 )
@@ -305,14 +307,59 @@ def test_rotation_group_against_quotient_oracle(spec):
     group = _quotient_oracle(binary)
     model = build_group(spec)
     assert len(group.elements) == spec.order
-
-    def chi_v(rep):
-        # a rotation by angle theta has chi_V = 1 + 2 cos theta = 4 w^2 - 1
-        return 4 * rep[0] * rep[0] - 1
-
     table = _dixon_characters(group)
     assert len(table) == len(model.irreps)
-    _compare_table(model, group, table, chi_v)
+    _compare_table(model, group, table, _chi_v)
+
+
+def _chi_v(rep):
+    # a rotation by angle theta has chi_V = 1 + 2 cos theta = 4 w^2 - 1
+    return 4 * rep[0] * rep[0] - 1
+
+
+def _oracle_class_constants(group):
+    """N[i][j][k] = #{(a, b) in C_i x C_j : ab = c}, c the first element of C_k."""
+    out = []
+    for cls_i in group.classes:
+        plane = []
+        for cls_j in group.classes:
+            counts = Counter(group.product[a][b] for a in cls_i for b in cls_j)
+            plane.append([counts[cls_k[0]] for cls_k in group.classes])
+        out.append(plane)
+    return out
+
+
+def _bucket_bijections(keys_a, keys_b):
+    """Every bijection from positions in keys_a to positions in keys_b that
+    maps each position to one with the same key."""
+    choices = []
+    for key in set(keys_a):
+        src = [i for i, k in enumerate(keys_a) if k == key]
+        dst = [i for i, k in enumerate(keys_b) if k == key]
+        assert len(src) == len(dst), key
+        choices.append([list(zip(src, perm)) for perm in itertools.permutations(dst)])
+    for choice in itertools.product(*choices):
+        yield dict(pair for pairs in choice for pair in pairs)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
+def test_class_constants_against_triple_count(spec):
+    # classes sharing (size, element order, chi_V) are told apart only up
+    # to relabelling, so some such relabelling must match every constant
+    group = _quotient_oracle(_binary_oracle(spec))
+    model = build_group(spec)
+    want = _oracle_class_constants(group)
+    got = class_multiplication(model)
+    oracle_keys = [_class_bucket_key(group, cls, _chi_v) for cls in group.classes]
+    model_keys = [
+        (cls.size, cls.element_order, round(float(as_mpc(model.chi_v[ci]).real), 6))
+        for ci, cls in enumerate(model.classes)
+    ]
+    r = range(len(want))
+    assert any(
+        all(want[i][j][k] == got[s[i]][s[j]][s[k]] for i in r for j in r for k in r)
+        for s in _bucket_bijections(oracle_keys, model_keys)
+    )
 
 
 def _oracle_mckay_adjacency(group, table):
