@@ -683,11 +683,6 @@ def _run_checks(spec: GroupSpec, args) -> list[dict]:
 
 
 def cmd_verify(spec: GroupSpec, args) -> Report:
-    if args.lambda_order is not None:
-        print(
-            "qmckay: --lambda-order is deprecated and ignored by verify",
-            file=sys.stderr,
-        )
     checks = _run_checks(spec, args)
     failed = [c for c in checks if c["status"] == "fail"]
     payload = {
@@ -788,10 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the invariant suite for one group")
     common(verify)
     series_flags(verify)
-    verify.add_argument(
-        "--lambda-order", type=int, default=None,
-        help="deprecated and ignored; the suite fixes its own orders",
-    )
     return parser
 
 

@@ -263,6 +263,9 @@ class PotentialSeries:
     dps: int
 
     def coefficient(self, exponents: dict[str, int]) -> mp.mpf:
+        unknown = set(exponents) - set(self.class_labels)
+        if unknown:
+            raise ConfigurationError(f"unknown conjugacy classes {sorted(unknown)}")
         key = tuple(exponents.get(lbl, 0) for lbl in self.class_labels)
         return self.coefficients.get(key, mp.mpf(0))
 

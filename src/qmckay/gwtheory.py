@@ -131,15 +131,11 @@ def partition_function(
     """
     table = bps_table(spec)
     variables = q_variables(spec) + ("Q",)
-    log_z = MultiSeries.zero(variables, truncation)
-    factors = []
-    for beta in sorted(table.counts):
-        weight = table.counts[beta]
-        factors.append((beta, weight))
-        log_z = log_z + macmahon_exponent(
-            variables, truncation, _beta_exponents(variables, beta)
-        ).scale(-weight)
-    return PartitionFunction(spec=spec, series=log_z.exp(), factors=tuple(factors))
+    factors = tuple((beta, table.counts[beta]) for beta in sorted(table.counts))
+    log_z = MultiSeries.linear_combination(variables, truncation, [
+        (-weight, macmahon_exponent(variables, truncation, _beta_exponents(variables, beta)))
+        for beta, weight in factors])
+    return PartitionFunction(spec=spec, series=log_z.exp(), factors=factors)
 
 
 def partition_function_by_roots(

@@ -3,8 +3,8 @@
 Everything downstream (partition functions, curve-counting generating
 series, multiple-cover sums) lives in the ring
 ``Q[[q1..qr, Q]][lam^-2, lam]]`` truncated by total q-degree, Q-degree and
-lam-order.  Coefficients are `fractions.Fraction`, so equality of two
-pipelines is exact, never a tolerance.
+lam-order.  Coefficients are `fractions.Fraction` at the public API, so
+equality of two pipelines is exact, never a tolerance.
 
 Variable-name convention (internal contract): variables named ``Q`` and
 ``lam`` play the special roles; every other variable counts toward the
@@ -17,25 +17,37 @@ whole series is a multiple of.  It adds under multiplication and must agree
 under addition; it exists so localised integrals keep their weight bookkeeping
 through series arithmetic.
 
+Storage is packed (Monagan and Pearce, Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors, CASC 2007): an exponent vector
+is one int of bit fields, so adding keys adds vectors, and coefficients are
+int numerators over one reduced denominator per series.  A q-variable's or
+Q's field is as wide as its cap or, uncapped, as the largest exponent the
+operation can reach, so no field carries into the next; lam sits on top,
+unbounded, so it may go negative.
+
 Arithmetic is graded.  Every key has a grade triple (q-degree, Q-degree,
 lam-order), and products work on buckets of terms that share a triple: a
 pair of buckets whose grades add past a cap is skipped whole, before any of
-its terms is formed.  `exp` and `log` use the Euler-operator recurrence of
-Brent and Kung (Fast algorithms for manipulating formal power series,
-J. ACM 25, 1978).  Let D multiply a monomial by its total capped grade (the
-q-degree, the Q-degree and the lam-order, each counted only when its cap is
-set).  For f = exp(g), D f = (D g) f, so the grade-w parts satisfy
+its terms is formed.  Sums and rescalings are products with the unit.
+`exp` and `log` use the Euler-operator recurrence of Brent and Kung (Fast
+algorithms for manipulating formal power series, J. ACM 25, 1978).  Let D
+multiply a monomial by its total capped grade (the q-degree, the Q-degree
+and the lam-order, each counted only when its cap is set).  For
+f = exp(g), D f = (D g) f, so the grade-w parts satisfy
 
     w * f_w = sum_{k=1..w} k * g_k * f_(w-k),
 
 which gives f from g (exp) or g from f (log) one grade at a time, forming
-only grade-w products.  Grades above the sum of the caps are zero.
+only grade-w products, each over a denominator of its own.  Grades above
+the sum of the caps are zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 from operator import add
 from typing import Mapping
 
@@ -70,26 +82,55 @@ def _as_fraction(x) -> Fraction:
     raise ConfigurationError(f"series coefficients must be rational, got {type(x).__name__}")
 
 
+@lru_cache(maxsize=256)
+def _layout(variables, truncation, q_reach=0, big_q_reach=0) -> tuple:
+    """(shift, mask) per variable of a packed key: the q-variables, then Q,
+    each as wide as its cap or, uncapped, its reach; lam on top, unmasked."""
+    t = truncation
+    wq = (q_reach if t.q_total is None else t.q_total).bit_length()
+    wQ = (big_q_reach if t.big_q is None else t.big_q).bit_length()
+    qs = [v for v in variables if v not in ("Q", "lam")]
+    top = len(qs) * wq + wQ
+    place = {"Q": (top - wQ, (1 << wQ) - 1), "lam": (top, -1)}
+    place.update((v, (i * wq, (1 << wq) - 1)) for i, v in enumerate(qs))
+    return tuple(place[v] for v in variables)
+
+
+def _exponent_key(variables, exponents: Mapping[str, int]) -> tuple[int, ...]:
+    unknown = set(exponents) - set(variables)
+    if unknown:
+        raise ConfigurationError(f"unknown variables {sorted(unknown)}")
+    return tuple(exponents.get(v, 0) for v in variables)
+
+
+def _pack(lay, key) -> int:
+    return sum(e << s for e, (s, _) in zip(key, lay))
+
+
+def _unpack(lay, k: int) -> tuple[int, ...]:
+    return tuple((k >> s) & m for s, m in lay)
+
+
+_UNIT = {(0, 0, 0): {0: 1}}
+
+
 class MultiSeries:
     """A truncated series: mapping from exponent tuples to Fractions.
 
     Construct through `zero`, `one`, `monomial` or `from_terms`; instances
-    are immutable by convention (no mutating API).
+    are immutable by convention (no mutating API).  ``_parts`` maps grade
+    triples to {packed key: numerator over ``_den``}.
     """
 
-    __slots__ = ("variables", "truncation", "t_power", "_terms", "_qidx", "_Qidx", "_lidx")
+    __slots__ = ("variables", "truncation", "t_power", "_lay", "_parts", "_den")
 
     def __init__(self, variables, truncation, terms, t_power=0):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ConfigurationError("duplicate series variables")
-        self.variables = variables
-        self.truncation = truncation
-        self.t_power = t_power
-        self._qidx = tuple(i for i, v in enumerate(variables) if v not in ("Q", "lam"))
-        self._Qidx = variables.index("Q") if "Q" in variables else None
-        self._lidx = variables.index("lam") if "lam" in variables else None
-        clean: dict[tuple[int, ...], Fraction] = {}
+        self.variables, self.truncation, self.t_power = variables, truncation, t_power
+        caps = (truncation.q_total, truncation.big_q, truncation.lam)
+        kept: dict = {}
         for key, coeff in terms.items():
             key = tuple(key)
             if len(key) != len(variables):
@@ -97,60 +138,58 @@ class MultiSeries:
             coeff = _as_fraction(coeff)
             if coeff == 0:
                 continue
-            kept = self._clip(key)
-            if kept:
-                clean[key] = coeff
-        self._terms = clean
+            grades = self._grades(key)
+            if any(e < 0 for v, e in zip(variables, key) if v != "lam"):
+                raise InternalConsistencyError("negative exponent in a q or Q variable")
+            if grades[2] < LAMBDA_FLOOR:
+                raise InternalConsistencyError(
+                    f"lambda exponent {grades[2]} fell below {LAMBDA_FLOOR}")
+            if all(cap is None or d <= cap for d, cap in zip(grades, caps)):
+                kept.setdefault(grades, {})[key] = coeff
+        self._lay = lay = _layout(variables, truncation, *self._reach(kept))
+        self._den = den = lcm(*(c.denominator for b in kept.values() for c in b.values()))
+        self._parts = {g: {_pack(lay, k): c.numerator * (den // c.denominator)
+                           for k, c in b.items()} for g, b in kept.items()}
 
     # -- bookkeeping -------------------------------------------------------
 
     def _grades(self, key) -> tuple[int, int, int]:
-        qd = sum(key[i] for i in self._qidx)
-        Qd = key[self._Qidx] if self._Qidx is not None else 0
-        ld = key[self._lidx] if self._lidx is not None else 0
-        return qd, Qd, ld
+        e = dict(zip(self.variables, key))
+        big_q, lam = e.pop("Q", 0), e.pop("lam", 0)
+        return sum(e.values()), big_q, lam
 
-    def _clip(self, key) -> bool:
-        """True when the key survives the truncation caps."""
-        qd, Qd, ld = self._grades(key)
-        if any(key[i] < 0 for i in self._qidx) or Qd < 0:
-            raise InternalConsistencyError("negative exponent in a q or Q variable")
-        if ld < LAMBDA_FLOOR:
-            raise InternalConsistencyError(f"lambda exponent {ld} fell below {LAMBDA_FLOOR}")
-        t = self.truncation
-        if t.q_total is not None and qd > t.q_total:
-            return False
-        if t.big_q is not None and Qd > t.big_q:
-            return False
-        if t.lam is not None and ld > t.lam:
-            return False
-        return True
+    def _reach(self, parts=None) -> tuple[int, int]:
+        """The largest q- and Q-degree present; 0 where the cap sets the width."""
+        t, parts = self.truncation, self._parts if parts is None else parts
+        return tuple(0 if cap is not None else max((g[i] for g in parts), default=0)
+                     for i, cap in enumerate((t.q_total, t.big_q)))
 
-    def _like(self, terms) -> "MultiSeries":
-        return MultiSeries(self.variables, self.truncation, terms, self.t_power)
+    def _parts_in(self, lay: tuple) -> dict:
+        """The graded numerators repacked into ``lay``, which must fit them."""
+        if lay == self._lay:
+            return self._parts
+        old = self._lay
+        return {g: {_pack(lay, _unpack(old, k)): c for k, c in b.items()}
+                for g, b in self._parts.items()}
 
-    def _from_graded(self, parts, t_power: int) -> "MultiSeries":
-        """A series in this ring from graded buckets whose keys already
-        respect the caps and the lambda floor; zero coefficients drop."""
+    def _make(self, parts, den, t_power, lay) -> "MultiSeries":
+        """A series in this ring from graded int numerators over ``den``;
+        zeros drop and the fraction is reduced."""
+        kept, g = {}, den
+        for grades, b in parts.items():
+            if 0 in b.values():
+                b = {k: c for k, c in b.items() if c}
+            if b:
+                kept[grades] = b
+                g = gcd(g, *b.values())
         out = object.__new__(MultiSeries)
-        out.variables = self.variables
-        out.truncation = self.truncation
-        out.t_power = t_power
-        out._qidx, out._Qidx, out._lidx = self._qidx, self._Qidx, self._lidx
-        out._terms = {
-            key: c for bucket in parts for key, c in bucket.items() if c
-        }
+        out.variables, out.truncation, out.t_power = self.variables, self.truncation, t_power
+        out._lay, out._den, out._parts = lay, den // g, kept if g == 1 else {
+            gr: {k: c // g for k, c in b.items()} for gr, b in kept.items()}
         return out
 
-    def _graded(self) -> dict:
-        """Terms bucketed by grade triple: {(q, Q, lam): {key: coeff}}."""
-        out: dict[tuple[int, int, int], dict] = {}
-        for key, c in self._terms.items():
-            out.setdefault(self._grades(key), {})[key] = c
-        return out
-
-    def _accumulate(self, acc: dict, left: dict, right: dict) -> None:
-        """Add the capped product of two graded term sets into ``acc``.
+    def _accumulate(self, acc: dict, left: dict, right: dict, m: int = 1) -> None:
+        """Add m times the capped product of two graded term sets into ``acc``.
 
         A bucket pair whose grades pass a cap is skipped before any of its
         terms is formed; one that passes the lambda floor raises, whether or
@@ -170,10 +209,29 @@ class MultiSeries:
                     continue
                 bucket = acc.setdefault((qd, Qd, ld), {})
                 get = bucket.get
-                for ka, ca in ta.items():
-                    for kb, cb in tb.items():
-                        key = tuple(map(add, ka, kb))
-                        bucket[key] = get(key, 0) + ca * cb
+                small, big = (ta, tb) if len(ta) <= len(tb) else (tb, ta)
+                for ka, ca in small.items():
+                    ca *= m
+                    for kb, cb in big.items():
+                        k = ka + kb
+                        bucket[k] = get(k, 0) + ca * cb
+
+    def _combine(self, pairs) -> "MultiSeries":
+        """sum of c * s over the (c, s) pairs, as products with the unit."""
+        for _, s in pairs:
+            self._check_compatible(s)
+            if s.t_power != self.t_power:
+                raise ConfigurationError(
+                    f"cannot add series of weight t^{self.t_power} and t^{s.t_power}")
+        lay = _layout(self.variables, self.truncation,
+                      *map(max, zip((0, 0), *(s._reach() for _, s in pairs))))
+        pairs = [(_as_fraction(c), s) for c, s in pairs]
+        den = lcm(*(c.denominator * s._den for c, s in pairs))
+        acc: dict = {}
+        for c, s in pairs:
+            self._accumulate(acc, s._parts_in(lay), _UNIT,
+                             c.numerator * (den // (c.denominator * s._den)))
+        return self._make(acc, den, self.t_power, lay)
 
     def _check_compatible(self, other: "MultiSeries") -> None:
         if self.variables != other.variables or self.truncation != other.truncation:
@@ -193,58 +251,64 @@ class MultiSeries:
     @staticmethod
     def monomial(variables, truncation, exponents: Mapping[str, int], coeff=1, t_power=0):
         variables = tuple(variables)
-        unknown = set(exponents) - set(variables)
-        if unknown:
-            raise ConfigurationError(f"unknown variables {sorted(unknown)}")
-        key = tuple(exponents.get(v, 0) for v in variables)
+        key = _exponent_key(variables, exponents)
         return MultiSeries(variables, truncation, {key: _as_fraction(coeff)}, t_power)
 
     @staticmethod
     def from_terms(variables, truncation, terms, t_power=0) -> "MultiSeries":
         return MultiSeries(variables, truncation, dict(terms), t_power)
 
+    @staticmethod
+    def linear_combination(variables, truncation, pairs, t_power=0) -> "MultiSeries":
+        """sum of c * s over the (rational c, series s) pairs, in one pass."""
+        return MultiSeries.zero(variables, truncation, t_power)._combine(list(pairs))
+
     # -- inspection --------------------------------------------------------
 
     def items(self):
-        return self._terms.items()
+        lay, den = self._lay, self._den
+        return {_unpack(lay, k): Fraction(c, den)
+                for b in self._parts.values() for k, c in b.items()}.items()
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return sum(map(len, self._parts.values()))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._parts
 
     def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
-        key = tuple(exponents.get(v, 0) for v in self.variables)
-        return self._terms.get(key, Fraction(0))
+        key = _exponent_key(self.variables, exponents)
+        k = _pack(self._lay, key)
+        if _unpack(self._lay, k) != key:  # a field overflowed: no stored key is there
+            return Fraction(0)
+        return Fraction(self._parts.get(self._grades(key), {}).get(k, 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * len(self.variables), Fraction(0))
+        return Fraction(self._parts.get((0, 0, 0), {}).get(0, 0), self._den)
 
     def lambda_slices(self) -> dict[int, "MultiSeries"]:
         """Split by the lam exponent; each slice keeps lam exponent 0."""
-        if self._lidx is None:
+        if "lam" not in self.variables:
             raise ConfigurationError("series has no lam variable")
+        shift = self._lay[self.variables.index("lam")][0]
         out: dict[int, dict] = {}
-        li = self._lidx
-        for key, coeff in self._terms.items():
-            flat = key[:li] + (0,) + key[li + 1:]
-            out.setdefault(key[li], {})[flat] = coeff
-        return {d: self._like(t) for d, t in sorted(out.items())}
+        for (q, Q, d), b in self._parts.items():
+            out.setdefault(d, {})[q, Q, 0] = {k - (d << shift): c for k, c in b.items()}
+        return {d: self._make(p, self._den, self.t_power, self._lay)
+                for d, p in sorted(out.items())}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        return (
-            self.variables == other.variables
-            and self.truncation == other.truncation
-            and self.t_power == other.t_power
-            and self._terms == other._terms
-        )
+        if (self.variables, self.truncation, self.t_power, self._den) != (
+                other.variables, other.truncation, other.t_power, other._den):
+            return False
+        lay = _layout(self.variables, self.truncation, *map(max, self._reach(), other._reach()))
+        return self._parts_in(lay) == other._parts_in(lay)
 
     def __hash__(self):
         return hash((self.variables, self.truncation, self.t_power,
-                     frozenset(self._terms.items())))
+                     frozenset(self.items())))
 
     def __repr__(self) -> str:
         return f"MultiSeries({self.format_text()})"
@@ -252,38 +316,30 @@ class MultiSeries:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "MultiSeries") -> "MultiSeries":
-        self._check_compatible(other)
-        if self.t_power != other.t_power:
-            raise ConfigurationError(
-                f"cannot add series of weight t^{self.t_power} and t^{other.t_power}"
-            )
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return self._like(terms)
+        return self._combine([(1, self), (1, other)])
 
     def __neg__(self) -> "MultiSeries":
-        return self._like({k: -c for k, c in self._terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "MultiSeries") -> "MultiSeries":
-        return self + (-other)
+        return self._combine([(1, self), (-1, other)])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
+        lay = _layout(self.variables, self.truncation, *map(add, self._reach(), other._reach()))
         acc: dict = {}
-        self._accumulate(acc, self._graded(), other._graded())
-        return self._from_graded(acc.values(), self.t_power + other.t_power)
+        self._accumulate(acc, self._parts_in(lay), other._parts_in(lay))
+        return self._make(acc, self._den * other._den, self.t_power + other.t_power, lay)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "MultiSeries":
-        c = _as_fraction(c)
-        return self._like({k: c * v for k, v in self._terms.items()})
+        return self._combine([(c, self)])
 
     def with_t_power(self, t_power: int) -> "MultiSeries":
-        return MultiSeries(self.variables, self.truncation, self._terms, t_power)
+        return self._make(self._parts, self._den, t_power, self._lay)
 
     def __pow__(self, n: int) -> "MultiSeries":
         if not isinstance(n, int) or n < 0:
@@ -299,35 +355,36 @@ class MultiSeries:
 
     # -- transcendental operations ----------------------------------------
 
-    def _grade_parts(self, terms) -> dict[int, dict]:
-        """Split exp/log argument terms by total capped grade.
+    def _weight_parts(self) -> tuple[int, tuple, dict[int, dict]]:
+        """Top grade, layout and non-constant buckets by capped grade for
+        exp/log; a result term is a product of at most top-grade terms.
 
         Every term must raise at least one capped grading, and lam exponents
         must be nonnegative so products cannot dive toward the lam floor.
         """
         t = self.truncation
-        parts: dict[int, dict] = {}
-        for key, c in terms.items():
-            qd, Qd, ld = grades = self._grades(key)
+        top = sum(cap for cap in (t.q_total, t.big_q, t.lam) if cap is not None)
+        lay = _layout(self.variables, t, *(top * r for r in self._reach()))
+        out: dict[int, dict] = {}
+        for (qd, Qd, ld), bucket in self._parts_in(lay).items():
             if ld < 0:
                 raise ConfigurationError(
                     "exp/log need nonnegative lam exponents in the argument")
             w = ((qd if t.q_total is not None else 0)
                  + (Qd if t.big_q is not None else 0)
                  + (ld if t.lam is not None else 0))
-            if w == 0:
+            if w == 0 and (qd, Qd, ld) != (0, 0, 0):
                 raise ConfigurationError(
                     "exp/log argument has a term no truncation cap controls")
-            parts.setdefault(w, {}).setdefault(grades, {})[key] = c
-        return parts
+            if w:
+                out.setdefault(w, {})[qd, Qd, ld] = bucket
+        return top, lay, out
 
-    def _top_grade(self) -> int:
-        """Total capped grade above which every key passes some cap."""
-        t = self.truncation
-        return sum(cap for cap in (t.q_total, t.big_q, t.lam) if cap is not None)
-
-    def _unit_part(self) -> dict:
-        return {(0, 0, 0): {(0,) * len(self.variables): Fraction(1)}}
+    def _join(self, grades, lay) -> "MultiSeries":
+        """The sum of weightless series with disjoint grade triples."""
+        den = lcm(*(s._den for s in grades))
+        return self._make({g: {k: c * (den // s._den) for k, c in b.items()}
+                           for s in grades for g, b in s._parts.items()}, den, 0, lay)
 
     def exp(self) -> "MultiSeries":
         """Exponential; the argument needs zero constant term.
@@ -339,16 +396,16 @@ class MultiSeries:
             raise ConfigurationError("exp needs a zero constant term")
         if self.t_power != 0:
             raise ConfigurationError("exp argument must be weightless")
-        dg = {k: _scale_part(part, k) for k, part in self._grade_parts(self._terms).items()}
-        f = {0: self._unit_part()}
-        for w in range(1, self._top_grade() + 1):
+        top, lay, g = self._weight_parts()
+        f = [self._make(_UNIT, 1, 0, lay)]
+        for w in range(1, top + 1):
+            terms = [(k, part, f[w - k]) for k, part in g.items() if k <= w and f[w - k]._parts]
+            den = lcm(*(fk._den for _, _, fk in terms))
             acc: dict = {}
-            for k, part in dg.items():
-                if k <= w:
-                    self._accumulate(acc, part, f[w - k])
-            f[w] = _scale_part(acc, Fraction(1, w))
-        return self._from_graded(
-            [bucket for part in f.values() for bucket in part.values()], 0)
+            for k, part, fk in terms:
+                self._accumulate(acc, part, fk._parts, k * (den // fk._den))
+            f.append(self._make(acc, den * self._den * w, 0, lay))
+        return self._join(f, lay)
 
     def log(self) -> "MultiSeries":
         """Logarithm; the argument needs constant term one.
@@ -360,19 +417,17 @@ class MultiSeries:
             raise ConfigurationError("log needs constant term one")
         if self.t_power != 0:
             raise ConfigurationError("log argument must be weightless")
-        unit = (0,) * len(self.variables)
-        f = self._grade_parts({k: c for k, c in self._terms.items() if k != unit})
-        f[0] = self._unit_part()
-        minus_dg: dict[int, dict] = {}  # -(k * g_k) per grade k
-        out = []
-        for w in range(1, self._top_grade() + 1):
-            acc = _scale_part(f.get(w, {}), w)
-            for k, part in minus_dg.items():
-                if w - k in f:
-                    self._accumulate(acc, part, f[w - k])
-            minus_dg[w] = _scale_part(acc, -1)
-            out.extend(_scale_part(acc, Fraction(1, w)).values())
-        return self._from_graded(out, 0)
+        top, lay, f = self._weight_parts()
+        g: dict[int, MultiSeries] = {}
+        for w in range(1, top + 1):
+            terms = [(k, gk) for k, gk in g.items() if gk._parts and w - k in f]
+            den = lcm(*(gk._den for _, gk in terms))
+            acc: dict = {}
+            self._accumulate(acc, f.get(w, {}), _UNIT, w * den)
+            for k, gk in terms:
+                self._accumulate(acc, gk._parts, f[w - k], -k * (den // gk._den))
+            g[w] = self._make(acc, den * self._den * w, 0, lay)
+        return self._join(g.values(), lay)
 
     def pow_rational(self, r: Fraction) -> "MultiSeries":
         """(series)^r for rational r; the base needs constant term one."""
@@ -383,7 +438,7 @@ class MultiSeries:
 
     def sorted_terms(self):
         """Terms in graded lexicographic order (total degree, then key)."""
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return sorted(self.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def terms_jsonable(self) -> list:
         out = []
@@ -398,7 +453,7 @@ class MultiSeries:
         return out
 
     def format_text(self) -> str:
-        if not self._terms:
+        if not self._parts:
             return "0"
         parts = []
         for key, coeff in self.sorted_terms():
@@ -420,14 +475,6 @@ class MultiSeries:
         if self.t_power:
             text = f"({text}) * t^{self.t_power}"
         return text
-
-
-def _scale_part(part: dict, c) -> dict:
-    """Graded buckets times a rational, dropping zero coefficients."""
-    return {
-        grades: {key: c * v for key, v in bucket.items() if v}
-        for grades, bucket in part.items()
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,12 @@ def test_sigma3_odd_flip_coefficients_vanish():
         assert key[flip] % 2 == 0
 
 
+def test_potential_coefficient_rejects_unknown_classes():
+    pot = orbifold_potential(D5, 3)
+    with pytest.raises(ConfigurationError):
+        pot.coefficient({"c9": 1})
+
+
 def test_potential_needs_degree_three():
     with pytest.raises(ConfigurationError):
         orbifold_potential(D5, 2)

@@ -206,6 +206,13 @@ def test_per_class_equals_per_root_product(spec):
     assert len(by_root.factors) == positives - len(corr.binary_nodes)
 
 
+def test_per_root_product_exact_at_the_larger_ring():
+    # C:8 at (6,6): per-root factor denominators reach 1024
+    tr = Truncation(q_total=6, big_q=6)
+    spec = GroupSpec.cyclic(8)
+    assert partition_function_by_roots(spec, tr).series == partition_function(spec, tr).series
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
 def test_partition_function_is_the_product_of_its_factors(spec):
     # one exp of the per-class sum against one exp per recorded factor

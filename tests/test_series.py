@@ -316,6 +316,98 @@ def test_format_text_readable():
     assert s.format_text() == "1 - q1*Q^2"
 
 
+# -- packed keys ---------------------------------------------------------------
+
+
+def test_coefficient_rejects_unknown_variables():
+    s = MultiSeries.one(VARS, TR).scale(3) + mono({"q1": 1, "Q": 1}, 5)
+    with pytest.raises(ConfigurationError):
+        s.coefficient({"q9": 1})
+    assert s.coefficient({}) == 3
+
+
+def test_coefficient_past_a_field_is_zero_not_aliased():
+    tr = Truncation(q_total=2, big_q=2, lam=2)
+    variables = ("q1", "q2", "Q", "lam")
+    s = MultiSeries.from_terms(variables, tr, {
+        (0, 0, 0, -2): 1, (0, 1, 0, 0): 2, (0, 0, 1, 0): 3, (1, 0, 0, 1): 4})
+    assert s.coefficient({"q1": 5}) == 0
+    assert s.coefficient({"q1": 4}) == 0  # q1 = 4 would carry into q2
+    assert s.coefficient({"q1": 3, "q2": 1}) == 0
+    assert s.coefficient({"Q": 4}) == 0  # Q = 4 would carry into lam
+    assert s.coefficient({"q1": -1}) == 0
+    assert s.coefficient({"lam": -3}) == 0
+    assert s.coefficient({"lam": 3}) == 0
+    assert s.coefficient({"lam": -2}) == 1
+    assert s.coefficient({"q2": 1}) == 2
+    # same grades and same packed int as q3 under 2-bit fields: -4 + 5*4 == 16
+    t = MultiSeries.from_terms(("q1", "q2", "q3"), Truncation(q_total=3), {(0, 0, 1): 7})
+    assert t.coefficient({"q3": 1}) == 7
+    assert t.coefficient({"q1": -4, "q2": 5}) == 0
+
+
+def test_uncapped_direction_outgrows_the_cap_widths():
+    tr = Truncation(q_total=2)
+    one = MultiSeries.one(("q1", "Q"), tr)
+    s = (one + MultiSeries.monomial(("q1", "Q"), tr, {"Q": 1})) ** 40
+    assert len(s) == 41
+    for k in range(41):
+        assert s.coefficient({"Q": k}) == math.comb(40, k)
+    assert s.coefficient({"Q": 41}) == 0
+    assert s * mono({"q1": 1}, variables=("q1", "Q"), truncation=tr) == \
+        MultiSeries.from_terms(("q1", "Q"), tr,
+                               {(1, k): math.comb(40, k) for k in range(41)})
+
+
+def test_lambda_at_the_floor_survives_and_products_still_raise():
+    tr = Truncation(q_total=2, lam=2)
+    a = MultiSeries.from_terms(("q1", "lam"), tr, {(1, -2): Fraction(1, 3), (0, 0): 1})
+    assert a.coefficient({"q1": 1, "lam": -2}) == Fraction(1, 3)
+    b = MultiSeries.from_terms(("q1", "lam"), tr, {(0, 0): 1, (1, 0): 2})
+    assert (a * b).coefficient({"q1": 2, "lam": -2}) == Fraction(2, 3)
+    with pytest.raises(InternalConsistencyError):
+        a * MultiSeries.from_terms(("q1", "lam"), tr, {(0, -1): 1})
+
+
+def test_keys_exactly_at_each_cap():
+    tr = Truncation(q_total=3, big_q=2, lam=4)
+    variables = ("q1", "q2", "Q", "lam")
+    top = {(3, 0, 0, 0): 1, (0, 3, 0, 0): 2, (1, 2, 2, 4): 3, (0, 0, 2, 0): 4}
+    s = MultiSeries.from_terms(variables, tr, top)
+    assert dict(s.items()) == top
+    assert s.coefficient({"q1": 1, "q2": 2, "Q": 2, "lam": 4}) == 3
+    one = MultiSeries.one(variables, tr)
+    assert s * one == s
+    q1 = MultiSeries.monomial(variables, tr, {"q1": 1})
+    assert dict((s * q1).items()) == {(1, 0, 2, 0): 4}
+
+
+def test_product_equals_and_hashes_as_its_terms():
+    a = mono({"q1": 1}, Fraction(1, 2)) + mono({"Q": 1}, 3)
+    b = mono({"q2": 2}, Fraction(-2, 3)) + MultiSeries.one(VARS, TR)
+    product = a * b
+    rebuilt = MultiSeries.from_terms(VARS, TR, dict(product.items()))
+    assert product == rebuilt
+    assert hash(product) == hash(rebuilt)
+    assert len({product, rebuilt}) == 1
+
+
+def test_public_edges_yield_tuples_and_fractions():
+    tr = Truncation(q_total=2, lam=2)
+    s = MultiSeries.from_terms(("q1", "lam"), tr, {(1, -2): 3, (0, 0): Fraction(1, 2)})
+    for series in (s, *s.lambda_slices().values()):
+        for key, coeff in series.items():
+            assert type(key) is tuple and all(type(e) is int for e in key)
+            assert type(coeff) is Fraction
+    assert sorted(s.lambda_slices()[-2].items()) == [((1, 0), Fraction(3))]
+
+
+def test_linear_combination_is_the_sum_of_scaled_series():
+    a, b = mono({"q1": 1}), mono({"q1": 1, "Q": 1}, Fraction(1, 3))
+    combined = MultiSeries.linear_combination(VARS, TR, [(Fraction(1, 2), a), (3, b), (-1, a)])
+    assert combined == a.scale(Fraction(1, 2)) + b.scale(3) - a
+
+
 # -- ring laws under random inputs -------------------------------------------
 
 SMALL_TR = Truncation(q_total=4, big_q=3)
