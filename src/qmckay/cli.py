@@ -4,11 +4,14 @@ Every subcommand takes a group, computes one block of the correspondence
 data, and emits a deterministic report: identical invocations produce
 identical bytes.  JSON payloads carry all numbers as strings ("p/q" for
 rationals, decimal strings for reals) and validate against the schemas in
-`qmckay.schemas`; CSV flattens the same rows; text is for reading.
+`qmckay.schemas`.  CSV is drawn from the payload's records, and only when
+CSV is asked for: each record is one row in column order, a list value
+fills consecutive columns, and a sparse exponent dict fills one column per
+variable, 0 where absent.  Text is for reading.
 
-Exit codes: 0 success, 1 verification failure, 2 bad arguments,
-3 unsupported group, 4 internal consistency failure (rounding residual,
-tan pole, broken invariant).
+Exit codes: 0 success, 1 verification failure, 2 bad arguments (or an
+--output path that cannot be written), 3 unsupported group, 4 internal
+consistency failure (rounding residual, tan pole, broken invariant).
 
 Group grammar: "C:k" (cyclic, k >= 2), "D:m" (dihedral, m >= 2), "T", "O",
 "I", or a root-system alias "A3", "D5", "E6", ...  An A-alias names the
@@ -26,6 +29,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,7 +64,6 @@ from .intersect import (
 )
 from .rootsys import root_system
 from .series import Truncation
-from .schemas import BY_COMMAND
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -141,24 +144,32 @@ def canonical_token(spec: GroupSpec) -> str:
 class Report:
     payload: object
     csv_fields: list[str]
-    csv_rows: list[dict]
+    csv_rows: Iterable[list]  # a generator over the payload, run by `render`
     text_lines: list[str]
     exit_code: int = EXIT_OK
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
-def _real(x, digits: int = 30) -> str:
-    return mp.nstr(mp.mpf(x), digits)
+def _rows(records, keys=()) -> Iterable[list]:
+    """CSV rows of payload records: each value in turn, a list value spread
+    over consecutive columns and a dict value (sparse exponents) over
+    `keys`, 0 where absent."""
+    for record in records:
+        row = []
+        for value in record.values():
+            if isinstance(value, list):
+                row += value
+            elif isinstance(value, dict):
+                row += [value.get(k, 0) for k in keys]
+            else:
+                row.append(value)
+        yield row
 
 
 def _charvalue(v) -> str:
     value = v.integer_value()
     if value is not None:
         return str(value)
-    return _real(as_mpc(v).real)
+    return mp.nstr(as_mpc(v).real, 30)
 
 
 def _ade_name(ade) -> str:
@@ -177,10 +188,7 @@ def cmd_roots(spec: GroupSpec, args) -> Report:
         "positive_roots": roots,
     }
     fields = ["index"] + [f"node_{i}" for i in range(rs.rank)]
-    rows = [
-        {"index": i, **{f"node_{j}": a for j, a in enumerate(alpha)}}
-        for i, alpha in enumerate(roots)
-    ]
+    rows = _rows({"index": i, "node": alpha} for i, alpha in enumerate(roots))
     lines = [
         f"{_ade_name(ade)}: rank {rs.rank}, Coxeter number {rs.coxeter_number}, "
         f"{len(roots)} positive roots",
@@ -199,7 +207,7 @@ def cmd_group(spec: GroupSpec, args) -> Report:
             "size": c.size,
             "element_order": c.element_order,
             "chi_v": _charvalue(g.chi_v[i]),
-            "age": _frac(ages[i]),
+            "age": str(ages[i]),
         }
         for i, c in enumerate(g.classes)
     ]
@@ -226,10 +234,12 @@ def cmd_group(spec: GroupSpec, args) -> Report:
         "section", "label", "size", "element_order", "chi_v", "age", "dim",
         "index", "binary_irrep", "curve_irrep", "mark",
     ]
-    rows = (
-        [{"section": "class", **c} for c in classes]
-        + [{"section": "irrep", **r} for r in irreps]
-        + [{"section": "node", **n} for n in nodes]
+    # every section fills its own columns and leaves the others empty
+    blank = dict.fromkeys(fields)
+    rows = _rows(
+        {**blank, "section": section, **record}
+        for section, records in (("class", classes), ("irrep", irreps), ("node", nodes))
+        for record in records
     )
     lines = [
         f"{canonical_token(spec)}: |G| = {g.order}, binary cover of order "
@@ -255,18 +265,12 @@ def cmd_bps(spec: GroupSpec, args) -> Report:
     payload = table.jsonable()
     slots = len(q_variables(spec))
     fields = [f"class_{i}" for i in range(slots)] + ["n0", "fiber_size"]
-    rows = []
-    for entry in payload:
-        row = {f"class_{i}": b for i, b in enumerate(entry["class"])}
-        row["n0"] = entry["n0"]
-        row["fiber_size"] = entry["fiber_size"]
-        rows.append(row)
     lines = [f"{canonical_token(spec)}: {len(payload)} BPS classes"]
     lines += [
         f"  {tuple(e['class'])}: n0 = {e['n0']} (fiber {e['fiber_size']})"
         for e in payload
     ]
-    return Report(payload, fields, rows, lines)
+    return Report(payload, fields, _rows(payload), lines)
 
 
 def cmd_gw(spec: GroupSpec, args) -> Report:
@@ -289,7 +293,7 @@ def cmd_gw(spec: GroupSpec, args) -> Report:
                 "class": list(beta),
                 "genus": g,
                 "lambda_power": 2 * g - 2,
-                "coefficient": _frac(value),
+                "coefficient": str(value),
             })
             g += 1
     payload = {
@@ -302,15 +306,6 @@ def cmd_gw(spec: GroupSpec, args) -> Report:
     fields = [f"class_{i}" for i in range(slots)] + [
         "genus", "lambda_power", "coefficient",
     ]
-    rows = []
-    for inv in invariants:
-        row = {f"class_{i}": b for i, b in enumerate(inv["class"])}
-        row.update(
-            genus=inv["genus"],
-            lambda_power=inv["lambda_power"],
-            coefficient=inv["coefficient"],
-        )
-        rows.append(row)
     lines = [
         f"{canonical_token(spec)}: GW invariants, classes of total degree <= {cap}, "
         f"lambda order <= {lam}",
@@ -319,7 +314,7 @@ def cmd_gw(spec: GroupSpec, args) -> Report:
         f"* lambda^{i['lambda_power']}"
         for i in invariants
     ]
-    return Report(payload, fields, rows, lines)
+    return Report(payload, fields, _rows(invariants), lines)
 
 
 def _partition_report(spec: GroupSpec, args, kind: str) -> Report:
@@ -335,142 +330,98 @@ def _partition_report(spec: GroupSpec, args, kind: str) -> Report:
         "terms": terms,
     }
     fields = list(series.variables) + ["t_power", "numerator", "denominator"]
-    rows = []
-    for term in terms:
-        row = {v: term["exponents"].get(v, 0) for v in series.variables}
-        row.update(
-            t_power=term["t_power"],
-            numerator=term["numerator"],
-            denominator=term["denominator"],
-        )
-        rows.append(row)
     name = "reduced GW partition function" if kind == "gw" else "reduced DT series"
     lines = [
         f"{canonical_token(spec)}: {name}, q-degree <= {args.max_q_degree}, "
         f"Q-degree <= {args.q_series_degree}",
         series.format_text(),
     ]
-    return Report(payload, fields, rows, lines)
-
-
-def cmd_partition(spec: GroupSpec, args) -> Report:
-    return _partition_report(spec, args, "gw")
-
-
-def cmd_dt(spec: GroupSpec, args) -> Report:
-    return _partition_report(spec, args, "dt")
+    return Report(payload, fields, _rows(terms, series.variables), lines)
 
 
 def _scalar_block(scalar) -> dict:
-    return {"value": _frac(scalar.value), "t_power": scalar.t_power}
+    return {"value": str(scalar.value), "t_power": scalar.t_power}
 
 
-def _matrix_block(matrix, t_power: int) -> dict:
-    return {
-        "matrix": [[_frac(x) for x in row] for row in matrix],
-        "t_power": t_power,
-    }
-
-
-def _tensor_block(tensor, t_power: int) -> dict:
-    return {
-        "tensor": [[[_frac(x) for x in row] for row in plane] for plane in tensor],
-        "t_power": t_power,
-    }
+def _strings(matrix) -> list:
+    return [[str(x) for x in row] for row in matrix]
 
 
 def _integrals_block(data) -> dict:
     return {
         "basis": list(data.basis),
         "zero_point": _scalar_block(data.zero_point),
-        "one_point": [_frac(x) for x in data.one_point],
-        "two_point": _matrix_block(data.two_point, data.two_point_t_power),
-        "three_point": _tensor_block(data.three_point, data.three_point_t_power),
+        "one_point": [str(x) for x in data.one_point],
+        "two_point": {
+            "matrix": _strings(data.two_point), "t_power": data.two_point_t_power,
+        },
+        "three_point": {
+            "tensor": [_strings(plane) for plane in data.three_point],
+            "t_power": data.three_point_t_power,
+        },
     }
+
+
+def _intersect_rows(payload) -> Iterable[list]:
+    """CSV rows (block, i, j, k, value, t_power) of an intersect payload: one
+    per scalar, a delta_pair's class as i, and one per matrix or tensor entry."""
+    classical = payload["classical"]
+    blocks = [
+        (f"{name}.{part}", payload[name][part])
+        for name in ("threefold", "surface")
+        for part in ("zero_point", "two_point", "three_point")
+    ]
+    blocks += [("pairing", payload["pairing"]),
+               ("classical.delta_e_cubed", classical["delta_e_cubed"])]
+    blocks += [("classical.delta_pair", entry) for entry in classical["delta_pair"]]
+    for block, data in blocks:
+        t = data["t_power"]
+        if "value" in data:
+            yield [block, data.get("class", ""), "", "", data["value"], t]
+        for i, row in enumerate(data.get("matrix", ())):
+            for j, x in enumerate(row):
+                yield [block, i, j, "", x, t]
+        for i, plane in enumerate(data.get("tensor", ())):
+            for j, row in enumerate(plane):
+                for k, x in enumerate(row):
+                    yield [block, i, j, k, x, t]
 
 
 def cmd_intersect(spec: GroupSpec, args) -> Report:
-    three = threefold_integrals(spec)
-    surface = surface_integrals(spec)
     pairing, pairing_t = mckay_pairing(spec)
     potential = classical_potential(spec)
     corr = correspondence(spec)
-    delta_rows = [
-        {
-            "class": cls.label,
-            "value": _frac(potential.delta_pair[cls.label].value),
-            "t_power": potential.delta_pair[cls.label].t_power,
-        }
-        for cls in corr.group.classes[1:]
-    ]
     payload = {
         "group": canonical_token(spec),
-        "threefold": _integrals_block(three),
-        "surface": _integrals_block(surface),
-        "pairing": _matrix_block(
-            tuple(tuple(Fraction(x) for x in row) for row in pairing), pairing_t
-        ),
+        "threefold": _integrals_block(threefold_integrals(spec)),
+        "surface": _integrals_block(surface_integrals(spec)),
+        "pairing": {"matrix": _strings(pairing), "t_power": pairing_t},
         "classical": {
             "delta_e_cubed": _scalar_block(potential.delta_e_cubed),
-            "delta_pair": delta_rows,
+            "delta_pair": [
+                {"class": cls.label, **_scalar_block(potential.delta_pair[cls.label])}
+                for cls in corr.group.classes[1:]
+            ],
         },
     }
     fields = ["block", "i", "j", "k", "value", "t_power"]
-    rows = []
-
-    def matrix_rows(block: str, matrix, t_power: int):
-        for i, row in enumerate(matrix):
-            for j, x in enumerate(row):
-                rows.append({
-                    "block": block, "i": i, "j": j, "k": "",
-                    "value": _frac(x), "t_power": t_power,
-                })
-
-    for name, data in (("threefold", three), ("surface", surface)):
-        rows.append({
-            "block": f"{name}.zero_point", "i": "", "j": "", "k": "",
-            "value": _frac(data.zero_point.value),
-            "t_power": data.zero_point.t_power,
-        })
-        matrix_rows(f"{name}.two_point", data.two_point, data.two_point_t_power)
-        for i, plane in enumerate(data.three_point):
-            for j, row in enumerate(plane):
-                for k, x in enumerate(row):
-                    rows.append({
-                        "block": f"{name}.three_point", "i": i, "j": j, "k": k,
-                        "value": _frac(x), "t_power": data.three_point_t_power,
-                    })
-    matrix_rows("pairing", pairing, pairing_t)
-    rows.append({
-        "block": "classical.delta_e_cubed", "i": "", "j": "", "k": "",
-        "value": _frac(potential.delta_e_cubed.value),
-        "t_power": potential.delta_e_cubed.t_power,
-    })
-    for entry in delta_rows:
-        rows.append({
-            "block": "classical.delta_pair", "i": entry["class"], "j": "", "k": "",
-            "value": entry["value"], "t_power": entry["t_power"],
-        })
-    lines = [f"{canonical_token(spec)}: equivariant intersection data"]
-    lines.append(f"threefold basis: {' '.join(three.basis)}")
-    lines.append(
-        f"  zero-point: {potential.delta_e_cubed.value} * "
-        f"t^{potential.delta_e_cubed.t_power}"
-    )
-    lines.append(f"  two-point (t^{three.two_point_t_power}):")
-    for row in three.two_point:
-        lines.append("    " + " ".join(str(x) for x in row))
-    lines.append(f"pairing (t^{pairing_t}):")
-    for row in pairing:
-        lines.append("    " + " ".join(str(x) for x in row))
-    lines.append(f"surface basis: {' '.join(surface.basis)}")
-    lines.append(
-        f"  zero-point: {surface.zero_point.value} * t^{surface.zero_point.t_power}"
-    )
-    lines.append(f"  two-point (t^{surface.two_point_t_power}):")
-    for row in surface.two_point:
-        lines.append("    " + " ".join(str(x) for x in row))
-    return Report(payload, fields, rows, lines)
+    threefold, surface = payload["threefold"], payload["surface"]
+    delta = payload["classical"]["delta_e_cubed"]
+    lines = [
+        f"{canonical_token(spec)}: equivariant intersection data",
+        f"threefold basis: {' '.join(threefold['basis'])}",
+        f"  zero-point: {delta['value']} * t^{delta['t_power']}",
+        f"  two-point (t^{threefold['two_point']['t_power']}):",
+        *("    " + " ".join(row) for row in threefold["two_point"]["matrix"]),
+        f"pairing (t^{pairing_t}):",
+        *("    " + " ".join(row) for row in payload["pairing"]["matrix"]),
+        f"surface basis: {' '.join(surface['basis'])}",
+        f"  zero-point: {surface['zero_point']['value']} * "
+        f"t^{surface['zero_point']['t_power']}",
+        f"  two-point (t^{surface['two_point']['t_power']}):",
+        *("    " + " ".join(row) for row in surface["two_point"]["matrix"]),
+    ]
+    return Report(payload, fields, _intersect_rows(payload), lines)
 
 
 def cmd_crc(spec: GroupSpec, args) -> Report:
@@ -479,14 +430,6 @@ def cmd_crc(spec: GroupSpec, args) -> Report:
     fields = ["degree"] + [f"x_{lbl}" for lbl in potential.class_labels] + [
         "coefficient", "rational_guess",
     ]
-    rows = []
-    for entry in payload:
-        row = {"degree": entry["degree"]}
-        for lbl in potential.class_labels:
-            row[f"x_{lbl}"] = entry["exponents"].get(lbl, 0)
-        row["coefficient"] = entry["coefficient"]
-        row["rational_guess"] = entry["rational_guess"] or ""
-        rows.append(row)
     lines = [
         f"{canonical_token(spec)}: orbifold potential coefficients through "
         f"degree {args.degree} (variables: {' '.join(potential.class_labels)})",
@@ -497,7 +440,7 @@ def cmd_crc(spec: GroupSpec, args) -> Report:
         )
         guess = f" ~ {entry['rational_guess']}" if entry["rational_guess"] else ""
         lines.append(f"  {mono}: {entry['coefficient']}{guess}")
-    return Report(payload, fields, rows, lines)
+    return Report(payload, fields, _rows(payload, potential.class_labels), lines)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +448,7 @@ def cmd_crc(spec: GroupSpec, args) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _run_checks(spec: GroupSpec, args) -> list[dict]:
+def cmd_verify(spec: GroupSpec, args) -> Report:
     checks: list[dict] = []
 
     def check(name: str):
@@ -679,11 +622,6 @@ def _run_checks(spec: GroupSpec, args) -> list[dict]:
             f"(1+w)/(1-w) = i*cot(theta/2), not independent evidence)"
         )
 
-    return checks
-
-
-def cmd_verify(spec: GroupSpec, args) -> Report:
-    checks = _run_checks(spec, args)
     failed = [c for c in checks if c["status"] == "fail"]
     payload = {
         "group": canonical_token(spec),
@@ -694,7 +632,7 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
     lines = [f"{canonical_token(spec)}: verification {'FAILED' if failed else 'passed'}"]
     lines += [f"  [{c['status']}] {c['name']}: {c['detail']}" for c in checks]
     return Report(
-        payload, fields, checks, lines,
+        payload, fields, _rows(checks), lines,
         exit_code=EXIT_VERIFY if failed else EXIT_OK,
     )
 
@@ -704,8 +642,8 @@ COMMANDS = {
     "group": cmd_group,
     "bps": cmd_bps,
     "gw": cmd_gw,
-    "partition": cmd_partition,
-    "dt": cmd_dt,
+    "partition": functools.partial(_partition_report, kind="gw"),
+    "dt": functools.partial(_partition_report, kind="dt"),
     "intersect": cmd_intersect,
     "crc": cmd_crc,
     "verify": cmd_verify,
@@ -818,11 +756,8 @@ def render(report: Report, fmt: str) -> str:
         return json.dumps(report.payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         buffer = io.StringIO()
-        writer = csv.DictWriter(
-            buffer, fieldnames=report.csv_fields, lineterminator="\n",
-            restval="", extrasaction="ignore",
-        )
-        writer.writeheader()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(report.csv_fields)
         writer.writerows(report.csv_rows)
         return buffer.getvalue()
     return "\n".join(report.text_lines) + "\n"
@@ -863,8 +798,13 @@ def main(argv=None) -> int:
 
     text = render(report, args.format)
     if args.output:
-        with open(args.output, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"qmckay: cannot write {args.output}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_ARGS
     else:
         sys.stdout.write(text)
     return report.exit_code

@@ -79,6 +79,12 @@ DEFAULT_DPS = 64
 _GUARD = 10
 
 
+def _near_pole(cos_value, dps: int) -> bool:
+    # 10^-(dps - _GUARD), but never coarser than 10^-(dps // 2), so that
+    # ordinary points still evaluate at low precision
+    return abs(cos_value) < mp.mpf(10) ** -max(dps - _GUARD, dps // 2)
+
+
 # ---------------------------------------------------------------------------
 # polynomial towers for derivatives of h and tan
 # ---------------------------------------------------------------------------
@@ -141,7 +147,7 @@ def h_derivative(n: int, s, dps: int = DEFAULT_DPS):
         raise ConfigurationError("derivatives of order below three are not defined")
     with mp.workdps(dps + _GUARD):
         s = mp.mpf(s)
-        if abs(mp.cos(s / 2)) < mp.mpf(10) ** (-(dps - _GUARD)):
+        if _near_pole(mp.cos(s / 2), dps):
             raise PoleError(f"h^({n}) evaluated within pole tolerance of s = {mp.nstr(s, 8)}")
         t = mp.tan(-s / 2)
         return _poly_eval(_h_poly(n), t)
@@ -442,7 +448,7 @@ def third_partial(spec: GroupSpec, k, k2, k3, x=None, dps: int = DEFAULT_DPS):
                 if xv:
                     theta = theta + xv * l
             arg = theta / 2 + mp.pi / 2
-            if abs(mp.cos(arg)) < mp.mpf(10) ** (-(dps - _GUARD)):
+            if _near_pole(mp.cos(arg), dps):
                 raise PoleError(f"third partial hit a tan pole at x = {x}")
             weight = mp.mpc(1)
             for i in idx:

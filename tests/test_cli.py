@@ -376,12 +376,38 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert target.read_text() == stdout_text
 
 
+def test_unwritable_output_exits_two(capsys, tmp_path):
+    for target in (tmp_path / "no" / "such" / "x.json", tmp_path):
+        code, out, err = run(capsys, ["roots", "--group", "T", "--output", str(target)])
+        assert (code, out) == (EXIT_ARGS, "")
+        assert err.startswith(f"qmckay: cannot write {target}")
+        assert err.count("\n") == 1
+
+
 def test_csv_output_parses(capsys):
     _, out, _ = run(capsys, ["bps", "--group", "D5", "--format", "csv"])
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 5
     assert set(rows[0]) == {"class_0", "class_1", "n0", "fiber_size"}
     assert rows[0]["n0"] == "4"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("gw --group D:5 --max-q-degree 0 --format csv",
+     "class_0,class_1,class_2,genus,lambda_power,coefficient\n"),
+    ("crc --group C:2 --degree 3", "[]\n"),
+    ("crc --group C:2 --degree 3 --format csv",
+     "degree,x_g1,coefficient,rational_guess\n"),
+    ("crc --group C:2 --degree 3 --format text",
+     "C:2: orbifold potential coefficients through degree 3 (variables: g1)\n"),
+    ("partition --group T --max-q-degree 0 --q-series-degree 0 --format csv",
+     "q1,q2,q3,Q,t_power,numerator,denominator\n0,0,0,0,0,1,1\n"),
+])
+def test_small_tables_print_their_full_header(capsys, monkeypatch, argv, expected):
+    # the CSV header comes from the command, not from a first record
+    monkeypatch.delenv("QMCKAY_PRECISION", raising=False)
+    code, out, _ = run(capsys, argv.split())
+    assert (code, out) == (EXIT_OK, expected)
 
 
 def test_text_output_is_prose(capsys):

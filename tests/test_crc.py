@@ -227,6 +227,16 @@ def test_h_derivative_guards():
             h_derivative(3, mp.pi)
 
 
+def test_pole_guards_accept_ordinary_points_at_low_precision():
+    # the CLI accepts --precision 10; ordinary points must evaluate there
+    assert abs(h_derivative(3, 1, dps=10) - h_derivative(3, 1, dps=30)) < mp.mpf("1e-8")
+    x = {"r1": "0.1"}
+    low = third_partial(D5, "s", "s", "r1", x, dps=10)
+    assert abs(low - third_partial(D5, "s", "s", "r1", x, dps=30)) < mp.mpf("1e-8")
+    with pytest.raises(PoleError):
+        h_derivative(3, mp.pi, dps=10)
+
+
 def test_third_partial_pole_detection():
     system = linear_forms(D5)
     r1 = system.class_labels.index("r1")

@@ -10,7 +10,8 @@ the remaining subcommands: `roots` for every supported group in JSON and
 E8, D:5 and C:6 in CSV and text; `gw`, `partition` and `dt` for D:5, T and
 C:6 at caps 2 in all three formats; `verify` for D:5, T and C:4 at caps 2
 in all three formats.  Any change to a printed digit, a row, or the row
-order shows up here.
+order shows up here, and a subcommand or format without a digest fails
+the coverage test.
 """
 
 import hashlib
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from qmckay.cli import EXIT_OK, main
+from qmckay.cli import COMMANDS, EXIT_OK, main
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = json.loads((HERE / "golden_crc_sha256.json").read_text())
@@ -33,6 +34,16 @@ def _digest(request_line, capsys, monkeypatch) -> str:
     out = capsys.readouterr().out
     assert code == EXIT_OK
     return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_every_command_and_format_has_a_golden_digest():
+    covered = set()
+    for request_line in {**GOLDEN, **GOLDEN_DATA, **GOLDEN_CLI}:
+        words = request_line.split()
+        fmt = words[words.index("--format") + 1] if "--format" in words else "json"
+        covered.add((words[0], fmt))
+    expected = {(cmd, fmt) for cmd in COMMANDS for fmt in ("json", "csv", "text")}
+    assert expected - covered == set()
 
 
 @pytest.mark.parametrize("request_line", sorted(GOLDEN))
