@@ -7,7 +7,8 @@ rationals, decimal strings for reals) and validate against the schemas in
 `qmckay.schemas`.  CSV is drawn from the payload's records, and only when
 CSV is asked for: each record is one row in column order, a list value
 fills consecutive columns, and a sparse exponent dict fills one column per
-variable, 0 where absent.  Text is for reading.
+variable, 0 where absent.  Text is for reading, and its lines are likewise
+built only when text is asked for.
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments (or an
 --output path that cannot be written), 3 unsupported group, 4 internal
@@ -145,7 +146,7 @@ class Report:
     payload: object
     csv_fields: list[str]
     csv_rows: Iterable[list]  # a generator over the payload, run by `render`
-    text_lines: list[str]
+    text_lines: Iterable[str]  # likewise, run only for text
     exit_code: int = EXIT_OK
 
 
@@ -189,11 +190,15 @@ def cmd_roots(spec: GroupSpec, args) -> Report:
     }
     fields = ["index"] + [f"node_{i}" for i in range(rs.rank)]
     rows = _rows({"index": i, "node": alpha} for i, alpha in enumerate(roots))
-    lines = [
-        f"{_ade_name(ade)}: rank {rs.rank}, Coxeter number {rs.coxeter_number}, "
-        f"{len(roots)} positive roots",
-    ] + ["  " + " ".join(str(a) for a in alpha) for alpha in roots]
-    return Report(payload, fields, rows, lines)
+
+    def lines():
+        yield (
+            f"{_ade_name(ade)}: rank {rs.rank}, Coxeter number {rs.coxeter_number}, "
+            f"{len(roots)} positive roots"
+        )
+        yield from ("  " + " ".join(str(a) for a in alpha) for alpha in roots)
+
+    return Report(payload, fields, rows, lines())
 
 
 def cmd_group(spec: GroupSpec, args) -> Report:
@@ -241,23 +246,23 @@ def cmd_group(spec: GroupSpec, args) -> Report:
         for section, records in (("class", classes), ("irrep", irreps), ("node", nodes))
         for record in records
     )
-    lines = [
-        f"{canonical_token(spec)}: |G| = {g.order}, binary cover of order "
-        f"{2 * g.order}, root system {_ade_name(corr.ade)}",
-        "classes (label size order chi_V age):",
-    ]
-    lines += [
-        f"  {c['label']} {c['size']} {c['element_order']} {c['chi_v']} {c['age']}"
-        for c in classes
-    ]
-    lines.append("irreps (label dim):")
-    lines += [f"  {r['label']} {r['dim']}" for r in irreps]
-    lines.append("nodes (index binary_irrep curve_irrep mark):")
-    lines += [
-        f"  {n['index']} {n['binary_irrep']} {n['curve_irrep'] or '-'} {n['mark']}"
-        for n in nodes
-    ]
-    return Report(payload, fields, rows, lines)
+
+    def lines():
+        yield (
+            f"{canonical_token(spec)}: |G| = {g.order}, binary cover of order "
+            f"{2 * g.order}, root system {_ade_name(corr.ade)}"
+        )
+        yield "classes (label size order chi_V age):"
+        for c in classes:
+            yield f"  {c['label']} {c['size']} {c['element_order']} {c['chi_v']} {c['age']}"
+        yield "irreps (label dim):"
+        for r in irreps:
+            yield f"  {r['label']} {r['dim']}"
+        yield "nodes (index binary_irrep curve_irrep mark):"
+        for n in nodes:
+            yield f"  {n['index']} {n['binary_irrep']} {n['curve_irrep'] or '-'} {n['mark']}"
+
+    return Report(payload, fields, rows, lines())
 
 
 def cmd_bps(spec: GroupSpec, args) -> Report:
@@ -265,12 +270,13 @@ def cmd_bps(spec: GroupSpec, args) -> Report:
     payload = table.jsonable()
     slots = len(q_variables(spec))
     fields = [f"class_{i}" for i in range(slots)] + ["n0", "fiber_size"]
-    lines = [f"{canonical_token(spec)}: {len(payload)} BPS classes"]
-    lines += [
-        f"  {tuple(e['class'])}: n0 = {e['n0']} (fiber {e['fiber_size']})"
-        for e in payload
-    ]
-    return Report(payload, fields, _rows(payload), lines)
+
+    def lines():
+        yield f"{canonical_token(spec)}: {len(payload)} BPS classes"
+        for e in payload:
+            yield f"  {tuple(e['class'])}: n0 = {e['n0']} (fiber {e['fiber_size']})"
+
+    return Report(payload, fields, _rows(payload), lines())
 
 
 def cmd_gw(spec: GroupSpec, args) -> Report:
@@ -306,15 +312,19 @@ def cmd_gw(spec: GroupSpec, args) -> Report:
     fields = [f"class_{i}" for i in range(slots)] + [
         "genus", "lambda_power", "coefficient",
     ]
-    lines = [
-        f"{canonical_token(spec)}: GW invariants, classes of total degree <= {cap}, "
-        f"lambda order <= {lam}",
-    ] + [
-        f"  {tuple(i['class'])} genus {i['genus']}: {i['coefficient']} "
-        f"* lambda^{i['lambda_power']}"
-        for i in invariants
-    ]
-    return Report(payload, fields, _rows(invariants), lines)
+
+    def lines():
+        yield (
+            f"{canonical_token(spec)}: GW invariants, classes of total degree <= {cap}, "
+            f"lambda order <= {lam}"
+        )
+        for i in invariants:
+            yield (
+                f"  {tuple(i['class'])} genus {i['genus']}: {i['coefficient']} "
+                f"* lambda^{i['lambda_power']}"
+            )
+
+    return Report(payload, fields, _rows(invariants), lines())
 
 
 def _partition_report(spec: GroupSpec, args, kind: str) -> Report:
@@ -331,12 +341,15 @@ def _partition_report(spec: GroupSpec, args, kind: str) -> Report:
     }
     fields = list(series.variables) + ["t_power", "numerator", "denominator"]
     name = "reduced GW partition function" if kind == "gw" else "reduced DT series"
-    lines = [
-        f"{canonical_token(spec)}: {name}, q-degree <= {args.max_q_degree}, "
-        f"Q-degree <= {args.q_series_degree}",
-        series.format_text(),
-    ]
-    return Report(payload, fields, _rows(terms, series.variables), lines)
+
+    def lines():
+        yield (
+            f"{canonical_token(spec)}: {name}, q-degree <= {args.max_q_degree}, "
+            f"Q-degree <= {args.q_series_degree}"
+        )
+        yield series.format_text()
+
+    return Report(payload, fields, _rows(terms, series.variables), lines())
 
 
 def _scalar_block(scalar) -> dict:
@@ -405,23 +418,26 @@ def cmd_intersect(spec: GroupSpec, args) -> Report:
         },
     }
     fields = ["block", "i", "j", "k", "value", "t_power"]
-    threefold, surface = payload["threefold"], payload["surface"]
-    delta = payload["classical"]["delta_e_cubed"]
-    lines = [
-        f"{canonical_token(spec)}: equivariant intersection data",
-        f"threefold basis: {' '.join(threefold['basis'])}",
-        f"  zero-point: {delta['value']} * t^{delta['t_power']}",
-        f"  two-point (t^{threefold['two_point']['t_power']}):",
-        *("    " + " ".join(row) for row in threefold["two_point"]["matrix"]),
-        f"pairing (t^{pairing_t}):",
-        *("    " + " ".join(row) for row in payload["pairing"]["matrix"]),
-        f"surface basis: {' '.join(surface['basis'])}",
-        f"  zero-point: {surface['zero_point']['value']} * "
-        f"t^{surface['zero_point']['t_power']}",
-        f"  two-point (t^{surface['two_point']['t_power']}):",
-        *("    " + " ".join(row) for row in surface["two_point"]["matrix"]),
-    ]
-    return Report(payload, fields, _intersect_rows(payload), lines)
+
+    def lines():
+        threefold, surface = payload["threefold"], payload["surface"]
+        delta = payload["classical"]["delta_e_cubed"]
+        yield f"{canonical_token(spec)}: equivariant intersection data"
+        yield f"threefold basis: {' '.join(threefold['basis'])}"
+        yield f"  zero-point: {delta['value']} * t^{delta['t_power']}"
+        yield f"  two-point (t^{threefold['two_point']['t_power']}):"
+        yield from ("    " + " ".join(row) for row in threefold["two_point"]["matrix"])
+        yield f"pairing (t^{pairing_t}):"
+        yield from ("    " + " ".join(row) for row in payload["pairing"]["matrix"])
+        yield f"surface basis: {' '.join(surface['basis'])}"
+        yield (
+            f"  zero-point: {surface['zero_point']['value']} * "
+            f"t^{surface['zero_point']['t_power']}"
+        )
+        yield f"  two-point (t^{surface['two_point']['t_power']}):"
+        yield from ("    " + " ".join(row) for row in surface["two_point"]["matrix"])
+
+    return Report(payload, fields, _intersect_rows(payload), lines())
 
 
 def cmd_crc(spec: GroupSpec, args) -> Report:
@@ -430,17 +446,20 @@ def cmd_crc(spec: GroupSpec, args) -> Report:
     fields = ["degree"] + [f"x_{lbl}" for lbl in potential.class_labels] + [
         "coefficient", "rational_guess",
     ]
-    lines = [
-        f"{canonical_token(spec)}: orbifold potential coefficients through "
-        f"degree {args.degree} (variables: {' '.join(potential.class_labels)})",
-    ]
-    for entry in payload:
-        mono = " ".join(
-            f"x_{lbl}^{e}" for lbl, e in sorted(entry["exponents"].items())
+
+    def lines():
+        yield (
+            f"{canonical_token(spec)}: orbifold potential coefficients through "
+            f"degree {args.degree} (variables: {' '.join(potential.class_labels)})"
         )
-        guess = f" ~ {entry['rational_guess']}" if entry["rational_guess"] else ""
-        lines.append(f"  {mono}: {entry['coefficient']}{guess}")
-    return Report(payload, fields, _rows(payload, potential.class_labels), lines)
+        for entry in payload:
+            mono = " ".join(
+                f"x_{lbl}^{e}" for lbl, e in sorted(entry["exponents"].items())
+            )
+            guess = f" ~ {entry['rational_guess']}" if entry["rational_guess"] else ""
+            yield f"  {mono}: {entry['coefficient']}{guess}"
+
+    return Report(payload, fields, _rows(payload, potential.class_labels), lines())
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +648,14 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
         "checks": checks,
     }
     fields = ["name", "status", "detail"]
-    lines = [f"{canonical_token(spec)}: verification {'FAILED' if failed else 'passed'}"]
-    lines += [f"  [{c['status']}] {c['name']}: {c['detail']}" for c in checks]
+
+    def lines():
+        yield f"{canonical_token(spec)}: verification {'FAILED' if failed else 'passed'}"
+        for c in checks:
+            yield f"  [{c['status']}] {c['name']}: {c['detail']}"
+
     return Report(
-        payload, fields, _rows(checks), lines,
+        payload, fields, _rows(checks), lines(),
         exit_code=EXIT_VERIFY if failed else EXIT_OK,
     )
 

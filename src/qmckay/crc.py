@@ -276,6 +276,9 @@ class PotentialSeries:
         return self.coefficients.get(key, mp.mpf(0))
 
     def jsonable(self) -> list:
+        """Records in (degree, exponents) order.  Each coefficient prints to
+        min(30, dps) significant digits: the guard digits beyond the
+        requested precision are rounding noise, not data."""
         out = []
         for key in sorted(self.coefficients, key=lambda k: (sum(k), k)):
             value = self.coefficients[key]
@@ -285,7 +288,7 @@ class PotentialSeries:
                 "exponents": {
                     lbl: e for lbl, e in zip(self.class_labels, key) if e
                 },
-                "coefficient": mp.nstr(value, 30),
+                "coefficient": mp.nstr(value, min(30, self.dps)),
                 "rational_guess": str(guess) if guess is not None else None,
             })
         return out

@@ -58,36 +58,61 @@ class IntersectionData:
 def _root_tensors(
     vectors, two_denominator: int, three_denominator: int
 ) -> tuple[Matrix, tuple]:
-    """Sums of outer squares and cubes of the given integer vectors, divided
-    by ``two_denominator`` and ``three_denominator`` respectively.
+    """Sums of outer squares and cubes of the given non-negative integer
+    vectors, divided by ``two_denominator`` and ``three_denominator``
+    respectively.
 
-    Each vector contributes only on its support, and each distinct sum
-    becomes one shared `Fraction`.
+    Each vector is packed into one int, coordinate k in the bit field
+    ``[k*w, (k+1)*w)``, after Monagan-Pearce (CASC 2007).  A tensor row is
+    then one packed int: ``two[i]`` accumulates ``v_i * packed(v)`` and
+    ``three[i][j]`` (for ``i <= j`` in the support of v) accumulates
+    ``v_i * v_j * packed(v)``, one big-int multiply-add per pair instead of
+    one add per entry.  No entry exceeds ``len(vectors) * max_coeff**3``,
+    and w holds that bound plus one bit, so no field carries into the next.
+    Each row is unpacked once, the rows with ``j < i`` are filled by
+    symmetry, and each distinct sum becomes one shared `Fraction`.
     """
     if not vectors:
         raise ValueError("no vectors")
+    if min(map(min, vectors)) < 0:
+        raise ValueError("root tensors need non-negative vectors")
     n = len(vectors[0])
-    two = [[0] * n for _ in range(n)]
-    three = [[[0] * n for _ in range(n)] for _ in range(n)]
+    width = (len(vectors) * max(map(max, vectors)) ** 3).bit_length() + 1
+    shifts = [width * k for k in range(n)]
+    two = [0] * n
+    three = [[0] * n for _ in range(n)]
     for v in vectors:
         support = [(i, x) for i, x in enumerate(v) if x]
-        for i, vi in support:
-            row2 = two[i]
+        packed = 0
+        for i, x in support:
+            packed += x << shifts[i]
+        for a, (i, vi) in enumerate(support):
+            row = vi * packed
+            two[i] += row
             plane = three[i]
-            for j, vj in support:
-                vij = vi * vj
-                row2[j] += vij
-                row3 = plane[j]
-                for k, vk in support:
-                    row3[k] += vij * vk
-    two_values = {x: Fraction(x, two_denominator) for x in {x for row in two for x in row}}
+            for j, vj in support[a:]:
+                plane[j] += vj * row
+    mask = (1 << width) - 1
+
+    def unpack(word: int) -> list[int]:
+        return [(word >> shift) & mask for shift in shifts]
+
+    two_rows = [unpack(word) for word in two]
+    three_rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            three_rows[i][j] = three_rows[j][i] = unpack(three[i][j])
+    two_values = {
+        x: Fraction(x, two_denominator) for x in {x for row in two_rows for x in row}
+    }
     three_values = {
         x: Fraction(x, three_denominator)
-        for x in {x for plane in three for row in plane for x in row}
+        for x in {x for plane in three_rows for row in plane for x in row}
     }
-    two_m = tuple(tuple(map(two_values.__getitem__, row)) for row in two)
+    two_m = tuple(tuple(map(two_values.__getitem__, row)) for row in two_rows)
     three_t = tuple(
-        tuple(tuple(map(three_values.__getitem__, row)) for row in plane) for plane in three
+        tuple(tuple(map(three_values.__getitem__, row)) for row in plane)
+        for plane in three_rows
     )
     return two_m, three_t
 

@@ -9,8 +9,9 @@ Node numbering is fixed once and for all and shared by every consumer:
   ``0 - 2 - 3 - 4 - ... - (rank-1)`` and node ``1`` is attached to node ``3``.
 
 Positive roots are coefficient vectors over the simple roots, enumerated by
-height-induction closure and returned sorted by (height, lexicographic
-coefficients).  That ordering is part of the public contract.
+height-induction closure, with the Cartan pairing read sparsely off the
+Dynkin edges, and returned sorted by (height, lexicographic coefficients).
+That ordering is part of the public contract.
 """
 
 from __future__ import annotations
@@ -81,25 +82,33 @@ def positive_roots(ade: ADEType) -> tuple[RootVector, ...]:
 
     Height induction: a positive root of height h+1 is some height-h root
     alpha plus a simple root e_i, and (for simply-laced systems) alpha + e_i
-    is a root exactly when the Cartan pairing (C alpha)_i equals -1.
+    is a root exactly when the Cartan pairing (C alpha)_i equals -1.  Since
+    C = 2I - adjacency, the pairing is read off the Dynkin edges as
+    2 alpha_i - (sum of alpha_j over the neighbours j of i), so each step
+    costs the node's degree rather than a dense row of C.  Each round of the
+    closure yields exactly the roots one height up, so sorting each round
+    lexicographically gives the full order.
     """
-    cartan = cartan_matrix(ade)
     n = ade.rank
-    simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    found: set[RootVector] = set(simples)
-    frontier: list[RootVector] = list(simples)
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for i, j in dynkin_edges(ade):
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    frontier = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots: list[RootVector] = []
     while frontier:
-        grown: list[RootVector] = []
+        frontier.sort()
+        roots += frontier
+        grown: set[RootVector] = set()
         for alpha in frontier:
-            pairing = [sum(cartan[i][j] * alpha[j] for j in range(n)) for i in range(n)]
-            for i in range(n):
-                if pairing[i] == -1:
-                    beta = tuple(v + int(j == i) for j, v in enumerate(alpha))
-                    if beta not in found:
-                        found.add(beta)
-                        grown.append(beta)
-        frontier = grown
-    return tuple(sorted(found, key=lambda v: (sum(v), v)))
+            for i, adjacent in enumerate(neighbours):
+                pairing = 2 * alpha[i]
+                for j in adjacent:
+                    pairing -= alpha[j]
+                if pairing == -1:
+                    grown.add(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:])
+        frontier = list(grown)
+    return tuple(roots)
 
 
 def highest_root(ade: ADEType) -> RootVector:

@@ -327,6 +327,22 @@ def test_verify_builds_one_bps_table(capsys, monkeypatch):
     assert gwtheory._bps_fibers.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("fmt, expected_calls", [("json", 0), ("csv", 0), ("text", 1)])
+def test_text_lines_are_built_only_for_text(capsys, monkeypatch, fmt, expected_calls):
+    calls = {"format_text": 0}
+    format_text = MultiSeries.format_text
+
+    def counting_format_text(self, *args, **kwargs):
+        calls["format_text"] += 1
+        return format_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiSeries, "format_text", counting_format_text)
+    code, out, _ = run(capsys, ["partition", "--group", "C:3", "--max-q-degree", "2",
+                                "--q-series-degree", "2", "--format", fmt])
+    assert code == EXIT_OK and out
+    assert calls == {"format_text": expected_calls}
+
+
 def test_two_precisions_build_each_group_once(capsys, monkeypatch):
     monkeypatch.delenv("QMCKAY_PRECISION", raising=False)
     correspondence.cache_clear()

@@ -237,6 +237,23 @@ def test_pole_guards_accept_ordinary_points_at_low_precision():
         h_derivative(3, mp.pi, dps=10)
 
 
+def _significant_digits(text: str) -> int:
+    mantissa = text.lstrip("-").split("e")[0].replace(".", "")
+    return len(mantissa.lstrip("0").rstrip("0"))
+
+
+@pytest.mark.parametrize("dps, spec", [(10, D5), (10, GroupSpec.tetrahedral()),
+                                       (10, GroupSpec.cyclic(5)), (64, D5)])
+def test_coefficients_print_at_most_the_working_digits(dps, spec):
+    # printing 30 digits at --precision 10 showed the rounding noise of the
+    # guard digits as data; the default precision still prints 30
+    entries = orbifold_potential(spec, 5, dps).jsonable()
+    digits = [_significant_digits(entry["coefficient"]) for entry in entries]
+    assert max(digits) <= min(30, dps)
+    if dps > 30:
+        assert max(digits) == 30
+
+
 def test_third_partial_pole_detection():
     system = linear_forms(D5)
     r1 = system.class_labels.index("r1")

@@ -5,13 +5,15 @@ The digests were taken from cold `python -m qmckay.cli` runs with no
 supported group at `--degree 4` in JSON, and D:3, T and C:6 at `--degree 5`
 in CSV and text.  golden_data_sha256.json holds `group`, `bps` and
 `intersect`: every supported group in JSON, D:5, T, O, I and C:6 in CSV and
-text, and `bps --group C:16 --format csv`.  golden_cli_sha256.json holds
-the remaining subcommands: `roots` for every supported group in JSON and
-E8, D:5 and C:6 in CSV and text; `gw`, `partition` and `dt` for D:5, T and
-C:6 at caps 2 in all three formats; `verify` for D:5, T and C:4 at caps 2
-in all three formats.  Any change to a printed digit, a row, or the row
-order shows up here, and a subcommand or format without a digest fails
-the coverage test.
+text, `bps --group C:16 --format csv`, and the high-rank `group --group C:20`,
+`intersect --group D:24` and `intersect --group C:16 --format csv`, whose
+root closures and packed tensor fields are the largest the CLI builds.
+golden_cli_sha256.json holds the remaining subcommands: `roots` for every
+supported group in JSON and E8, D:5 and C:6 in CSV and text; `gw`,
+`partition` and `dt` for D:5, T and C:6 at caps 2 in all three formats;
+`verify` for D:5, T and C:4 at caps 2 in all three formats.  Any change to
+a printed digit, a row, or the row order shows up here, and a subcommand or
+format without a digest fails the coverage test.
 """
 
 import hashlib

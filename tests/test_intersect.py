@@ -204,16 +204,37 @@ def _dense_root_tensors(vectors):
     return two_m, three_t
 
 
-@pytest.mark.parametrize("name", ["D26", "A31", "E8"])
+def _slot_vectors(spec):
+    """The positive roots restricted to the slot nodes, as `_threefold` builds
+    them for the threefold tensors."""
+    corr = correspondence(spec)
+    return [
+        tuple(alpha[node] for node in corr.slot_node)
+        for alpha in root_system(corr.ade).positive_roots
+    ]
+
+
+@pytest.mark.parametrize("name", ["D26", "A31", "E8", "C:16", "D:24"])
 def test_root_tensors_match_dense_reference(name):
-    rs = root_system(parse_ade(name))
+    if ":" in name:
+        spec = cli.parse_group(name)
+        rs = root_system(correspondence(spec).ade)
+        vectors = _slot_vectors(spec)
+    else:
+        rs = root_system(parse_ade(name))
+        vectors = rs.positive_roots
     h = rs.coxeter_number
-    two, three = _root_tensors(rs.positive_roots, -h, 2)
-    ref_two, ref_three = _dense_root_tensors(rs.positive_roots)
+    two, three = _root_tensors(vectors, -h, 2)
+    ref_two, ref_three = _dense_root_tensors(vectors)
     assert two == tuple(tuple(-x / h for x in row) for row in ref_two)
     assert three == tuple(
         tuple(tuple(x / 2 for x in row) for row in plane) for plane in ref_three
     )
+
+
+def test_root_tensors_reject_negative_entries():
+    with pytest.raises(ValueError):
+        _root_tensors([(1, 0), (1, -1)], 1, 1)
 
 
 def test_intersect_builds_threefold_data_once(capsys, monkeypatch):

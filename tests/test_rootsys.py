@@ -4,7 +4,7 @@ import pytest
 
 from qmckay.errors import ConfigurationError
 from qmckay.exact import mat_inverse
-from qmckay.rootsys import ADEType, cartan_matrix, parse_ade, root_system
+from qmckay.rootsys import ADEType, cartan_matrix, parse_ade, positive_roots, root_system
 
 # D5 positive roots in node order (chain 0,1,2 with forks 3,4 on node 2),
 # written down by hand from the height-by-height closure
@@ -113,6 +113,37 @@ def _weyl_orbit_roots(ade):
 def test_positive_roots_match_weyl_orbit(ade):
     rs = root_system(ade)
     assert set(rs.positive_roots) == _weyl_orbit_roots(ade)
+
+
+def _dense_cartan_roots(ade):
+    """The closure with the full product C alpha at every step, sorted by
+    (height, lex): the reference for the sparse closure of positive_roots."""
+    cartan = cartan_matrix(ade)
+    n = ade.rank
+    simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    found = set(simples)
+    frontier = list(simples)
+    while frontier:
+        grown = []
+        for alpha in frontier:
+            pairing = [sum(cartan[i][j] * alpha[j] for j in range(n)) for i in range(n)]
+            for i in range(n):
+                if pairing[i] == -1:
+                    beta = tuple(v + int(j == i) for j, v in enumerate(alpha))
+                    if beta not in found:
+                        found.add(beta)
+                        grown.append(beta)
+        frontier = grown
+    return tuple(sorted(found, key=lambda v: (sum(v), v)))
+
+
+@pytest.mark.parametrize(
+    "ade",
+    ALL_TYPES + [ADEType("A", 39), ADEType("D", 26)],
+    ids=lambda t: f"{t.family}{t.rank}",
+)
+def test_positive_roots_match_dense_cartan_closure(ade):
+    assert positive_roots(ade) == _dense_cartan_roots(ade)
 
 
 @pytest.mark.parametrize("ade", ALL_TYPES, ids=lambda t: f"{t.family}{t.rank}")
