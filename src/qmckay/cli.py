@@ -10,9 +10,10 @@ fills consecutive columns, and a sparse exponent dict fills one column per
 variable, 0 where absent.  Text is for reading, and its lines are likewise
 built only when text is asked for.
 
-Exit codes: 0 success, 1 verification failure, 2 bad arguments (or an
---output path that cannot be written), 3 unsupported group, 4 internal
-consistency failure (rounding residual, tan pole, broken invariant).
+Exit codes: 0 success, 1 verification failure, 2 bad arguments (including
+a precision outside 10..4000 digits, or an --output path that cannot be
+written), 3 unsupported group, 4 internal consistency failure (rounding
+residual, tan pole, broken invariant).
 
 Group grammar: "C:k" (cyclic, k >= 2), "D:m" (dihedral, m >= 2), "T", "O",
 "I", or a root-system alias "A3", "D5", "E6", ...  An A-alias names the
@@ -74,6 +75,9 @@ EXIT_INTERNAL = 4
 
 PRECISION_ENV = "QMCKAY_PRECISION"
 MIN_PRECISION = 10
+# verify prints its residual, about 10^-(precision + 10), through mpmath's
+# int -> str, which CPython refuses past 4,300 digits
+MAX_PRECISION = 4_000
 
 
 class UnsupportedGroupError(Exception):
@@ -402,11 +406,12 @@ def _intersect_rows(payload) -> Iterable[list]:
 
 def cmd_intersect(spec: GroupSpec, args) -> Report:
     pairing, pairing_t = mckay_pairing(spec)
+    threefold = threefold_integrals(spec)  # first: it builds what classical_potential reads
     potential = classical_potential(spec)
     corr = correspondence(spec)
     payload = {
         "group": canonical_token(spec),
-        "threefold": _integrals_block(threefold_integrals(spec)),
+        "threefold": _integrals_block(threefold),
         "surface": _integrals_block(surface_integrals(spec)),
         "pairing": {"matrix": _strings(pairing), "t_power": pairing_t},
         "classical": {
@@ -693,7 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--precision", type=int, default=None,
             help=(
-                f"working decimal digits of crc and verify's crc-consistency "
+                f"working decimal digits of crc and verify's crc-consistency, "
+                f"{MIN_PRECISION} to {MAX_PRECISION} "
                 f"(default ${PRECISION_ENV} or {crc.DEFAULT_DPS})"
             ),
         )
@@ -769,8 +775,8 @@ def _resolve_precision(args) -> int:
             dps = int(env)
         except ValueError:
             raise ValueError(f"{PRECISION_ENV} must be an integer, got {env!r}")
-    if dps < MIN_PRECISION:
-        raise ValueError(f"precision must be at least {MIN_PRECISION} digits")
+    if not MIN_PRECISION <= dps <= MAX_PRECISION:
+        raise ValueError(f"precision must be {MIN_PRECISION} to {MAX_PRECISION} digits")
     return dps
 
 

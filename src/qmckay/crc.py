@@ -94,40 +94,29 @@ def _poly_derivative(p: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(p[i] * i for i in range(1, len(p)))
 
 
-def _poly_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _tan_poly(n: int) -> tuple[Fraction, ...]:
+    """The n-th derivative of tan as a polynomial in T = tan itself.
+
+    Each step multiplies the T-derivative by tan' = 1 + T^2.
+    """
+    if n == 0:
+        return (Fraction(0), Fraction(1))
+    d = _poly_derivative(_tan_poly(n - 1))
+    pad = (Fraction(0), Fraction(0))
+    return tuple(a + b for a, b in zip(d + pad, pad + d))
 
 
 @lru_cache(maxsize=None)
 def _h_poly(n: int) -> tuple[Fraction, ...]:
     """h^(n) as a polynomial in T = tan(-s/2), for n >= 3.
 
-    h''' = T/2, and d/ds acts as multiplication of the T-derivative by
-    dT/ds = -(1 + T^2)/2.
+    h''' = T/2 and dT/ds = -(1 + T^2)/2, so h^(n) = (1/2)(-1/2)^(n-3) tan^(n-3)(T).
     """
     if n < 3:
         raise ConfigurationError("derivatives of order below three are not defined")
-    if n == 3:
-        return (Fraction(0), Fraction(1, 2))
-    prev = _h_poly(n - 1)
-    chain = (Fraction(-1, 2), Fraction(0), Fraction(-1, 2))
-    return _poly_mul(_poly_derivative(prev), chain)
-
-
-@lru_cache(maxsize=None)
-def _tan_poly(n: int) -> tuple[Fraction, ...]:
-    """The n-th derivative of tan as a polynomial in T = tan itself."""
-    if n == 0:
-        return (Fraction(0), Fraction(1))
-    prev = _tan_poly(n - 1)
-    chain = (Fraction(1), Fraction(0), Fraction(1))
-    return _poly_mul(_poly_derivative(prev), chain)
+    scale = Fraction(1, 2) * Fraction(-1, 2) ** (n - 3)
+    return tuple(scale * c for c in _tan_poly(n - 3))
 
 
 def _poly_eval(p: tuple[Fraction, ...], t):

@@ -572,19 +572,13 @@ def hard_lefschetz_check(model: GroupModel) -> tuple[bool, tuple[Fraction, ...]]
 # ---------------------------------------------------------------------------
 
 
-def _chi_v_from_turns(classes: tuple[ConjClass, ...], n: int) -> tuple[Cyclotomic, ...]:
-    return tuple(1 + two_cos_turn(cls.turn, n) for cls in classes)
-
-
 def _exact(value, n: int) -> Cyclotomic:
-    """A table entry as an element of Z[zeta_n]; integers become constants."""
-    if isinstance(value, Cyclotomic):
-        if value.n != n:
-            raise InternalConsistencyError(f"entry {value!r} is not in Z[zeta_{n}]")
+    """A table entry as an element of Z[zeta_n]; an int becomes a constant."""
+    if isinstance(value, Cyclotomic) and value.n == n:
         return value
-    if Fraction(value).denominator != 1:
-        raise InternalConsistencyError(f"entry {value} is not an algebraic integer")
-    return Cyclotomic.integer(n, int(value))
+    if isinstance(value, int):
+        return Cyclotomic.integer(n, value)
+    raise InternalConsistencyError(f"entry {value!r} is not in Z[zeta_{n}]")
 
 
 def _assemble(
@@ -673,161 +667,72 @@ def _cyclic_family(k: int):
 def _dihedral_family(m: int):
     F = Fraction
     even = m % 2 == 0
-    half = m // 2
     n = lcm(2 * m, 4)
+    spec = GroupSpec.dihedral(m)
 
     # G = dihedral group of order 2m: rotations r^j about the main axis and m
     # half-turn flips.  Class order: e, r1..r(half or half-1), [r(half) central
-    # when m is even], then the flip class(es).
-    classes_g: list[ConjClass] = [ConjClass("e", 1, 1, F(0))]
-    for j in range(1, half + 1):
-        if even and j == half:
-            classes_g.append(ConjClass(f"r{j}", 1, 2, F(1, 2)))
-        else:
-            classes_g.append(ConjClass(f"r{j}", 2, m // gcd(j, m), F(j, m)))
+    # when m is even], then the flip class(es).  Irrep order: triv, sgn,
+    # [psi1, psi2 when m is even], rho1, rho2, ...  Each row lists its value
+    # at e = r0, r1..r(m//2), then at each flip class.
+    rot = range(m // 2 + 1)
+    flips = ("sv", "se") if even else ("s",)
+    classes_g = (
+        [ConjClass("e", 1, 1, F(0))]
+        + [ConjClass(f"r{j}", 1 if 2 * j == m else 2, m // gcd(j, m), F(j, m)) for j in rot[1:]]
+        + [ConjClass(s, m // len(flips), 2, F(1, 2)) for s in flips]
+    )
+    signs = [(-1) ** j for j in rot]
+    table_g = [
+        (Irrep("triv", 1), [1] * len(classes_g)),
+        (Irrep("sgn", 1), [1] * len(rot) + [-1] * len(flips)),
+    ]
     if even:
-        classes_g.append(ConjClass("sv", half, 2, F(1, 2)))
-        classes_g.append(ConjClass("se", half, 2, F(1, 2)))
-    else:
-        classes_g.append(ConjClass("s", m, 2, F(1, 2)))
-
-    irreps_g: list[Irrep] = [Irrep("triv", 1), Irrep("sgn", 1)]
-    if even:
-        irreps_g += [Irrep("psi1", 1), Irrep("psi2", 1)]
-    two_range = range(1, (half - 1 if even else (m - 1) // 2) + 1)
-    irreps_g += [Irrep(f"rho{i}", 2) for i in two_range]
-
-    def g_row(label: str) -> list:
-        row: list = []
-        for cls in classes_g:
-            if cls.label == "e":
-                row.append(F(2) if label.startswith("rho") else F(1))
-            elif cls.label.startswith("r"):
-                j = int(cls.label[1:])
-                if label == "triv" or label == "sgn":
-                    row.append(F(1))
-                elif label == "psi1" or label == "psi2":
-                    row.append(F((-1) ** j))
-                else:
-                    i = int(label[3:])
-                    row.append(two_cos_turn(F(i * j, m), n))
-            else:  # flips
-                if label == "triv":
-                    row.append(F(1))
-                elif label == "sgn":
-                    row.append(F(-1))
-                elif label == "psi1":
-                    row.append(F(1) if cls.label == "sv" else F(-1))
-                elif label == "psi2":
-                    row.append(F(-1) if cls.label == "sv" else F(1))
-                else:
-                    row.append(F(0))
-        return row
-
-    rows_g = [g_row(r.label) for r in irreps_g]
-    chi_v = _chi_v_from_turns(tuple(classes_g), n)
-    inv_g = tuple(range(len(classes_g)))
+        table_g += [(Irrep("psi1", 1), signs + [1, -1]), (Irrep("psi2", 1), signs + [-1, 1])]
+    table_g += [
+        (Irrep(f"rho{i}", 2), [two_cos_turn(F(i * j, m), n) for j in rot] + [0] * len(flips))
+        for i in range(1, (m - 1) // 2 + 1)
+    ]
+    irreps_g, rows_g = zip(*table_g)
+    chi_v = [1 + two_cos_turn(c.turn, n) for c in classes_g]
     g = _assemble(
-        GroupSpec.dihedral(m),
-        f"D{m}",
-        2 * m,
-        False,
-        classes_g,
-        irreps_g,
-        rows_g,
-        chi_v,
-        None,
-        inv_g,
-        n,
+        spec, f"D{m}", 2 * m, False, classes_g, irreps_g, rows_g, chi_v, None,
+        range(len(classes_g)), n,
     )
 
     # Binary group: order 4m with presentation x^(2m) = e, y^2 = x^m,
     # y x y^-1 = x^-1.  Classes: e, z = x^m, {x^j, x^-j} for j = 1..m-1,
-    # and the two y-classes split by the parity of the x-exponent.
-    def image_of_rotation(j: int) -> int:
-        j = j % m
-        jj = min(j, m - j)
-        return 0 if jj == 0 else jj  # class index: e=0, r1=1, ...
-
-    classes_h: list[ConjClass] = [
-        ConjClass("e", 1, 1, None, 0),
-        ConjClass("z", 1, 2, None, 0),
+    # and the two y-classes split by the parity of the x-exponent; ya and yb
+    # cover the first and the last flip class of G.  Irrep order: triv, sgn,
+    # psi1, psi2, rho1..rho(m-1).  Each row lists its value at e, z,
+    # x1..x(m-1), then at ya and yb.
+    classes_h = (
+        [ConjClass("e", 1, 1, None, 0), ConjClass("z", 1, 2, None, 0)]
+        + [ConjClass(f"x{j}", 2, 2 * m // gcd(j, 2 * m), None, min(j, m - j)) for j in range(1, m)]
+        + [ConjClass("ya", m, 4, None, len(rot)), ConjClass("yb", m, 4, None, len(classes_g) - 1)]
+    )
+    x_signs = [(-1) ** j for j in (0, m, *range(1, m))]  # x-exponents of e, z, x1, ...
+    a, b = (1, -1) if even else (exp_turn(F(1, 4), n), exp_turn(F(3, 4), n))  # psi1 at ya, yb
+    table_h = [
+        (Irrep("triv", 1), [1] * (m + 3)),
+        (Irrep("sgn", 1), [1] * (m + 1) + [-1, -1]),
+        (Irrep("psi1", 1), x_signs + [a, b]),
+        (Irrep("psi2", 1), x_signs + [b, a]),
+    ] + [
+        # rho_i(z) = 2(-1)^i is written as an int: for odd i, two_cos_turn
+        # would store the equal value 2 zeta^(N/2), whose terms differ
+        (
+            Irrep(f"rho{i}", 2),
+            [2, 2 * (-1) ** i] + [two_cos_turn(F(i * j, 2 * m), n) for j in range(1, m)] + [0, 0],
+        )
+        for i in range(1, m)
     ]
-    classes_h += [
-        ConjClass(f"x{j}", 2, 2 * m // gcd(j, 2 * m), None, image_of_rotation(j))
-        for j in range(1, m)
-    ]
-    flip_a = g.class_index("sv" if even else "s")
-    flip_b = g.class_index("se" if even else "s")
-    classes_h += [
-        ConjClass("ya", m, 4, None, flip_a),
-        ConjClass("yb", m, 4, None, flip_b),
-    ]
-
-    irreps_h = [Irrep("triv", 1), Irrep("sgn", 1), Irrep("psi1", 1), Irrep("psi2", 1)]
-    irreps_h += [Irrep(f"rho{i}", 2) for i in range(1, m)]
-
-    plus_i, minus_i = exp_turn(F(1, 4), n), exp_turn(F(3, 4), n)
-
-    def h_row(label: str) -> list:
-        row: list = []
-        for cls in classes_h:
-            if cls.label == "e":
-                row.append(F(2) if label.startswith("rho") else F(1))
-            elif cls.label == "z":
-                if label.startswith("rho"):
-                    row.append(F(2 * (-1) ** int(label[3:])))
-                elif label in ("triv", "sgn"):
-                    row.append(F(1))
-                else:
-                    row.append(F(1) if even else F(-1))
-            elif cls.label.startswith("x"):
-                j = int(cls.label[1:])
-                if label in ("triv", "sgn"):
-                    row.append(F(1))
-                elif label in ("psi1", "psi2"):
-                    row.append(F((-1) ** j))
-                else:
-                    i = int(label[3:])
-                    row.append(two_cos_turn(F(i * j, 2 * m), n))
-            else:  # ya / yb
-                ya = cls.label == "ya"
-                if label == "triv":
-                    row.append(F(1))
-                elif label == "sgn":
-                    row.append(F(-1))
-                elif label == "psi1":
-                    if even:
-                        row.append(F(1) if ya else F(-1))
-                    else:
-                        row.append(plus_i if ya else minus_i)
-                elif label == "psi2":
-                    if even:
-                        row.append(F(-1) if ya else F(1))
-                    else:
-                        row.append(minus_i if ya else plus_i)
-                else:
-                    row.append(F(0))
-        return row
-
-    rows_h = [h_row(r.label) for r in irreps_h]
-    chi_u = rows_h[4]  # rho1 is the defining 2-dimensional representation
-    inv_h = list(range(len(classes_h)))
+    irreps_h, rows_h = zip(*table_h)
+    inv_h = list(range(m + 3))
     if not even:
-        ia, ib = len(classes_h) - 2, len(classes_h) - 1
-        inv_h[ia], inv_h[ib] = ib, ia
-    gh = _assemble(
-        GroupSpec.dihedral(m),
-        f"D{m}^",
-        4 * m,
-        True,
-        classes_h,
-        irreps_h,
-        rows_h,
-        None,
-        chi_u,
-        inv_h,
-        n,
+        inv_h[-2:] = [m + 2, m + 1]
+    gh = _assemble(  # rho1 is the defining 2-dimensional representation
+        spec, f"D{m}^", 4 * m, True, classes_h, irreps_h, rows_h, None, rows_h[4], inv_h, n,
     )
 
     # Node dictionary for D(m+2): sgn - rho1 - ... - rho(m-1) < (psi1, psi2).
@@ -853,10 +758,10 @@ def _tetrahedral_family():
     )
     irreps_g = (Irrep("triv", 1), Irrep("om", 1), Irrep("omb", 1), Irrep("std3", 3))
     rows_g = [
-        [F(1), F(1), F(1), F(1)],
-        [F(1), F(1), w, wb],
-        [F(1), F(1), wb, w],
-        [F(3), F(-1), F(0), F(0)],
+        [1, 1, 1, 1],
+        [1, 1, w, wb],
+        [1, 1, wb, w],
+        [3, -1, 0, 0],
     ]
     chi_v = rows_g[3]
     g = _assemble(
@@ -878,13 +783,13 @@ def _tetrahedral_family():
         Irrep("u2", 2), Irrep("u2om", 2), Irrep("u2omb", 2),
     )
     rows_h = [
-        [F(1)] * 7,
-        [F(1), F(1), F(1), w, wb, w, wb],
-        [F(1), F(1), F(1), wb, w, wb, w],
-        [F(3), F(3), F(-1), F(0), F(0), F(0), F(0)],
-        [F(2), F(-2), F(0), F(1), F(1), F(-1), F(-1)],
-        [F(2), F(-2), F(0), w, wb, -w, -wb],
-        [F(2), F(-2), F(0), wb, w, -wb, -w],
+        [1] * 7,
+        [1, 1, 1, w, wb, w, wb],
+        [1, 1, 1, wb, w, wb, w],
+        [3, 3, -1, 0, 0, 0, 0],
+        [2, -2, 0, 1, 1, -1, -1],
+        [2, -2, 0, w, wb, -w, -wb],
+        [2, -2, 0, wb, w, -wb, -w],
     ]
     gh = _assemble(
         GroupSpec.tetrahedral(), "T^", 24, True, classes_h, irreps_h, rows_h, None,
@@ -911,11 +816,11 @@ def _octahedral_family():
         Irrep("triv", 1), Irrep("sgn", 1), Irrep("two", 2), Irrep("std", 3), Irrep("stdsgn", 3),
     )
     rows_g = [
-        [F(1)] * 5,
-        [F(1), F(-1), F(1), F(1), F(-1)],
-        [F(2), F(0), F(2), F(-1), F(0)],
-        [F(3), F(1), F(-1), F(0), F(-1)],
-        [F(3), F(-1), F(-1), F(0), F(1)],
+        [1] * 5,
+        [1, -1, 1, 1, -1],
+        [2, 0, 2, -1, 0],
+        [3, 1, -1, 0, -1],
+        [3, -1, -1, 0, 1],
     ]
     chi_v = rows_g[4]
     g = _assemble(
@@ -939,14 +844,14 @@ def _octahedral_family():
         Irrep("stdsgn", 3), Irrep("u2", 2), Irrep("u2s", 2), Irrep("spin4", 4),
     )
     rows_h = [
-        [F(1)] * 8,
-        [F(1), F(1), F(1), F(-1), F(1), F(1), F(-1), F(-1)],
-        [F(2), F(2), F(2), F(0), F(-1), F(-1), F(0), F(0)],
-        [F(3), F(3), F(-1), F(1), F(0), F(0), F(-1), F(-1)],
-        [F(3), F(3), F(-1), F(-1), F(0), F(0), F(1), F(1)],
-        [F(2), F(-2), F(0), F(0), F(1), F(-1), s2, -s2],
-        [F(2), F(-2), F(0), F(0), F(1), F(-1), -s2, s2],
-        [F(4), F(-4), F(0), F(0), F(-1), F(1), F(0), F(0)],
+        [1] * 8,
+        [1, 1, 1, -1, 1, 1, -1, -1],
+        [2, 2, 2, 0, -1, -1, 0, 0],
+        [3, 3, -1, 1, 0, 0, -1, -1],
+        [3, 3, -1, -1, 0, 0, 1, 1],
+        [2, -2, 0, 0, 1, -1, s2, -s2],
+        [2, -2, 0, 0, 1, -1, -s2, s2],
+        [4, -4, 0, 0, -1, 1, 0, 0],
     ]
     gh = _assemble(
         GroupSpec.octahedral(), "O^", 48, True, classes_h, irreps_h, rows_h, None,
@@ -974,11 +879,11 @@ def _icosahedral_family():
         Irrep("triv", 1), Irrep("three", 3), Irrep("threep", 3), Irrep("four", 4), Irrep("five", 5),
     )
     rows_g = [
-        [F(1)] * 5,
-        [F(3), F(-1), F(0), ph, 1 - ph],
-        [F(3), F(-1), F(0), 1 - ph, ph],
-        [F(4), F(0), F(1), F(-1), F(-1)],
-        [F(5), F(1), F(-1), F(0), F(0)],
+        [1] * 5,
+        [3, -1, 0, ph, 1 - ph],
+        [3, -1, 0, 1 - ph, ph],
+        [4, 0, 1, -1, -1],
+        [5, 1, -1, 0, 0],
     ]
     chi_v = rows_g[1]
     g = _assemble(
@@ -1002,15 +907,15 @@ def _icosahedral_family():
         Irrep("five", 5), Irrep("u2", 2), Irrep("u2p", 2), Irrep("spin4", 4), Irrep("six", 6),
     )
     rows_h = [
-        [F(1)] * 9,
-        [F(3), F(3), F(-1), F(0), F(0), ph, 1 - ph, 1 - ph, ph],
-        [F(3), F(3), F(-1), F(0), F(0), 1 - ph, ph, ph, 1 - ph],
-        [F(4), F(4), F(0), F(1), F(1), F(-1), F(-1), F(-1), F(-1)],
-        [F(5), F(5), F(1), F(-1), F(-1), F(0), F(0), F(0), F(0)],
-        [F(2), F(-2), F(0), F(1), F(-1), ph, ph - 1, 1 - ph, -ph],
-        [F(2), F(-2), F(0), F(1), F(-1), 1 - ph, -ph, ph, ph - 1],
-        [F(4), F(-4), F(0), F(-1), F(1), F(1), F(-1), F(1), F(-1)],
-        [F(6), F(-6), F(0), F(0), F(0), F(-1), F(1), F(-1), F(1)],
+        [1] * 9,
+        [3, 3, -1, 0, 0, ph, 1 - ph, 1 - ph, ph],
+        [3, 3, -1, 0, 0, 1 - ph, ph, ph, 1 - ph],
+        [4, 4, 0, 1, 1, -1, -1, -1, -1],
+        [5, 5, 1, -1, -1, 0, 0, 0, 0],
+        [2, -2, 0, 1, -1, ph, ph - 1, 1 - ph, -ph],
+        [2, -2, 0, 1, -1, 1 - ph, -ph, ph, ph - 1],
+        [4, -4, 0, -1, 1, 1, -1, 1, -1],
+        [6, -6, 0, 0, 0, -1, 1, -1, 1],
     ]
     gh = _assemble(
         GroupSpec.icosahedral(), "I^", 120, True, classes_h, irreps_h, rows_h, None,

@@ -15,6 +15,7 @@ import pytest
 
 import qmckay.cli as cli
 import qmckay.gwtheory as gwtheory
+import qmckay.intersect as intersect
 from qmckay.cli import (
     EXIT_ARGS,
     EXIT_GROUP,
@@ -138,10 +139,47 @@ def test_bad_precision_env_exits_two(capsys, monkeypatch):
     assert "QMCKAY_PRECISION" in err
 
 
-def test_tiny_precision_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("QMCKAY_PRECISION", "5")
+@pytest.mark.parametrize("env", ["5", "10001", str(10**23)])
+def test_tiny_precision_rejected(capsys, monkeypatch, env):
+    monkeypatch.setenv("QMCKAY_PRECISION", env)
     code, _, _ = run(capsys, ["roots", "--group", "T"])
     assert code == EXIT_ARGS
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--group", "T"],
+    ["crc", "--group", "T", "--degree", "3"],
+])
+def test_huge_precision_flag_rejected(capsys, argv):
+    code, out, err = run(capsys, argv + ["--precision", str(10**23)])
+    assert code == EXIT_ARGS
+    assert out == ""
+    assert "precision" in err
+
+
+def test_verify_passes_at_the_largest_precision(capsys):
+    code, out, _ = run(capsys, ["verify", "--group", "T", "--precision", str(cli.MAX_PRECISION)])
+    assert code == EXIT_OK
+    assert json.loads(out)["status"] == "pass"
+
+
+def test_intersect_builds_the_threefold_tensors_in_threefold_integrals(capsys, monkeypatch):
+    misses = {}
+
+    def counting(name, fn):
+        def wrapper(spec):
+            before = intersect._threefold.cache_info().misses
+            result = fn(spec)
+            misses[name] = intersect._threefold.cache_info().misses - before
+            return result
+        return wrapper
+
+    for name in ("threefold_integrals", "classical_potential"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    intersect._threefold.cache_clear()
+    code, _, _ = run(capsys, ["intersect", "--group", "D5"])
+    assert code == EXIT_OK
+    assert misses == {"threefold_integrals": 1, "classical_potential": 0}
 
 
 def test_precision_flag_beats_env(capsys, monkeypatch):

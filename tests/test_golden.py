@@ -14,6 +14,10 @@ supported group in JSON and E8, D:5 and C:6 in CSV and text; `gw`,
 `verify` for D:5, T and C:4 at caps 2 in all three formats.  Any change to
 a printed digit, a row, or the row order shows up here, and a subcommand or
 format without a digest fails the coverage test.
+
+The benchmark's own oracle, perfbench/expected.json, is read here too: each
+of its requests must give the recorded exit code and digest, and each
+`verify` request must pass every check and name every recorded one.
 """
 
 import hashlib
@@ -28,6 +32,7 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = json.loads((HERE / "golden_crc_sha256.json").read_text())
 GOLDEN_DATA = json.loads((HERE / "golden_data_sha256.json").read_text())
 GOLDEN_CLI = json.loads((HERE / "golden_cli_sha256.json").read_text())
+ORACLE = json.loads((HERE.parent / "perfbench" / "expected.json").read_text())
 
 
 def _digest(request_line, capsys, monkeypatch) -> str:
@@ -61,3 +66,19 @@ def test_data_output_matches_golden_digest(request_line, capsys, monkeypatch):
 @pytest.mark.parametrize("request_line", sorted(GOLDEN_CLI))
 def test_cli_output_matches_golden_digest(request_line, capsys, monkeypatch):
     assert _digest(request_line, capsys, monkeypatch) == GOLDEN_CLI[request_line]
+
+
+@pytest.mark.parametrize("request_line", sorted(ORACLE))
+def test_benchmark_oracle_outcomes(request_line, capsys, monkeypatch):
+    expected = ORACLE[request_line]
+    monkeypatch.delenv("QMCKAY_PRECISION", raising=False)
+    code = main(request_line.split())
+    out = capsys.readouterr().out
+    assert code == expected["exit"]
+    if request_line.startswith("verify "):
+        payload = json.loads(out)
+        assert payload["status"] == "pass"
+        assert [c["name"] for c in payload["checks"] if c["status"] != "pass"] == []
+        assert set(expected["checks"]) <= {c["name"] for c in payload["checks"]}
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
