@@ -360,20 +360,23 @@ def _scalar_block(scalar) -> dict:
     return {"value": str(scalar.value), "t_power": scalar.t_power}
 
 
-def _strings(matrix) -> list:
-    return [[str(x) for x in row] for row in matrix]
+def _strings(matrix, text: dict[int, str]) -> list:
+    # tensors share one Fraction per distinct value, and hashing a Fraction
+    # costs more than formatting it, so ``text`` caches strings by object id
+    return [[text.get(id(x)) or text.setdefault(id(x), str(x)) for x in row] for row in matrix]
 
 
 def _integrals_block(data) -> dict:
+    text: dict[int, str] = {}
     return {
         "basis": list(data.basis),
         "zero_point": _scalar_block(data.zero_point),
         "one_point": [str(x) for x in data.one_point],
         "two_point": {
-            "matrix": _strings(data.two_point), "t_power": data.two_point_t_power,
+            "matrix": _strings(data.two_point, text), "t_power": data.two_point_t_power,
         },
         "three_point": {
-            "tensor": [_strings(plane) for plane in data.three_point],
+            "tensor": [_strings(plane, text) for plane in data.three_point],
             "t_power": data.three_point_t_power,
         },
     }
@@ -413,7 +416,7 @@ def cmd_intersect(spec: GroupSpec, args) -> Report:
         "group": canonical_token(spec),
         "threefold": _integrals_block(threefold),
         "surface": _integrals_block(surface_integrals(spec)),
-        "pairing": {"matrix": _strings(pairing), "t_power": pairing_t},
+        "pairing": {"matrix": _strings(pairing, {}), "t_power": pairing_t},
         "classical": {
             "delta_e_cubed": _scalar_block(potential.delta_e_cubed),
             "delta_pair": [
@@ -461,8 +464,7 @@ def cmd_crc(spec: GroupSpec, args) -> Report:
             mono = " ".join(
                 f"x_{lbl}^{e}" for lbl, e in sorted(entry["exponents"].items())
             )
-            guess = f" ~ {entry['rational_guess']}" if entry["rational_guess"] else ""
-            yield f"  {mono}: {entry['coefficient']}{guess}"
+            yield f"  {mono}: {entry['coefficient']} ~ {entry['rational_guess']}"
 
     return Report(payload, fields, _rows(payload, potential.class_labels), lines())
 
@@ -698,8 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--precision", type=int, default=None,
             help=(
-                f"working decimal digits of crc and verify's crc-consistency, "
-                f"{MIN_PRECISION} to {MAX_PRECISION} "
+                f"digits crc prints of its exact coefficients (at most 30) and "
+                f"verify's crc-consistency works at, {MIN_PRECISION} to {MAX_PRECISION} "
                 f"(default ${PRECISION_ENV} or {crc.DEFAULT_DPS})"
             ),
         )

@@ -8,10 +8,10 @@ potential in one variable per nontrivial conjugacy class,
 where X_rho is affine-linear in x with constant 2*pi*dim(rho)/|G| and
 coefficients L_rho(g) = (size(g)/|G|) * sqrt(3 - chi_V(g)) * chi_rho(g),
 and h is determined (up to irrelevant low-order terms) by
-h'''(s) = 1/2 * tan(-s/2).  Everything here works at configurable decimal
-precision: square roots and the golden-ratio character values leave the
-rationals, so coefficients are high-precision reals with an exact rational
-reconstruction offered separately (`rational_guess`).
+h'''(s) = 1/2 * tan(-s/2).  Every Taylor coefficient of F is a rational
+number, and `orbifold_potential` computes it exactly; the closed-form
+third partials and the resolution route work at configurable decimal
+precision.
 
 Structure of the computation:
 
@@ -34,19 +34,20 @@ Structure of the computation:
   only prefixes of allowed vectors; every root fills the tree level by
   level, so each prefix product is formed once and the inner loop only
   multiplies and adds.  A coefficient is the same number it would be in the
-  tree of every vector; the vectors left out are the ones whose sums
-  cancel to rounding noise.
+  tree of every vector; the vectors left out have coefficient exactly 0.
+* The tree is filled in F_p, p = 1 (mod M), zeta_M sent to an element of
+  order M, M = lcm(4, |G|, 2N, 2q per class turn p/q): the table entries,
+  sqrt(3 - chi_V) = 2 sin(pi t) = -i (zeta_2q^p - zeta_2q^-p) once
+  chi_V = 1 + 2 cos(2 pi t) is checked exactly, and each root's
+  T = cot(pi d/|G|) = i (w + 1)/(w - 1), w = zeta_|G|^d, are all cyclotomic.
+  A coefficient times its proven denominator is an integer under a proven
+  bound, lifted by CRT; one further prime must agree with the lift, which
+  also checks that the coefficient is rational.  Zero is decided exactly.
 * Roots whose restricted coefficient vector vanishes have constant
   arguments and are skipped; for every other root the base point is a
   rational angle whose distance from the tan pole is decided by an exact
-  integer test before any floating evaluation.  The root forms are built
-  once per (group, precision) and cached.
-* Complex character values (cyclic groups) make individual contributions
-  complex; the assembled coefficients must be real, which is asserted
-  against 10^(-dps/2) rather than symmetrized away.  A root coefficient
-  whose imaginary part is exactly zero (every non-cyclic group) is held as
-  a real number, which rounds exactly as the real part of the complex
-  product would.
+  integer test.  The mpf root forms of the closed formulas are built once
+  per (group, precision) and cached.
 
 The resolution route (`resolution_third_partials`) evaluates the same third
 partials from the other side of the correspondence: the classical cubic
@@ -65,13 +66,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, count
+from math import factorial, lcm, prod
 from operator import or_
 
 import mpmath as mp
 
-from .errors import ConfigurationError, PoleError
-from .grouprep import GroupSpec, as_mpc, class_multiplication, correspondence
+from .errors import ConfigurationError, InternalConsistencyError, PoleError
+from .grouprep import GroupSpec, as_mpc, class_multiplication, correspondence, two_cos_turn
 from .intersect import classical_potential
 from .rootsys import root_system
 
@@ -120,7 +122,7 @@ def _h_poly(n: int) -> tuple[Fraction, ...]:
 
 
 def _poly_eval(p: tuple[Fraction, ...], t):
-    acc = mp.mpf(0) if not isinstance(t, mp.mpc) else mp.mpc(0)
+    acc = mp.mpf(0)
     for c in reversed(p):
         acc = acc * t + mp.mpf(c.numerator) / c.denominator
     return acc
@@ -164,21 +166,27 @@ class FormSystem:
     dps: int
 
 
+def _check_chi_v(g) -> None:
+    """chi_V = 1 + 2 cos(2 pi t) on every class of turn t, exactly, so that
+    sqrt(3 - chi_V) = 2 sin(pi t), real and >= 0 for t in [0, 1/2]."""
+    for c, chi in zip(g.classes, g.chi_v):
+        if chi != 1 + two_cos_turn(c.turn, chi.n):
+            raise InternalConsistencyError(f"chi_V on {c.label} is not 1 + 2 cos(2 pi turn)")
+
+
 def linear_forms(spec: GroupSpec, dps: int = DEFAULT_DPS) -> FormSystem:
     corr = correspondence(spec)
     g = corr.group
     order = g.order
+    _check_chi_v(g)
     with mp.workdps(dps + _GUARD):
         forms = []
         for s, label in zip(corr.slots, corr.slot_labels):
             dim = g.irreps[s].dim
             coeffs = []
             for ci in range(1, len(g.classes)):
-                weight = 3 - as_mpc(g.chi_v[ci]).real
-                if weight < 0:
-                    raise ConfigurationError("chi_V exceeds 3 on a nontrivial class")
                 coeffs.append(
-                    Fraction(g.classes[ci].size, order) * mp.sqrt(weight)
+                    Fraction(g.classes[ci].size, order) * mp.sqrt(3 - as_mpc(g.chi_v[ci]).real)
                     * as_mpc(g.table[s][ci])
                 )
             forms.append(
@@ -198,38 +206,41 @@ def linear_forms(spec: GroupSpec, dps: int = DEFAULT_DPS) -> FormSystem:
 
 @dataclass(frozen=True)
 class _RootForm:
-    """One positive root's affine form: base turn and x-coefficients.
-
-    base_turn is (argument - pi)/(2*pi) at x = 0, an exact rational; the
-    argument never meets the tan pole because the exact test
-    denominator-divides check below excludes it.
-    """
+    """One positive root's affine form at the working precision."""
 
     dim_sum: int  # sum of alpha^rho * dim(rho), in (0, |G|)
     coefficients: tuple  # complex, per nontrivial class
 
 
 @lru_cache(maxsize=None)
-def _root_forms(spec: GroupSpec, dps: int) -> tuple[FormSystem, tuple[_RootForm, ...]]:
+def _roots(spec: GroupSpec) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(dim_sum, coefficients on the slots) per positive root of nonconstant argument."""
     corr = correspondence(spec)
-    system = linear_forms(spec, dps)
     order = corr.group.order
     dims = [corr.group.irreps[s].dim for s in corr.slots]
     out = []
+    for alpha in root_system(corr.ade).positive_roots:
+        restricted = tuple(alpha[node] for node in corr.slot_node)
+        if not any(restricted):
+            continue  # constant argument, no contribution to any coefficient
+        dim_sum = sum(r * d for r, d in zip(restricted, dims))
+        if dim_sum % order == 0:
+            raise PoleError(
+                f"root {tuple(alpha)} of {spec} sits on a tan pole "
+                f"(restricted dimension sum {dim_sum} divisible by {order})"
+            )
+        out.append((dim_sum, restricted))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _root_forms(spec: GroupSpec, dps: int) -> tuple[FormSystem, tuple[_RootForm, ...]]:
+    system = linear_forms(spec, dps)
+    out = []
     with mp.workdps(dps + _GUARD):
-        for alpha in root_system(corr.ade).positive_roots:
-            restricted = [alpha[node] for node in corr.slot_node]
-            if all(r == 0 for r in restricted):
-                continue  # constant argument, no contribution to any coefficient
-            dim_sum = sum(r * d for r, d in zip(restricted, dims))
-            if dim_sum % order == 0:
-                raise PoleError(
-                    f"root {tuple(alpha)} of {spec} sits on a tan pole "
-                    f"(restricted dimension sum {dim_sum} divisible by {order})"
-                )
-            n_cls = len(system.class_labels)
+        for dim_sum, restricted in _roots(spec):
             coeffs = []
-            for ci in range(n_cls):
+            for ci in range(len(system.class_labels)):
                 acc = mp.mpc(0)
                 for r, form in zip(restricted, system.forms):
                     if r:
@@ -248,7 +259,8 @@ def _root_forms(spec: GroupSpec, dps: int) -> tuple[FormSystem, tuple[_RootForm,
 class PotentialSeries:
     """Taylor coefficients of the quotient-side potential, degrees 3..N.
 
-    Keys are exponent tuples over ``class_labels``; values are real mpf.
+    Keys are the exponent tuples over ``class_labels`` of the nonzero
+    coefficients: exact in ``rationals``, mpf in ``coefficients``.
     """
 
     spec: GroupSpec
@@ -256,6 +268,7 @@ class PotentialSeries:
     degree: int
     coefficients: dict[tuple[int, ...], mp.mpf]
     dps: int
+    rationals: dict[tuple[int, ...], Fraction]
 
     def coefficient(self, exponents: dict[str, int]) -> mp.mpf:
         unknown = set(exponents) - set(self.class_labels)
@@ -268,19 +281,12 @@ class PotentialSeries:
         """Records in (degree, exponents) order.  Each coefficient prints to
         min(30, dps) significant digits: the guard digits beyond the
         requested precision are rounding noise, not data."""
-        out = []
-        for key in sorted(self.coefficients, key=lambda k: (sum(k), k)):
-            value = self.coefficients[key]
-            guess = rational_guess(value, dps=self.dps)
-            out.append({
-                "degree": sum(key),
-                "exponents": {
-                    lbl: e for lbl, e in zip(self.class_labels, key) if e
-                },
-                "coefficient": mp.nstr(value, min(30, self.dps)),
-                "rational_guess": str(guess) if guess is not None else None,
-            })
-        return out
+        return [{
+            "degree": sum(key),
+            "exponents": {lbl: e for lbl, e in zip(self.class_labels, key) if e},
+            "coefficient": mp.nstr(self.coefficients[key], min(30, self.dps)),
+            "rational_guess": str(self.rationals[key]),
+        } for key in sorted(self.rationals, key=lambda k: (sum(k), k))]
 
 
 @lru_cache(maxsize=None)
@@ -330,63 +336,120 @@ def _monomial_tree(products: tuple[tuple[int, ...], ...], degree: int):
     return levels, terms
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over the first 12 prime bases, deterministic below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d with d odd
+    for b in bases:
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prime(m: int, k: int) -> tuple[int, int]:
+    """The k-th prime p = 1 (mod m) below 2^62, counting down, and the
+    first z = a^((p-1)/m), a = 2, 3, ..., of order exactly m in F_p."""
+    p = _prime(m, k - 1)[0] - m if k else (2 ** 62 - 2) // m * m + 1
+    while not _is_prime(p):
+        p -= m
+    factors = [f for f in range(2, m + 1) if m % f == 0 and _is_prime(f)]
+    for a in count(2):
+        z = pow(a, (p - 1) // m, p)
+        if all(pow(z, m // f, p) != 1 for f in factors):
+            return p, z
+
+
+def _residues(spec: GroupSpec, levels, terms, degree: int, m: int, p: int, z: int) -> list[int]:
+    """Every term's coefficient in F_p, with zeta_m sent to z."""
+    corr = correspondence(spec)
+    g = corr.group
+
+    def unit(turn: Fraction) -> int:  # exp(2*pi*i*turn)
+        return pow(z, turn.numerator * m // turn.denominator % m, p)
+
+    i = unit(Fraction(1, 4))
+    # L_s(C) = (|C|/|G|) * 2 sin(pi t) * chi_s(C), 2 sin(pi t) = -i (e^(i pi t) - e^(-i pi t))
+    forms = [[
+        c.size * pow(g.order, -1, p) * -i * (unit(c.turn / 2) - unit(-c.turn / 2))
+        * sum(k * unit(Fraction(e, chi.n)) for e, k in chi.terms) % p
+        for c, chi in zip(g.classes[1:], g.table[s][1:])
+    ] for s in corr.slots]
+    half_h = [[c.numerator * pow(2 * c.denominator, -1, p) for c in _h_poly(n)]
+              for n in range(3, degree + 1)]
+    inverse = [pow(e, -1, p) for e in range(1, degree + 1)]
+    acc = [0] * len(terms)
+    for dim_sum, restricted in _roots(spec):
+        w = unit(Fraction(dim_sum, g.order))
+        t = i * (w + 1) * pow(w - 1, -1, p) % p  # cot(pi * dim_sum / |G|)
+        hs = [None] * 3 + [reduce(lambda a, c: (a * t + c) % p, reversed(h), 0) for h in half_h]
+        rows = []  # l^e/e! per class
+        for ci in range(len(g.classes) - 1):
+            l = sum(r * form[ci] for r, form in zip(restricted, forms) if r)
+            rows.append(list(accumulate(inverse, lambda x, v: x * l * v % p, initial=1)))
+        # e = 0 entries carry the prefix over without a multiply
+        prods = [1]
+        for level, row in zip(levels, rows):
+            prods = [prods[q] * row[e] % p if e else prods[q] for q, e in level]
+        # the last class's row, weighted by h^(n)/2 at each total degree n
+        last = rows[-1]
+        weighted = [
+            [last[e] * hs[u + e] % p if u + e >= 3 else None for e in range(degree - u + 1)]
+            for u in range(degree + 1)
+        ]
+        acc = [a + prods[q] * weighted[u][e] for a, (q, u, e, _) in zip(acc, terms)]
+    return [a % p for a in acc]
+
+
+def _exact_coefficients(spec: GroupSpec, levels, terms, degree: int) -> list[Fraction]:
+    """Every term's coefficient c, lifted from its residues mod primes.
+
+    c D is an integer for D = 2^(n-1) |G|^(2n-2) prod e_i! (|G| l_i and |G| T
+    are algebraic integers), and |T| < |G|/pi, |l_i| < 2|C_i| bound |c D| by
+    R H_n(|G|/3) 2^(n-1) |G|^(2n-2) prod (2|C_i|)^e_i, with R roots and H_n
+    the polynomial of h^(n) with absolute coefficients.
+    """
+    g = correspondence(spec).group
+    _check_chi_v(g)
+    scale = {n: 2 ** (n - 1) * g.order ** (2 * n - 2) for n in range(3, degree + 1)}
+    top = {n: sum(abs(c) * Fraction(g.order, 3) ** k for k, c in enumerate(_h_poly(n)))
+           * len(_roots(spec)) for n in scale}
+    sizes = [2 * c.size for c in g.classes[1:]]
+    dens, bound = [], 0
+    for _, u, e, key in terms:
+        dens.append(scale[u + e] * prod(map(factorial, key)))
+        bound = max(bound, scale[u + e] * top[u + e] * prod(map(pow, sizes, key)))
+    m = lcm(4, g.order, 2 * g.chi_v[0].n, *(2 * c.turn.denominator for c in g.classes))
+    lifted, modulus, k = [0] * len(terms), 1, 0
+    while modulus <= 2 * bound:  # CRT, one prime at a time
+        p, z = _prime(m, k)
+        step = pow(modulus, -1, p)
+        residues = _residues(spec, levels, terms, degree, m, p, z)
+        lifted = [x + modulus * ((r * d - x) * step % p)
+                  for x, r, d in zip(lifted, residues, dens)]
+        modulus, k = modulus * p, k + 1
+    lifted = [x - modulus if 2 * x > modulus else x for x in lifted]
+    p, z = _prime(m, k)
+    for x, r, d, term in zip(lifted, _residues(spec, levels, terms, degree, m, p, z), dens, terms):
+        if (x - r * d) % p:
+            raise InternalConsistencyError(f"coefficient at {term[3]} fails witness prime {p}")
+    return [Fraction(x, d) for x, d in zip(lifted, dens)]
+
+
 def orbifold_potential(spec: GroupSpec, degree: int, dps: int = DEFAULT_DPS) -> PotentialSeries:
-    """Taylor coefficients of F(x) up to the given total degree (>= 3)."""
+    """Taylor coefficients of F(x) up to the given total degree (>= 3), exact."""
     if degree < 3:
         raise ConfigurationError("the potential starts at degree three")
-    system, roots = _root_forms(spec, dps)
-    order = correspondence(spec).group.order
     levels, terms = _monomial_tree(_class_products(spec), degree)
+    values = _exact_coefficients(spec, levels, terms, degree)
+    exact = {term[3]: c for term, c in zip(terms, values) if c}
+    labels = tuple(c.label for c in correspondence(spec).group.classes[1:])
     with mp.workdps(dps + _GUARD):
-        acc = [mp.mpf(0)] * len(terms)
-        for root in roots:
-            # base point s0 = pi + 2*pi*dim_sum/order; T = tan(-s0/2)
-            t = mp.cot(mp.pi * mp.mpf(root.dim_sum) / order)
-            half_h = [None] * 3 + [
-                _poly_eval(_h_poly(n), t) / 2 for n in range(3, degree + 1)
-            ]
-            rows = []
-            for l in root.coefficients:
-                if l.imag == 0:
-                    l = l.real
-                row = [mp.mpf(1)]
-                for e in range(1, degree + 1):
-                    row.append(row[-1] * l / e)
-                rows.append(row)
-            # e = 0 entries carry the prefix over without a multiply
-            prods = [mp.mpf(1)]
-            for level, row in zip(levels, rows):
-                prods = [prods[p] * row[e] if e else prods[p] for p, e in level]
-            # the last class's row, weighted by h^(n)/2 at each total degree n
-            last = rows[-1]
-            weighted = [
-                [
-                    last[e] * half_h[u + e] if u + e >= 3 else None
-                    for e in range(degree - u + 1)
-                ]
-                for u in range(degree + 1)
-            ]
-            acc = [
-                a + prods[p] * weighted[u][e] for a, (p, u, e, _) in zip(acc, terms)
-            ]
-        tol = mp.mpf(10) ** (-(dps // 2))
-        coeffs: dict[tuple[int, ...], mp.mpf] = {}
-        for (_, _, _, key), value in zip(terms, acc):
-            if isinstance(value, mp.mpc):
-                if abs(value.imag) > tol:
-                    raise ConfigurationError(
-                        f"potential coefficient at {key} has imaginary part {value.imag}"
-                    )
-                value = value.real
-            if abs(value) > tol:
-                coeffs[key] = value
-    return PotentialSeries(
-        spec=spec,
-        class_labels=system.class_labels,
-        degree=degree,
-        coefficients=coeffs,
-        dps=dps,
-    )
+        coeffs = {key: mp.mpf(c.numerator) / c.denominator for key, c in exact.items()}
+    return PotentialSeries(spec, labels, degree, coeffs, dps, exact)
 
 
 def taylor_third_partial(potential: PotentialSeries, k, k2, k3) -> mp.mpf:
@@ -396,12 +459,7 @@ def taylor_third_partial(potential: PotentialSeries, k, k2, k3) -> mp.mpf:
     key = [0] * len(labels)
     for i in idx:
         key[i] += 1
-    coeff = potential.coefficients.get(tuple(key), mp.mpf(0))
-    factor = 1
-    for e in key:
-        for j in range(2, e + 1):
-            factor *= j
-    return coeff * factor
+    return potential.coefficients.get(tuple(key), mp.mpf(0)) * prod(map(factorial, key))
 
 
 def _class_index(labels: tuple[str, ...], k) -> int:

@@ -163,24 +163,36 @@ def test_criterion_09_hard_lefschetz_ages():
     assert not hard_lefschetz_exponents(exps, 3)
 
 
+# the paper's D5 = [C^3/S_3] potential: x1 is the flip direction (class s),
+# x2 the rotation direction (r1)
+D5_POTENTIAL = {
+    ("s", 2, "r1", 1): Fraction(1, 2),
+    ("s", 0, "r1", 3): Fraction(1, 18),
+    ("s", 4, "r1", 0): Fraction(-5, 48),
+    ("s", 2, "r1", 2): Fraction(-1, 6),
+    ("s", 0, "r1", 4): Fraction(-1, 36),
+    ("s", 4, "r1", 1): Fraction(1, 12),
+    ("s", 2, "r1", 3): Fraction(1, 18),
+    ("s", 0, "r1", 5): Fraction(1, 324),
+}
+
+
 def test_criterion_10_d5_potential_coefficients_tol_1e9():
-    # x1 is the flip direction (class s), x2 the rotation direction (r1)
-    want = {
-        ("s", 2, "r1", 1): Fraction(1, 2),
-        ("s", 0, "r1", 3): Fraction(1, 18),
-        ("s", 4, "r1", 0): Fraction(-5, 48),
-        ("s", 2, "r1", 2): Fraction(-1, 6),
-        ("s", 0, "r1", 4): Fraction(-1, 36),
-        ("s", 4, "r1", 1): Fraction(1, 12),
-        ("s", 2, "r1", 3): Fraction(1, 18),
-        ("s", 0, "r1", 5): Fraction(1, 324),
-    }
     pot = orbifold_potential(D5, 5, dps=64)
     with mp.workdps(80):
-        for (_, es, _, er), target in want.items():
+        for (_, es, _, er), target in D5_POTENTIAL.items():
             got = pot.coefficient({"s": es, "r1": er})
             err = abs(got - mp.mpf(target.numerator) / target.denominator)
             assert err < mp.mpf("1e-9"), ((es, er), err)
+
+
+def test_criterion_10_d5_potential_coefficients_exact():
+    pot = orbifold_potential(D5, 5, dps=64)
+    assert pot.class_labels == ("r1", "s")
+    for (_, es, _, er), target in D5_POTENTIAL.items():
+        assert pot.rationals[(er, es)] == target, (es, er)
+    # and nothing else through degree 5: the odd flip powers vanish exactly
+    assert len(pot.rationals) == len(D5_POTENTIAL)
 
 
 def test_criterion_11_b_series_tol_1e9():

@@ -312,6 +312,12 @@ def test_crc_payload_has_rational_guesses(capsys):
     assert {row["rational_guess"] for row in payload} == {"1/2", "1/18"}
 
 
+def test_crc_prints_exact_rationals_past_the_old_denominator_cap(capsys):
+    _, out, _ = run(capsys, ["crc", "--group", "D:3", "--degree", "8"])
+    rows = [row for row in json.loads(out) if row["exponents"] == {"r1": 8}]
+    assert [row["rational_guess"] for row in rows] == ["-559/4898880"]
+
+
 def test_roots_payload_counts(capsys):
     _, out, _ = run(capsys, ["roots", "--group", "C:2"])
     payload = json.loads(out)

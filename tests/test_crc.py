@@ -1,5 +1,6 @@
 """Quotient-side potential versus the resolution route, plus its pole guards."""
 
+import dataclasses
 import functools
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -22,7 +23,7 @@ from qmckay.crc import (
     taylor_third_partial,
     third_partial,
 )
-from qmckay.errors import ConfigurationError, PoleError
+from qmckay.errors import ConfigurationError, InternalConsistencyError, PoleError
 from qmckay.grouprep import GroupSpec, correspondence
 from qmckay.intersect import classical_potential
 from qmckay.schemas import CRC_REPORT
@@ -50,6 +51,73 @@ def test_sigma3_potential_coefficients_frozen():
             got = pot.coefficient({"s": es, "r1": er})
             err = abs(got - mp.mpf(want.numerator) / want.denominator)
             assert err < mp.mpf("1e-50"), (es, er, err)
+
+
+@pytest.mark.parametrize("spec", [D5, GroupSpec.octahedral(), GroupSpec.cyclic(5)], ids=str)
+def test_exact_coefficients_do_not_depend_on_the_precision(spec):
+    # the precision sets only the mpf view and the printed digits
+    by_dps = [orbifold_potential(spec, 5, dps) for dps in (10, 15, 30, 64)]
+    for pot in by_dps:
+        assert pot.rationals == by_dps[-1].rationals
+        assert set(pot.coefficients) == set(pot.rationals)
+        assert all(pot.rationals.values())
+
+
+def test_coefficients_are_the_rationals_at_the_working_precision():
+    pot = orbifold_potential(GroupSpec.tetrahedral(), 5, 30)
+    with mp.workdps(40):
+        for key, exact in pot.rationals.items():
+            assert pot.coefficients[key] == mp.mpf(exact.numerator) / exact.denominator
+
+
+@pytest.mark.parametrize("corrupt", ["first prime", "witness prime"])
+def test_witness_prime_rejects_a_corrupt_residue(monkeypatch, corrupt):
+    honest = crc._residues
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(crc, "_residues", counting)
+    orbifold_potential(D5, 5)
+    bad_call = 0 if corrupt == "first prime" else len(calls) - 1
+    seen = []
+
+    def corrupting(spec, levels, terms, degree, m, p, z):
+        out = honest(spec, levels, terms, degree, m, p, z)
+        if len(seen) == bad_call:
+            out[0] = (out[0] + 1) % p
+        seen.append(p)
+        return out
+
+    monkeypatch.setattr(crc, "_residues", corrupting)
+    with pytest.raises(InternalConsistencyError):
+        orbifold_potential(D5, 5)
+
+
+def test_chi_v_identity_is_checked_exactly():
+    g = correspondence(D5).group
+    crc._check_chi_v(g)
+    broken = dataclasses.replace(g, chi_v=(g.chi_v[0], g.chi_v[2], g.chi_v[1]))
+    with pytest.raises(InternalConsistencyError):
+        crc._check_chi_v(broken)
+
+
+def test_fp_primes_are_deterministic_and_of_the_right_shape():
+    m = 24
+    assert crc._prime(m, 0) == crc._prime(m, 0)
+    (p0, z0), (p1, z1) = crc._prime(m, 0), crc._prime(m, 1)
+    assert 2 ** 61 < p1 < p0 < 2 ** 62
+    for p, z in ((p0, z0), (p1, z1)):
+        assert p % m == 1 and crc._is_prime(p)
+        assert pow(z, m, p) == 1
+        assert all(pow(z, m // f, p) != 1 for f in (2, 3))
+    assert [n for n in range(2, 60) if crc._is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+    ]
+    # strong pseudoprimes to several small bases
+    assert not any(crc._is_prime(n) for n in (2047, 3215031751, 3825123056546413051))
 
 
 def test_sigma3_odd_flip_coefficients_vanish():
@@ -457,9 +525,10 @@ def _dense_monomial_tree(n_vars, degree):
 
 @functools.cache
 def _dense_potential(spec, degree, dps):
-    """The dense route: every vector filled per root with the same rows,
-    weights and multiply order as `orbifold_potential`, and returned before
-    the magnitude filter (real parts, the imaginary parts checked)."""
+    """The float reference: every vector filled per root in mpf with the
+    rows, weights and multiply order `orbifold_potential` used before it
+    became exact, returned before any magnitude filter (real parts, the
+    imaginary parts checked)."""
     system, roots = crc._root_forms(spec, dps)
     order = correspondence(spec).group.order
     levels, terms = _dense_monomial_tree(len(system.class_labels), degree)
@@ -513,17 +582,34 @@ DENSE_CASES = [
 
 
 @pytest.mark.parametrize("spec, degree", DENSE_CASES, ids=lambda c: str(c))
-def test_potential_equals_the_dense_tree_bit_for_bit(spec, degree):
+def test_potential_equals_the_dense_tree_exactly(spec, degree):
+    # the same F_p fill and lift over every vector: the same Fractions on
+    # the vectors the rule allows, exactly 0 on every other one
+    pot = orbifold_potential(spec, degree)
+    levels, terms = _dense_monomial_tree(len(pot.class_labels), degree)
+    dense = dict(zip(
+        (term[3] for term in terms), crc._exact_coefficients(spec, levels, terms, degree)
+    ))
+    _, allowed = crc._monomial_tree(crc._class_products(spec), degree)
+    allowed = {term[3] for term in allowed}
+    assert list(pot.rationals.items()) == [
+        (key, value) for key, value in dense.items() if key in allowed and value
+    ]
+    assert all(value == 0 for key, value in dense.items() if key not in allowed)
+
+
+@pytest.mark.parametrize("spec, degree", DENSE_CASES, ids=lambda c: str(c))
+def test_dense_float_reference_matches_the_exact_coefficients(spec, degree):
     dps = 64
-    got = orbifold_potential(spec, degree, dps).coefficients
+    exact = orbifold_potential(spec, degree, dps).rationals
+    dense = _dense_potential(spec, degree, dps)
     tol = mp.mpf(10) ** (-(dps // 2))
-    want = {
-        key: value for key, value in _dense_potential(spec, degree, dps).items()
-        if abs(value) > tol
-    }
-    assert list(got) == list(want)
-    for key, value in want.items():
-        assert got[key]._mpf_ == value._mpf_, key
+    assert {key for key, value in dense.items() if abs(value) > tol} == set(exact)
+    with mp.workdps(dps + crc._GUARD):
+        for key, value in dense.items():
+            want = exact.get(key, Fraction(0))
+            err = abs(value - mp.mpf(want.numerator) / want.denominator)
+            assert err < mp.mpf(10) ** -dps, key
 
 
 @pytest.mark.parametrize("spec, degree", DENSE_CASES, ids=lambda c: str(c))
