@@ -75,8 +75,8 @@ EXIT_INTERNAL = 4
 
 PRECISION_ENV = "QMCKAY_PRECISION"
 MIN_PRECISION = 10
-# verify prints its residual, about 10^-(precision + 10), through mpmath's
-# int -> str, which CPython refuses past 4,300 digits
+# crc converts its exact coefficients to mpf at precision + 10 digits; the
+# cap keeps that conversion bounded
 MAX_PRECISION = 4_000
 
 
@@ -631,22 +631,12 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
 
     @check("crc-consistency")
     def _():
-        dps = args.precision
-        worst = crc.crc_consistency(spec, dps)
-        # 20 digits below the working precision, but never looser than half of
-        # it, so the check can still fail at low --precision
-        digits = max(dps - 20, dps // 2)
-        tol = mp.mpf(10) ** -digits
-        if worst >= tol:
-            raise InternalConsistencyError(
-                f"resolution vs orbifold residual {mp.nstr(worst, 5)}"
-            )
-        return (
-            f"resolution route (classical cubic + root series) and orbifold "
-            f"tan formula third partials agree to {mp.nstr(worst, 5)} "
-            f"(tolerance 1e-{digits}; holds by identity "
-            f"(1+w)/(1-w) = i*cot(theta/2), not independent evidence)"
-        )
+        worst = crc.crc_consistency(spec, args.precision)
+        if worst:
+            raise InternalConsistencyError(f"resolution vs orbifold residual {mp.nstr(worst, 5)}")
+        return ("resolution route (classical cubic + root series) and orbifold tan formula "
+                "third partials agree exactly as lifted rationals (residual 0; holds by "
+                "identity (1+w)/(1-w) = i*cot(theta/2), not independent evidence)")
 
     failed = [c for c in checks if c["status"] == "fail"]
     payload = {
@@ -700,8 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--precision", type=int, default=None,
             help=(
-                f"digits crc prints of its exact coefficients (at most 30) and "
-                f"verify's crc-consistency works at, {MIN_PRECISION} to {MAX_PRECISION} "
+                f"digits crc prints of its exact coefficients (at most 30), "
+                f"{MIN_PRECISION} to {MAX_PRECISION} "
                 f"(default ${PRECISION_ENV} or {crc.DEFAULT_DPS})"
             ),
         )

@@ -9,9 +9,9 @@ where X_rho is affine-linear in x with constant 2*pi*dim(rho)/|G| and
 coefficients L_rho(g) = (size(g)/|G|) * sqrt(3 - chi_V(g)) * chi_rho(g),
 and h is determined (up to irrelevant low-order terms) by
 h'''(s) = 1/2 * tan(-s/2).  Every Taylor coefficient of F is a rational
-number, and `orbifold_potential` computes it exactly; the closed-form
-third partials and the resolution route work at configurable decimal
-precision.
+number, and `orbifold_potential` computes it exactly, as do the resolution
+route and `crc_consistency`; `third_partial`, `b_series` and the complex
+views `linear_forms` and `change_of_variables` work at decimal precision.
 
 Structure of the computation:
 
@@ -50,25 +50,26 @@ Structure of the computation:
   per (group, precision) and cached.
 
 The resolution route (`resolution_third_partials`) evaluates the same third
-partials from the other side of the correspondence: the classical cubic
-intersection form plus one geometric series per root, glued by the change
-of variables y = i*L*x, q_rho = exp(2*pi*i*dim(rho)/|G|).  The cubic is
-contracted with L one index at a time, and every third partial at x = 0 is
-formed in one pass on each side.  `crc_consistency` compares the two
-routes; by the identity (1+w)/(1-w) = i*cot(theta/2) both reduce to the
-same per-root sum once the cubic is written as (1/4) * sum over roots of
-r (x) r (x) r, so their agreement checks that identity and the definition
-of the cubic rather than giving independent evidence.
+partials at x = 0 from the other side of the correspondence: the classical
+cubic intersection form plus one geometric series per root, glued by the
+change of variables y = i*L*x, q_rho = exp(2*pi*i*dim(rho)/|G|).  The
+cubic is a `Fraction` tensor and L and w/(1-w) are cyclotomic, so it runs
+in the same F_p embedding and lift.  `crc_consistency` compares the two
+routes as `Fraction`s; by the identity (1+w)/(1-w) = i*cot(theta/2) both
+reduce to the same per-root sum once the cubic is written as (1/4) * sum
+over roots of r (x) r (x) r, so their agreement checks that identity and
+the definition of the cubic rather than giving independent evidence.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from itertools import accumulate, combinations_with_replacement, count
 from math import factorial, lcm, prod
-from operator import or_
+from operator import mul, or_
 
 import mpmath as mp
 
@@ -363,33 +364,46 @@ def _prime(m: int, k: int) -> tuple[int, int]:
             return p, z
 
 
-def _residues(spec: GroupSpec, levels, terms, degree: int, m: int, p: int, z: int) -> list[int]:
-    """Every term's coefficient in F_p, with zeta_m sent to z."""
+@lru_cache(maxsize=None)
+def _embedding(spec: GroupSpec, m: int, p: int, z: int):
+    """The x = 0 data in F_p with zeta_m sent to z: i; the forms L_s(C) =
+    (|C|/|G|) 2 sin(pi t) chi_s(C) per slot, 2 sin(pi t) = -i (e^(i pi t) -
+    e^(-i pi t)); and (multiplicity, w = exp(2 pi i dim_sum/|G|), l) per
+    distinct root of `_roots`, l(C) = sum_s r_s L_s(C)."""
     corr = correspondence(spec)
     g = corr.group
+    _check_chi_v(g)
 
     def unit(turn: Fraction) -> int:  # exp(2*pi*i*turn)
         return pow(z, turn.numerator * m // turn.denominator % m, p)
 
     i = unit(Fraction(1, 4))
-    # L_s(C) = (|C|/|G|) * 2 sin(pi t) * chi_s(C), 2 sin(pi t) = -i (e^(i pi t) - e^(-i pi t))
     forms = [[
         c.size * pow(g.order, -1, p) * -i * (unit(c.turn / 2) - unit(-c.turn / 2))
         * sum(k * unit(Fraction(e, chi.n)) for e, k in chi.terms) % p
         for c, chi in zip(g.classes[1:], g.table[s][1:])
     ] for s in corr.slots]
+    roots = [
+        (mult, unit(Fraction(dim_sum, g.order)),
+         [sum(r * f for r, f in zip(restricted, column) if r) % p for column in zip(*forms)])
+        for (dim_sum, restricted), mult in Counter(_roots(spec)).items()
+    ]
+    return i, forms, roots
+
+
+def _residues(spec: GroupSpec, levels, terms, degree: int, m: int, p: int, z: int) -> list[int]:
+    """Every term's coefficient in F_p, with zeta_m sent to z."""
+    i, _, roots = _embedding(spec, m, p, z)
     half_h = [[c.numerator * pow(2 * c.denominator, -1, p) for c in _h_poly(n)]
               for n in range(3, degree + 1)]
     inverse = [pow(e, -1, p) for e in range(1, degree + 1)]
     acc = [0] * len(terms)
-    for dim_sum, restricted in _roots(spec):
-        w = unit(Fraction(dim_sum, g.order))
+    for mult, w, l in roots:
         t = i * (w + 1) * pow(w - 1, -1, p) % p  # cot(pi * dim_sum / |G|)
-        hs = [None] * 3 + [reduce(lambda a, c: (a * t + c) % p, reversed(h), 0) for h in half_h]
-        rows = []  # l^e/e! per class
-        for ci in range(len(g.classes) - 1):
-            l = sum(r * form[ci] for r, form in zip(restricted, forms) if r)
-            rows.append(list(accumulate(inverse, lambda x, v: x * l * v % p, initial=1)))
+        hs = [None] * 3 + [mult * reduce(lambda a, c: (a * t + c) % p, reversed(h), 0) % p
+                           for h in half_h]
+        # l^e/e! per class
+        rows = [list(accumulate(inverse, lambda x, v: x * lc * v % p, initial=1)) for lc in l]
         # e = 0 entries carry the prefix over without a multiply
         prods = [1]
         for level, row in zip(levels, rows):
@@ -404,6 +418,31 @@ def _residues(spec: GroupSpec, levels, terms, degree: int, m: int, p: int, z: in
     return [a % p for a in acc]
 
 
+def _lift(g, residues, dens: list[int], bound, keys) -> list[Fraction]:
+    """The values c, one per key, with c d an integer of absolute value at
+    most bound for the key's denominator d, lifted by CRT from residues(m,
+    p, z), the values in F_p with zeta_m sent to z, one prime at a time
+    until the primes' product exceeds 2 bound; one further prime must agree
+    with every lifted value, which also checks that each is rational.
+    m = lcm(4, |G|, 2N, 2q per class turn p/q) carries every root of unity."""
+    m = lcm(4, g.order, 2 * g.chi_v[0].n, *(2 * c.turn.denominator for c in g.classes))
+    lifted, modulus, k = [0] * len(dens), 1, 0
+    while modulus <= 2 * bound:
+        p, z = _prime(m, k)
+        step = pow(modulus, -1, p)
+        lifted = [x + modulus * ((r * d - x) * step % p)
+                  for x, r, d in zip(lifted, residues(m, p, z), dens)]
+        modulus, k = modulus * p, k + 1
+    lifted = [x - modulus if 2 * x > modulus else x for x in lifted]
+    p, z = _prime(m, k)
+    for x, r, d, key in zip(lifted, residues(m, p, z), dens, keys):
+        if (x - r * d) % p:
+            raise InternalConsistencyError(
+                f"value at {key} is not rational under the proven denominator and bound: "
+                f"witness prime {p} disagrees")
+    return [Fraction(x, d) for x, d in zip(lifted, dens)]
+
+
 def _exact_coefficients(spec: GroupSpec, levels, terms, degree: int) -> list[Fraction]:
     """Every term's coefficient c, lifted from its residues mod primes.
 
@@ -413,7 +452,6 @@ def _exact_coefficients(spec: GroupSpec, levels, terms, degree: int) -> list[Fra
     the polynomial of h^(n) with absolute coefficients.
     """
     g = correspondence(spec).group
-    _check_chi_v(g)
     scale = {n: 2 ** (n - 1) * g.order ** (2 * n - 2) for n in range(3, degree + 1)}
     top = {n: sum(abs(c) * Fraction(g.order, 3) ** k for k, c in enumerate(_h_poly(n)))
            * len(_roots(spec)) for n in scale}
@@ -422,21 +460,8 @@ def _exact_coefficients(spec: GroupSpec, levels, terms, degree: int) -> list[Fra
     for _, u, e, key in terms:
         dens.append(scale[u + e] * prod(map(factorial, key)))
         bound = max(bound, scale[u + e] * top[u + e] * prod(map(pow, sizes, key)))
-    m = lcm(4, g.order, 2 * g.chi_v[0].n, *(2 * c.turn.denominator for c in g.classes))
-    lifted, modulus, k = [0] * len(terms), 1, 0
-    while modulus <= 2 * bound:  # CRT, one prime at a time
-        p, z = _prime(m, k)
-        step = pow(modulus, -1, p)
-        residues = _residues(spec, levels, terms, degree, m, p, z)
-        lifted = [x + modulus * ((r * d - x) * step % p)
-                  for x, r, d in zip(lifted, residues, dens)]
-        modulus, k = modulus * p, k + 1
-    lifted = [x - modulus if 2 * x > modulus else x for x in lifted]
-    p, z = _prime(m, k)
-    for x, r, d, term in zip(lifted, _residues(spec, levels, terms, degree, m, p, z), dens, terms):
-        if (x - r * d) % p:
-            raise InternalConsistencyError(f"coefficient at {term[3]} fails witness prime {p}")
-    return [Fraction(x, d) for x, d in zip(lifted, dens)]
+    return _lift(g, lambda m, p, z: _residues(spec, levels, terms, degree, m, p, z),
+                 dens, bound, [term[3] for term in terms])
 
 
 def orbifold_potential(spec: GroupSpec, degree: int, dps: int = DEFAULT_DPS) -> PotentialSeries:
@@ -581,19 +606,55 @@ def change_of_variables(spec: GroupSpec, dps: int = DEFAULT_DPS) -> ChangeOfVari
     )
 
 
-def _add_root_triples(totals: list, root_weights, n: int) -> None:
-    """totals[t] += sum over (weight, l) of weight * l_i l_j l_k, where t
-    runs over the triples i <= j <= k in combinations_with_replacement
-    order; each partial product weight * l_i * l_j is formed once."""
-    for weight, l in root_weights:
-        t = 0
-        for i in range(n):
-            wi = weight * l[i]
-            for j in range(i, n):
-                wij = wi * l[j]
-                for k in range(j, n):
-                    totals[t] += wij * l[k]
-                    t += 1
+def _resolution_residues(spec: GroupSpec, cubic, den: int, m: int, p: int, z: int) -> list[int]:
+    """Every third partial of `resolution_third_partials` in F_p, with zeta_m
+    sent to z, over the triples of combinations_with_replacement order;
+    ``cubic`` is the classical cubic times ``den``, as integers."""
+    i, forms, roots = _embedding(spec, m, p, z)
+    i3 = -i % p
+    scale = i3 * pow(den, -1, p) % p
+    cols = list(zip(*forms))  # L_s(C) per class, over slots
+    # by_last[a][k][b] = sum_c cubic[a][b][c] L_c(k)
+    by_last = [[[sum(map(mul, row, col)) % p for row in plane] for col in cols]
+               for plane in cubic]
+    # l(C) per class over the distinct roots, each weighted (i^3/2) w/(1-w)
+    lroots = list(zip(*(l for _, _, l in roots)))
+    weights = [mult * i3 * w * pow(2 - 2 * w, -1, p) % p for mult, w, _ in roots]
+    # the (i, j, k) partial is outer[i] . inner[j, k]: (i^3/den) times the
+    # cubic contracted over its last two indices, then the roots
+    inner = {
+        (j, k): [sum(map(mul, cols[j], plane[k])) * scale % p for plane in by_last]
+        + [wt * lj * lk % p for wt, lj, lk in zip(weights, lroots[j], lroots[k])]
+        for j, k in combinations_with_replacement(range(len(cols)), 2)
+    }
+    outer = [col + lcol for col, lcol in zip(cols, lroots)]
+    return [sum(map(mul, outer[i], inner[j, k])) % p
+            for i, j, k in combinations_with_replacement(range(len(cols)), 3)]
+
+
+def _resolution_rationals(spec: GroupSpec) -> dict[tuple[int, int, int], Fraction]:
+    """The third partials of `resolution_third_partials`, exact.
+
+    For d the lcm of 2 and the cubic's denominators, D = d |G|^4 times each
+    partial is an algebraic integer: |G| L and |G| l are, and so is
+    |G|/(1-w), since 1 - w divides the order of w, which divides |G|.  With
+    |L_s(C)| < 2|C|, |l(C)| < 2|C| (dim_sum < |G|) and |w/(1-w)| =
+    1/(2 sin(pi dim_sum/|G|)) <= |G|/4, each partial is at most
+    (sum |cubic_abc| + R |G|/8) (2 max|C|)^3 in absolute value, R roots.
+    """
+    g = correspondence(spec).group
+    cubic = classical_potential(spec).cubic
+    den = lcm(2, *(c.denominator for plane in cubic for row in plane for c in row))
+    ints = [[[c.numerator * (den // c.denominator) for c in row] for row in plane]
+            for plane in cubic]
+    weight = sum(abs(x) for plane in ints for row in plane for x in row)  # den sum |cubic|
+    big_d = den * g.order ** 4
+    bound = g.order ** 4 * (2 * max(c.size for c in g.classes)) ** 3 * (
+        weight + Fraction(den * len(_roots(spec)) * g.order, 8))
+    triples = list(combinations_with_replacement(range(len(g.classes) - 1), 3))
+    return dict(zip(triples, _lift(
+        g, lambda m, p, z: _resolution_residues(spec, ints, den, m, p, z),
+        [big_d] * len(triples), bound, triples)))
 
 
 def resolution_third_partials(spec: GroupSpec, dps: int = DEFAULT_DPS) -> dict:
@@ -602,86 +663,34 @@ def resolution_third_partials(spec: GroupSpec, dps: int = DEFAULT_DPS) -> dict:
         i^3 * (classical cubic contracted with L three times)
       + sum over roots of (i^3/2) l_k l_k' l_k'' w/(1-w),  w = exp(i*theta0).
 
-    The cubic is contracted one index at a time, last index first.
-    Returns a dict over nondecreasing index triples with complex values
-    (their imaginary parts vanishing is part of the statement under test).
+    Returns a dict over nondecreasing index triples of the exact values of
+    `_resolution_rationals` as complex numbers with imaginary part 0.
     """
-    system, roots = _root_forms(spec, dps)
-    cubic = classical_potential(spec).cubic
-    order = correspondence(spec).group.order
-    n = len(system.class_labels)
-    lmat = [form.coefficients for form in system.forms]  # irrep x class
-    r = len(lmat)
+    exact = _resolution_rationals(spec)
     with mp.workdps(dps + _GUARD):
-        zero = mp.mpc(0)
-        # by_last[a][b][k] = sum_c cubic[a][b][c] L[c][k], then
-        # by_two[a][j][k] = sum_b L[b][j] by_last[a][b][k]
-        by_last = []
-        for a in range(r):
-            plane = []
-            for b in range(r):
-                row = [zero] * n
-                for c in range(r):
-                    w = cubic[a][b][c]
-                    if w:
-                        wf = mp.mpf(w.numerator) / w.denominator
-                        row = [acc + wf * l for acc, l in zip(row, lmat[c])]
-                plane.append(row)
-            by_last.append(plane)
-        by_two = [
-            [
-                [
-                    mp.fsum(lmat[b][j] * by_last[a][b][k] for b in range(r))
-                    for k in range(n)
-                ]
-                for j in range(n)
-            ]
-            for a in range(r)
-        ]
-        i3 = mp.mpc(0, -1)  # i^3
-        triples = list(combinations_with_replacement(range(n), 3))
-        totals = [
-            i3 * mp.fsum(lmat[a][i] * by_two[a][j][k] for a in range(r))
-            for i, j, k in triples
-        ]
-        root_weights = []
-        for root in roots:
-            w = mp.expjpi(2 * mp.mpf(root.dim_sum) / order)
-            root_weights.append((i3 / 2 * w / (1 - w), root.coefficients))
-        _add_root_triples(totals, root_weights, n)
-    return dict(zip(triples, totals))
+        return {t: mp.mpc(mp.mpf(v.numerator) / v.denominator) for t, v in exact.items()}
 
 
 def crc_consistency(spec: GroupSpec, dps: int = DEFAULT_DPS) -> mp.mpf:
-    """Max absolute difference, over all index triples, between the
-    resolution-route third partials and the quotient-side closed formula
-    at x = 0,
-
-        -(1/4) * sum over roots of l_k l_k' l_k'' * tan(theta0/2 + pi/2),
-
-    with each root's tan taken once for all triples.  By the identity
-    (1+w)/(1-w) = i*cot(theta/2) the two sides agree as soon as the cubic
-    is (1/4) * sum over roots of r (x) r (x) r, so a small value confirms
-    that identity and the cubic's definition, not the correspondence
-    independently."""
-    res = resolution_third_partials(spec, dps)
-    system, roots = _root_forms(spec, dps)
-    order = correspondence(spec).group.order
+    """Largest absolute difference, over all index triples, between the
+    resolution-route third partials and the quotient side's at x = 0: the
+    degree-3 coefficients of `orbifold_potential` times prod e_i!, that is
+    (1/4) * sum over roots of l_k l_k' l_k'' * cot(theta0/2), and 0 on the
+    triples the selection rule excludes.  Both sides are `Fraction`s, so the
+    mpf returned is exactly 0 when they agree.  By the identity
+    (1+w)/(1-w) = i*cot(theta/2) they agree as soon as the cubic is
+    (1/4) * sum over roots of r (x) r (x) r, so 0 confirms that identity and
+    the cubic's definition, not the correspondence independently.  A
+    resolution side that is not rational fails its witness prime, which
+    raises InternalConsistencyError."""
+    orbifold = orbifold_potential(spec, 3).rationals
+    n = len(correspondence(spec).group.classes) - 1
+    worst = Fraction(0)
+    for triple, value in _resolution_rationals(spec).items():
+        key = tuple(map(triple.count, range(n)))
+        worst = max(worst, abs(value - orbifold.get(key, 0) * prod(map(factorial, key))))
     with mp.workdps(dps + _GUARD):
-        tans = [
-            (mp.tan(mp.pi * mp.mpf(root.dim_sum) / order + mp.pi / 2), root.coefficients)
-            for root in roots
-        ]
-        totals = [mp.mpc(0)] * len(res)
-        _add_root_triples(totals, tans, len(system.class_labels))
-        tol = mp.mpf(10) ** (-(dps // 2))
-        worst = mp.mpf(0)
-        for value, total in zip(res.values(), totals):
-            direct = -total / 4
-            if abs(direct.imag) > tol:
-                raise ConfigurationError(f"third partial came out non-real: {direct}")
-            worst = max(worst, abs(value - direct.real))
-        return worst
+        return mp.mpf(worst.numerator) / worst.denominator
 
 
 def rational_guess(value, max_denominator: int = 10 ** 6, dps: int = DEFAULT_DPS):

@@ -1,12 +1,14 @@
 """Command line contract: parsing, exit codes, schemas, determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -200,6 +202,44 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     assert payload["status"] == "fail"
     failed = {c["name"] for c in payload["checks"] if c["status"] == "fail"}
     assert failed == {"crc-consistency"}
+
+
+def test_perturbed_cubic_fails_only_crc_consistency(capsys, monkeypatch):
+    honest = cli.crc.classical_potential
+
+    def perturbed(spec):
+        data = honest(spec)
+        cubic = [[list(row) for row in plane] for plane in data.cubic]
+        for a, b, c in {(0, 0, 1), (0, 1, 0), (1, 0, 0)}:
+            cubic[a][b][c] += Fraction(1, 4)
+        return dataclasses.replace(data, cubic=cubic)
+
+    # i^3 cubic(L, L, L) moves off the reals, so the resolution side no
+    # longer lifts to a rational: the witness prime proves it differs from
+    # the rational orbifold side
+    monkeypatch.setattr(cli.crc, "classical_potential", perturbed)
+    with pytest.raises(InternalConsistencyError, match="not rational"):
+        cli.crc.crc_consistency(GroupSpec.dihedral(3))
+    code, out, _ = run(capsys, [
+        "verify", "--group", "D5", "--max-q-degree", "2", "--q-series-degree", "2",
+    ])
+    assert code == EXIT_VERIFY
+    failed = {c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"}
+    assert failed == {"crc-consistency"}
+
+
+def test_perturbed_orbifold_side_gives_the_exact_residual(monkeypatch):
+    spec = GroupSpec.dihedral(3)
+    honest = cli.crc.orbifold_potential
+
+    def perturbed(spec, degree, dps=cli.crc.DEFAULT_DPS):
+        pot = honest(spec, degree, dps)
+        rationals = dict(pot.rationals)
+        rationals[(1, 2)] += Fraction(1, 4)  # x_r1 x_s^2, third partial x 2!
+        return dataclasses.replace(pot, rationals=rationals)
+
+    monkeypatch.setattr(cli.crc, "orbifold_potential", perturbed)
+    assert cli.crc.crc_consistency(spec) == mp.mpf(1) / 2
 
 
 def test_internal_failure_exits_four(capsys, monkeypatch):
@@ -403,15 +443,18 @@ def test_two_precisions_build_each_group_once(capsys, monkeypatch):
     assert gwtheory._bps_fibers.cache_info().misses == 1
 
 
-def test_crc_tolerance_stays_below_one_at_low_precision(capsys):
-    code, out, _ = run(capsys, ["verify", "--group", "D:2", "--precision", "12",
-                                "--max-q-degree", "2", "--q-series-degree", "2"])
-    assert code == EXIT_OK
-    detail = next(c["detail"] for c in json.loads(out)["checks"]
-                  if c["name"] == "crc-consistency")
-    tolerance = mp.mpf(detail.split("(tolerance ")[1].split(";")[0])
-    assert tolerance < 1
-    assert tolerance == mp.mpf("1e-6")
+@pytest.mark.parametrize("precision", ["10", "12"])
+def test_crc_consistency_is_exact_at_low_precision(capsys, precision):
+    # both sides are lifted rationals, so the precision cannot move the check
+    argv = ["verify", "--group", "D:2", "--max-q-degree", "2", "--q-series-degree", "2"]
+    details = []
+    for extra in (["--precision", precision], []):
+        code, out, _ = run(capsys, argv + extra)
+        assert code == EXIT_OK
+        details.append(next(c["detail"] for c in json.loads(out)["checks"]
+                            if c["name"] == "crc-consistency"))
+    assert details[0] == details[1]
+    assert "residual 0;" in details[0] and "tolerance" not in details[0]
 
 
 def test_repeated_runs_are_byte_identical(capsys):

@@ -216,17 +216,59 @@ def test_taylor_third_partial_multiplicity_factor():
     GroupSpec.cyclic(3),
     GroupSpec.cyclic(4),
     GroupSpec.tetrahedral(),
+    GroupSpec.octahedral(),
+    GroupSpec.icosahedral(),
+    GroupSpec.dihedral(6),
+    GroupSpec.cyclic(6),
+    GroupSpec.cyclic(16),
+    GroupSpec.dihedral(24),
 ], ids=str)
 def test_resolution_route_consistency(spec):
-    with mp.workdps(80):
-        assert crc_consistency(spec) < mp.mpf("1e-40")
+    assert crc_consistency(spec) == 0
 
 
 @pytest.mark.parametrize("spec", [D5, GroupSpec.cyclic(4)], ids=str)
 def test_resolution_partials_are_real(spec):
-    with mp.workdps(80):
-        for value in resolution_third_partials(spec).values():
-            assert abs(value.imag) < mp.mpf("1e-50")
+    for value in resolution_third_partials(spec).values():
+        assert value.imag == 0
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.tetrahedral(), GroupSpec.cyclic(6)], ids=str)
+def test_resolution_partials_vanish_outside_the_selection_rule(spec):
+    # the rule comes from group multiplication alone, the resolution side
+    # from the classical cubic and the root series
+    _, terms = crc._monomial_tree(crc._class_products(spec), 3)
+    allowed = {term[3] for term in terms}
+    n = len(correspondence(spec).group.classes) - 1
+    exact = crc._resolution_rationals(spec)
+    outside = [t for t in exact if tuple(map(t.count, range(n))) not in allowed]
+    assert outside
+    assert all(exact[t] == 0 for t in outside)
+    assert all(resolution_third_partials(spec)[t] == 0 for t in outside)
+
+
+def test_resolution_witness_prime_rejects_a_corrupt_residue(monkeypatch):
+    honest = crc._resolution_residues
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(crc, "_resolution_residues", counting)
+    resolution_third_partials(D5)
+    seen = []
+
+    def corrupting(*args):
+        out = honest(*args)
+        if len(seen) == len(calls) - 1:  # the witness prime
+            out[-1] = (out[-1] + 1) % args[-2]
+        seen.append(args[-2])
+        return out
+
+    monkeypatch.setattr(crc, "_resolution_residues", corrupting)
+    with pytest.raises(InternalConsistencyError):
+        resolution_third_partials(D5)
 
 
 def test_geometric_series_identity():
@@ -494,7 +536,7 @@ def test_root_forms_built_once_per_group_and_precision(monkeypatch):
         crc_consistency(spec, 40)
         third_partial(spec, 0, 1, 2, dps=40)
         assert calls == [(spec, 40)]
-        crc_consistency(spec, 50)
+        third_partial(spec, 0, 1, 2, dps=50)
         assert calls == [(spec, 40), (spec, 50)]
     finally:
         crc._root_forms.cache_clear()
