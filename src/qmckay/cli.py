@@ -35,14 +35,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
 from . import crc
 from .errors import ConfigurationError, InternalConsistencyError, PoleError
 from .exact import mat_inverse
 from .grouprep import (
     GroupSpec,
-    as_mpc,
     binary_simple_roots,
     correspondence,
     hard_lefschetz_check,
@@ -174,7 +171,9 @@ def _charvalue(v) -> str:
     value = v.integer_value()
     if value is not None:
         return str(value)
-    return mp.nstr(as_mpc(v).real, 30)
+    import mpmath as mp
+
+    return mp.nstr(crc.as_mpc(v).real, 30)
 
 
 def _ade_name(ade) -> str:
@@ -513,6 +512,12 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
                     pairs += 1
         return f"{pairs} inner products exactly 0 or 1 (exact sums in Z[zeta_N])"
 
+    # one C^-1 serves root-sum-identity and surface-two-point; a failure is
+    # not cached, so each check that needs the value reports it
+    @functools.cache
+    def cartan_inverse():
+        return mat_inverse(rs.cartan)
+
     @check("root-sum-identity")
     def _():
         n = rs.rank
@@ -522,9 +527,7 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
                 if alpha[i]:
                     for j in range(n):
                         total[i][j] += alpha[i] * alpha[j]
-        expected = [
-            [rs.coxeter_number * x for x in row] for row in mat_inverse(rs.cartan)
-        ]
+        expected = [[rs.coxeter_number * x for x in row] for row in cartan_inverse()]
         if [[Fraction(x) for x in row] for row in total] != expected:
             raise InternalConsistencyError("sum over R+ of a a^T != h C^-1")
         return f"sum over {len(rs.positive_roots)} roots equals h * C^-1"
@@ -613,8 +616,7 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
     @check("surface-two-point")
     def _():
         surface = surface_integrals(spec)
-        inverse = mat_inverse(rs.cartan)
-        expected = tuple(tuple(-x for x in row) for row in inverse)
+        expected = tuple(tuple(-x for x in row) for row in cartan_inverse())
         if surface.two_point != expected:
             raise InternalConsistencyError("surface two-point != -C^-1")
         return "surface two-point equals -C^-1 exactly"
@@ -633,7 +635,10 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
     def _():
         worst = crc.crc_consistency(spec, args.precision)
         if worst:
-            raise InternalConsistencyError(f"resolution vs orbifold residual {mp.nstr(worst, 5)}")
+            import mpmath as mp
+
+            raise InternalConsistencyError(
+                f"resolution vs orbifold residual {mp.nstr(mp.mpmathify(worst), 5)}")
         return ("resolution route (classical cubic + root series) and orbifold tan formula "
                 "third partials agree exactly as lifted rationals (residual 0; holds by "
                 "identity (1+w)/(1-w) = i*cot(theta/2), not independent evidence)")

@@ -12,6 +12,11 @@ h'''(s) = 1/2 * tan(-s/2).  Every Taylor coefficient of F is a rational
 number, and `orbifold_potential` computes it exactly, as do the resolution
 route and `crc_consistency`; `third_partial`, `b_series` and the complex
 views `linear_forms` and `change_of_variables` work at decimal precision.
+mpmath is imported by the functions that form a decimal, not by this
+module: `orbifold_potential` and `crc_consistency` form none, and
+`PotentialSeries.coefficients` is built from the exact values on first
+access.  `as_mpc`, the one numeric view of a character value, lives here,
+so `grouprep` is free of mpmath.
 
 Structure of the computation:
 
@@ -66,23 +71,27 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, reduce
+from functools import cache, cached_property, lru_cache, reduce
 from itertools import accumulate, combinations_with_replacement, count
 from math import factorial, lcm, prod
 from operator import mul, or_
-
-import mpmath as mp
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, InternalConsistencyError, PoleError
-from .grouprep import GroupSpec, as_mpc, class_multiplication, correspondence, two_cos_turn
+from .grouprep import Cyclotomic, GroupSpec, class_multiplication, correspondence, two_cos_turn
 from .intersect import classical_potential
 from .rootsys import root_system
+
+if TYPE_CHECKING:
+    import mpmath as mp
 
 DEFAULT_DPS = 64
 _GUARD = 10
 
 
 def _near_pole(cos_value, dps: int) -> bool:
+    import mpmath as mp
+
     # 10^-(dps - _GUARD), but never coarser than 10^-(dps // 2), so that
     # ordinary points still evaluate at low precision
     return abs(cos_value) < mp.mpf(10) ** -max(dps - _GUARD, dps // 2)
@@ -123,6 +132,8 @@ def _h_poly(n: int) -> tuple[Fraction, ...]:
 
 
 def _poly_eval(p: tuple[Fraction, ...], t):
+    import mpmath as mp
+
     acc = mp.mpf(0)
     for c in reversed(p):
         acc = acc * t + mp.mpf(c.numerator) / c.denominator
@@ -135,6 +146,8 @@ def h_derivative(n: int, s, dps: int = DEFAULT_DPS):
     Refuses points too close to the poles of tan(-s/2) instead of returning
     a huge meaningless value.
     """
+    import mpmath as mp
+
     if n < 3:
         raise ConfigurationError("derivatives of order below three are not defined")
     with mp.workdps(dps + _GUARD):
@@ -167,6 +180,28 @@ class FormSystem:
     dps: int
 
 
+def as_mpc(v: Cyclotomic) -> mp.mpc:
+    """The complex value of ``v`` at the ambient mpmath precision.
+
+    This is the only numeric view of a character value.  Integers are
+    converted exactly; a self-conjugate value is summed as cosines, so its
+    imaginary part is exactly 0; any other value is summed from exp(2*pi*i*e/n).
+    Sums run with guard digits and are rounded once.
+    """
+    import mpmath as mp
+
+    value = v.integer_value()
+    if value is not None:
+        return mp.mpc(value)
+    n = v.n
+    with mp.extradps(_GUARD):
+        if v == v.conjugate():
+            z = mp.fsum(c * mp.cospi(mp.mpf(2 * min(e, n - e)) / n) for e, c in v.terms)
+        else:
+            z = mp.fsum(c * mp.expjpi(mp.mpf(2 * e) / n) for e, c in v.terms)
+    return mp.mpc(+z)
+
+
 def _check_chi_v(g) -> None:
     """chi_V = 1 + 2 cos(2 pi t) on every class of turn t, exactly, so that
     sqrt(3 - chi_V) = 2 sin(pi t), real and >= 0 for t in [0, 1/2]."""
@@ -176,6 +211,8 @@ def _check_chi_v(g) -> None:
 
 
 def linear_forms(spec: GroupSpec, dps: int = DEFAULT_DPS) -> FormSystem:
+    import mpmath as mp
+
     corr = correspondence(spec)
     g = corr.group
     order = g.order
@@ -236,6 +273,8 @@ def _roots(spec: GroupSpec) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 @lru_cache(maxsize=None)
 def _root_forms(spec: GroupSpec, dps: int) -> tuple[FormSystem, tuple[_RootForm, ...]]:
+    import mpmath as mp
+
     system = linear_forms(spec, dps)
     out = []
     with mp.workdps(dps + _GUARD):
@@ -267,11 +306,20 @@ class PotentialSeries:
     spec: GroupSpec
     class_labels: tuple[str, ...]
     degree: int
-    coefficients: dict[tuple[int, ...], mp.mpf]
     dps: int
     rationals: dict[tuple[int, ...], Fraction]
 
+    @cached_property
+    def coefficients(self) -> dict[tuple[int, ...], mp.mpf]:
+        """``rationals`` as mpf at dps plus guard digits, formed on first access."""
+        import mpmath as mp
+
+        with mp.workdps(self.dps + _GUARD):
+            return {key: mp.mpf(c.numerator) / c.denominator for key, c in self.rationals.items()}
+
     def coefficient(self, exponents: dict[str, int]) -> mp.mpf:
+        import mpmath as mp
+
         unknown = set(exponents) - set(self.class_labels)
         if unknown:
             raise ConfigurationError(f"unknown conjugacy classes {sorted(unknown)}")
@@ -282,6 +330,8 @@ class PotentialSeries:
         """Records in (degree, exponents) order.  Each coefficient prints to
         min(30, dps) significant digits: the guard digits beyond the
         requested precision are rounding noise, not data."""
+        import mpmath as mp
+
         return [{
             "degree": sum(key),
             "exponents": {lbl: e for lbl, e in zip(self.class_labels, key) if e},
@@ -472,13 +522,13 @@ def orbifold_potential(spec: GroupSpec, degree: int, dps: int = DEFAULT_DPS) -> 
     values = _exact_coefficients(spec, levels, terms, degree)
     exact = {term[3]: c for term, c in zip(terms, values) if c}
     labels = tuple(c.label for c in correspondence(spec).group.classes[1:])
-    with mp.workdps(dps + _GUARD):
-        coeffs = {key: mp.mpf(c.numerator) / c.denominator for key, c in exact.items()}
-    return PotentialSeries(spec, labels, degree, coeffs, dps, exact)
+    return PotentialSeries(spec, labels, degree, dps, exact)
 
 
 def taylor_third_partial(potential: PotentialSeries, k, k2, k3) -> mp.mpf:
     """Third partial at 0 from Taylor data: coefficient times exponent factorials."""
+    import mpmath as mp
+
     labels = potential.class_labels
     idx = [_class_index(labels, k) for k in (k, k2, k3)]
     key = [0] * len(labels)
@@ -506,6 +556,8 @@ def third_partial(spec: GroupSpec, k, k2, k3, x=None, dps: int = DEFAULT_DPS):
     where theta is the root's form evaluated at x and l its x-gradient.
     x maps class labels to real values; omitted entries are zero.
     """
+    import mpmath as mp
+
     system, roots = _root_forms(spec, dps)
     order = correspondence(spec).group.order
     labels = system.class_labels
@@ -542,6 +594,8 @@ def b_series(spec: GroupSpec, n_terms: int, dps: int = DEFAULT_DPS) -> tuple:
     Only defined for dihedral(3), whose two nontrivial classes are the
     flip class s and the rotation class r1.
     """
+    import mpmath as mp
+
     if spec != GroupSpec.dihedral(3):
         raise ConfigurationError("the b-series is specific to dihedral(3)")
     if n_terms < 1:
@@ -591,6 +645,8 @@ class ChangeOfVariables:
 
 
 def change_of_variables(spec: GroupSpec, dps: int = DEFAULT_DPS) -> ChangeOfVariables:
+    import mpmath as mp
+
     system = linear_forms(spec, dps)
     with mp.workdps(dps + _GUARD):
         rows = tuple(
@@ -666,18 +722,20 @@ def resolution_third_partials(spec: GroupSpec, dps: int = DEFAULT_DPS) -> dict:
     Returns a dict over nondecreasing index triples of the exact values of
     `_resolution_rationals` as complex numbers with imaginary part 0.
     """
+    import mpmath as mp
+
     exact = _resolution_rationals(spec)
     with mp.workdps(dps + _GUARD):
         return {t: mp.mpc(mp.mpf(v.numerator) / v.denominator) for t, v in exact.items()}
 
 
-def crc_consistency(spec: GroupSpec, dps: int = DEFAULT_DPS) -> mp.mpf:
+def crc_consistency(spec: GroupSpec, dps: int = DEFAULT_DPS) -> Fraction:
     """Largest absolute difference, over all index triples, between the
     resolution-route third partials and the quotient side's at x = 0: the
     degree-3 coefficients of `orbifold_potential` times prod e_i!, that is
     (1/4) * sum over roots of l_k l_k' l_k'' * cot(theta0/2), and 0 on the
-    triples the selection rule excludes.  Both sides are `Fraction`s, so the
-    mpf returned is exactly 0 when they agree.  By the identity
+    triples the selection rule excludes.  Both sides are `Fraction`s, and so
+    is the residual returned: exactly 0 when they agree, at any ``dps``.  By the identity
     (1+w)/(1-w) = i*cot(theta/2) they agree as soon as the cubic is
     (1/4) * sum over roots of r (x) r (x) r, so 0 confirms that identity and
     the cubic's definition, not the correspondence independently.  A
@@ -689,8 +747,7 @@ def crc_consistency(spec: GroupSpec, dps: int = DEFAULT_DPS) -> mp.mpf:
     for triple, value in _resolution_rationals(spec).items():
         key = tuple(map(triple.count, range(n)))
         worst = max(worst, abs(value - orbifold.get(key, 0) * prod(map(factorial, key))))
-    with mp.workdps(dps + _GUARD):
-        return mp.mpf(worst.numerator) / worst.denominator
+    return worst
 
 
 def rational_guess(value, max_denominator: int = 10 ** 6, dps: int = DEFAULT_DPS):
@@ -701,6 +758,8 @@ def rational_guess(value, max_denominator: int = 10 ** 6, dps: int = DEFAULT_DPS
     place at that precision is coarser than 1e-20 gets None, because being
     within 1e-20 of a rational says nothing about it.
     """
+    import mpmath as mp
+
     with mp.workdps(dps + _GUARD):
         value = mp.mpf(value)
         if value and mp.ldexp(1, mp.mag(value) - mp.mp.prec) > mp.mpf("1e-20"):

@@ -23,8 +23,8 @@ Integer quantities derived from them (tensor multiplicities, pairings,
 class multiplication constants) are exact integer sums: the products are
 accumulated as integer coefficients of powers of zeta_N, reduced once
 modulo the cyclotomic polynomial, and required to be rational.  No
-tolerance or rounding is involved; `as_mpc` is the one numeric view of a
-value.
+tolerance or rounding is involved, and this module never imports mpmath;
+the one numeric view of a value, `as_mpc`, is in `qmckay.crc`.
 
 Fixed conventions (part of the public contract; consumers index by label):
 
@@ -57,12 +57,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-import mpmath as mp
-
 from .errors import ConfigurationError, InternalConsistencyError
 from .rootsys import ADEType, cartan_matrix, root_system
-
-_GUARD = 10  # extra digits when a character value is evaluated numerically
 
 _KINDS = ("cyclic", "dihedral", "tetrahedral", "octahedral", "icosahedral")
 
@@ -291,26 +287,6 @@ def exp_turn(t: Fraction, n: int) -> Cyclotomic:
 def two_cos_turn(t: Fraction, n: int) -> Cyclotomic:
     """2*cos(2*pi*t) as zeta_n^(n*t) + zeta_n^(-n*t)."""
     return exp_turn(t, n) + exp_turn(-t, n)
-
-
-def as_mpc(v: Cyclotomic) -> mp.mpc:
-    """The complex value of ``v`` at the ambient mpmath precision.
-
-    This is the only numeric view of a character value.  Integers are
-    converted exactly; a self-conjugate value is summed as cosines, so its
-    imaginary part is exactly 0; any other value is summed from exp(2*pi*i*e/n).
-    Sums run with guard digits and are rounded once.
-    """
-    value = v.integer_value()
-    if value is not None:
-        return mp.mpc(value)
-    n = v.n
-    with mp.extradps(_GUARD):
-        if v == v.conjugate():
-            z = mp.fsum(c * mp.cospi(mp.mpf(2 * min(e, n - e)) / n) for e, c in v.terms)
-        else:
-            z = mp.fsum(c * mp.expjpi(mp.mpf(2 * e) / n) for e, c in v.terms)
-    return mp.mpc(+z)
 
 
 # ---------------------------------------------------------------------------

@@ -144,10 +144,10 @@ def partition_function_by_roots(
     """The same product taken root by root at weight 1/2.
 
     This is the product-of-exps route: one `macmahon_factor` (an exp) per
-    positive root, multiplied together.  It exactly equals
-    `partition_function`, which takes a single exp of the per-class sum; it
-    is kept as an independent route so the per-class collapse and the
-    exp-of-a-sum are testable rather than assumed.
+    distinct restricted root, multiplied in once per positive root.  It
+    exactly equals `partition_function`, which takes a single exp of the
+    per-class sum; it is kept as an independent route so the per-class
+    collapse and the exp-of-a-sum are testable rather than assumed.
     """
     corr = correspondence(spec)
     roots = root_system(corr.ade).positive_roots
@@ -155,14 +155,17 @@ def partition_function_by_roots(
     half = Fraction(1, 2)
     acc = MultiSeries.one(variables, truncation)
     factors = []
+    built = {}  # restricted roots repeat, so each distinct factor is built once
     for alpha in roots:
         beta = tuple(alpha[node] for node in corr.slot_node)
         if all(b == 0 for b in beta):
             continue
         factors.append((beta, half))
-        acc = acc * macmahon_factor(
-            variables, truncation, _beta_exponents(variables, beta), half
-        )
+        if beta not in built:
+            built[beta] = macmahon_factor(
+                variables, truncation, _beta_exponents(variables, beta), half
+            )
+        acc = acc * built[beta]
     return PartitionFunction(spec=spec, series=acc, factors=tuple(factors))
 
 

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -202,6 +203,19 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     assert payload["status"] == "fail"
     failed = {c["name"] for c in payload["checks"] if c["status"] == "fail"}
     assert failed == {"crc-consistency"}
+
+
+def test_shared_cartan_inverse_failure_fails_only_its_checks(capsys, monkeypatch):
+    def boom(matrix):
+        raise InternalConsistencyError("synthetic")
+    monkeypatch.setattr(cli, "mat_inverse", boom)
+    code, out, _ = run(capsys, [
+        "verify", "--group", "D5", "--max-q-degree", "2", "--q-series-degree", "2",
+    ])
+    assert code == EXIT_VERIFY
+    failed = {c["name"]: c["detail"] for c in json.loads(out)["checks"]
+              if c["status"] == "fail"}
+    assert failed == {"root-sum-identity": "synthetic", "surface-two-point": "synthetic"}
 
 
 def test_perturbed_cubic_fails_only_crc_consistency(capsys, monkeypatch):
@@ -542,18 +556,88 @@ def test_console_script_round_trip():
     assert json.loads(result.stdout)["positive_root_count"] == 36
 
 
+def _src_env():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QMCKAY_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_entry_point_from_pyproject():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["qmckay"]
     module, func = target.split(":")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-c", f"from {module} import {func}; {func}()",
          "roots", "--group", "E6"],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=_src_env(),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["positive_root_count"] == 36
+
+
+# reports whether mpmath was imported by the time `cli.main` returned
+_MPMATH_PROBE = """
+import contextlib, io, sys
+from qmckay import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, "mpmath" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["verify", "--group", "T"], False),
+    (["bps", "--group", "D5"], False),
+    (["intersect", "--group", "D5"], False),
+    (["roots", "--group", "E8"], False),
+    (["gw", "--group", "D5", "--max-q-degree", "2", "--lambda-order", "2"], False),
+    (["partition", "--group", "D5", "--max-q-degree", "2", "--q-series-degree", "2"], False),
+    (["dt", "--group", "D5", "--max-q-degree", "2", "--q-series-degree", "2"], False),
+    (["crc", "--group", "T", "--degree", "4"], True),
+    # chi_V = 1 + 2 cos(2 pi/5) on the order-5 classes of I is printed as a decimal
+    (["group", "--group", "I"], True),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_only_decimal_output_imports_mpmath(argv, loaded):
+    result = subprocess.run(
+        [sys.executable, "-c", _MPMATH_PROBE, *argv],
+        capture_output=True, text=True, timeout=120, env=_src_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", str(loaded)]
+
+
+def _traced(argv):
+    """One request under perfbench/tracer.py: its completed process and spans."""
+    read, write = os.pipe()
+    with open(read, "rb") as sink, ThreadPoolExecutor(1) as pool:
+        spans = pool.submit(sink.read)  # drained while the child runs
+        try:
+            result = subprocess.run(
+                [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(write), *argv],
+                capture_output=True, timeout=120, env=_src_env(), pass_fds=(write,),
+            )
+        finally:
+            os.close(write)
+        return result, json.loads(spans.result())
+
+
+@pytest.mark.parametrize("argv, degree", [
+    (["verify", "--group", "T"], 3),
+    (["crc", "--group", "T", "--degree", "4"], 4),
+], ids=["verify", "crc"])
+def test_traced_request_matches_the_untraced_cli(argv, degree):
+    traced, spans = _traced(argv)
+    plain = subprocess.run(
+        [sys.executable, "-m", "qmckay.cli", *argv],
+        capture_output=True, timeout=120, env=_src_env(),
+    )
+    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    names = {span[0] for span in spans}
+    assert {"cli.main", "crc.orbifold_potential"} <= names
+    assert ("crc.crc_consistency" in names) == (argv[0] == "verify")
+    expected = len(cli.crc.orbifold_potential(GroupSpec.tetrahedral(), degree).rationals)
+    counts = [span[4]["coefficients"] for span in spans if span[0] == "crc.orbifold_potential"]
+    assert counts == [expected]

@@ -224,7 +224,18 @@ def test_taylor_third_partial_multiplicity_factor():
     GroupSpec.dihedral(24),
 ], ids=str)
 def test_resolution_route_consistency(spec):
-    assert crc_consistency(spec) == 0
+    residual = crc_consistency(spec)
+    assert isinstance(residual, Fraction) and residual == 0
+
+
+def test_potential_coefficients_are_formed_from_the_rationals_on_first_access():
+    potential = orbifold_potential(D5, 5, 40)
+    assert "coefficients" not in vars(potential)
+    with mp.workdps(50):
+        expected = {key: mp.mpf(c.numerator) / c.denominator
+                    for key, c in potential.rationals.items()}
+    assert potential.coefficients == expected
+    assert potential.coefficients is potential.coefficients
 
 
 @pytest.mark.parametrize("spec", [D5, GroupSpec.cyclic(4)], ids=str)

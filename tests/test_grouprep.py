@@ -11,12 +11,12 @@ import pytest
 import qmckay.grouprep as grouprep
 import qmckay.gwtheory as gwtheory
 import qmckay.intersect as intersect
+from qmckay.crc import as_mpc
 from qmckay.errors import ConfigurationError, InternalConsistencyError
 from qmckay.grouprep import (
     Cyclotomic,
     GroupSpec,
     age,
-    as_mpc,
     build_binary_group,
     build_group,
     binary_simple_roots,

@@ -17,9 +17,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from qmckay.crc import as_mpc
 from qmckay.grouprep import (
     GroupSpec,
-    as_mpc,
     build_binary_group,
     build_group,
     class_multiplication,
