@@ -72,8 +72,8 @@ EXIT_INTERNAL = 4
 
 PRECISION_ENV = "QMCKAY_PRECISION"
 MIN_PRECISION = 10
-# crc converts its exact coefficients to mpf at precision + 10 digits; the
-# cap keeps that conversion bounded
+# crc rounds its exact coefficients to precision + 10 digits before it
+# prints them; the cap keeps that rounding bounded
 MAX_PRECISION = 4_000
 
 
@@ -635,10 +635,10 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
     def _():
         worst = crc.crc_consistency(spec, args.precision)
         if worst:
-            import mpmath as mp
+            from .digits import nstr
 
-            raise InternalConsistencyError(
-                f"resolution vs orbifold residual {mp.nstr(mp.mpmathify(worst), 5)}")
+            residual = nstr(worst.numerator, worst.denominator, args.precision, 5)
+            raise InternalConsistencyError(f"resolution vs orbifold residual {residual}")
         return ("resolution route (classical cubic + root series) and orbifold tan formula "
                 "third partials agree exactly as lifted rationals (residual 0; holds by "
                 "identity (1+w)/(1-w) = i*cot(theta/2), not independent evidence)")

@@ -12,11 +12,13 @@ h'''(s) = 1/2 * tan(-s/2).  Every Taylor coefficient of F is a rational
 number, and `orbifold_potential` computes it exactly, as do the resolution
 route and `crc_consistency`; `third_partial`, `b_series` and the complex
 views `linear_forms` and `change_of_variables` work at decimal precision.
-mpmath is imported by the functions that form a decimal, not by this
-module: `orbifold_potential` and `crc_consistency` form none, and
+mpmath is imported by the functions that form an mpf, not by this
+module: `orbifold_potential` and `crc_consistency` form none,
 `PotentialSeries.coefficients` is built from the exact values on first
-access.  `as_mpc`, the one numeric view of a character value, lives here,
-so `grouprep` is free of mpmath.
+access, and `PotentialSeries.jsonable` prints its decimals from the exact
+values in integer arithmetic (`digits.nstr`).  `as_mpc`, the one
+numeric view of a character value, lives here, so `grouprep` is free of
+mpmath.
 
 Structure of the computation:
 
@@ -30,7 +32,8 @@ Structure of the computation:
   from the exact class multiplication constants N_ijk of
   `grouprep.class_multiplication` (integer sums in Z[zeta_N], built once
   per group on first use); a pass over the classes carries the bitmask of
-  classes each prefix's product can reach, starting from {identity}, and
+  classes each prefix's product can reach, starting from {identity}, drops
+  a prefix as soon as no completion can bring it back to the identity, and
   keeps a vector only if its mask holds the identity.
 * Each coefficient is a sum over roots of (h^(n)(s0)/2) * prod_i l_i^e_i/e_i!,
   so each root carries one table: the row l_i^e/e! per class, built by a
@@ -329,15 +332,18 @@ class PotentialSeries:
     def jsonable(self) -> list:
         """Records in (degree, exponents) order.  Each coefficient prints to
         min(30, dps) significant digits: the guard digits beyond the
-        requested precision are rounding noise, not data."""
-        import mpmath as mp
+        requested precision are rounding noise, not data.  The digits are
+        those ``mp.nstr`` prints for ``coefficients``, formed from
+        ``rationals`` by `digits.nstr` without loading mpmath."""
+        from .digits import nstr  # here, so only a request that prints one compiles it
 
+        places = min(30, self.dps)
         return [{
             "degree": sum(key),
             "exponents": {lbl: e for lbl, e in zip(self.class_labels, key) if e},
-            "coefficient": mp.nstr(self.coefficients[key], min(30, self.dps)),
-            "rational_guess": str(self.rationals[key]),
-        } for key in sorted(self.rationals, key=lambda k: (sum(k), k))]
+            "coefficient": nstr(c.numerator, c.denominator, self.dps + _GUARD, places),
+            "rational_guess": str(c),
+        } for key, c in sorted(self.rationals.items(), key=lambda kc: (sum(kc[0]), kc[0]))]
 
 
 @lru_cache(maxsize=None)
@@ -351,34 +357,51 @@ def _class_products(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _monomial_tree(products: tuple[tuple[int, ...], ...], degree: int):
+def _monomial_tree(spec: GroupSpec, degree: int):
     """The exponent vectors the selection rule allows, as a prefix tree.
 
     A vector (e_1, ..., e_n) over the nontrivial classes is allowed when it
     has total degree 3..degree and the identity lies in the class product
     C_1^e_1 ... C_n^e_n; the reachable classes are carried as a bitmask
-    that starts at {identity}.  Level i holds one (parent index, exponent)
-    pair per prefix over the first i+1 classes of an allowed vector, for
-    every class but the last; the parent is that prefix's own prefix in
-    level i-1.  The leaves are returned as terms (parent index, degree of
-    the parent, last exponent, vector), ordered by degree then vector.
+    that starts at {identity}.  A prefix over C_1..C_c is kept only while a
+    completion can still close it: its mask must meet the inverses of the
+    classes that products over C_(c+1)..C_n of the degree left can reach.
+    Level i holds one (parent index, exponent) pair per prefix over the
+    first i+1 classes of an allowed vector, for every class but the last;
+    the parent is that prefix's own prefix in level i-1.  The leaves are
+    returned as terms (parent index, degree of the parent, last exponent,
+    vector), ordered by degree then vector.
     """
+    products = _class_products(spec)
+    inverse = correspondence(spec).group.inverse_class
+    n = len(products)
+
     @cache
     def times(mask: int, c: int) -> int:
         return reduce(or_, (row for k, row in enumerate(products[c]) if mask >> k & 1), 0)
 
+    # closing[c][r]: the inverses of the classes reachable by products over
+    # C_c..C_n of total degree at most r; past the last class only the empty
+    # product, {identity}, is left
+    closing = [None] * n + [[1] * (degree + 1)]
+    reach = closing[n]
+    for c in range(n - 1, 0, -1):
+        reach = list(accumulate(reach[1:], lambda below, here: here | times(below, c),
+                                initial=1))
+        closing[c] = [sum(1 << inverse[k] for k in range(n) if m >> k & 1) for m in reach]
     vectors = [((), 0, 1)]
-    for c in range(1, len(products)):
+    for c in range(1, n):
         grown = []
         for key, used, mask in vectors:
             for e in range(degree - used + 1):
-                grown.append((key + (e,), used + e, mask))
+                if mask & closing[c + 1][degree - used - e]:
+                    grown.append((key + (e,), used + e, mask))
                 mask = times(mask, c)
         vectors = grown
-    allowed = [key for key, used, mask in vectors if used >= 3 and mask & 1]
+    allowed = [key for key, used, _ in vectors if used >= 3]
     levels = []
     index = {(): 0}
-    for i in range(1, len(products) - 1):
+    for i in range(1, n - 1):
         prefixes = dict.fromkeys(key[:i] for key in allowed)
         levels.append([(index[p[:-1]], p[-1]) for p in prefixes])
         index = {p: j for j, p in enumerate(prefixes)}
@@ -518,7 +541,7 @@ def orbifold_potential(spec: GroupSpec, degree: int, dps: int = DEFAULT_DPS) -> 
     """Taylor coefficients of F(x) up to the given total degree (>= 3), exact."""
     if degree < 3:
         raise ConfigurationError("the potential starts at degree three")
-    levels, terms = _monomial_tree(_class_products(spec), degree)
+    levels, terms = _monomial_tree(spec, degree)
     values = _exact_coefficients(spec, levels, terms, degree)
     exact = {term[3]: c for term, c in zip(terms, values) if c}
     labels = tuple(c.label for c in correspondence(spec).group.classes[1:])

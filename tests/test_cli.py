@@ -194,15 +194,15 @@ def test_precision_flag_beats_env(capsys, monkeypatch):
 
 def test_verification_failure_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(cli.crc, "crc_consistency",
-                        lambda spec, dps: mp.mpf(1))
+                        lambda spec, dps: Fraction(1, 3))
     code, out, _ = run(capsys, [
         "verify", "--group", "D5", "--max-q-degree", "2", "--q-series-degree", "2",
     ])
     assert code == EXIT_VERIFY
     payload = json.loads(out)
     assert payload["status"] == "fail"
-    failed = {c["name"] for c in payload["checks"] if c["status"] == "fail"}
-    assert failed == {"crc-consistency"}
+    failed = {c["name"]: c["detail"] for c in payload["checks"] if c["status"] == "fail"}
+    assert failed == {"crc-consistency": "resolution vs orbifold residual 0.33333"}
 
 
 def test_shared_cartan_inverse_failure_fails_only_its_checks(capsys, monkeypatch):
@@ -595,7 +595,14 @@ print(code, "mpmath" in sys.modules)
     (["gw", "--group", "D5", "--max-q-degree", "2", "--lambda-order", "2"], False),
     (["partition", "--group", "D5", "--max-q-degree", "2", "--q-series-degree", "2"], False),
     (["dt", "--group", "D5", "--max-q-degree", "2", "--q-series-degree", "2"], False),
-    (["crc", "--group", "T", "--degree", "4"], True),
+    # crc prints its decimals from the exact rationals
+    (["crc", "--group", "T", "--degree", "4"], False),
+    pytest.param(["crc", "--group", "T", "--degree", "4", "--format", "csv"], False,
+                 id="crc-csv-False"),
+    pytest.param(["crc", "--group", "T", "--degree", "4", "--format", "text",
+                  "--precision", "10"], False, id="crc-text-precision10-False"),
+    pytest.param(["crc", "--group", "T", "--degree", "4", "--precision", "4000"], False,
+                 id="crc-precision4000-False"),
     # chi_V = 1 + 2 cos(2 pi/5) on the order-5 classes of I is printed as a decimal
     (["group", "--group", "I"], True),
 ], ids=lambda v: v[0] if isinstance(v, list) else str(v))

@@ -3,7 +3,9 @@
 import dataclasses
 import functools
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import combinations_with_replacement
+from operator import or_
 
 import jsonschema
 import mpmath as mp
@@ -248,7 +250,7 @@ def test_resolution_partials_are_real(spec):
 def test_resolution_partials_vanish_outside_the_selection_rule(spec):
     # the rule comes from group multiplication alone, the resolution side
     # from the classical cubic and the root series
-    _, terms = crc._monomial_tree(crc._class_products(spec), 3)
+    _, terms = crc._monomial_tree(spec, 3)
     allowed = {term[3] for term in terms}
     n = len(correspondence(spec).group.classes) - 1
     exact = crc._resolution_rationals(spec)
@@ -576,6 +578,47 @@ def _dense_monomial_tree(n_vars, degree):
     return levels, terms
 
 
+def _filtered_monomial_tree(products, degree):
+    """`crc._monomial_tree` before it pruned prefixes: every exponent vector
+    of total degree <= degree is grown with its class mask, then filtered."""
+    @cache
+    def times(mask, c):
+        return reduce(or_, (row for k, row in enumerate(products[c]) if mask >> k & 1), 0)
+
+    vectors = [((), 0, 1)]
+    for c in range(1, len(products)):
+        grown = []
+        for key, used, mask in vectors:
+            for e in range(degree - used + 1):
+                grown.append((key + (e,), used + e, mask))
+                mask = times(mask, c)
+        vectors = grown
+    allowed = [key for key, used, mask in vectors if used >= 3 and mask & 1]
+    levels = []
+    index = {(): 0}
+    for i in range(1, len(products) - 1):
+        prefixes = dict.fromkeys(key[:i] for key in allowed)
+        levels.append([(index[p[:-1]], p[-1]) for p in prefixes])
+        index = {p: j for j, p in enumerate(prefixes)}
+    terms = [(index[key[:-1]], sum(key[:-1]), key[-1], key) for key in allowed]
+    terms.sort(key=lambda term: (term[1] + term[2], term[3]))
+    return levels, terms
+
+
+TREE_GROUPS = (
+    [GroupSpec.cyclic(k) for k in (2, 3, 4, 5, 6, 7, 8, 16)]
+    + [GroupSpec.dihedral(k) for k in (2, 3, 4, 5, 6, 24)]
+    + [GroupSpec.tetrahedral(), GroupSpec.octahedral(), GroupSpec.icosahedral()]
+)
+
+
+@pytest.mark.parametrize("spec", TREE_GROUPS, ids=str)
+def test_pruned_tree_equals_the_filtered_enumeration(spec):
+    for degree in range(3, 8):
+        assert crc._monomial_tree(spec, degree) == _filtered_monomial_tree(
+            crc._class_products(spec), degree)
+
+
 @functools.cache
 def _dense_potential(spec, degree, dps):
     """The float reference: every vector filled per root in mpf with the
@@ -643,7 +686,7 @@ def test_potential_equals_the_dense_tree_exactly(spec, degree):
     dense = dict(zip(
         (term[3] for term in terms), crc._exact_coefficients(spec, levels, terms, degree)
     ))
-    _, allowed = crc._monomial_tree(crc._class_products(spec), degree)
+    _, allowed = crc._monomial_tree(spec, degree)
     allowed = {term[3] for term in allowed}
     assert list(pot.rationals.items()) == [
         (key, value) for key, value in dense.items() if key in allowed and value
@@ -670,7 +713,7 @@ def test_dense_coefficients_outside_the_selection_rule_vanish(spec, degree):
     # the rule comes from group multiplication alone, the dense values from
     # the roots and the tangent series, so this is evidence for the rule
     dps = 64
-    _, terms = crc._monomial_tree(crc._class_products(spec), degree)
+    _, terms = crc._monomial_tree(spec, degree)
     allowed = {term[3] for term in terms}
     dense = _dense_potential(spec, degree, dps)
     assert allowed < set(dense)
@@ -695,3 +738,4 @@ def test_class_constants_built_once_per_group(monkeypatch):
         assert calls == [spec]
     finally:
         crc._class_products.cache_clear()
+
