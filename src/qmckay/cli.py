@@ -24,7 +24,6 @@ not of order 3 (odd A-ranks only; even ones match no rotation group).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -32,7 +31,6 @@ import os
 import re
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import crc
@@ -61,6 +59,7 @@ from .intersect import (
     surface_integrals,
     threefold_integrals,
 )
+from .records import record
 from .rootsys import root_system
 from .series import Truncation
 
@@ -142,7 +141,7 @@ def canonical_token(spec: GroupSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Report:
     payload: object
     csv_fields: list[str]
@@ -781,6 +780,8 @@ def render(report: Report, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report.payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
+        import csv  # here, so only a --format csv request loads it
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(report.csv_fields)

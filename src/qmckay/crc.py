@@ -72,7 +72,6 @@ the definition of the cubic rather than giving independent evidence.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache, reduce
 from itertools import accumulate, combinations_with_replacement, count
@@ -83,6 +82,7 @@ from typing import TYPE_CHECKING
 from .errors import ConfigurationError, InternalConsistencyError, PoleError
 from .grouprep import Cyclotomic, GroupSpec, class_multiplication, correspondence, two_cos_turn
 from .intersect import classical_potential
+from .records import record
 from .rootsys import root_system
 
 if TYPE_CHECKING:
@@ -166,7 +166,7 @@ def h_derivative(n: int, s, dps: int = DEFAULT_DPS):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class LinearForm:
     """X_rho = constant + sum over nontrivial classes of coefficient * x."""
 
@@ -175,7 +175,7 @@ class LinearForm:
     coefficients: tuple  # complex values, one per nontrivial class
 
 
-@dataclass(frozen=True)
+@record
 class FormSystem:
     spec: GroupSpec
     class_labels: tuple[str, ...]  # nontrivial classes, model order
@@ -245,7 +245,7 @@ def linear_forms(spec: GroupSpec, dps: int = DEFAULT_DPS) -> FormSystem:
     )
 
 
-@dataclass(frozen=True)
+@record
 class _RootForm:
     """One positive root's affine form at the working precision."""
 
@@ -298,7 +298,7 @@ def _root_forms(spec: GroupSpec, dps: int) -> tuple[FormSystem, tuple[_RootForm,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PotentialSeries:
     """Taylor coefficients of the quotient-side potential, degrees 3..N.
 
@@ -650,7 +650,7 @@ def b_series(spec: GroupSpec, n_terms: int, dps: int = DEFAULT_DPS) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ChangeOfVariables:
     """Substitution tying the two potentials together.
 

@@ -52,18 +52,18 @@ no rotation group here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import ConfigurationError, InternalConsistencyError
+from .records import record
 from .rootsys import ADEType, cartan_matrix, root_system
 
 _KINDS = ("cyclic", "dihedral", "tetrahedral", "octahedral", "icosahedral")
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class GroupSpec:
     """One finite rotation group, named by family and parameter."""
 
@@ -294,7 +294,7 @@ def two_cos_turn(t: Fraction, n: int) -> Cyclotomic:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ConjClass:
     """One conjugacy class.
 
@@ -311,13 +311,13 @@ class ConjClass:
     image_class: int | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Irrep:
     label: str
     dim: int
 
 
-@dataclass(frozen=True)
+@record
 class GroupModel:
     spec: GroupSpec
     name: str
@@ -353,14 +353,14 @@ class GroupModel:
         )
 
 
-@dataclass(frozen=True)
+@record
 class McKayGraph:
     labels: tuple[str, ...]
     dims: tuple[int, ...]
     adjacency: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Correspondence:
     """Everything tying one group to its root system.
 

@@ -22,7 +22,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -30,6 +29,7 @@ from types import MappingProxyType
 
 from .errors import ConfigurationError
 from .grouprep import GroupSpec, correspondence
+from .records import record
 from .rootsys import root_system
 from .series import (
     MultiSeries,
@@ -58,7 +58,7 @@ def curve_class(spec: GroupSpec, alpha) -> CurveClass:
     return tuple(alpha[node] for node in corr.slot_node)
 
 
-@dataclass(frozen=True)
+@record
 class BPSTable:
     """Genus-zero BPS counts n0 per curve class; all higher genera vanish.
 
@@ -102,7 +102,7 @@ def bps_table(spec: GroupSpec) -> BPSTable:
     return BPSTable(spec=spec, counts=counts, fibers=fibers)
 
 
-@dataclass(frozen=True)
+@record
 class PartitionFunction:
     """The curve-class partition function together with its factor list.
 

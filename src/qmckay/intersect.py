@@ -15,18 +15,18 @@ cross-check tying the character table to the root system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact import identity, mat_mul
 from .grouprep import GroupSpec, correspondence, inner_product
+from .records import record
 from .rootsys import root_system
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class EquivariantScalar:
     value: Fraction
     t_power: int
@@ -37,7 +37,7 @@ class EquivariantScalar:
         return f"{self.value} * t^{self.t_power}"
 
 
-@dataclass(frozen=True)
+@record
 class IntersectionData:
     """0/1/2/3-point integrals in one fixed basis.
 
@@ -205,7 +205,7 @@ def pairing_inverse_check(spec: GroupSpec) -> bool:
     return product == identity(len(pairing))
 
 
-@dataclass(frozen=True)
+@record
 class ClassicalPotential:
     """Cubic part of the genus-zero potential plus the identity-sector
     constants of the orbifold side.

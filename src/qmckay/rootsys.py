@@ -16,18 +16,18 @@ That ordering is part of the public contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConfigurationError
+from .records import record
 
 RootVector = tuple[int, ...]
 
 _COXETER_E = {6: 12, 7: 18, 8: 30}
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class ADEType:
     """A simply-laced Dynkin type: family ``A``/``D``/``E`` plus rank."""
 
@@ -121,7 +121,7 @@ def highest_root(ade: ADEType) -> RootVector:
     return top
 
 
-@dataclass(frozen=True)
+@record
 class RootSystem:
     """Bundled exact data for one ADE type."""
 

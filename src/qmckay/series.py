@@ -44,7 +44,6 @@ the sum of the caps are zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -52,11 +51,12 @@ from operator import add
 from typing import Mapping
 
 from .errors import ConfigurationError, InternalConsistencyError
+from .records import record
 
 LAMBDA_FLOOR = -2
 
 
-@dataclass(frozen=True)
+@record
 class Truncation:
     """Degree caps: total degree in the q-variables, degree in Q, order in lam.
 

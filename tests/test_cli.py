@@ -1,7 +1,6 @@
 """Command line contract: parsing, exit codes, schemas, determinism."""
 
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -226,7 +225,8 @@ def test_perturbed_cubic_fails_only_crc_consistency(capsys, monkeypatch):
         cubic = [[list(row) for row in plane] for plane in data.cubic]
         for a, b, c in {(0, 0, 1), (0, 1, 0), (1, 0, 0)}:
             cubic[a][b][c] += Fraction(1, 4)
-        return dataclasses.replace(data, cubic=cubic)
+        fields = {name: getattr(data, name) for name in data.__match_args__}
+        return type(data)(**fields | {"cubic": cubic})
 
     # i^3 cubic(L, L, L) moves off the reals, so the resolution side no
     # longer lifts to a rational: the witness prime proves it differs from
@@ -250,7 +250,8 @@ def test_perturbed_orbifold_side_gives_the_exact_residual(monkeypatch):
         pot = honest(spec, degree, dps)
         rationals = dict(pot.rationals)
         rationals[(1, 2)] += Fraction(1, 4)  # x_r1 x_s^2, third partial x 2!
-        return dataclasses.replace(pot, rationals=rationals)
+        fields = {name: getattr(pot, name) for name in pot.__match_args__}
+        return type(pot)(**fields | {"rationals": rationals})
 
     monkeypatch.setattr(cli.crc, "orbifold_potential", perturbed)
     assert cli.crc.crc_consistency(spec) == mp.mpf(1) / 2
@@ -614,6 +615,38 @@ def test_only_decimal_output_imports_mpmath(argv, loaded):
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", str(loaded)]
 
+
+
+# lists which of these stdlib modules the package loaded, import and run together
+_STDLIB_PROBE = """
+import contextlib, io, sys
+preloaded = set(sys.modules)
+from qmckay import cli
+code = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+print(code, *sorted({"csv", "dataclasses", "inspect"} & set(sys.modules) - preloaded))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], []),
+    (["verify", "--group", "T"], []),
+    (["verify", "--group", "T", "--format", "text"], []),
+    (["crc", "--group", "T", "--degree", "4"], []),
+    (["roots", "--group", "E8"], []),
+    (["roots", "--group", "E8", "--format", "text"], []),
+    (["roots", "--group", "E8", "--format", "csv"], ["csv"]),
+    (["crc", "--group", "T", "--degree", "4", "--format", "csv"], ["csv"]),
+], ids=["import", "verify", "verify-text", "crc", "roots", "roots-text", "roots-csv", "crc-csv"])
+def test_records_and_renderers_load_no_unused_stdlib(argv, loaded):
+    result = subprocess.run(
+        [sys.executable, "-c", _STDLIB_PROBE, *argv],
+        capture_output=True, text=True, timeout=120, env=_src_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", *loaded]
 
 def _traced(argv):
     """One request under perfbench/tracer.py: its completed process and spans."""

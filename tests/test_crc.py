@@ -1,6 +1,5 @@
 """Quotient-side potential versus the resolution route, plus its pole guards."""
 
-import dataclasses
 import functools
 from fractions import Fraction
 from functools import cache, reduce
@@ -101,7 +100,8 @@ def test_witness_prime_rejects_a_corrupt_residue(monkeypatch, corrupt):
 def test_chi_v_identity_is_checked_exactly():
     g = correspondence(D5).group
     crc._check_chi_v(g)
-    broken = dataclasses.replace(g, chi_v=(g.chi_v[0], g.chi_v[2], g.chi_v[1]))
+    fields = {name: getattr(g, name) for name in g.__match_args__}
+    broken = type(g)(**fields | {"chi_v": (g.chi_v[0], g.chi_v[2], g.chi_v[1])})
     with pytest.raises(InternalConsistencyError):
         crc._check_chi_v(broken)
 
