@@ -35,7 +35,6 @@ from fractions import Fraction
 
 from . import crc
 from .errors import ConfigurationError, InternalConsistencyError, PoleError
-from .exact import mat_inverse
 from .grouprep import (
     GroupSpec,
     binary_simple_roots,
@@ -515,7 +514,7 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
     # not cached, so each check that needs the value reports it
     @functools.cache
     def cartan_inverse():
-        return mat_inverse(rs.cartan)
+        return rs.cartan_inverse()
 
     @check("root-sum-identity")
     def _():

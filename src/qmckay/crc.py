@@ -10,21 +10,23 @@ coefficients L_rho(g) = (size(g)/|G|) * sqrt(3 - chi_V(g)) * chi_rho(g),
 and h is determined (up to irrelevant low-order terms) by
 h'''(s) = 1/2 * tan(-s/2).  Every Taylor coefficient of F is a rational
 number, and `orbifold_potential` computes it exactly, as do the resolution
-route and `crc_consistency`; `third_partial`, `b_series` and the complex
-views `linear_forms` and `change_of_variables` work at decimal precision.
-mpmath is imported by the functions that form an mpf, not by this
-module: `orbifold_potential` and `crc_consistency` form none,
-`PotentialSeries.coefficients` is built from the exact values on first
-access, and `PotentialSeries.jsonable` prints its decimals from the exact
-values in integer arithmetic (`digits.nstr`).  `as_mpc`, the one
-numeric view of a character value, lives here, so `grouprep` is free of
-mpmath.
+route and `crc_consistency`.  Every x = 0 decimal view is one exact value
+converted once: `PotentialSeries.coefficient(s)`, `taylor_third_partial`,
+`b_series` (2(j+1)(-1)^j times the coefficient of x_s^2 x_r1^(j+1)) and
+`resolution_third_partials`.  Only `third_partial` at real x and the
+complex views `linear_forms` and `change_of_variables` work at decimal
+precision.  mpmath is imported by the functions that form an mpf, not by
+this module: `orbifold_potential` and `crc_consistency` form none, and
+`PotentialSeries.jsonable` prints its decimals from the exact values in
+integer arithmetic (`digits.nstr`).  `as_mpc`, the one numeric view of a
+character value, lives here, so `grouprep` is free of mpmath.
 
 Structure of the computation:
 
-* All derivatives of h, and of tan, are polynomials in T = tan of the base
-  point; the polynomials have exact rational coefficients and are built
-  once by recursion, so a degree-N Taylor expansion costs one tan per root.
+* Every derivative of h is a polynomial in T = tan of the base point with
+  exact rational coefficients, built once by the recursion h''' = T/2,
+  h^(n+1) = -(1 + T^2)/2 * d/dT h^(n), so a degree-N Taylor expansion
+  costs one T per root.
 * Only monomials allowed by the selection rule of the orbifold cup product
   are formed: the coefficient of x_1^e_1 ... x_n^e_n is a degree-0
   invariant <x_C1 ... x_Cn>, which can be nonzero only when the identity
@@ -100,38 +102,32 @@ def _near_pole(cos_value, dps: int) -> bool:
     return abs(cos_value) < mp.mpf(10) ** -max(dps - _GUARD, dps // 2)
 
 
+def _as_mpf(values, dps: int) -> list:
+    """Exact rationals as mpf at dps plus guard digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps + _GUARD):
+        return [mp.mpf(v.numerator) / v.denominator for v in values]
+
+
 # ---------------------------------------------------------------------------
-# polynomial towers for derivatives of h and tan
+# the derivatives of h
 # ---------------------------------------------------------------------------
-
-
-def _poly_derivative(p: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return tuple(p[i] * i for i in range(1, len(p)))
-
-
-@lru_cache(maxsize=None)
-def _tan_poly(n: int) -> tuple[Fraction, ...]:
-    """The n-th derivative of tan as a polynomial in T = tan itself.
-
-    Each step multiplies the T-derivative by tan' = 1 + T^2.
-    """
-    if n == 0:
-        return (Fraction(0), Fraction(1))
-    d = _poly_derivative(_tan_poly(n - 1))
-    pad = (Fraction(0), Fraction(0))
-    return tuple(a + b for a, b in zip(d + pad, pad + d))
 
 
 @lru_cache(maxsize=None)
 def _h_poly(n: int) -> tuple[Fraction, ...]:
     """h^(n) as a polynomial in T = tan(-s/2), for n >= 3.
 
-    h''' = T/2 and dT/ds = -(1 + T^2)/2, so h^(n) = (1/2)(-1/2)^(n-3) tan^(n-3)(T).
+    h''' = T/2 and dT/ds = -(1 + T^2)/2, so h^(n+1) = -(1 + T^2)/2 * d/dT h^(n).
     """
     if n < 3:
         raise ConfigurationError("derivatives of order below three are not defined")
-    scale = Fraction(1, 2) * Fraction(-1, 2) ** (n - 3)
-    return tuple(scale * c for c in _tan_poly(n - 3))
+    if n == 3:
+        return (Fraction(0), Fraction(1, 2))
+    d = [c * k for k, c in enumerate(_h_poly(n - 1))][1:]  # d/dT
+    pad = [Fraction(0)] * 2
+    return tuple(-(a + b) / 2 for a, b in zip(d + pad, pad + d))
 
 
 def _poly_eval(p: tuple[Fraction, ...], t):
@@ -315,19 +311,15 @@ class PotentialSeries:
     @cached_property
     def coefficients(self) -> dict[tuple[int, ...], mp.mpf]:
         """``rationals`` as mpf at dps plus guard digits, formed on first access."""
-        import mpmath as mp
-
-        with mp.workdps(self.dps + _GUARD):
-            return {key: mp.mpf(c.numerator) / c.denominator for key, c in self.rationals.items()}
+        return dict(zip(self.rationals, _as_mpf(self.rationals.values(), self.dps)))
 
     def coefficient(self, exponents: dict[str, int]) -> mp.mpf:
-        import mpmath as mp
-
+        """One coefficient of ``rationals`` as mpf at dps plus guard digits."""
         unknown = set(exponents) - set(self.class_labels)
         if unknown:
             raise ConfigurationError(f"unknown conjugacy classes {sorted(unknown)}")
         key = tuple(exponents.get(lbl, 0) for lbl in self.class_labels)
-        return self.coefficients.get(key, mp.mpf(0))
+        return _as_mpf([self.rationals.get(key, 0)], self.dps)[0]
 
     def jsonable(self) -> list:
         """Records in (degree, exponents) order.  Each coefficient prints to
@@ -549,15 +541,14 @@ def orbifold_potential(spec: GroupSpec, degree: int, dps: int = DEFAULT_DPS) -> 
 
 
 def taylor_third_partial(potential: PotentialSeries, k, k2, k3) -> mp.mpf:
-    """Third partial at 0 from Taylor data: coefficient times exponent factorials."""
-    import mpmath as mp
-
+    """Third partial at 0 from Taylor data: the exact coefficient times the
+    exponent factorials, as mpf at the potential's dps plus guard digits."""
     labels = potential.class_labels
-    idx = [_class_index(labels, k) for k in (k, k2, k3)]
     key = [0] * len(labels)
-    for i in idx:
-        key[i] += 1
-    return potential.coefficients.get(tuple(key), mp.mpf(0)) * prod(map(factorial, key))
+    for kk in (k, k2, k3):
+        key[_class_index(labels, kk)] += 1
+    value = potential.rationals.get(tuple(key), 0) * prod(map(factorial, key))
+    return _as_mpf([value], potential.dps)[0]
 
 
 def _class_index(labels: tuple[str, ...], k) -> int:
@@ -615,34 +606,21 @@ def b_series(spec: GroupSpec, n_terms: int, dps: int = DEFAULT_DPS) -> tuple:
     """Taylor coefficients in u of the third partial F_(s,s,r1)(x_s=0, x_r1=-u).
 
     Only defined for dihedral(3), whose two nontrivial classes are the
-    flip class s and the rotation class r1.
+    flip class s and the rotation class r1.  The u^j coefficient is
+    2 (j+1) (-1)^j times the exact coefficient of x_s^2 x_r1^(j+1) of
+    `orbifold_potential`, as mpf at dps plus guard digits.
     """
-    import mpmath as mp
-
     if spec != GroupSpec.dihedral(3):
         raise ConfigurationError("the b-series is specific to dihedral(3)")
     if n_terms < 1:
         raise ConfigurationError("need at least one coefficient")
-    system, roots = _root_forms(spec, dps)
-    order = 6
-    i_s = system.class_labels.index("s")
-    i_r = system.class_labels.index("r1")
-    with mp.workdps(dps + _GUARD):
-        coeffs = [mp.mpf(0)] * n_terms
-        for root in roots:
-            l_s = root.coefficients[i_s]
-            l_r = root.coefficients[i_r]
-            # argument theta/2 + pi/2 at x_r1 = -u: A + B*u
-            a = mp.pi * mp.mpf(root.dim_sum) / order + mp.pi / 2
-            b = -l_r / 2
-            t = mp.tan(a)
-            weight = -l_s * l_s * l_r / 4
-            fact = mp.mpf(1)
-            for j in range(n_terms):
-                if j:
-                    fact *= j
-                coeffs[j] += (weight * _poly_eval(_tan_poly(j), t) * b ** j / fact).real
-        return tuple(coeffs)
+    potential = orbifold_potential(spec, n_terms + 2, dps)
+    exact = [
+        2 * (j + 1) * (-1) ** j * potential.rationals.get(
+            tuple({"s": 2, "r1": j + 1}[lbl] for lbl in potential.class_labels), 0)
+        for j in range(n_terms)
+    ]
+    return tuple(_as_mpf(exact, dps))
 
 
 # ---------------------------------------------------------------------------

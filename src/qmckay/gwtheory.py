@@ -170,12 +170,6 @@ def partition_function_by_roots(
 
 
 @lru_cache(maxsize=None)
-def _bps_counts(spec: GroupSpec) -> MappingProxyType:
-    """The n0 counts of `bps_table`, built once per group."""
-    return MappingProxyType(bps_table(spec).counts)
-
-
-@lru_cache(maxsize=None)
 def _cover_kernel(d: int, order: int) -> MappingProxyType:
     """(2 sin(d lam/2))^-2 through lam^order, built once per (d, order)."""
     return MappingProxyType(sin_power_coefficients(-2, d, order))
@@ -195,13 +189,10 @@ def gw_genus0(spec: GroupSpec, beta) -> Fraction:
     beta = tuple(int(b) for b in beta)
     if all(b == 0 for b in beta):
         raise ConfigurationError("the zero class has no invariant")
-    counts = _bps_counts(spec)
+    fibers = _bps_fibers(spec)
     total = Fraction(0)
     for d in _divisors_of_class(beta):
-        base = tuple(b // d for b in beta)
-        n0 = counts.get(base)
-        if n0 is not None:
-            total += n0 / d ** 3
+        total += Fraction(fibers.get(tuple(b // d for b in beta), 0), 2 * d ** 3)  # n0 = f/2
     return total
 
 
@@ -215,15 +206,13 @@ def gw_all_genus(spec: GroupSpec, beta, g: int) -> Fraction:
         raise ConfigurationError("the zero class has no invariant")
     if g < 0:
         raise ConfigurationError("the genus must be nonnegative")
-    counts = _bps_counts(spec)
+    fibers = _bps_fibers(spec)
     order = max(2 * g - 2, 0)
     total = Fraction(0)
     for d in _divisors_of_class(beta):
-        base = tuple(b // d for b in beta)
-        n0 = counts.get(base)
-        if n0 is None:
-            continue
-        total += n0 * _cover_kernel(d, order).get(2 * g - 2, 0) / d
+        f = fibers.get(tuple(b // d for b in beta))
+        if f is not None:
+            total += Fraction(f, 2 * d) * _cover_kernel(d, order).get(2 * g - 2, 0)  # n0 = f/2
     return total
 
 

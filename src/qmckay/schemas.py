@@ -242,9 +242,7 @@ CRC_REPORT = {
             "degree": {"type": "integer", "minimum": 3},
             "exponents": _EXPONENTS,
             "coefficient": DECIMAL,
-            "rational_guess": {
-                "anyOf": [RATIONAL, {"type": "null"}],
-            },
+            "rational_guess": RATIONAL,
         },
         "required": ["degree", "exponents", "coefficient", "rational_guess"],
         "additionalProperties": False,

@@ -31,6 +31,7 @@ from qmckay.cli import (
 )
 from qmckay.errors import InternalConsistencyError
 from qmckay.grouprep import GroupSpec, correspondence
+from qmckay.rootsys import RootSystem
 from qmckay.schemas import BY_COMMAND
 from qmckay.series import MultiSeries
 
@@ -205,9 +206,9 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
 
 
 def test_shared_cartan_inverse_failure_fails_only_its_checks(capsys, monkeypatch):
-    def boom(matrix):
+    def boom(self):
         raise InternalConsistencyError("synthetic")
-    monkeypatch.setattr(cli, "mat_inverse", boom)
+    monkeypatch.setattr(RootSystem, "cartan_inverse", boom)
     code, out, _ = run(capsys, [
         "verify", "--group", "D5", "--max-q-degree", "2", "--q-series-degree", "2",
     ])

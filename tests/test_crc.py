@@ -1,6 +1,7 @@
 """Quotient-side potential versus the resolution route, plus its pole guards."""
 
 import functools
+import math
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations_with_replacement
@@ -148,6 +149,9 @@ def test_potential_jsonable_matches_schema():
     assert degrees == sorted(degrees)
     by_guess = {r["rational_guess"] for r in rows}
     assert "1/2" in by_guess
+    # every coefficient is exact, so a missing rational is malformed
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate([rows[0] | {"rational_guess": None}], CRC_REPORT)
 
 
 # -- the one-parameter series ------------------------------------------------
@@ -170,6 +174,16 @@ def test_b_series_normalization():
         got = b_series(D5, 2)
         assert abs(got[0] - 1) < mp.mpf("1e-60")
         assert abs(got[1] - mp.mpf(2) / 3) < mp.mpf("1e-60")
+
+
+def test_b_series_is_the_exact_coefficients_rounded_once():
+    # 2(j+1)(-1)^j times the coefficient of x_s^2 x_r1^(j+1), each converted
+    # from its Fraction, so equal bit for bit at dps plus guard digits
+    exact = [Fraction(1), Fraction(2, 3), Fraction(1, 3), Fraction(5, 27),
+             Fraction(11, 108), Fraction(91, 1620)]
+    got = b_series(D5, 6)
+    with mp.workdps(DEFAULT_DPS + crc._GUARD):
+        assert list(got) == [mp.mpf(c.numerator) / c.denominator for c in exact]
 
 
 def test_b_series_is_dihedral_three_only():
@@ -210,6 +224,21 @@ def test_taylor_third_partial_multiplicity_factor():
         # coefficient 1/2 at x_s^2 x_r1 carries a 2! from the repeated index
         value = taylor_third_partial(pot, "s", "s", "r1")
         assert abs(value - 1) < mp.mpf("1e-50")
+
+
+@pytest.mark.parametrize("spec", [D5, GroupSpec.tetrahedral()], ids=str)
+def test_taylor_third_partial_ignores_the_callers_precision(spec):
+    # at mpmath's default 15 digits the value is still the exact one rounded
+    # at the potential's dps plus guard digits, e.g. 1/3 and 4/3 in full
+    pot = orbifold_potential(spec, 3)
+    n = len(pot.class_labels)
+    for triple in combinations_with_replacement(range(n), 3):
+        key = tuple(map(triple.count, range(n)))
+        exact = pot.rationals.get(key, 0) * math.prod(map(math.factorial, key))
+        with mp.workdps(pot.dps + crc._GUARD):
+            want = mp.mpf(exact.numerator) / exact.denominator
+        with mp.workdps(15):
+            assert taylor_third_partial(pot, *triple) == want, triple
 
 
 @pytest.mark.parametrize("spec", [
@@ -677,7 +706,11 @@ DENSE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("spec, degree", DENSE_CASES, ids=lambda c: str(c))
+# the larger groups only at degree 3: the exact fill is cheap there, the
+# float reference of the two tests below is not
+@pytest.mark.parametrize("spec, degree", DENSE_CASES + [
+    (GroupSpec.icosahedral(), 3), (GroupSpec.cyclic(16), 3), (GroupSpec.dihedral(24), 3),
+], ids=lambda c: str(c))
 def test_potential_equals_the_dense_tree_exactly(spec, degree):
     # the same F_p fill and lift over every vector: the same Fractions on
     # the vectors the rule allows, exactly 0 on every other one

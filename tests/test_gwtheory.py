@@ -156,33 +156,27 @@ def test_all_genus_matches_cover_kernel_series(spec):
 
 
 def test_all_genus_builds_table_and_kernels_once(monkeypatch):
-    calls = {"bps_table": 0, "kernels": []}
-    table = gwtheory.bps_table
+    calls = []
     kernel = gwtheory.sin_power_coefficients
 
-    def counting_bps_table(*args, **kwargs):
-        calls["bps_table"] += 1
-        return table(*args, **kwargs)
-
     def counting_kernel(power, d, order):
-        calls["kernels"].append((d, order))
+        calls.append((d, order))
         return kernel(power, d, order)
 
-    monkeypatch.setattr(gwtheory, "bps_table", counting_bps_table)
     monkeypatch.setattr(gwtheory, "sin_power_coefficients", counting_kernel)
-    gwtheory._bps_counts.cache_clear()
+    gwtheory._bps_fibers.cache_clear()
     gwtheory._cover_kernel.cache_clear()
     try:
         for beta in [(1, 0), (0, 2), (2, 2), (0, 4), (2, 4)]:
             for g in range(4):
                 gw_all_genus(D5, beta, g)
-        assert calls["bps_table"] == 1
-        assert sorted(calls["kernels"]) == sorted(set(calls["kernels"]))
-        assert set(calls["kernels"]) == {
+        assert gwtheory._bps_fibers.cache_info().misses == 1
+        assert sorted(calls) == sorted(set(calls))
+        assert set(calls) == {
             (d, order) for d in (1, 2, 4) for order in (0, 2, 4)
         }
     finally:
-        gwtheory._bps_counts.cache_clear()
+        gwtheory._bps_fibers.cache_clear()
         gwtheory._cover_kernel.cache_clear()
 
 
