@@ -174,16 +174,12 @@ def _charvalue(v) -> str:
     return mp.nstr(crc.as_mpc(v).real, 30)
 
 
-def _ade_name(ade) -> str:
-    return f"{ade.family}{ade.rank}"
-
-
 def cmd_roots(spec: GroupSpec, args) -> Report:
     ade = root_system_of(spec)
     rs = root_system(ade)
     roots = [list(alpha) for alpha in rs.positive_roots]
     payload = {
-        "ade": _ade_name(ade),
+        "ade": str(ade),
         "rank": rs.rank,
         "coxeter_number": rs.coxeter_number,
         "positive_root_count": len(roots),
@@ -194,7 +190,7 @@ def cmd_roots(spec: GroupSpec, args) -> Report:
 
     def lines():
         yield (
-            f"{_ade_name(ade)}: rank {rs.rank}, Coxeter number {rs.coxeter_number}, "
+            f"{ade}: rank {rs.rank}, Coxeter number {rs.coxeter_number}, "
             f"{len(roots)} positive roots"
         )
         yield from ("  " + " ".join(str(a) for a in alpha) for alpha in roots)
@@ -231,7 +227,7 @@ def cmd_group(spec: GroupSpec, args) -> Report:
         "group": canonical_token(spec),
         "order": g.order,
         "binary_order": 2 * g.order,
-        "ade": _ade_name(corr.ade),
+        "ade": str(corr.ade),
         "classes": classes,
         "irreps": irreps,
         "nodes": nodes,
@@ -251,7 +247,7 @@ def cmd_group(spec: GroupSpec, args) -> Report:
     def lines():
         yield (
             f"{canonical_token(spec)}: |G| = {g.order}, binary cover of order "
-            f"{2 * g.order}, root system {_ade_name(corr.ade)}"
+            f"{2 * g.order}, root system {corr.ade}"
         )
         yield "classes (label size order chi_V age):"
         for c in classes:
@@ -491,7 +487,7 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
         # correspondence() itself asserts adjacency = 2I - Cartan; surviving
         # construction plus a shape sanity line is the observable here
         return (
-            f"affine {_ade_name(corr.ade)} diagram matched with "
+            f"affine {corr.ade} diagram matched with "
             f"{len(corr.binary_nodes)} binary nodes"
         )
 

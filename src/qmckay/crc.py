@@ -26,7 +26,7 @@ Structure of the computation:
 * Every derivative of h is a polynomial in T = tan of the base point with
   exact rational coefficients, built once by the recursion h''' = T/2,
   h^(n+1) = -(1 + T^2)/2 * d/dT h^(n), so a degree-N Taylor expansion
-  costs one T per root.
+  costs one T per curve class.
 * Only monomials allowed by the selection rule of the orbifold cup product
   are formed: the coefficient of x_1^e_1 ... x_n^e_n is a degree-0
   invariant <x_C1 ... x_Cn>, which can be nonzero only when the identity
@@ -37,27 +37,29 @@ Structure of the computation:
   classes each prefix's product can reach, starting from {identity}, drops
   a prefix as soon as no completion can bring it back to the identity, and
   keeps a vector only if its mask holds the identity.
-* Each coefficient is a sum over roots of (h^(n)(s0)/2) * prod_i l_i^e_i/e_i!,
-  so each root carries one table: the row l_i^e/e! per class, built by a
-  running product, and h^(n)(s0)/2 per degree.  The allowed vectors are
-  laid out once per call as a prefix tree, one class per level, holding
-  only prefixes of allowed vectors; every root fills the tree level by
+* Each coefficient is a sum over roots of (h^(n)(s0)/2) * prod_i l_i^e_i/e_i!.
+  A root enters only through its curve class, so the sum runs over the
+  classes of `grouprep.root_fibers`, each weighted by its fiber, and each
+  class carries one table: the row l_i^e/e! per class, built by a running
+  product, and h^(n)(s0)/2 per degree.  The allowed vectors are laid out
+  once per call as a prefix tree, one class per level, holding only
+  prefixes of allowed vectors; every curve class fills the tree level by
   level, so each prefix product is formed once and the inner loop only
   multiplies and adds.  A coefficient is the same number it would be in the
   tree of every vector; the vectors left out have coefficient exactly 0.
 * The tree is filled in F_p, p = 1 (mod M), zeta_M sent to an element of
   order M, M = lcm(4, |G|, 2N, 2q per class turn p/q): the table entries,
   sqrt(3 - chi_V) = 2 sin(pi t) = -i (zeta_2q^p - zeta_2q^-p) once
-  chi_V = 1 + 2 cos(2 pi t) is checked exactly, and each root's
+  chi_V = 1 + 2 cos(2 pi t) is checked exactly, and each class's
   T = cot(pi d/|G|) = i (w + 1)/(w - 1), w = zeta_|G|^d, are all cyclotomic.
   A coefficient times its proven denominator is an integer under a proven
   bound, lifted by CRT; one further prime must agree with the lift, which
   also checks that the coefficient is rational.  Zero is decided exactly.
-* Roots whose restricted coefficient vector vanishes have constant
-  arguments and are skipped; for every other root the base point is a
-  rational angle whose distance from the tan pole is decided by an exact
-  integer test.  The mpf root forms of the closed formulas are built once
-  per (group, precision) and cached.
+* Roots over the zero class have constant arguments and no class in
+  `root_fibers`, so they add to no coefficient; for every other class the
+  base point is a rational angle whose distance from the tan pole is
+  decided by an exact integer test.  The mpf forms of the closed formulas
+  are built once per (group, precision) and curve class, and cached.
 
 The resolution route (`resolution_third_partials`) evaluates the same third
 partials at x = 0 from the other side of the correspondence: the classical
@@ -73,7 +75,6 @@ the definition of the cubic rather than giving independent evidence.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache, reduce
 from itertools import accumulate, combinations_with_replacement, count
@@ -82,10 +83,11 @@ from operator import mul, or_
 from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, InternalConsistencyError, PoleError
-from .grouprep import Cyclotomic, GroupSpec, class_multiplication, correspondence, two_cos_turn
+from .grouprep import (
+    Cyclotomic, GroupSpec, class_multiplication, correspondence, root_fibers, two_cos_turn,
+)
 from .intersect import classical_potential
 from .records import record
-from .rootsys import root_system
 
 if TYPE_CHECKING:
     import mpmath as mp
@@ -115,19 +117,24 @@ def _as_mpf(values, dps: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# h^(n) at index n - 3, grown by a loop (no deep stack) and rebound whole (thread-safe)
+_h_tower = ((Fraction(0), Fraction(1, 2)),)
+
+
 def _h_poly(n: int) -> tuple[Fraction, ...]:
     """h^(n) as a polynomial in T = tan(-s/2), for n >= 3.
 
     h''' = T/2 and dT/ds = -(1 + T^2)/2, so h^(n+1) = -(1 + T^2)/2 * d/dT h^(n).
     """
+    global _h_tower
     if n < 3:
         raise ConfigurationError("derivatives of order below three are not defined")
-    if n == 3:
-        return (Fraction(0), Fraction(1, 2))
-    d = [c * k for k, c in enumerate(_h_poly(n - 1))][1:]  # d/dT
-    pad = [Fraction(0)] * 2
-    return tuple(-(a + b) / 2 for a, b in zip(d + pad, pad + d))
+    tower, pad = _h_tower, [Fraction(0)] * 2
+    while len(tower) <= n - 3:
+        d = [c * k for k, c in enumerate(tower[-1])][1:]  # d/dT
+        tower += (tuple(-(a + b) / 2 for a, b in zip(d + pad, pad + d)),)
+    _h_tower = tower
+    return tower[n - 3]
 
 
 def _poly_eval(p: tuple[Fraction, ...], t):
@@ -243,31 +250,28 @@ def linear_forms(spec: GroupSpec, dps: int = DEFAULT_DPS) -> FormSystem:
 
 @record
 class _RootForm:
-    """One positive root's affine form at the working precision."""
+    """One curve class's affine form at the working precision."""
 
-    dim_sum: int  # sum of alpha^rho * dim(rho), in (0, |G|)
+    multiplicity: int  # positive roots over the class
+    dim_sum: int  # sum of beta^rho * dim(rho), in (0, |G|)
     coefficients: tuple  # complex, per nontrivial class
 
 
-@lru_cache(maxsize=None)
-def _roots(spec: GroupSpec) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(dim_sum, coefficients on the slots) per positive root of nonconstant argument."""
+def _classes(spec: GroupSpec) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(fiber, dim_sum, beta) per class beta of `root_fibers`, whose roots share one argument."""
     corr = correspondence(spec)
     order = corr.group.order
     dims = [corr.group.irreps[s].dim for s in corr.slots]
     out = []
-    for alpha in root_system(corr.ade).positive_roots:
-        restricted = tuple(alpha[node] for node in corr.slot_node)
-        if not any(restricted):
-            continue  # constant argument, no contribution to any coefficient
-        dim_sum = sum(r * d for r, d in zip(restricted, dims))
+    for beta, fiber in root_fibers(spec).items():
+        dim_sum = sum(b * d for b, d in zip(beta, dims))
         if dim_sum % order == 0:
             raise PoleError(
-                f"root {tuple(alpha)} of {spec} sits on a tan pole "
-                f"(restricted dimension sum {dim_sum} divisible by {order})"
+                f"class {beta} of {spec} sits on a tan pole "
+                f"(dimension sum {dim_sum} divisible by {order})"
             )
-        out.append((dim_sum, restricted))
-    return tuple(out)
+        out.append((fiber, dim_sum, beta))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -277,15 +281,15 @@ def _root_forms(spec: GroupSpec, dps: int) -> tuple[FormSystem, tuple[_RootForm,
     system = linear_forms(spec, dps)
     out = []
     with mp.workdps(dps + _GUARD):
-        for dim_sum, restricted in _roots(spec):
+        for fiber, dim_sum, beta in _classes(spec):
             coeffs = []
             for ci in range(len(system.class_labels)):
                 acc = mp.mpc(0)
-                for r, form in zip(restricted, system.forms):
-                    if r:
-                        acc += r * form.coefficients[ci]
+                for b, form in zip(beta, system.forms):
+                    if b:
+                        acc += b * form.coefficients[ci]
                 coeffs.append(acc)
-            out.append(_RootForm(dim_sum=dim_sum, coefficients=tuple(coeffs)))
+            out.append(_RootForm(multiplicity=fiber, dim_sum=dim_sum, coefficients=tuple(coeffs)))
     return system, tuple(out)
 
 
@@ -433,8 +437,8 @@ def _prime(m: int, k: int) -> tuple[int, int]:
 def _embedding(spec: GroupSpec, m: int, p: int, z: int):
     """The x = 0 data in F_p with zeta_m sent to z: i; the forms L_s(C) =
     (|C|/|G|) 2 sin(pi t) chi_s(C) per slot, 2 sin(pi t) = -i (e^(i pi t) -
-    e^(-i pi t)); and (multiplicity, w = exp(2 pi i dim_sum/|G|), l) per
-    distinct root of `_roots`, l(C) = sum_s r_s L_s(C)."""
+    e^(-i pi t)); and (fiber, w = exp(2 pi i dim_sum/|G|), l) per curve
+    class beta of `_classes`, l(C) = sum_s beta_s L_s(C)."""
     corr = correspondence(spec)
     g = corr.group
     _check_chi_v(g)
@@ -449,9 +453,9 @@ def _embedding(spec: GroupSpec, m: int, p: int, z: int):
         for c, chi in zip(g.classes[1:], g.table[s][1:])
     ] for s in corr.slots]
     roots = [
-        (mult, unit(Fraction(dim_sum, g.order)),
-         [sum(r * f for r, f in zip(restricted, column) if r) % p for column in zip(*forms)])
-        for (dim_sum, restricted), mult in Counter(_roots(spec)).items()
+        (fiber, unit(Fraction(dim_sum, g.order)),
+         [sum(b * f for b, f in zip(beta, column) if b) % p for column in zip(*forms)])
+        for fiber, dim_sum, beta in _classes(spec)
     ]
     return i, forms, roots
 
@@ -519,7 +523,7 @@ def _exact_coefficients(spec: GroupSpec, levels, terms, degree: int) -> list[Fra
     g = correspondence(spec).group
     scale = {n: 2 ** (n - 1) * g.order ** (2 * n - 2) for n in range(3, degree + 1)}
     top = {n: sum(abs(c) * Fraction(g.order, 3) ** k for k, c in enumerate(_h_poly(n)))
-           * len(_roots(spec)) for n in scale}
+           * sum(root_fibers(spec).values()) for n in scale}
     sizes = [2 * c.size for c in g.classes[1:]]
     dens, bound = [], 0
     for _, u, e, key in terms:
@@ -591,7 +595,7 @@ def third_partial(spec: GroupSpec, k, k2, k3, x=None, dps: int = DEFAULT_DPS):
             arg = theta / 2 + mp.pi / 2
             if _near_pole(mp.cos(arg), dps):
                 raise PoleError(f"third partial hit a tan pole at x = {x}")
-            weight = mp.mpc(1)
+            weight = mp.mpc(root.multiplicity)
             for i in idx:
                 weight = weight * root.coefficients[i]
             total += weight * mp.tan(arg)
@@ -674,7 +678,7 @@ def _resolution_residues(spec: GroupSpec, cubic, den: int, m: int, p: int, z: in
     # by_last[a][k][b] = sum_c cubic[a][b][c] L_c(k)
     by_last = [[[sum(map(mul, row, col)) % p for row in plane] for col in cols]
                for plane in cubic]
-    # l(C) per class over the distinct roots, each weighted (i^3/2) w/(1-w)
+    # l(C) per class over the curve classes, each weighted fiber (i^3/2) w/(1-w)
     lroots = list(zip(*(l for _, _, l in roots)))
     weights = [mult * i3 * w * pow(2 - 2 * w, -1, p) % p for mult, w, _ in roots]
     # the (i, j, k) partial is outer[i] . inner[j, k]: (i^3/den) times the
@@ -707,7 +711,7 @@ def _resolution_rationals(spec: GroupSpec) -> dict[tuple[int, int, int], Fractio
     weight = sum(abs(x) for plane in ints for row in plane for x in row)  # den sum |cubic|
     big_d = den * g.order ** 4
     bound = g.order ** 4 * (2 * max(c.size for c in g.classes)) ** 3 * (
-        weight + Fraction(den * len(_roots(spec)) * g.order, 8))
+        weight + Fraction(den * sum(root_fibers(spec).values()) * g.order, 8))
     triples = list(combinations_with_replacement(range(len(g.classes) - 1), 3))
     return dict(zip(triples, _lift(
         g, lambda m, p, z: _resolution_residues(spec, ints, den, m, p, z),

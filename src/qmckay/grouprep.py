@@ -55,6 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import ConfigurationError, InternalConsistencyError
 from .records import record
@@ -1002,3 +1003,17 @@ def build_binary_group(spec: GroupSpec) -> GroupModel:
 def binary_simple_roots(spec: GroupSpec) -> tuple[int, ...]:
     """Nodes whose irreps do not pull back from the rotation group."""
     return tuple(sorted(correspondence(spec).binary_nodes))
+
+
+@lru_cache(maxsize=None)
+def root_fibers(spec: GroupSpec) -> MappingProxyType:
+    """Positive roots over each nonzero curve class beta, a root's coefficients
+    at the slot nodes: the one scan of the roots per group, read by the BPS
+    table, the threefold integrals and the orbifold potential."""
+    corr = correspondence(spec)
+    fibers: dict[tuple[int, ...], int] = {}
+    for alpha in root_system(corr.ade).positive_roots:
+        beta = tuple(alpha[node] for node in corr.slot_node)
+        if any(beta):
+            fibers[beta] = fibers.get(beta, 0) + 1
+    return MappingProxyType(fibers)

@@ -3,11 +3,11 @@
 The resolution of the quotient threefold carries exceptional curve classes
 indexed by Irr*(G), the nontrivial irreps of the rotation group.  Every
 positive root of the attached ADE system maps to such a class by restricting
-its coefficient vector to the non-binary nodes; the genus-zero BPS count of
-a class is half the number of positive roots over it, all higher-genus BPS
-counts vanish, and everything else here (partition function, Gromov-Witten
-invariants in every genus, the box-counting prediction) is a formal
-consequence of that table.
+its coefficient vector to the non-binary nodes, and `grouprep.root_fibers`
+counts the positive roots over each class.  The genus-zero BPS count of a
+class is half that number, all higher-genus BPS counts vanish, and
+everything else here (partition function, Gromov-Witten invariants in every
+genus, the box-counting prediction) is a formal consequence of that table.
 
 Conventions:
 
@@ -28,7 +28,7 @@ from math import gcd
 from types import MappingProxyType
 
 from .errors import ConfigurationError
-from .grouprep import GroupSpec, correspondence
+from .grouprep import GroupSpec, correspondence, root_fibers
 from .records import record
 from .rootsys import root_system
 from .series import (
@@ -81,23 +81,8 @@ class BPSTable:
         return out
 
 
-@lru_cache(maxsize=None)
-def _bps_fibers(spec: GroupSpec) -> MappingProxyType:
-    """Positive roots over each nonzero curve class: the one scan of the
-    root system behind every `bps_table` of a group."""
-    corr = correspondence(spec)
-    roots = root_system(corr.ade).positive_roots
-    fibers: dict[CurveClass, int] = {}
-    for alpha in roots:
-        beta = tuple(alpha[node] for node in corr.slot_node)
-        if all(b == 0 for b in beta):
-            continue
-        fibers[beta] = fibers.get(beta, 0) + 1
-    return MappingProxyType(fibers)
-
-
 def bps_table(spec: GroupSpec) -> BPSTable:
-    fibers = dict(_bps_fibers(spec))
+    fibers = dict(root_fibers(spec))
     counts = {beta: Fraction(f, 2) for beta, f in fibers.items()}
     return BPSTable(spec=spec, counts=counts, fibers=fibers)
 
@@ -189,7 +174,7 @@ def gw_genus0(spec: GroupSpec, beta) -> Fraction:
     beta = tuple(int(b) for b in beta)
     if all(b == 0 for b in beta):
         raise ConfigurationError("the zero class has no invariant")
-    fibers = _bps_fibers(spec)
+    fibers = root_fibers(spec)
     total = Fraction(0)
     for d in _divisors_of_class(beta):
         total += Fraction(fibers.get(tuple(b // d for b in beta), 0), 2 * d ** 3)  # n0 = f/2
@@ -206,7 +191,7 @@ def gw_all_genus(spec: GroupSpec, beta, g: int) -> Fraction:
         raise ConfigurationError("the zero class has no invariant")
     if g < 0:
         raise ConfigurationError("the genus must be nonnegative")
-    fibers = _bps_fibers(spec)
+    fibers = root_fibers(spec)
     order = max(2 * g - 2, 0)
     total = Fraction(0)
     for d in _divisors_of_class(beta):

@@ -6,11 +6,13 @@ parameter t times an exact rational.  The t-power is carried as an integer
 tag next to the rational; t is never a series variable.
 
 Threefold tensors are indexed by Irr*(G) (equivalently the non-binary
-nodes, in slot order); surface tensors are indexed by all simple roots.
-The two-point blocks come from positive-root coefficient sums, for which
-sum over R+ of alpha alpha^T = h * C^-1 with h the Coxeter number; the
-pairing matrix inverts the threefold two-point block exactly, which is the
-cross-check tying the character table to the root system.
+nodes, in slot order) and sum over the curve classes of
+`grouprep.root_fibers`, each weighted by its fiber; surface tensors are
+indexed by all simple roots and sum over the positive roots.  The two-point
+blocks come from positive-root coefficient sums, for which sum over R+ of
+alpha alpha^T = h * C^-1 with h the Coxeter number; the pairing matrix
+inverts the threefold two-point block exactly, which is the cross-check
+tying the character table to the root system.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import identity, mat_mul
-from .grouprep import GroupSpec, correspondence, inner_product
+from .grouprep import GroupSpec, correspondence, inner_product, root_fibers
 from .records import record
 from .rootsys import root_system
 
@@ -58,34 +60,35 @@ class IntersectionData:
 def _root_tensors(
     vectors, two_denominator: int, three_denominator: int
 ) -> tuple[Matrix, tuple]:
-    """Sums of outer squares and cubes of the given non-negative integer
-    vectors, divided by ``two_denominator`` and ``three_denominator``
-    respectively.
+    """Sums of outer squares and cubes of non-negative integer vectors, each
+    taken as often as ``vectors`` (a {vector: count} mapping) says, divided
+    by ``two_denominator`` and ``three_denominator`` respectively.
 
     Each vector is packed into one int, coordinate k in the bit field
-    ``[k*w, (k+1)*w)``, after Monagan-Pearce (CASC 2007).  A tensor row is
-    then one packed int: ``two[i]`` accumulates ``v_i * packed(v)`` and
-    ``three[i][j]`` (for ``i <= j`` in the support of v) accumulates
-    ``v_i * v_j * packed(v)``, one big-int multiply-add per pair instead of
-    one add per entry.  No entry exceeds ``len(vectors) * max_coeff**3``,
-    and w holds that bound plus one bit, so no field carries into the next.
-    Each row is unpacked once, the rows with ``j < i`` are filled by
-    symmetry, and each distinct sum becomes one shared `Fraction`.
+    ``[k*w, (k+1)*w)``, after Monagan-Pearce (CASC 2007), and scaled by its
+    count.  A tensor row is then one packed int: ``two[i]`` accumulates
+    ``v_i * packed(v)`` and ``three[i][j]`` (for ``i <= j`` in the support
+    of v) accumulates ``v_i * v_j * packed(v)``, one big-int multiply-add per
+    pair instead of one add per entry.  No entry exceeds ``total count *
+    max_coeff**3``, and w holds that bound plus one bit, so no field carries
+    into the next.  Each row is unpacked once, the rows with ``j < i`` are
+    filled by symmetry, and each distinct sum becomes one shared `Fraction`.
     """
     if not vectors:
         raise ValueError("no vectors")
     if min(map(min, vectors)) < 0:
         raise ValueError("root tensors need non-negative vectors")
-    n = len(vectors[0])
-    width = (len(vectors) * max(map(max, vectors)) ** 3).bit_length() + 1
+    n = len(next(iter(vectors)))
+    width = (sum(vectors.values()) * max(map(max, vectors)) ** 3).bit_length() + 1
     shifts = [width * k for k in range(n)]
     two = [0] * n
     three = [[0] * n for _ in range(n)]
-    for v in vectors:
+    for v, count in vectors.items():
         support = [(i, x) for i, x in enumerate(v) if x]
         packed = 0
         for i, x in support:
             packed += x << shifts[i]
+        packed *= count
         for a, (i, vi) in enumerate(support):
             row = vi * packed
             two[i] += row
@@ -124,10 +127,7 @@ def _root_tensors(
 def _threefold(spec: GroupSpec) -> IntersectionData:
     corr = correspondence(spec)
     rs = root_system(corr.ade)
-    restricted = [
-        tuple(alpha[node] for node in corr.slot_node) for alpha in rs.positive_roots
-    ]
-    two, three = _root_tensors(restricted, -2 * rs.coxeter_number, 4)
+    two, three = _root_tensors(root_fibers(spec), -2 * rs.coxeter_number, 4)
     return IntersectionData(
         basis=corr.slot_labels,
         zero_point=EquivariantScalar(Fraction(1, spec.order), -3),
@@ -158,7 +158,7 @@ def surface_integrals(spec: GroupSpec) -> IntersectionData:
     """
     corr = correspondence(spec)
     rs = root_system(corr.ade)
-    two, three = _root_tensors(rs.positive_roots, -rs.coxeter_number, 2)
+    two, three = _root_tensors(dict.fromkeys(rs.positive_roots, 1), -rs.coxeter_number, 2)
     rank = rs.rank
     labels = tuple(
         corr.binary_group.irreps[i].label for i in corr.node_irreps

@@ -16,7 +16,6 @@ import mpmath as mp
 import pytest
 
 import qmckay.cli as cli
-import qmckay.gwtheory as gwtheory
 import qmckay.intersect as intersect
 from qmckay.cli import (
     EXIT_ARGS,
@@ -30,7 +29,7 @@ from qmckay.cli import (
     parse_group,
 )
 from qmckay.errors import InternalConsistencyError
-from qmckay.grouprep import GroupSpec, correspondence
+from qmckay.grouprep import GroupSpec, correspondence, root_fibers
 from qmckay.rootsys import RootSystem
 from qmckay.schemas import BY_COMMAND
 from qmckay.series import MultiSeries
@@ -416,7 +415,7 @@ def test_verify_builds_one_bps_table(capsys, monkeypatch):
         return table(*args, **kwargs)
 
     monkeypatch.setattr(cli, "bps_table", counting_bps_table)
-    gwtheory._bps_fibers.cache_clear()
+    root_fibers.cache_clear()
     code, out, _ = run(capsys, ["verify", "--group", "C:3", "--max-q-degree", "3",
                                 "--q-series-degree", "3"])
     assert code == EXIT_OK
@@ -424,7 +423,7 @@ def test_verify_builds_one_bps_table(capsys, monkeypatch):
     # bps-fibers and bps-recovery share one table, and partition_function
     # reuses the root scan behind it
     assert calls == {"bps_table": 1}
-    assert gwtheory._bps_fibers.cache_info().misses == 1
+    assert root_fibers.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("fmt, expected_calls", [("json", 0), ("csv", 0), ("text", 1)])
@@ -446,17 +445,20 @@ def test_text_lines_are_built_only_for_text(capsys, monkeypatch, fmt, expected_c
 def test_two_precisions_build_each_group_once(capsys, monkeypatch):
     monkeypatch.delenv("QMCKAY_PRECISION", raising=False)
     correspondence.cache_clear()
-    gwtheory._bps_fibers.cache_clear()
+    root_fibers.cache_clear()
     for precision in (["--precision", "30"], []):
         for argv in (
             ["group", "--group", "D:5"],
             ["crc", "--group", "D:5", "--degree", "3"],
             ["verify", "--group", "D:5", "--max-q-degree", "2", "--q-series-degree", "2"],
+            ["bps", "--group", "D:5"],
+            ["gw", "--group", "D:5", "--max-q-degree", "2"],
+            ["intersect", "--group", "D:5"],
         ):
             code, _, _ = run(capsys, argv + precision)
             assert code == EXIT_OK
     assert correspondence.cache_info().misses == 1
-    assert gwtheory._bps_fibers.cache_info().misses == 1
+    assert root_fibers.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("precision", ["10", "12"])
@@ -541,7 +543,7 @@ def test_text_output_is_prose(capsys):
 def test_module_invocation_round_trip():
     result = subprocess.run(
         [sys.executable, "-m", "qmckay.cli", "bps", "--group", "D5"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=_src_env(),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)[0]["n0"] == "4"

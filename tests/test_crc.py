@@ -1,7 +1,9 @@
 """Quotient-side potential versus the resolution route, plus its pole guards."""
 
 import functools
+import inspect
 import math
+import sys
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations_with_replacement
@@ -28,6 +30,7 @@ from qmckay.crc import (
 from qmckay.errors import ConfigurationError, InternalConsistencyError, PoleError
 from qmckay.grouprep import GroupSpec, correspondence
 from qmckay.intersect import classical_potential
+from qmckay.rootsys import root_system
 from qmckay.schemas import CRC_REPORT
 
 D5 = GroupSpec.dihedral(3)
@@ -379,6 +382,18 @@ def test_h_derivative_guards():
             h_derivative(3, mp.pi)
 
 
+def test_h_derivative_builds_a_cold_tower_without_recursion(monkeypatch):
+    monkeypatch.setattr(crc, "_h_tower", crc._h_tower[:1])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        value = h_derivative(150, 1, dps=20)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(crc._h_tower) == 148
+    assert mp.isfinite(value) and value != 0
+
+
 def test_pole_guards_accept_ordinary_points_at_low_precision():
     # the CLI accepts --precision 10; ordinary points must evaluate there
     assert abs(h_derivative(3, 1, dps=10) - h_derivative(3, 1, dps=30)) < mp.mpf("1e-8")
@@ -415,6 +430,36 @@ def test_third_partial_pole_detection():
         x_pole = 4 * mp.pi / (3 * l_r1)
         with pytest.raises(PoleError):
             third_partial(D5, "s", "s", "r1", x={"r1": x_pole})
+
+
+@pytest.mark.parametrize("spec", [
+    D5, GroupSpec.tetrahedral(), GroupSpec.cyclic(6),
+], ids=str)
+def test_third_partial_weights_each_class_by_its_fiber(spec):
+    """The closed formula summed over curve classes, each weighted by its
+    fiber, against the same formula summed over every positive root."""
+    corr = correspondence(spec)
+    order = corr.group.order
+    dims = [corr.group.irreps[s].dim for s in corr.slots]
+    system = linear_forms(spec)
+    labels = system.class_labels
+    x = {labels[-1]: "0.1"}
+    with mp.workdps(DEFAULT_DPS + crc._GUARD):
+        xvec = [mp.mpf(x.get(lbl, 0)) for lbl in labels]
+        roots = []
+        for alpha in root_system(corr.ade).positive_roots:
+            beta = [alpha[p] for p in corr.slot_node]
+            if not any(beta):
+                continue
+            l = [mp.fsum(b * form.coefficients[c] for b, form in zip(beta, system.forms))
+                 for c in range(len(labels))]
+            theta = (2 * mp.pi * sum(b * d for b, d in zip(beta, dims)) / order
+                     + mp.fsum(xv * lc for xv, lc in zip(xvec, l)))
+            roots.append((l, mp.tan(theta / 2 + mp.pi / 2)))
+        for i, j, k in combinations_with_replacement(range(len(labels)), 3):
+            want = -mp.fsum(l[i] * l[j] * l[k] * t for l, t in roots) / 4
+            got = third_partial(spec, i, j, k, x=x)
+            assert abs(got - want.real) < mp.mpf(10) ** -60, (i, j, k)
 
 
 def test_third_partial_validates_classes():
@@ -478,7 +523,8 @@ def _reference_exponent_vectors(n_vars, total):
 
 
 def _reference_potential(spec, degree, dps):
-    """One mpc term per (root, monomial), powers and factorials each time."""
+    """One mpc term per (curve class, monomial), weighted by the class's
+    fiber, powers and factorials each time."""
     system, roots = crc._root_forms(spec, dps)
     order = correspondence(spec).group.order
     n_vars = len(system.class_labels)
@@ -492,7 +538,7 @@ def _reference_potential(spec, degree, dps):
             for n in range(3, degree + 1):
                 hn = crc._poly_eval(crc._h_poly(n), t)
                 for key in _reference_exponent_vectors(n_vars, n):
-                    term = hn / 2
+                    term = root.multiplicity * hn / 2
                     for e, l in zip(key, root.coefficients):
                         if e:
                             term = term * l ** e / factorials[e]
@@ -531,7 +577,7 @@ def _reference_resolution_partials(spec, dps):
                 prod = mp.mpc(1)
                 for i in triple:
                     prod = prod * root.coefficients[i]
-                total += i3 / 2 * prod * w / (1 - w)
+                total += root.multiplicity * i3 / 2 * prod * w / (1 - w)
             out[triple] = total
     return out
 
@@ -662,7 +708,8 @@ def _dense_potential(spec, degree, dps):
         for root in roots:
             t = mp.cot(mp.pi * mp.mpf(root.dim_sum) / order)
             half_h = [None] * 3 + [
-                crc._poly_eval(crc._h_poly(n), t) / 2 for n in range(3, degree + 1)
+                root.multiplicity * crc._poly_eval(crc._h_poly(n), t) / 2
+                for n in range(3, degree + 1)
             ]
             rows = []
             for l in root.coefficients:

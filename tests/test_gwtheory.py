@@ -8,7 +8,7 @@ import pytest
 
 import qmckay.gwtheory as gwtheory
 from qmckay.errors import ConfigurationError
-from qmckay.grouprep import GroupSpec, correspondence
+from qmckay.grouprep import GroupSpec, correspondence, root_fibers
 from qmckay.gwtheory import (
     bps_table,
     curve_class,
@@ -164,19 +164,19 @@ def test_all_genus_builds_table_and_kernels_once(monkeypatch):
         return kernel(power, d, order)
 
     monkeypatch.setattr(gwtheory, "sin_power_coefficients", counting_kernel)
-    gwtheory._bps_fibers.cache_clear()
+    root_fibers.cache_clear()
     gwtheory._cover_kernel.cache_clear()
     try:
         for beta in [(1, 0), (0, 2), (2, 2), (0, 4), (2, 4)]:
             for g in range(4):
                 gw_all_genus(D5, beta, g)
-        assert gwtheory._bps_fibers.cache_info().misses == 1
+        assert root_fibers.cache_info().misses == 1
         assert sorted(calls) == sorted(set(calls))
         assert set(calls) == {
             (d, order) for d in (1, 2, 4) for order in (0, 2, 4)
         }
     finally:
-        gwtheory._bps_fibers.cache_clear()
+        root_fibers.cache_clear()
         gwtheory._cover_kernel.cache_clear()
 
 

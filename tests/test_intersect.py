@@ -1,5 +1,6 @@
 """Localized intersection numbers and the character-theoretic pairing."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -205,8 +206,8 @@ def _dense_root_tensors(vectors):
 
 
 def _slot_vectors(spec):
-    """The positive roots restricted to the slot nodes, as `_threefold` builds
-    them for the threefold tensors."""
+    """The positive roots restricted to the slot nodes, one vector per root:
+    the classes `root_fibers` counts for the threefold tensors, plus zeros."""
     corr = correspondence(spec)
     return [
         tuple(alpha[node] for node in corr.slot_node)
@@ -224,7 +225,7 @@ def test_root_tensors_match_dense_reference(name):
         rs = root_system(parse_ade(name))
         vectors = rs.positive_roots
     h = rs.coxeter_number
-    two, three = _root_tensors(vectors, -h, 2)
+    two, three = _root_tensors(Counter(vectors), -h, 2)
     ref_two, ref_three = _dense_root_tensors(vectors)
     assert two == tuple(tuple(-x / h for x in row) for row in ref_two)
     assert three == tuple(
@@ -234,7 +235,7 @@ def test_root_tensors_match_dense_reference(name):
 
 def test_root_tensors_reject_negative_entries():
     with pytest.raises(ValueError):
-        _root_tensors([(1, 0), (1, -1)], 1, 1)
+        _root_tensors({(1, 0): 1, (1, -1): 2}, 1, 1)
 
 
 def test_intersect_builds_threefold_data_once(capsys, monkeypatch):
