@@ -47,13 +47,16 @@ Structure of the computation:
   level, so each prefix product is formed once and the inner loop only
   multiplies and adds.  A coefficient is the same number it would be in the
   tree of every vector; the vectors left out have coefficient exactly 0.
-* The tree is filled in F_p, p = 1 (mod M), zeta_M sent to an element of
-  order M, M = lcm(4, |G|, 2N, 2q per class turn p/q): the table entries,
-  sqrt(3 - chi_V) = 2 sin(pi t) = -i (zeta_2q^p - zeta_2q^-p) once
-  chi_V = 1 + 2 cos(2 pi t) is checked exactly, and each class's
-  T = cot(pi d/|G|) = i (w + 1)/(w - 1), w = zeta_|G|^d, are all cyclotomic.
-  A coefficient times its proven denominator is an integer under a proven
-  bound, lifted by CRT; one further prime must agree with the lift, which
+* The forms are defined once, exactly, in `_exact_forms`: (|G|/|C|) L_s(C)
+  = 2 sin(pi t) chi_s(C) in Z[zeta_M], M = lcm(4, |G|, 2N, 2q per class
+  turn p/q), with sqrt(3 - chi_V) = 2 sin(pi t) = -i (zeta_2q^p -
+  zeta_2q^-p) once chi_V = 1 + 2 cos(2 pi t) is checked exactly;
+  `linear_forms` is their mpc view.  The tree is filled once, modulo a
+  product of primes = 1 (mod M), zeta_M sent to an element of order M
+  modulo each, and so is each class's T = cot(pi d/|G|) = i (w + 1)/(w - 1),
+  w = zeta_|G|^d.  A coefficient times its proven denominator is an integer
+  under a proven bound, its symmetric residue modulo the product of the
+  lifting primes; one further prime, the witness, must agree with it, which
   also checks that the coefficient is rational.  Zero is decided exactly.
 * Roots over the zero class have constant arguments and no class in
   `root_fibers`, so they add to no coefficient; for every other class the
@@ -66,7 +69,7 @@ partials at x = 0 from the other side of the correspondence: the classical
 cubic intersection form plus one geometric series per root, glued by the
 change of variables y = i*L*x, q_rho = exp(2*pi*i*dim(rho)/|G|).  The
 cubic is a `Fraction` tensor and L and w/(1-w) are cyclotomic, so it runs
-in the same F_p embedding and lift.  `crc_consistency` compares the two
+in the same embedding and one-fill lift.  `crc_consistency` compares the two
 routes as `Fraction`s; by the identity (1+w)/(1-w) = i*cot(theta/2) both
 reduce to the same per-root sum once the cubic is written as (1/4) * sum
 over roots of r (x) r (x) r, so their agreement checks that identity and
@@ -84,7 +87,8 @@ from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, InternalConsistencyError, PoleError
 from .grouprep import (
-    Cyclotomic, GroupSpec, class_multiplication, correspondence, root_fibers, two_cos_turn,
+    Cyclotomic, GroupSpec, class_multiplication, correspondence, exp_turn, root_fibers,
+    two_cos_turn,
 )
 from .intersect import classical_potential
 from .records import record
@@ -149,19 +153,20 @@ def _poly_eval(p: tuple[Fraction, ...], t):
 def h_derivative(n: int, s, dps: int = DEFAULT_DPS):
     """The n-th derivative of h at a real point s, n >= 3.
 
-    Refuses points too close to the poles of tan(-s/2) instead of returning
-    a huge meaningless value.
+    Refuses points too close to the poles of tan(-s/2), and points that are
+    not finite, instead of returning a huge or meaningless value.
     """
     import mpmath as mp
 
-    if n < 3:
-        raise ConfigurationError("derivatives of order below three are not defined")
+    poly = _h_poly(n)  # refuses n < 3 before s is read
     with mp.workdps(dps + _GUARD):
         s = mp.mpf(s)
+        if not mp.isfinite(s):
+            raise ConfigurationError(f"h^({n}) needs a finite point, got s = {s}")
         if _near_pole(mp.cos(s / 2), dps):
             raise PoleError(f"h^({n}) evaluated within pole tolerance of s = {mp.nstr(s, 8)}")
         t = mp.tan(-s / 2)
-        return _poly_eval(_h_poly(n), t)
+        return _poly_eval(poly, t)
 
 
 # ---------------------------------------------------------------------------
@@ -216,34 +221,45 @@ def _check_chi_v(g) -> None:
             raise InternalConsistencyError(f"chi_V on {c.label} is not 1 + 2 cos(2 pi turn)")
 
 
+@lru_cache(maxsize=None)
+def _exact_forms(spec: GroupSpec) -> tuple[int, tuple[tuple[Cyclotomic, ...], ...]]:
+    """m = lcm(4, |G|, 2N, 2q per class turn p/q), and per slot s and
+    nontrivial class C of turn t the exact (|G|/|C|) L_s(C) = 2 sin(pi t)
+    chi_s(C) in Z[zeta_m], 2 sin(pi t) = -i (zeta_2q^p - zeta_2q^-p) =
+    sqrt(3 - chi_V(C)) once `_check_chi_v` holds.  `linear_forms` reads
+    the entries as mpc, `_embedding` modulo p."""
+    corr = correspondence(spec)
+    g = corr.group
+    _check_chi_v(g)
+    m = lcm(4, g.order, 2 * g.chi_v[0].n, *(2 * c.turn.denominator for c in g.classes))
+    sines = [exp_turn(Fraction(3, 4), m) * (exp_turn(c.turn / 2, m) - exp_turn(-c.turn / 2, m))
+             for c in g.classes[1:]]  # -i (zeta_2q^p - zeta_2q^-p)
+    return m, tuple(
+        tuple(sine * sum(k * exp_turn(Fraction(e, chi.n), m) for e, k in chi.terms)
+              for sine, chi in zip(sines, g.table[s][1:]))
+        for s in corr.slots
+    )
+
+
 def linear_forms(spec: GroupSpec, dps: int = DEFAULT_DPS) -> FormSystem:
     import mpmath as mp
 
     corr = correspondence(spec)
     g = corr.group
-    order = g.order
-    _check_chi_v(g)
     with mp.workdps(dps + _GUARD):
-        forms = []
-        for s, label in zip(corr.slots, corr.slot_labels):
-            dim = g.irreps[s].dim
-            coeffs = []
-            for ci in range(1, len(g.classes)):
-                coeffs.append(
-                    Fraction(g.classes[ci].size, order) * mp.sqrt(3 - as_mpc(g.chi_v[ci]).real)
-                    * as_mpc(g.table[s][ci])
-                )
-            forms.append(
-                LinearForm(
-                    irrep=label,
-                    constant_turn=Fraction(dim, order),
-                    coefficients=tuple(coeffs),
-                )
+        forms = tuple(
+            LinearForm(
+                irrep=label,
+                constant_turn=Fraction(g.irreps[s].dim, g.order),
+                coefficients=tuple(Fraction(c.size, g.order) * as_mpc(entry)
+                                   for c, entry in zip(g.classes[1:], row)),
             )
+            for s, label, row in zip(corr.slots, corr.slot_labels, _exact_forms(spec)[1])
+        )
     return FormSystem(
         spec=spec,
         class_labels=tuple(c.label for c in g.classes[1:]),
-        forms=tuple(forms),
+        forms=forms,
         dps=dps,
     )
 
@@ -279,18 +295,14 @@ def _root_forms(spec: GroupSpec, dps: int) -> tuple[FormSystem, tuple[_RootForm,
     import mpmath as mp
 
     system = linear_forms(spec, dps)
-    out = []
+    columns = list(zip(*(form.coefficients for form in system.forms)))  # L_s(C) per class
     with mp.workdps(dps + _GUARD):
-        for fiber, dim_sum, beta in _classes(spec):
-            coeffs = []
-            for ci in range(len(system.class_labels)):
-                acc = mp.mpc(0)
-                for b, form in zip(beta, system.forms):
-                    if b:
-                        acc += b * form.coefficients[ci]
-                coeffs.append(acc)
-            out.append(_RootForm(multiplicity=fiber, dim_sum=dim_sum, coefficients=tuple(coeffs)))
-    return system, tuple(out)
+        roots = tuple(
+            _RootForm(multiplicity=fiber, dim_sum=dim_sum, coefficients=tuple(
+                sum(b * f for b, f in zip(beta, column) if b) for column in columns))
+            for fiber, dim_sum, beta in _classes(spec)
+        )
+    return system, roots
 
 
 # ---------------------------------------------------------------------------
@@ -434,35 +446,28 @@ def _prime(m: int, k: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _embedding(spec: GroupSpec, m: int, p: int, z: int):
-    """The x = 0 data in F_p with zeta_m sent to z: i; the forms L_s(C) =
-    (|C|/|G|) 2 sin(pi t) chi_s(C) per slot, 2 sin(pi t) = -i (e^(i pi t) -
-    e^(-i pi t)); and (fiber, w = exp(2 pi i dim_sum/|G|), l) per curve
-    class beta of `_classes`, l(C) = sum_s beta_s L_s(C)."""
-    corr = correspondence(spec)
-    g = corr.group
-    _check_chi_v(g)
-
-    def unit(turn: Fraction) -> int:  # exp(2*pi*i*turn)
-        return pow(z, turn.numerator * m // turn.denominator % m, p)
-
-    i = unit(Fraction(1, 4))
-    forms = [[
-        c.size * pow(g.order, -1, p) * -i * (unit(c.turn / 2) - unit(-c.turn / 2))
-        * sum(k * unit(Fraction(e, chi.n)) for e, k in chi.terms) % p
-        for c, chi in zip(g.classes[1:], g.table[s][1:])
-    ] for s in corr.slots]
+def _embedding(spec: GroupSpec, p: int, z: int):
+    """The x = 0 data modulo p with zeta_m sent to z (`_exact_forms`): i; the
+    forms L_s(C) per class C, over slots, the exact entries times |C|/|G|;
+    and (fiber, w = exp(2 pi i dim_sum/|G|), l) per curve class beta of
+    `_classes`, l(C) = sum_s beta_s L_s(C)."""
+    g = correspondence(spec).group
+    m, exact = _exact_forms(spec)
+    powers = list(accumulate(range(m - 1), lambda a, _: a * z % p, initial=1))  # z^0..z^(m-1)
+    scales = [c.size * pow(g.order, -1, p) for c in g.classes[1:]]
+    columns = [[scale * sum(k * powers[e] for e, k in entry.terms) % p for entry in column]
+               for scale, column in zip(scales, zip(*exact))]
     roots = [
-        (fiber, unit(Fraction(dim_sum, g.order)),
-         [sum(b * f for b, f in zip(beta, column) if b) % p for column in zip(*forms)])
+        (fiber, powers[dim_sum * m // g.order],
+         [sum(b * f for b, f in zip(beta, column) if b) % p for column in columns])
         for fiber, dim_sum, beta in _classes(spec)
     ]
-    return i, forms, roots
+    return powers[m // 4], columns, roots
 
 
-def _residues(spec: GroupSpec, levels, terms, degree: int, m: int, p: int, z: int) -> list[int]:
-    """Every term's coefficient in F_p, with zeta_m sent to z."""
-    i, _, roots = _embedding(spec, m, p, z)
+def _residues(spec: GroupSpec, levels, terms, degree: int, p: int, z: int) -> list[int]:
+    """Every term's coefficient modulo p, with zeta_m sent to z (`_embedding`)."""
+    i, _, roots = _embedding(spec, p, z)
     half_h = [[c.numerator * pow(2 * c.denominator, -1, p) for c in _h_poly(n)]
               for n in range(3, degree + 1)]
     inverse = [pow(e, -1, p) for e in range(1, degree + 1)]
@@ -487,28 +492,27 @@ def _residues(spec: GroupSpec, levels, terms, degree: int, m: int, p: int, z: in
     return [a % p for a in acc]
 
 
-def _lift(g, residues, dens: list[int], bound, keys) -> list[Fraction]:
+def _lift(spec: GroupSpec, residues, dens: list[int], bound, keys) -> list[Fraction]:
     """The values c, one per key, with c d an integer of absolute value at
-    most bound for the key's denominator d, lifted by CRT from residues(m,
-    p, z), the values in F_p with zeta_m sent to z, one prime at a time
-    until the primes' product exceeds 2 bound; one further prime must agree
-    with every lifted value, which also checks that each is rational.
-    m = lcm(4, |G|, 2N, 2q per class turn p/q) carries every root of unity."""
-    m = lcm(4, g.order, 2 * g.chi_v[0].n, *(2 * c.turn.denominator for c in g.classes))
-    lifted, modulus, k = [0] * len(dens), 1, 0
-    while modulus <= 2 * bound:
-        p, z = _prime(m, k)
-        step = pow(modulus, -1, p)
-        lifted = [x + modulus * ((r * d - x) * step % p)
-                  for x, r, d in zip(lifted, residues(m, p, z), dens)]
-        modulus, k = modulus * p, k + 1
-    lifted = [x - modulus if 2 * x > modulus else x for x in lifted]
-    p, z = _prime(m, k)
-    for x, r, d, key in zip(lifted, residues(m, p, z), dens, keys):
-        if (x - r * d) % p:
+    most bound for the key's denominator d, from one fill residues(P w, z):
+    the first primes of `_prime` past 2 bound, with product P, lift c d as
+    its symmetric residue; the next prime w must agree, which also checks
+    that c is rational; z is the CRT of each prime's element of order m."""
+    m = _exact_forms(spec)[0]
+    primes, modulus = [_prime(m, 0)], 1
+    while modulus <= 2 * bound:  # the last prime taken is the witness
+        modulus *= primes[-1][0]
+        primes.append(_prime(m, len(primes)))
+    witness = primes[-1][0]
+    full = modulus * witness
+    z = sum(zq * (full // q) * pow(full // q, -1, q) for q, zq in primes) % full
+    found = residues(full, z)
+    lifted = [(r * d + modulus // 2) % modulus - modulus // 2 for r, d in zip(found, dens)]
+    for x, r, d, key in zip(lifted, found, dens, keys):
+        if (x - r * d) % witness:
             raise InternalConsistencyError(
                 f"value at {key} is not rational under the proven denominator and bound: "
-                f"witness prime {p} disagrees")
+                f"witness prime {witness} disagrees")
     return [Fraction(x, d) for x, d in zip(lifted, dens)]
 
 
@@ -529,7 +533,7 @@ def _exact_coefficients(spec: GroupSpec, levels, terms, degree: int) -> list[Fra
     for _, u, e, key in terms:
         dens.append(scale[u + e] * prod(map(factorial, key)))
         bound = max(bound, scale[u + e] * top[u + e] * prod(map(pow, sizes, key)))
-    return _lift(g, lambda m, p, z: _residues(spec, levels, terms, degree, m, p, z),
+    return _lift(spec, lambda p, z: _residues(spec, levels, terms, degree, p, z),
                  dens, bound, [term[3] for term in terms])
 
 
@@ -572,7 +576,7 @@ def third_partial(spec: GroupSpec, k, k2, k3, x=None, dps: int = DEFAULT_DPS):
         -(1/4) * sum over roots of l_k l_k' l_k'' * tan(theta/2 + pi/2),
 
     where theta is the root's form evaluated at x and l its x-gradient.
-    x maps class labels to real values; omitted entries are zero.
+    x maps class labels to finite real values; omitted entries are zero.
     """
     import mpmath as mp
 
@@ -586,6 +590,8 @@ def third_partial(spec: GroupSpec, k, k2, k3, x=None, dps: int = DEFAULT_DPS):
         raise ConfigurationError(f"unknown conjugacy classes {sorted(unknown)}")
     with mp.workdps(dps + _GUARD):
         xvec = [mp.mpf(x.get(lbl, 0)) for lbl in labels]
+        if not all(map(mp.isfinite, xvec)):
+            raise ConfigurationError(f"third partial needs finite x, got {x}")
         total = mp.mpc(0)
         for root in roots:
             theta = 2 * mp.pi * mp.mpf(root.dim_sum) / order
@@ -667,14 +673,13 @@ def change_of_variables(spec: GroupSpec, dps: int = DEFAULT_DPS) -> ChangeOfVari
     )
 
 
-def _resolution_residues(spec: GroupSpec, cubic, den: int, m: int, p: int, z: int) -> list[int]:
-    """Every third partial of `resolution_third_partials` in F_p, with zeta_m
+def _resolution_residues(spec: GroupSpec, cubic, den: int, p: int, z: int) -> list[int]:
+    """Every third partial of `resolution_third_partials` modulo p, zeta_m
     sent to z, over the triples of combinations_with_replacement order;
     ``cubic`` is the classical cubic times ``den``, as integers."""
-    i, forms, roots = _embedding(spec, m, p, z)
+    i, cols, roots = _embedding(spec, p, z)  # cols: L_s(C) per class, over slots
     i3 = -i % p
     scale = i3 * pow(den, -1, p) % p
-    cols = list(zip(*forms))  # L_s(C) per class, over slots
     # by_last[a][k][b] = sum_c cubic[a][b][c] L_c(k)
     by_last = [[[sum(map(mul, row, col)) % p for row in plane] for col in cols]
                for plane in cubic]
@@ -688,7 +693,7 @@ def _resolution_residues(spec: GroupSpec, cubic, den: int, m: int, p: int, z: in
         + [wt * lj * lk % p for wt, lj, lk in zip(weights, lroots[j], lroots[k])]
         for j, k in combinations_with_replacement(range(len(cols)), 2)
     }
-    outer = [col + lcol for col, lcol in zip(cols, lroots)]
+    outer = [[*col, *lcol] for col, lcol in zip(cols, lroots)]
     return [sum(map(mul, outer[i], inner[j, k])) % p
             for i, j, k in combinations_with_replacement(range(len(cols)), 3)]
 
@@ -714,7 +719,7 @@ def _resolution_rationals(spec: GroupSpec) -> dict[tuple[int, int, int], Fractio
         weight + Fraction(den * sum(root_fibers(spec).values()) * g.order, 8))
     triples = list(combinations_with_replacement(range(len(g.classes) - 1), 3))
     return dict(zip(triples, _lift(
-        g, lambda m, p, z: _resolution_residues(spec, ints, den, m, p, z),
+        spec, lambda p, z: _resolution_residues(spec, ints, den, p, z),
         [big_d] * len(triples), bound, triples)))
 
 

@@ -129,11 +129,15 @@ def partition_function_by_roots(
     """The same product taken root by root at weight 1/2.
 
     This is the product-of-exps route: one `macmahon_factor` (an exp) per
-    distinct restricted root, multiplied in once per positive root.  It
+    distinct restricted root, multiplied in once per positive root; a root
+    whose restricted degree exceeds the q-cap keeps its entry in
+    ``factors`` but is not multiplied in, since its factor is exactly 1.  It
     exactly equals `partition_function`, which takes a single exp of the
     per-class sum; it is kept as an independent route so the per-class
     collapse and the exp-of-a-sum are testable rather than assumed.
     """
+    if truncation.q_total is None or truncation.big_q is None:
+        raise ConfigurationError("the MacMahon factor needs q and Q caps")
     corr = correspondence(spec)
     roots = root_system(corr.ade).positive_roots
     variables = q_variables(spec) + ("Q",)
@@ -146,6 +150,8 @@ def partition_function_by_roots(
         if all(b == 0 for b in beta):
             continue
         factors.append((beta, half))
+        if sum(beta) > truncation.q_total:
+            continue  # every term of its factor is past the q-cap: the factor is exactly 1
         if beta not in built:
             built[beta] = macmahon_factor(
                 variables, truncation, _beta_exponents(variables, beta), half

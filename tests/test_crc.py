@@ -75,25 +75,37 @@ def test_coefficients_are_the_rationals_at_the_working_precision():
             assert pot.coefficients[key] == mp.mpf(exact.numerator) / exact.denominator
 
 
+def _fill_primes(spec, modulus):
+    """The primes of `crc._prime` whose product is one fill's modulus, the
+    witness last."""
+    m = crc._exact_forms(spec)[0]
+    primes = []
+    while modulus % crc._prime(m, len(primes))[0] == 0:
+        primes.append(crc._prime(m, len(primes))[0])
+    assert math.prod(primes) == modulus
+    return primes
+
+
 @pytest.mark.parametrize("corrupt", ["first prime", "witness prime"])
 def test_witness_prime_rejects_a_corrupt_residue(monkeypatch, corrupt):
     honest = crc._residues
     calls = []
 
     def counting(*args):
-        calls.append(args)
+        calls.append(args[-2])
         return honest(*args)
 
     monkeypatch.setattr(crc, "_residues", counting)
     orbifold_potential(D5, 5)
-    bad_call = 0 if corrupt == "first prime" else len(calls) - 1
-    seen = []
+    # one fill, modulo one lifting prime and the witness at once
+    assert len(calls) == 1 and len(_fill_primes(D5, calls[0])) == 2
 
-    def corrupting(spec, levels, terms, degree, m, p, z):
-        out = honest(spec, levels, terms, degree, m, p, z)
-        if len(seen) == bad_call:
-            out[0] = (out[0] + 1) % p
-        seen.append(p)
+    def corrupting(spec, levels, terms, degree, p, z):
+        out = honest(spec, levels, terms, degree, p, z)
+        primes = _fill_primes(spec, p)
+        q = primes[0] if corrupt == "first prime" else primes[-1]
+        # wrong modulo q alone: adding 1 modulo p would be the residue of c + 1/d
+        out[0] = (out[0] + p // q) % p
         return out
 
     monkeypatch.setattr(crc, "_residues", corrupting)
@@ -297,18 +309,17 @@ def test_resolution_witness_prime_rejects_a_corrupt_residue(monkeypatch):
     calls = []
 
     def counting(*args):
-        calls.append(args)
+        calls.append(args[-2])
         return honest(*args)
 
     monkeypatch.setattr(crc, "_resolution_residues", counting)
     resolution_third_partials(D5)
-    seen = []
+    assert len(calls) == 1
 
     def corrupting(*args):
         out = honest(*args)
-        if len(seen) == len(calls) - 1:  # the witness prime
-            out[-1] = (out[-1] + 1) % args[-2]
-        seen.append(args[-2])
+        p = args[-2]
+        out[-1] = (out[-1] + p // _fill_primes(D5, p)[-1]) % p  # wrong modulo the witness alone
         return out
 
     monkeypatch.setattr(crc, "_resolution_residues", corrupting)
@@ -419,6 +430,32 @@ def test_coefficients_print_at_most_the_working_digits(dps, spec):
     assert max(digits) <= min(30, dps)
     if dps > 30:
         assert max(digits) == 30
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec.cyclic(5), GroupSpec.cyclic(8), D5, GroupSpec.dihedral(6),
+    GroupSpec.tetrahedral(), GroupSpec.octahedral(), GroupSpec.icosahedral(),
+], ids=str)
+def test_linear_forms_match_the_square_root_definition(spec):
+    # the definition the exact table replaced: (|C|/|G|) sqrt(3 - Re chi_V(C)) chi_s(C)
+    corr = correspondence(spec)
+    g = corr.group
+    system = linear_forms(spec)
+    with mp.workdps(DEFAULT_DPS + crc._GUARD):
+        for s, form in zip(corr.slots, system.forms):
+            for c, chi_v, chi, got in zip(g.classes[1:], g.chi_v[1:], g.table[s][1:],
+                                          form.coefficients):
+                want = (Fraction(c.size, g.order) * mp.sqrt(3 - crc.as_mpc(chi_v).real)
+                        * crc.as_mpc(chi))
+                assert abs(got - want) < mp.mpf(10) ** -60, (s, c.label)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_points_are_refused(bad):
+    with pytest.raises(ConfigurationError):
+        h_derivative(3, bad)
+    with pytest.raises(ConfigurationError):
+        third_partial(D5, 0, 0, 1, x={"s": bad})
 
 
 def test_third_partial_pole_detection():

@@ -3,8 +3,9 @@
 The digests were taken from cold `python -m qmckay.cli` runs with no
 `QMCKAY_*` variables set.  golden_crc_sha256.json holds `crc`: every
 supported group at `--degree 4` in JSON, D:3, T and C:6 at `--degree 5`
-in CSV and text, and D:3 at `--degree 8`, whose x_r1^8 coefficient
--559/4898880 has a denominator past 10^6.  golden_data_sha256.json holds `group`, `bps` and
+in CSV and text, D:3 at `--degree 8`, whose x_r1^8 coefficient
+-559/4898880 has a denominator past 10^6, and the stress groups C:16 at
+`--degree 5` and D:24 at `--degree 4`.  golden_data_sha256.json holds `group`, `bps` and
 `intersect`: every supported group in JSON, D:5, T, O, I and C:6 in CSV and
 text, `bps --group C:16 --format csv`, and the high-rank `group --group C:20`,
 `intersect --group D:24` and `intersect --group C:16 --format csv`, whose

@@ -207,6 +207,34 @@ def test_per_root_product_exact_at_the_larger_ring():
     assert partition_function_by_roots(spec, tr).series == partition_function(spec, tr).series
 
 
+@pytest.mark.parametrize("spec", [GroupSpec.icosahedral(), GroupSpec.cyclic(8)], ids=str)
+def test_per_root_product_skips_only_factors_that_are_one(spec):
+    # a root of restricted degree past the q-cap keeps its factor entry, and
+    # its factor, which is not multiplied in, is exactly 1
+    tr = Truncation(q_total=4, big_q=4)
+    corr = correspondence(spec)
+    variables = q_variables(spec) + ("Q",)
+    restricted = [tuple(alpha[node] for node in corr.slot_node)
+                  for alpha in root_system(corr.ade).positive_roots]
+    restricted = [beta for beta in restricted if any(beta)]
+    by_root = partition_function_by_roots(spec, tr)
+    assert by_root.factors == tuple((beta, Fraction(1, 2)) for beta in restricted)
+    past = {beta for beta in restricted if sum(beta) > tr.q_total}
+    assert past
+    for beta in past:
+        factor = macmahon_factor(variables, tr, dict(zip(variables, beta)), Fraction(1, 2))
+        assert factor == MultiSeries.one(variables, tr)
+    assert by_root.series == partition_function(spec, tr).series
+
+
+@pytest.mark.parametrize("tr", [Truncation(q_total=0), Truncation(big_q=2)], ids=repr)
+def test_both_partition_routes_need_both_caps(tr):
+    # every factor past a q-cap of 0 is 1, but the product still needs a Q cap
+    for route in (partition_function, partition_function_by_roots):
+        with pytest.raises(ConfigurationError):
+            route(D5, tr)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
 def test_partition_function_is_the_product_of_its_factors(spec):
     # one exp of the per-class sum against one exp per recorded factor
