@@ -10,9 +10,9 @@ fills consecutive columns, and a sparse exponent dict fills one column per
 variable, 0 where absent.  Text is for reading, and its lines are likewise
 built only when text is asked for.
 
-Exit codes: 0 success, 1 verification failure, 2 bad arguments (including
-a precision outside 10..4000 digits, or an --output path that cannot be
-written), 3 unsupported group, 4 internal consistency failure (rounding
+Exit codes: 0 success, 1 verification failure, 2 bad arguments (a precision
+outside 10..4000 digits, an --output path that cannot be written) or out of
+memory, 3 unsupported group, 4 internal consistency failure (rounding
 residual, tan pole, broken invariant).
 
 Group grammar: "C:k" (cyclic, k >= 2), "D:m" (dihedral, m >= 2), "T", "O",
@@ -40,7 +40,7 @@ from .grouprep import (
     binary_simple_roots,
     correspondence,
     hard_lefschetz_check,
-    inner_product,
+    inner_products,
     root_system_of,
 )
 from .gwtheory import (
@@ -495,10 +495,11 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
     def _():
         pairs = 0
         for g in (corr.group, corr.binary_group):
+            products = inner_products(g, g.table, g.table)
             n = len(g.irreps)
             for a in range(n):
                 for b in range(a, n):
-                    value = inner_product(g, g.table[a], g.table[b])
+                    value = products[a][b]
                     if value != (a == b):
                         raise InternalConsistencyError(
                             f"<{g.irreps[a].label}, {g.irreps[b].label}> = {value} in {g.name}"
@@ -814,11 +815,13 @@ def main(argv=None) -> int:
 
     try:
         report = COMMANDS[args.command](spec, args)
+        text = render(report, args.format)
     except (PoleError, InternalConsistencyError, ConfigurationError, AssertionError) as exc:
         print(f"qmckay: internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-    text = render(report, args.format)
+    except MemoryError:
+        print(f"qmckay: out of memory: {args.command} --group {args.group}", file=sys.stderr)
+        return EXIT_ARGS
     if args.output:
         try:
             with open(args.output, "w", newline="") as handle:

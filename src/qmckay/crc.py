@@ -32,11 +32,13 @@ Structure of the computation:
   invariant <x_C1 ... x_Cn>, which can be nonzero only when the identity
   lies in the class product C_1^e_1 ... C_n^e_n.  The class products come
   from the exact class multiplication constants N_ijk of
-  `grouprep.class_multiplication` (integer sums in Z[zeta_N], built once
-  per group on first use); a pass over the classes carries the bitmask of
-  classes each prefix's product can reach, starting from {identity}, drops
-  a prefix as soon as no completion can bring it back to the identity, and
-  keeps a vector only if its mask holds the identity.
+  `grouprep.class_multiplication` (integer sums in Z[zeta_N], formed
+  modulo the primes of `qmckay.modular` and lifted like the coefficients
+  below, built once per group on first use); a pass over the classes
+  carries the bitmask of classes each prefix's product can reach, starting
+  from {identity}, drops a prefix as soon as no completion can bring it
+  back to the identity, and keeps a vector only if its mask holds the
+  identity.
 * Each coefficient is a sum over roots of (h^(n)(s0)/2) * prod_i l_i^e_i/e_i!.
   A root enters only through its curve class, so the sum runs over the
   classes of `grouprep.root_fibers`, each weighted by its fiber, and each
@@ -80,7 +82,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache, reduce
-from itertools import accumulate, combinations_with_replacement, count
+from itertools import accumulate, combinations_with_replacement
 from math import factorial, lcm, prod
 from operator import mul, or_
 from typing import TYPE_CHECKING
@@ -91,6 +93,7 @@ from .grouprep import (
     two_cos_turn,
 )
 from .intersect import classical_potential
+from .modular import integer, lift
 from .records import record
 
 if TYPE_CHECKING:
@@ -418,33 +421,6 @@ def _monomial_tree(spec: GroupSpec, degree: int):
     return levels, terms
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin over the first 12 prime bases, deterministic below 3.3e24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2 or any(n % b == 0 for b in bases):
-        return n in bases
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d with d odd
-    for b in bases:
-        x = pow(b, (n - 1) >> s, n)
-        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _prime(m: int, k: int) -> tuple[int, int]:
-    """The k-th prime p = 1 (mod m) below 2^62, counting down, and the
-    first z = a^((p-1)/m), a = 2, 3, ..., of order exactly m in F_p."""
-    p = _prime(m, k - 1)[0] - m if k else (2 ** 62 - 2) // m * m + 1
-    while not _is_prime(p):
-        p -= m
-    factors = [f for f in range(2, m + 1) if m % f == 0 and _is_prime(f)]
-    for a in count(2):
-        z = pow(a, (p - 1) // m, p)
-        if all(pow(z, m // f, p) != 1 for f in factors):
-            return p, z
-
-
 @lru_cache(maxsize=None)
 def _embedding(spec: GroupSpec, p: int, z: int):
     """The x = 0 data modulo p with zeta_m sent to z (`_exact_forms`): i; the
@@ -494,25 +470,15 @@ def _residues(spec: GroupSpec, levels, terms, degree: int, p: int, z: int) -> li
 
 def _lift(spec: GroupSpec, residues, dens: list[int], bound, keys) -> list[Fraction]:
     """The values c, one per key, with c d an integer of absolute value at
-    most bound for the key's denominator d, from one fill residues(P w, z):
-    the first primes of `_prime` past 2 bound, with product P, lift c d as
-    its symmetric residue; the next prime w must agree, which also checks
-    that c is rational; z is the CRT of each prime's element of order m."""
-    m = _exact_forms(spec)[0]
-    primes, modulus = [_prime(m, 0)], 1
-    while modulus <= 2 * bound:  # the last prime taken is the witness
-        modulus *= primes[-1][0]
-        primes.append(_prime(m, len(primes)))
-    witness = primes[-1][0]
-    full = modulus * witness
-    z = sum(zq * (full // q) * pow(full // q, -1, q) for q, zq in primes) % full
-    found = residues(full, z)
-    lifted = [(r * d + modulus // 2) % modulus - modulus // 2 for r, d in zip(found, dens)]
-    for x, r, d, key in zip(lifted, found, dens, keys):
-        if (x - r * d) % witness:
-            raise InternalConsistencyError(
-                f"value at {key} is not rational under the proven denominator and bound: "
-                f"witness prime {witness} disagrees")
+    most bound for the key's denominator d, read back (`modular.lift`)
+    from one fill residues(P w, z)."""
+    modulus, witness, z = lift(_exact_forms(spec)[0], bound)
+    found = residues(modulus * witness, z)
+    lifted = [integer(r * d, modulus, witness) for r, d in zip(found, dens)]
+    if None in lifted:
+        raise InternalConsistencyError(
+            f"value at {keys[lifted.index(None)]} is not rational under the proven "
+            f"denominator and bound: witness prime {witness} disagrees")
     return [Fraction(x, d) for x, d in zip(lifted, dens)]
 
 

@@ -20,11 +20,12 @@ dihedral(m), 12, 24 and 60 for the exceptional groups), written through
 2cos(2 pi a/n) = zeta^a + zeta^-a, omega = zeta_12^4,
 sqrt(2) = zeta_24^3 + zeta_24^21 and phi = 1 + zeta_60^12 + zeta_60^48.
 Integer quantities derived from them (tensor multiplicities, pairings,
-class multiplication constants) are exact integer sums: the products are
-accumulated as integer coefficients of powers of zeta_N, reduced once
-modulo the cyclotomic polynomial, and required to be rational.  No
-tolerance or rounding is involved, and this module never imports mpmath;
-the one numeric view of a value, `as_mpc`, is in `qmckay.crc`.
+class multiplication constants) are exact integer sums, a matrix per call:
+each entry is mapped once to Z/(P w) (`qmckay.modular`), each sum is a dot
+product of ints read back under a proven bound, and the witness prime w
+rejects a sum that is not rational.  No tolerance or rounding is involved,
+and this module never imports mpmath; the one numeric view of a value,
+`as_mpc`, is in `qmckay.crc`.
 
 Fixed conventions (part of the public contract; consumers index by label):
 
@@ -54,10 +55,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 from types import MappingProxyType
 
 from .errors import ConfigurationError, InternalConsistencyError
+from .modular import integer, lift
 from .records import record
 from .rootsys import ADEType, cartan_matrix, root_system
 
@@ -267,7 +271,7 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return self.reduced() == other.reduced()
+        return self.terms == other.terms or self.reduced() == other.reduced()
 
     def __hash__(self) -> int:
         value = self.integer_value()
@@ -275,6 +279,13 @@ class Cyclotomic:
 
     def __repr__(self) -> str:
         return f"Cyclotomic({self.n}, {dict(self.terms)})"
+
+
+def _two_cos(e: int, n: int) -> Cyclotomic:
+    """zeta_n^e + zeta_n^-e; the constructor adds up equal powers, so e = -e
+    (mod n) gives coefficient 2 (key n is -0, which a dict merges with 0)."""
+    e %= n
+    return Cyclotomic(n, {e: 1, -e or n: 1})
 
 
 def exp_turn(t: Fraction, n: int) -> Cyclotomic:
@@ -389,38 +400,59 @@ class Correspondence:
 # ---------------------------------------------------------------------------
 
 
-def _integer_sum(weights, row_a, row_b, n: int, divisor: int, what: str) -> int:
-    """(1/divisor) * sum of weight * a * conj(b) over the zipped rows, exactly.
+def _ell1(value: Cyclotomic) -> int:
+    """Sum of the absolute coefficients, a bound on the absolute value."""
+    return sum(abs(c) for _, c in value.terms)
 
-    The products are accumulated as integer coefficients of powers of
-    zeta_n and reduced once modulo Phi_n; the result must be a rational
-    integer divisible by ``divisor``, or the tables are broken and
-    InternalConsistencyError names ``what``.
+
+def _residue_map(n: int, bound):
+    """One map of Z[zeta_n] to Z/(P w) for integer sums of absolute value at
+    most bound (`modular.lift`): P w; the image of an entry (sign 1) or of
+    its conjugate (sign -1); and the matrix of row . column sums read back
+    and divided by a divisor, where a sum the witness rejects (not rational)
+    or the divisor does not divide raises InternalConsistencyError."""
+    modulus, witness, z = lift(n, bound)
+    full = modulus * witness
+    powers = list(accumulate(range(n - 1), lambda a, _: a * z % full, initial=1))
+
+    def image(value: Cyclotomic, sign: int = 1) -> int:
+        return sum(c * powers[sign * e] for e, c in value.terms) % full
+
+    def dots(rows, columns, divisor: int, what: str) -> tuple[tuple[int, ...], ...]:
+        out = []
+        for row in rows:
+            sums = [integer(sum(map(mul, row, column)), modulus, witness) for column in columns]
+            if any(x is None or x % divisor for x in sums):
+                raise InternalConsistencyError(f"{what} is not {divisor} times an integer")
+            out.append(tuple(x // divisor for x in sums))
+        return tuple(out)
+
+    return full, image, dots
+
+
+def inner_products(model: GroupModel, left, right, factor=None) -> tuple[tuple[int, ...], ...]:
+    """The matrix of (1/|G|) * sum over classes of size * factor * a * conj(b)
+    over the rows a of ``left`` and b of ``right``, exactly (``factor`` is 1
+    when omitted): integer multiplicities, or InternalConsistencyError.
+
+    The factor is folded into the class weights; the proven bound is the sum
+    over classes of size * l1(factor) * max l1(a) * max l1(b).
     """
-    acc = [0] * n
-    for weight, a, b in zip(weights, row_a, row_b):
-        for ea, ca in a.terms:
-            wa = weight * ca
-            for eb, cb in b.terms:
-                acc[(ea - eb) % n] += wa * cb
-    total, *rest = reduce_cyclotomic(acc, n)
-    if any(rest) or total % divisor:
-        raise InternalConsistencyError(f"{what} is not {divisor} times an integer")
-    return total // divisor
+    n = model.table[0][0].n
+    sizes = [cls.size for cls in model.classes]
+    factor = factor or [Cyclotomic.integer(n, 1)] * len(sizes)
+    bound = sum(size * _ell1(f) * max(_ell1(a[k]) for a in left) * max(_ell1(b[k]) for b in right)
+                for k, (size, f) in enumerate(zip(sizes, factor)))
+    full, image, dots = _residue_map(n, bound)
+    weights = [size * image(f) for size, f in zip(sizes, factor)]
+    rows = [[w * image(x) % full for w, x in zip(weights, a)] for a in left]
+    columns = [[image(x, -1) for x in b] for b in right]
+    return dots(rows, columns, model.order, f"{model.name}: character sum")
 
 
 def inner_product(model: GroupModel, row_a, row_b) -> int:
-    """(1/|G|) * sum over classes of size * a * conj(b), exactly.
-
-    The rows are class functions with values in Z[zeta_N] (characters,
-    products of characters, or integer combinations of them), so the sum is
-    an integer multiplicity; anything else is a broken table and raises
-    InternalConsistencyError.
-    """
-    sizes = [cls.size for cls in model.classes]
-    return _integer_sum(
-        sizes, row_a, row_b, row_a[0].n, model.order, f"{model.name}: character sum"
-    )
+    """The 1 x 1 case of `inner_products`."""
+    return inner_products(model, [row_a], [row_b])[0][0]
 
 
 def class_multiplication(model: GroupModel) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -431,30 +463,25 @@ def class_multiplication(model: GroupModel) -> tuple[tuple[tuple[int, ...], ...]
     By Frobenius' formula N_ijk = (|C_i||C_j|/|G|) * sum over chi of
     chi(a) chi(b) conj(chi(c)) / chi(1).  Each term is scaled by D/chi(1),
     D the lcm of the dimensions, so the sum is an integer sum in Z[zeta_N]
-    that must come out |G| * D times a rational integer.
+    that must come out |G| * D times a rational integer.  The columns are
+    multiplied in Z/(P w), under the proven bound max |C|^2 * sum over chi
+    of (D/chi(1)) * max l1(chi)^3.
     """
-    n = model.table[0][0].n
     big_d = lcm(*(r.dim for r in model.irreps))
-    divisor = model.order * big_d
-    columns = list(zip(*model.table))  # columns[k][chi] = chi(C_k)
+    scales = [big_d // r.dim for r in model.irreps]
+    bound = max(c.size for c in model.classes) ** 2 * sum(
+        scale * max(map(_ell1, row)) ** 3 for scale, row in zip(scales, model.table))
+    full, image, dots = _residue_map(model.table[0][0].n, bound)
+    columns = [[image(x) for x in column] for column in zip(*model.table)]
+    conjugates = [[image(x, -1) for x in column] for column in zip(*model.table)]
     out = []
     for i, ci in enumerate(model.classes):
-        plane = []
-        for j, cj in enumerate(model.classes):
-            if j < i:  # class sums are central, so N_ijk = N_jik
-                plane.append(out[j][i])
-                continue
-            scale = ci.size * cj.size * big_d
-            weights = [scale // irrep.dim for irrep in model.irreps]
-            products = [a * b for a, b in zip(columns[i], columns[j])]
-            plane.append(tuple(
-                _integer_sum(
-                    weights, products, column, n, divisor,
-                    f"{model.name}: class product {ci.label}*{cj.label} at {ck.label}",
-                )
-                for ck, column in zip(model.classes, columns)
-            ))
-        out.append(tuple(plane))
+        weighted = [ci.size * scale * x for scale, x in zip(scales, columns[i])]
+        rows = [[cj.size * a * b % full for a, b in zip(weighted, columns[j])]
+                for j, cj in enumerate(model.classes) if j >= i]
+        # class sums are central, so N_ijk = N_jik
+        out.append(tuple(out[j][i] for j in range(i)) + dots(
+            rows, conjugates, model.order * big_d, f"{model.name}: class products of {ci.label}"))
     return tuple(out)
 
 
@@ -478,15 +505,10 @@ def mckay_graph(model: GroupModel) -> McKayGraph:
     """Adjacency a[i][j] = multiplicity of irrep j inside U (x) irrep i."""
     if not model.is_binary or model.chi_u is None:
         raise ConfigurationError("the McKay graph is built from a binary-group model")
-    rows = model.table
-    adj = []
-    for row in rows:
-        prod = [u * a for u, a in zip(model.chi_u, row)]
-        adj.append(tuple(inner_product(model, prod, other) for other in rows))
     return McKayGraph(
         labels=tuple(r.label for r in model.irreps),
         dims=tuple(r.dim for r in model.irreps),
-        adjacency=tuple(adj),
+        adjacency=inner_products(model, model.table, model.table, model.chi_u),
     )
 
 
@@ -615,8 +637,8 @@ def _cyclic_family(k: int):
     )
     irreps_g = tuple(Irrep(f"chi{a}", 1) for a in range(k))
     n = 2 * k
-    rows_g = [[exp_turn(F(a * j, k), n) for j in range(k)] for a in range(k)]
-    chi_v = tuple(1 + two_cos_turn(F(j, k), n) for j in range(k))
+    rows_g = [[Cyclotomic(n, {2 * a * j: 1}) for j in range(k)] for a in range(k)]
+    chi_v = tuple(1 + _two_cos(2 * j, n) for j in range(k))
     inv_g = tuple((k - j) % k for j in range(k))
     g = _assemble(
         GroupSpec.cyclic(k), f"Z{k}", k, False, classes_g, irreps_g, rows_g, chi_v, None, inv_g,
@@ -628,8 +650,8 @@ def _cyclic_family(k: int):
         ConjClass(f"g{j}", 1, n // gcd(j, n), None, j % k) for j in range(n)
     )
     irreps_h = tuple(Irrep(f"chi{a}", 1) for a in range(n))
-    rows_h = [[exp_turn(F(a * j, n), n) for j in range(n)] for a in range(n)]
-    chi_u = tuple(two_cos_turn(F(j, n), n) for j in range(n))
+    rows_h = [[Cyclotomic(n, {a * j: 1}) for j in range(n)] for a in range(n)]
+    chi_u = tuple(_two_cos(j, n) for j in range(n))
     inv_h = tuple((n - j) % n for j in range(n))
     gh = _assemble(
         GroupSpec.cyclic(k), f"Z{n}", n, True, classes_h, irreps_h, rows_h, None, chi_u, inv_h,
@@ -667,7 +689,7 @@ def _dihedral_family(m: int):
     if even:
         table_g += [(Irrep("psi1", 1), signs + [1, -1]), (Irrep("psi2", 1), signs + [-1, 1])]
     table_g += [
-        (Irrep(f"rho{i}", 2), [two_cos_turn(F(i * j, m), n) for j in rot] + [0] * len(flips))
+        (Irrep(f"rho{i}", 2), [_two_cos(i * j * n // m, n) for j in rot] + [0] * len(flips))
         for i in range(1, (m - 1) // 2 + 1)
     ]
     irreps_g, rows_g = zip(*table_g)
@@ -696,11 +718,11 @@ def _dihedral_family(m: int):
         (Irrep("psi1", 1), x_signs + [a, b]),
         (Irrep("psi2", 1), x_signs + [b, a]),
     ] + [
-        # rho_i(z) = 2(-1)^i is written as an int: for odd i, two_cos_turn
+        # rho_i(z) = 2(-1)^i is written as an int: for odd i, _two_cos
         # would store the equal value 2 zeta^(N/2), whose terms differ
         (
             Irrep(f"rho{i}", 2),
-            [2, 2 * (-1) ** i] + [two_cos_turn(F(i * j, 2 * m), n) for j in range(1, m)] + [0, 0],
+            [2, 2 * (-1) ** i] + [_two_cos(i * j * n // (2 * m), n) for j in range(1, m)] + [0, 0],
         )
         for i in range(1, m)
     ]
@@ -938,17 +960,13 @@ def correspondence(spec: GroupSpec) -> Correspondence:
     # exactly 2*Id - Cartan; this pins every hand-written table.
     graph = mckay_graph(gh)
     cartan = cartan_matrix(ade)
-    for p in range(rank):
-        for q in range(rank):
-            want = 2 * int(p == q) - cartan[p][q]
-            if graph.adjacency[node_irreps[p]][node_irreps[q]] != want:
-                raise InternalConsistencyError(
-                    f"{spec}: McKay adjacency does not match the {ade} Cartan matrix"
-                )
+    if [[graph.adjacency[a][b] for b in node_irreps] for a in node_irreps] != [
+            [2 * (p == q) - cartan[p][q] for q in range(rank)] for p in range(rank)]:
+        raise InternalConsistencyError(
+            f"{spec}: McKay adjacency does not match the {ade} Cartan matrix")
     # The affine-kernel identity: adjacency * dims = 2 * dims.
-    for i in range(len(graph.dims)):
-        if sum(graph.adjacency[i][j] * graph.dims[j] for j in range(len(graph.dims))) \
-                != 2 * graph.dims[i]:
+    for row, dim in zip(graph.adjacency, graph.dims):
+        if sum(map(mul, row, graph.dims)) != 2 * dim:
             raise InternalConsistencyError(f"{spec}: affine marks identity fails")
 
     binary_nodes = frozenset(

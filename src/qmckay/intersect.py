@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import identity, mat_mul
-from .grouprep import GroupSpec, correspondence, inner_product, root_fibers
+from .grouprep import GroupSpec, correspondence, inner_products, root_fibers
 from .records import record
 from .rootsys import root_system
 
@@ -180,18 +180,15 @@ def mckay_pairing(spec: GroupSpec):
         g[rho][rho'] = (1/|G|) sum over classes of size * (chi_V - 3)
                        * chi_rho * conj(chi_rho')
 
-    Each entry is the exact `inner_product` of the virtual character
-    (chi_V - 3) * chi_rho with chi_rho', an integer sum in Z[zeta_N].  The
-    product with the two-point matrix of `threefold_integrals` is the
-    identity; that inversion is the content of `pairing_inverse_check`.
+    The matrix is the exact `inner_products` of the characters with
+    chi_V - 3 as the factor row, integer sums in Z[zeta_N].  The product
+    with the two-point matrix of `threefold_integrals` is the identity;
+    that inversion is the content of `pairing_inverse_check`.
     """
     corr = correspondence(spec)
     g = corr.group
-    rows = []
-    for s in corr.slots:
-        weighted = [(v - 3) * a for v, a in zip(g.chi_v, g.table[s])]
-        rows.append(tuple(inner_product(g, weighted, g.table[s2]) for s2 in corr.slots))
-    return tuple(rows), 1
+    rows = [g.table[s] for s in corr.slots]
+    return inner_products(g, rows, rows, [v - 3 for v in g.chi_v]), 1
 
 
 def pairing_inverse_check(spec: GroupSpec) -> bool:

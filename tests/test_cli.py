@@ -267,6 +267,41 @@ def test_internal_failure_exits_four(capsys, monkeypatch):
     assert "internal consistency" in err
 
 
+@pytest.mark.parametrize("where", ["command", "render"])
+def test_out_of_memory_exits_two_with_one_line(capsys, monkeypatch, where):
+    def exhausted(*args):
+        raise MemoryError
+
+    if where == "command":
+        monkeypatch.setitem(cli.COMMANDS, "roots", exhausted)
+    else:
+        monkeypatch.setattr(cli, "render", exhausted)
+    code, out, err = run(capsys, ["roots", "--group", "E8"])
+    assert code == EXIT_ARGS
+    assert out == ""
+    assert err == "qmckay: out of memory: roots --group E8\n"
+
+
+def _address_space_100mb():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux-only")
+def test_out_of_memory_in_a_limited_child_is_one_line():
+    # the limit is set in the child only, between fork and exec
+    result = subprocess.run(
+        [sys.executable, "-m", "qmckay.cli", "roots", "--group", "C:400"],
+        capture_output=True, text=True, timeout=120, env=_src_env(),
+        preexec_fn=_address_space_100mb,
+    )
+    assert result.returncode == EXIT_ARGS
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["qmckay: out of memory: roots --group C:400"]
+    assert "Traceback" not in result.stderr
+
+
 LOW_PRECISION_GROUPS = ["C:5", "D:5", "T", "O", "I"]
 
 
@@ -650,6 +685,34 @@ def test_records_and_renderers_load_no_unused_stdlib(argv, loaded):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", *loaded]
+
+# resolves every (module, attribute path) of the tracer's LAYERS after
+# importing only the CLI, as `Recorder.install` does
+_LAYERS_PROBE = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import qmckay.cli
+for layer, module, path, _, _ in tracer.LAYERS:
+    owner = sys.modules.get(module)
+    for part in path.split("."):
+        owner = getattr(owner, part, None)
+    if not callable(owner):
+        print(layer, module, path)
+print(len(tracer.LAYERS))
+"""
+
+
+def test_every_traced_layer_resolves_after_importing_the_cli():
+    result = subprocess.run(
+        [sys.executable, "-c", _LAYERS_PROBE, str(ROOT / "perfbench" / "tracer.py")],
+        capture_output=True, text=True, timeout=120, env=_src_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 1 and int(lines[0]) > 0, lines
+
 
 def _traced(argv):
     """One request under perfbench/tracer.py: its completed process and spans."""

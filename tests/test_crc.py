@@ -14,6 +14,7 @@ import mpmath as mp
 import pytest
 
 import qmckay.crc as crc
+import qmckay.modular as modular
 from qmckay.crc import (
     DEFAULT_DPS,
     b_series,
@@ -76,12 +77,12 @@ def test_coefficients_are_the_rationals_at_the_working_precision():
 
 
 def _fill_primes(spec, modulus):
-    """The primes of `crc._prime` whose product is one fill's modulus, the
+    """The primes of `modular.prime` whose product is one fill's modulus, the
     witness last."""
     m = crc._exact_forms(spec)[0]
     primes = []
-    while modulus % crc._prime(m, len(primes))[0] == 0:
-        primes.append(crc._prime(m, len(primes))[0])
+    while modulus % modular.prime(m, len(primes))[0] == 0:
+        primes.append(modular.prime(m, len(primes))[0])
     assert math.prod(primes) == modulus
     return primes
 
@@ -124,18 +125,18 @@ def test_chi_v_identity_is_checked_exactly():
 
 def test_fp_primes_are_deterministic_and_of_the_right_shape():
     m = 24
-    assert crc._prime(m, 0) == crc._prime(m, 0)
-    (p0, z0), (p1, z1) = crc._prime(m, 0), crc._prime(m, 1)
+    assert modular.prime(m, 0) == modular.prime(m, 0)
+    (p0, z0), (p1, z1) = modular.prime(m, 0), modular.prime(m, 1)
     assert 2 ** 61 < p1 < p0 < 2 ** 62
     for p, z in ((p0, z0), (p1, z1)):
-        assert p % m == 1 and crc._is_prime(p)
+        assert p % m == 1 and modular.is_prime(p)
         assert pow(z, m, p) == 1
         assert all(pow(z, m // f, p) != 1 for f in (2, 3))
-    assert [n for n in range(2, 60) if crc._is_prime(n)] == [
+    assert [n for n in range(2, 60) if modular.is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
     ]
     # strong pseudoprimes to several small bases
-    assert not any(crc._is_prime(n) for n in (2047, 3215031751, 3825123056546413051))
+    assert not any(modular.is_prime(n) for n in (2047, 3215031751, 3825123056546413051))
 
 
 def test_sigma3_odd_flip_coefficients_vanish():

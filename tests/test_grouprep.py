@@ -26,6 +26,7 @@ from qmckay.grouprep import (
     hard_lefschetz_check,
     hard_lefschetz_exponents,
     inner_product,
+    inner_products,
     inverse_exponents,
     mckay_graph,
     root_system_of,
@@ -312,6 +313,116 @@ def test_class_multiplication_rejects_a_broken_table():
     fields = {name: getattr(model, name) for name in model.__match_args__}
     with pytest.raises(InternalConsistencyError):
         class_multiplication(type(model)(**fields | {"table": tuple(rows)}))
+
+
+# -- the sums in F_p against an independent Z[zeta_N] oracle -------------------
+
+ORACLE_SPECS = ALL_SPECS + [GroupSpec.cyclic(16), GroupSpec.cyclic(20), GroupSpec.dihedral(24)]
+ORACLE_IDS = [str(s) for s in ORACLE_SPECS]
+
+
+def _oracle_sum(weights, row_a, row_b, divisor):
+    """(1/divisor) * sum of weight * a * conj(b), accumulated as integer
+    coefficients of powers of zeta_n and reduced once modulo Phi_n."""
+    n = row_a[0].n
+    acc = [0] * n
+    for weight, a, b in zip(weights, row_a, row_b):
+        for ea, ca in a.terms:
+            for eb, cb in b.terms:
+                acc[(ea - eb) % n] += weight * ca * cb
+    total, *rest = grouprep.reduce_cyclotomic(acc, n)
+    assert not any(rest) and total % divisor == 0
+    return total // divisor
+
+
+def _oracle_products(model, left, right, factor=None):
+    sizes = [c.size for c in model.classes]
+    if factor is not None:
+        left = [[f * a for f, a in zip(factor, row)] for row in left]
+    return tuple(tuple(_oracle_sum(sizes, a, b, model.order) for b in right) for a in left)
+
+
+def _oracle_class_multiplication(model):
+    big_d = math.lcm(*(r.dim for r in model.irreps))
+    columns = list(zip(*model.table))
+    out = [[None] * len(columns) for _ in columns]
+    for i, ci in enumerate(model.classes):
+        for j, cj in enumerate(model.classes[i:], i):
+            weights = [ci.size * cj.size * big_d // r.dim for r in model.irreps]
+            products = [a * b for a, b in zip(columns[i], columns[j])]
+            out[i][j] = out[j][i] = tuple(
+                _oracle_sum(weights, products, column, model.order * big_d) for column in columns
+            )
+    return tuple(map(tuple, out))
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
+def test_sums_in_fp_match_the_cyclotomic_oracle(spec):
+    corr = correspondence(spec)
+    g, gh = corr.group, corr.binary_group
+    assert mckay_graph(gh).adjacency == _oracle_products(gh, gh.table, gh.table, gh.chi_u)
+    slots = [g.table[s] for s in corr.slots]
+    assert intersect.mckay_pairing(spec) == (
+        _oracle_products(g, slots, slots, [v - 3 for v in g.chi_v]), 1)
+    for model in (g, gh):
+        # the constants serve the rotation group; the binary ones are checked
+        # where the oracle is quick
+        if model is g or spec in ALL_SPECS:
+            assert class_multiplication(model) == _oracle_class_multiplication(model)
+        assert inner_products(model, model.table, model.table) == _oracle_products(
+            model, model.table, model.table)
+    # unequal sides, with and without a factor row
+    assert inner_products(g, [g.chi_v], g.table, g.chi_v) == _oracle_products(
+        g, [g.chi_v], g.table, g.chi_v)
+    assert inner_products(gh, gh.table[1:3], gh.table) == _oracle_products(
+        gh, gh.table[1:3], gh.table)
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.cyclic(20), GroupSpec.dihedral(24)], ids=str)
+def test_mckay_graph_and_pairing_form_no_cyclotomic_products(monkeypatch, spec):
+    corr = correspondence(spec)
+    calls = []
+    product, reduce = Cyclotomic.__mul__, grouprep.reduce_cyclotomic
+
+    def counting_product(self, other):
+        calls.append("product")
+        return product(self, other)
+
+    def counting_reduce(coefficients, n):
+        calls.append("reduction")
+        return reduce(coefficients, n)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counting_product)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", counting_product)
+    monkeypatch.setattr(grouprep, "reduce_cyclotomic", counting_reduce)
+    mckay_graph(corr.binary_group)
+    intersect.mckay_pairing(spec)
+    assert calls == []
+    # the counters do count
+    gh = corr.binary_group
+    (gh.chi_u[1] * gh.table[1][1]).integer_value()
+    assert calls == ["product", "reduction"]
+
+
+def _with_table(model, rows):
+    fields = {name: getattr(model, name) for name in model.__match_args__}
+    return type(model)(**fields | {"table": tuple(map(tuple, rows))})
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
+def test_one_entry_times_zeta_breaks_the_correspondence(monkeypatch, spec):
+    # irrep 1 at the central involution, times zeta_N: every sum through it
+    # changes by a nonzero multiple of zeta_N - 1, so none is rational
+    g, gh, nodes, restriction = grouprep._build_family(spec)
+    zeta = Cyclotomic(gh.table[0][0].n, {1: 1})
+    rows = [list(row) for row in gh.table]
+    rows[1][gh.center_class] = rows[1][gh.center_class] * zeta
+    broken = _with_table(gh, rows)
+    with pytest.raises(InternalConsistencyError):
+        mckay_graph(broken)
+    monkeypatch.setattr(grouprep, "_build_family", lambda _: (g, broken, nodes, restriction))
+    with pytest.raises(InternalConsistencyError):
+        correspondence.__wrapped__(spec)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
