@@ -31,7 +31,6 @@ import os
 import re
 import sys
 from collections.abc import Iterable
-from fractions import Fraction
 
 from . import crc
 from .errors import ConfigurationError, InternalConsistencyError, PoleError
@@ -515,15 +514,14 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
 
     @check("root-sum-identity")
     def _():
-        n = rs.rank
-        total = [[0] * n for _ in range(n)]
+        total = [[0] * rs.rank for _ in range(rs.rank)]
         for alpha in rs.positive_roots:
-            for i in range(n):
-                if alpha[i]:
-                    for j in range(n):
-                        total[i][j] += alpha[i] * alpha[j]
-        expected = [[rs.coxeter_number * x for x in row] for row in cartan_inverse()]
-        if [[Fraction(x) for x in row] for row in total] != expected:
+            support = [(i, a) for i, a in enumerate(alpha) if a]
+            for i, a in support:
+                for j, b in support:
+                    total[i][j] += a * b
+        # an int equals a Fraction exactly when the Fraction is that integer
+        if total != [[rs.coxeter_number * x for x in row] for row in cartan_inverse()]:
             raise InternalConsistencyError("sum over R+ of a a^T != h C^-1")
         return f"sum over {len(rs.positive_roots)} roots equals h * C^-1"
 

@@ -50,9 +50,10 @@ Structure of the computation:
   multiplies and adds.  A coefficient is the same number it would be in the
   tree of every vector; the vectors left out have coefficient exactly 0.
 * The forms are defined once, exactly, in `_exact_forms`: (|G|/|C|) L_s(C)
-  = 2 sin(pi t) chi_s(C) in Z[zeta_M], M = lcm(4, |G|, 2N, 2q per class
-  turn p/q), with sqrt(3 - chi_V) = 2 sin(pi t) = -i (zeta_2q^p -
-  zeta_2q^-p) once chi_V = 1 + 2 cos(2 pi t) is checked exactly;
+  = 2 sin(pi t) chi_s(C) in Z[zeta_M], M = 2N for N, the order of the
+  tables, even and a multiple of |G| (so 2q | M for each class turn p/q),
+  with sqrt(3 - chi_V) = 2 sin(pi t) = -i (zeta_2q^p - zeta_2q^-p) once
+  chi_V = 1 + 2 cos(2 pi t) is checked exactly;
   `linear_forms` is their mpc view.  The tree is filled once, modulo a
   product of primes = 1 (mod M), zeta_M sent to an element of order M
   modulo each, and so is each class's T = cot(pi d/|G|) = i (w + 1)/(w - 1),
@@ -226,19 +227,20 @@ def _check_chi_v(g) -> None:
 
 @lru_cache(maxsize=None)
 def _exact_forms(spec: GroupSpec) -> tuple[int, tuple[tuple[Cyclotomic, ...], ...]]:
-    """m = lcm(4, |G|, 2N, 2q per class turn p/q), and per slot s and
-    nontrivial class C of turn t the exact (|G|/|C|) L_s(C) = 2 sin(pi t)
-    chi_s(C) in Z[zeta_m], 2 sin(pi t) = -i (zeta_2q^p - zeta_2q^-p) =
-    sqrt(3 - chi_V(C)) once `_check_chi_v` holds.  `linear_forms` reads
-    the entries as mpc, `_embedding` modulo p."""
+    """m = 2N, N the tables' order: N is even and a multiple of |G|, so i,
+    zeta_|G| and zeta_2q (q | |G|) are powers of zeta_m, and `grouprep`
+    sums at order m too.  Per slot s and nontrivial class C of turn t the
+    exact (|G|/|C|) L_s(C) = 2 sin(pi t) chi_s(C) in Z[zeta_m], 2 sin(pi t)
+    = -i (zeta_2q^p - zeta_2q^-p) = sqrt(3 - chi_V(C)) once `_check_chi_v`
+    holds.  `linear_forms` reads the entries as mpc, `_embedding` modulo p."""
     corr = correspondence(spec)
     g = corr.group
     _check_chi_v(g)
-    m = lcm(4, g.order, 2 * g.chi_v[0].n, *(2 * c.turn.denominator for c in g.classes))
+    m = 2 * g.chi_v[0].n
     sines = [exp_turn(Fraction(3, 4), m) * (exp_turn(c.turn / 2, m) - exp_turn(-c.turn / 2, m))
              for c in g.classes[1:]]  # -i (zeta_2q^p - zeta_2q^-p)
     return m, tuple(
-        tuple(sine * sum(k * exp_turn(Fraction(e, chi.n), m) for e, k in chi.terms)
+        tuple(sine * Cyclotomic(m, {2 * e: k for e, k in chi.terms})  # zeta_N = zeta_m^2
               for sine, chi in zip(sines, g.table[s][1:]))
         for s in corr.slots
     )

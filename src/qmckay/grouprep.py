@@ -23,7 +23,8 @@ Integer quantities derived from them (tensor multiplicities, pairings,
 class multiplication constants) are exact integer sums, a matrix per call:
 each entry is mapped once to Z/(P w) (`qmckay.modular`), each sum is a dot
 product of ints read back under a proven bound, and the witness prime w
-rejects a sum that is not rational.  No tolerance or rounding is involved,
+rejects a sum that is not rational; the primes are those p = 1 (mod 2N) of
+`qmckay.crc`, zeta_N sent to a square.  No tolerance or rounding is involved,
 and this module never imports mpmath; the one numeric view of a value,
 `as_mpc`, is in `qmckay.crc`.
 
@@ -343,20 +344,11 @@ class GroupModel:
     center_class: int | None  # index of the central involution z (binary only)
     inverse_class: tuple[int, ...]  # class index -> class index of the inverses
 
-    def class_index(self, label: str) -> int:
-        for i, c in enumerate(self.classes):
-            if c.label == label:
-                return i
-        raise ConfigurationError(f"{self.name} has no class {label!r}")
-
     def irrep_index(self, label: str) -> int:
         for i, r in enumerate(self.irreps):
             if r.label == label:
                 return i
         raise ConfigurationError(f"{self.name} has no irrep {label!r}")
-
-    def character(self, label: str) -> tuple[Cyclotomic, ...]:
-        return self.table[self.irrep_index(label)]
 
     def nontrivial_irreps(self) -> tuple[int, ...]:
         """Indices of the nontrivial irreps, sorted by (dimension, position)."""
@@ -407,12 +399,15 @@ def _ell1(value: Cyclotomic) -> int:
 
 def _residue_map(n: int, bound):
     """One map of Z[zeta_n] to Z/(P w) for integer sums of absolute value at
-    most bound (`modular.lift`): P w; the image of an entry (sign 1) or of
-    its conjugate (sign -1); and the matrix of row . column sums read back
-    and divided by a divisor, where a sum the witness rejects (not rational)
-    or the divisor does not divide raises InternalConsistencyError."""
-    modulus, witness, z = lift(n, bound)
+    most bound, over the primes of order 2n that `crc` fills at
+    (`modular.lift(2n, bound)`), zeta_n sent to z^2: P w; the image of an
+    entry (sign 1) or of its conjugate (sign -1); and the matrix of row .
+    column sums read back and divided by a divisor, where a sum the witness
+    rejects (not rational) or the divisor does not divide raises
+    InternalConsistencyError."""
+    modulus, witness, z = lift(2 * n, bound)
     full = modulus * witness
+    z = z * z % full
     powers = list(accumulate(range(n - 1), lambda a, _: a * z % full, initial=1))
 
     def image(value: Cyclotomic, sign: int = 1) -> int:

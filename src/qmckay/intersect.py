@@ -33,11 +33,6 @@ class EquivariantScalar:
     value: Fraction
     t_power: int
 
-    def __str__(self) -> str:
-        if self.t_power == 0:
-            return str(self.value)
-        return f"{self.value} * t^{self.t_power}"
-
 
 @record
 class IntersectionData:

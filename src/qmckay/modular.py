@@ -1,7 +1,8 @@
 """Primes p = 1 (mod n) near 2^62, and the one lift of `crc` and `grouprep`:
 an integer x, |x| <= bound, is its symmetric residue modulo the product P of
 the primes past 2 bound, and the witness prime w must agree, which also
-checks that a sum of values of Z[zeta_n] is rational."""
+checks that a sum of values of Z[zeta_n] is rational.  Both layers use n =
+2N, N the order of a group's character tables: one prime set per group."""
 
 from __future__ import annotations
 

@@ -12,11 +12,6 @@ total q-degree.  ``lam`` may carry exponents down to -2 (genus-zero free
 energies need a double pole); anything below -2 signals an algebra misuse
 and raises instead of truncating silently.
 
-A series also carries ``t_power``, the power of the equivariant weight the
-whole series is a multiple of.  It adds under multiplication and must agree
-under addition; it exists so localised integrals keep their weight bookkeeping
-through series arithmetic.
-
 Storage is packed (Monagan and Pearce, Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors, CASC 2007): an exponent vector
 is one int of bit fields, so adding keys adds vectors, and coefficients are
@@ -122,13 +117,13 @@ class MultiSeries:
     triples to {packed key: numerator over ``_den``}.
     """
 
-    __slots__ = ("variables", "truncation", "t_power", "_lay", "_parts", "_den")
+    __slots__ = ("variables", "truncation", "_lay", "_parts", "_den")
 
-    def __init__(self, variables, truncation, terms, t_power=0):
+    def __init__(self, variables, truncation, terms):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ConfigurationError("duplicate series variables")
-        self.variables, self.truncation, self.t_power = variables, truncation, t_power
+        self.variables, self.truncation = variables, truncation
         caps = (truncation.q_total, truncation.big_q, truncation.lam)
         kept: dict = {}
         for key, coeff in terms.items():
@@ -172,7 +167,7 @@ class MultiSeries:
         return {g: {_pack(lay, _unpack(old, k)): c for k, c in b.items()}
                 for g, b in self._parts.items()}
 
-    def _make(self, parts, den, t_power, lay) -> "MultiSeries":
+    def _make(self, parts, den, lay) -> "MultiSeries":
         """A series in this ring from graded int numerators over ``den``;
         zeros drop and the fraction is reduced."""
         kept, g = {}, den
@@ -183,7 +178,7 @@ class MultiSeries:
                 kept[grades] = b
                 g = gcd(g, *b.values())
         out = object.__new__(MultiSeries)
-        out.variables, out.truncation, out.t_power = self.variables, self.truncation, t_power
+        out.variables, out.truncation = self.variables, self.truncation
         out._lay, out._den, out._parts = lay, den // g, kept if g == 1 else {
             gr: {k: c // g for k, c in b.items()} for gr, b in kept.items()}
         return out
@@ -220,9 +215,6 @@ class MultiSeries:
         """sum of c * s over the (c, s) pairs, as products with the unit."""
         for _, s in pairs:
             self._check_compatible(s)
-            if s.t_power != self.t_power:
-                raise ConfigurationError(
-                    f"cannot add series of weight t^{self.t_power} and t^{s.t_power}")
         lay = _layout(self.variables, self.truncation,
                       *map(max, zip((0, 0), *(s._reach() for _, s in pairs))))
         pairs = [(_as_fraction(c), s) for c, s in pairs]
@@ -231,7 +223,7 @@ class MultiSeries:
         for c, s in pairs:
             self._accumulate(acc, s._parts_in(lay), _UNIT,
                              c.numerator * (den // (c.denominator * s._den)))
-        return self._make(acc, den, self.t_power, lay)
+        return self._make(acc, den, lay)
 
     def _check_compatible(self, other: "MultiSeries") -> None:
         if self.variables != other.variables or self.truncation != other.truncation:
@@ -240,28 +232,28 @@ class MultiSeries:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(variables, truncation, t_power=0) -> "MultiSeries":
-        return MultiSeries(variables, truncation, {}, t_power)
+    def zero(variables, truncation) -> "MultiSeries":
+        return MultiSeries(variables, truncation, {})
 
     @staticmethod
-    def one(variables, truncation, t_power=0) -> "MultiSeries":
+    def one(variables, truncation) -> "MultiSeries":
         key = (0,) * len(tuple(variables))
-        return MultiSeries(variables, truncation, {key: Fraction(1)}, t_power)
+        return MultiSeries(variables, truncation, {key: Fraction(1)})
 
     @staticmethod
-    def monomial(variables, truncation, exponents: Mapping[str, int], coeff=1, t_power=0):
+    def monomial(variables, truncation, exponents: Mapping[str, int], coeff=1):
         variables = tuple(variables)
         key = _exponent_key(variables, exponents)
-        return MultiSeries(variables, truncation, {key: _as_fraction(coeff)}, t_power)
+        return MultiSeries(variables, truncation, {key: _as_fraction(coeff)})
 
     @staticmethod
-    def from_terms(variables, truncation, terms, t_power=0) -> "MultiSeries":
-        return MultiSeries(variables, truncation, dict(terms), t_power)
+    def from_terms(variables, truncation, terms) -> "MultiSeries":
+        return MultiSeries(variables, truncation, dict(terms))
 
     @staticmethod
-    def linear_combination(variables, truncation, pairs, t_power=0) -> "MultiSeries":
+    def linear_combination(variables, truncation, pairs) -> "MultiSeries":
         """sum of c * s over the (rational c, series s) pairs, in one pass."""
-        return MultiSeries.zero(variables, truncation, t_power)._combine(list(pairs))
+        return MultiSeries.zero(variables, truncation)._combine(list(pairs))
 
     # -- inspection --------------------------------------------------------
 
@@ -294,21 +286,20 @@ class MultiSeries:
         out: dict[int, dict] = {}
         for (q, Q, d), b in self._parts.items():
             out.setdefault(d, {})[q, Q, 0] = {k - (d << shift): c for k, c in b.items()}
-        return {d: self._make(p, self._den, self.t_power, self._lay)
+        return {d: self._make(p, self._den, self._lay)
                 for d, p in sorted(out.items())}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        if (self.variables, self.truncation, self.t_power, self._den) != (
-                other.variables, other.truncation, other.t_power, other._den):
+        if (self.variables, self.truncation, self._den) != (
+                other.variables, other.truncation, other._den):
             return False
         lay = _layout(self.variables, self.truncation, *map(max, self._reach(), other._reach()))
         return self._parts_in(lay) == other._parts_in(lay)
 
     def __hash__(self):
-        return hash((self.variables, self.truncation, self.t_power,
-                     frozenset(self.items())))
+        return hash((self.variables, self.truncation, frozenset(self.items())))
 
     def __repr__(self) -> str:
         return f"MultiSeries({self.format_text()})"
@@ -331,15 +322,12 @@ class MultiSeries:
         lay = _layout(self.variables, self.truncation, *map(add, self._reach(), other._reach()))
         acc: dict = {}
         self._accumulate(acc, self._parts_in(lay), other._parts_in(lay))
-        return self._make(acc, self._den * other._den, self.t_power + other.t_power, lay)
+        return self._make(acc, self._den * other._den, lay)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "MultiSeries":
         return self._combine([(c, self)])
-
-    def with_t_power(self, t_power: int) -> "MultiSeries":
-        return self._make(self._parts, self._den, t_power, self._lay)
 
     def __pow__(self, n: int) -> "MultiSeries":
         if not isinstance(n, int) or n < 0:
@@ -381,10 +369,10 @@ class MultiSeries:
         return top, lay, out
 
     def _join(self, grades, lay) -> "MultiSeries":
-        """The sum of weightless series with disjoint grade triples."""
+        """The sum of series with disjoint grade triples."""
         den = lcm(*(s._den for s in grades))
         return self._make({g: {k: c * (den // s._den) for k, c in b.items()}
-                           for s in grades for g, b in s._parts.items()}, den, 0, lay)
+                           for s in grades for g, b in s._parts.items()}, den, lay)
 
     def exp(self) -> "MultiSeries":
         """Exponential; the argument needs zero constant term.
@@ -394,17 +382,15 @@ class MultiSeries:
         """
         if self.constant_term() != 0:
             raise ConfigurationError("exp needs a zero constant term")
-        if self.t_power != 0:
-            raise ConfigurationError("exp argument must be weightless")
         top, lay, g = self._weight_parts()
-        f = [self._make(_UNIT, 1, 0, lay)]
+        f = [self._make(_UNIT, 1, lay)]
         for w in range(1, top + 1):
             terms = [(k, part, f[w - k]) for k, part in g.items() if k <= w and f[w - k]._parts]
             den = lcm(*(fk._den for _, _, fk in terms))
             acc: dict = {}
             for k, part, fk in terms:
                 self._accumulate(acc, part, fk._parts, k * (den // fk._den))
-            f.append(self._make(acc, den * self._den * w, 0, lay))
+            f.append(self._make(acc, den * self._den * w, lay))
         return self._join(f, lay)
 
     def log(self) -> "MultiSeries":
@@ -415,8 +401,6 @@ class MultiSeries:
         """
         if self.constant_term() != 1:
             raise ConfigurationError("log needs constant term one")
-        if self.t_power != 0:
-            raise ConfigurationError("log argument must be weightless")
         top, lay, f = self._weight_parts()
         g: dict[int, MultiSeries] = {}
         for w in range(1, top + 1):
@@ -426,7 +410,7 @@ class MultiSeries:
             self._accumulate(acc, f.get(w, {}), _UNIT, w * den)
             for k, gk in terms:
                 self._accumulate(acc, gk._parts, f[w - k], -k * (den // gk._den))
-            g[w] = self._make(acc, den * self._den * w, 0, lay)
+            g[w] = self._make(acc, den * self._den * w, lay)
         return self._join(g.values(), lay)
 
     def pow_rational(self, r: Fraction) -> "MultiSeries":
@@ -446,7 +430,7 @@ class MultiSeries:
             exponents = {v: e for v, e in zip(self.variables, key) if e != 0}
             out.append({
                 "exponents": exponents,
-                "t_power": self.t_power,
+                "t_power": 0,  # the payload schema keeps the field; a series has no weight
                 "numerator": str(coeff.numerator),
                 "denominator": str(coeff.denominator),
             })
@@ -471,10 +455,7 @@ class MultiSeries:
                 parts.append(f"-{mono}")
             else:
                 parts.append(f"{coeff}*{mono}")
-        text = " + ".join(parts).replace("+ -", "- ")
-        if self.t_power:
-            text = f"({text}) * t^{self.t_power}"
-        return text
+        return " + ".join(parts).replace("+ -", "- ")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ import mpmath as mp
 import pytest
 
 import qmckay.cli as cli
+import qmckay.crc as crc
 import qmckay.intersect as intersect
+import qmckay.modular as modular
 from qmckay.cli import (
     EXIT_ARGS,
     EXIT_GROUP,
@@ -459,6 +461,22 @@ def test_verify_builds_one_bps_table(capsys, monkeypatch):
     # reuses the root scan behind it
     assert calls == {"bps_table": 1}
     assert root_fibers.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("group, order", [("T", 24), ("D:6", 24), ("C:16", 64)])
+def test_verify_searches_primes_of_one_order(capsys, monkeypatch, group, order):
+    # order = 2N, N the order of the group's character tables
+    orders = set()
+    prime = modular.prime
+    monkeypatch.setattr(modular, "prime", lambda m, k: orders.add(m) or prime(m, k))
+    correspondence.cache_clear()
+    crc._class_products.cache_clear()
+    code, out, _ = run(capsys, ["verify", "--group", group, "--max-q-degree", "2",
+                                "--q-series-degree", "2"])
+    assert code == EXIT_OK
+    assert json.loads(out)["status"] == "pass"
+    assert orders == {order}
+    assert 2 * correspondence(cli.parse_group(group)).group.table[0][0].n == order
 
 
 @pytest.mark.parametrize("fmt, expected_calls", [("json", 0), ("csv", 0), ("text", 1)])

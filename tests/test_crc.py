@@ -14,6 +14,7 @@ import mpmath as mp
 import pytest
 
 import qmckay.crc as crc
+import qmckay.grouprep as grouprep
 import qmckay.modular as modular
 from qmckay.crc import (
     DEFAULT_DPS,
@@ -137,6 +138,27 @@ def test_fp_primes_are_deterministic_and_of_the_right_shape():
     ]
     # strong pseudoprimes to several small bases
     assert not any(modular.is_prime(n) for n in (2047, 3215031751, 3825123056546413051))
+
+
+ORDER_SPECS = (
+    [GroupSpec.cyclic(k) for k in range(2, 61)]
+    + [GroupSpec.dihedral(m) for m in range(2, 61)]
+    + [GroupSpec.tetrahedral(), GroupSpec.octahedral(), GroupSpec.icosahedral()]
+)
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS, ids=str)
+def test_one_zeta_order_serves_the_forms_and_the_character_sums(spec, monkeypatch):
+    g = correspondence(spec).group
+    n = g.table[0][0].n
+    # every root of unity the forms need: i, zeta_|G| and zeta_2q per class turn p/q
+    needed = math.lcm(4, g.order, 2 * n, *(2 * c.turn.denominator for c in g.classes))
+    assert crc._exact_forms(spec)[0] == 2 * n == needed
+    orders = []
+    prime = modular.prime
+    monkeypatch.setattr(modular, "prime", lambda m, k: orders.append(m) or prime(m, k))
+    grouprep._residue_map(n, 1)
+    assert set(orders) == {2 * n}
 
 
 def test_sigma3_odd_flip_coefficients_vanish():

@@ -82,22 +82,6 @@ def test_truncation_clips_high_degrees():
     assert (big ** 5).is_zero()
 
 
-# -- weight bookkeeping ------------------------------------------------------
-
-
-def test_t_power_adds_under_multiplication():
-    a = mono({"q1": 1}).with_t_power(-3)
-    b = mono({"q2": 1}).with_t_power(1)
-    assert (a * b).t_power == -2
-
-
-def test_t_power_mismatch_refuses_addition():
-    a = mono({"q1": 1}).with_t_power(1)
-    b = mono({"q1": 1})
-    with pytest.raises(ConfigurationError):
-        a + b
-
-
 # -- exp and log -------------------------------------------------------------
 
 
@@ -159,11 +143,6 @@ def test_product_below_lambda_floor_raises():
     # the floor is checked even where the q cap drops every product
     with pytest.raises(InternalConsistencyError):
         MultiSeries.from_terms(("q1", "lam"), tr, {(2, -2): 1}) * b
-
-
-def test_exp_rejects_weighted_argument():
-    with pytest.raises(ConfigurationError):
-        mono({"q1": 1}).with_t_power(2).exp()
 
 
 def test_pow_rational_central_binomials():
@@ -475,8 +454,7 @@ def naive_mul(a, b):
             if not survives(key, a.truncation):
                 continue
             terms[key] = terms.get(key, Fraction(0)) + ca * cb
-    return MultiSeries.from_terms(a.variables, a.truncation, terms,
-                                  a.t_power + b.t_power)
+    return MultiSeries.from_terms(a.variables, a.truncation, terms)
 
 
 def power_sum_bound(tr):
