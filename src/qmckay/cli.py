@@ -506,11 +506,13 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
                     pairs += 1
         return f"{pairs} inner products exactly 0 or 1 (exact sums in Z[zeta_N])"
 
-    # one C^-1 serves root-sum-identity and surface-two-point; a failure is
-    # not cached, so each check that needs the value reports it
-    @functools.cache
-    def cartan_inverse():
-        return rs.cartan_inverse()
+    # M = x C^-1 is checked as M C = x I, summing over the at most 4
+    # nonzeros of each column of the Cartan matrix C
+    columns = [[(k, c) for k, c in enumerate(column) if c] for column in zip(*rs.cartan)]
+
+    def times_cartan_is(m, x) -> bool:
+        return [[sum(row[k] * c for k, c in column) for column in columns] for row in m] == [
+            [x * (i == j) for j in range(rs.rank)] for i in range(rs.rank)]
 
     @check("root-sum-identity")
     def _():
@@ -520,8 +522,7 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
             for i, a in support:
                 for j, b in support:
                     total[i][j] += a * b
-        # an int equals a Fraction exactly when the Fraction is that integer
-        if total != [[rs.coxeter_number * x for x in row] for row in cartan_inverse()]:
+        if not times_cartan_is(total, rs.coxeter_number):
             raise InternalConsistencyError("sum over R+ of a a^T != h C^-1")
         return f"sum over {len(rs.positive_roots)} roots equals h * C^-1"
 
@@ -609,8 +610,7 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
     @check("surface-two-point")
     def _():
         surface = surface_integrals(spec)
-        expected = tuple(tuple(-x for x in row) for row in cartan_inverse())
-        if surface.two_point != expected:
+        if not times_cartan_is(surface.two_point, -1):
             raise InternalConsistencyError("surface two-point != -C^-1")
         return "surface two-point equals -C^-1 exactly"
 

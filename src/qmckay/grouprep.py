@@ -19,14 +19,14 @@ element of Z[zeta_N] with one N per group (2k for cyclic(k), lcm(2m, 4) for
 dihedral(m), 12, 24 and 60 for the exceptional groups), written through
 2cos(2 pi a/n) = zeta^a + zeta^-a, omega = zeta_12^4,
 sqrt(2) = zeta_24^3 + zeta_24^21 and phi = 1 + zeta_60^12 + zeta_60^48.
-Integer quantities derived from them (tensor multiplicities, pairings,
-class multiplication constants) are exact integer sums, a matrix per call:
-each entry is mapped once to Z/(P w) (`qmckay.modular`), each sum is a dot
-product of ints read back under a proven bound, and the witness prime w
-rejects a sum that is not rational; the primes are those p = 1 (mod 2N) of
-`qmckay.crc`, zeta_N sent to a square.  No tolerance or rounding is involved,
-and this module never imports mpmath; the one numeric view of a value,
-`as_mpc`, is in `qmckay.crc`.
+Every exact decision is made in F_p, modulo the primes p = 1 (mod 2N) of
+`qmckay.modular` with zeta_N sent to a square: equality and rationality of a
+value by its images under every Galois conjugate, and the integer quantities
+derived from the values (tensor multiplicities, pairings, class
+multiplication constants) as dot products of ints, a matrix per call, read
+back under a proven bound and checked by a witness prime.  No tolerance or
+rounding is involved, and this module never imports mpmath; the one numeric
+view of a value, `as_mpc`, is in `qmckay.crc`.
 
 Fixed conventions (part of the public contract; consumers index by label):
 
@@ -62,7 +62,7 @@ from operator import mul
 from types import MappingProxyType
 
 from .errors import ConfigurationError, InternalConsistencyError
-from .modular import integer, lift
+from .modular import conjugates, integer, lift
 from .records import record
 from .rootsys import ADEType, cartan_matrix, root_system
 
@@ -136,63 +136,15 @@ def root_system_of(spec: GroupSpec) -> ADEType:
 # ---------------------------------------------------------------------------
 
 
-def _poly_divide(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Quotient of integer polynomials (constant term first) when den, which
-    is monic, divides num exactly."""
-    num = list(num)
-    d = len(den) - 1
-    quotient = [0] * (len(num) - d)
-    for i in range(len(quotient) - 1, -1, -1):
-        c = num[i + d]
-        quotient[i] = c
-        if c:
-            for j, p in enumerate(den):
-                num[i + j] -= c * p
-    return quotient
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first.
-
-    Phi_n is monic with integer coefficients, so reduction modulo it stays
-    in the integers; it is x^n - 1 divided by every Phi_d with d | n, d < n.
-    """
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divide(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
-
-
-def reduce_cyclotomic(coefficients: list[int], n: int) -> tuple[int, ...]:
-    """The unique representative of sum c_e zeta_n^e of degree < phi(n).
-
-    ``coefficients[e]`` multiplies zeta_n^e for 0 <= e < n.  Two values of
-    Z[zeta_n] are equal exactly when their reductions are.
-    """
-    phi = cyclotomic_polynomial(n)
-    d = len(phi) - 1
-    lower = [(j, p) for j, p in enumerate(phi[:d]) if p]
-    acc = list(coefficients)
-    for i in range(len(acc) - 1, d - 1, -1):
-        c = acc[i]
-        if c:
-            base = i - d
-            for j, p in lower:
-                acc[base + j] -= c * p
-    return tuple(acc[:d])
-
-
 class Cyclotomic:
     """An element sum c_e * zeta_n^e of Z[zeta_n], zeta_n = exp(2*pi*i/n).
 
     ``terms`` holds the nonzero (e, c_e) pairs with 0 <= e < n, so products
-    are cyclic convolutions; equality and rationality are decided on the
-    reduction modulo the cyclotomic polynomial, which is exact.
+    are cyclic convolutions; equality and rationality are decided exactly in
+    F_p, on the images under every Galois conjugate (`modular.conjugates`).
     """
 
-    __slots__ = ("n", "terms", "_reduced")
+    __slots__ = ("n", "terms")
 
     def __init__(self, n: int, coefficients: dict[int, int]):
         self.n = n
@@ -201,24 +153,15 @@ class Cyclotomic:
             e %= n
             acc[e] = acc.get(e, 0) + c
         self.terms = tuple(sorted((e, c) for e, c in acc.items() if c))
-        self._reduced = None
 
     @staticmethod
     def integer(n: int, value: int) -> "Cyclotomic":
         return Cyclotomic(n, {0: value})
 
-    def reduced(self) -> tuple[int, ...]:
-        if self._reduced is None:
-            dense = [0] * self.n
-            for e, c in self.terms:
-                dense[e] = c
-            self._reduced = reduce_cyclotomic(dense, self.n)
-        return self._reduced
-
     def integer_value(self) -> int | None:
         """The value as an int when it is rational (hence an integer), else None."""
-        head, *rest = self.reduced()
-        return None if any(rest) else head
+        head, *rest = conjugates(self.n, self.terms)
+        return None if any(x != head for x in rest) else head
 
     def conjugate(self) -> "Cyclotomic":
         return Cyclotomic(self.n, {-e: c for e, c in self.terms})
@@ -272,11 +215,11 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return self.terms == other.terms or self.reduced() == other.reduced()
+        return self.terms == other.terms or not any(conjugates(self.n, (self - other).terms))
 
     def __hash__(self) -> int:
         value = self.integer_value()
-        return hash(self.reduced()) if value is None else hash(value)
+        return hash(conjugates(self.n, self.terms)[0]) if value is None else hash(value)
 
     def __repr__(self) -> str:
         return f"Cyclotomic({self.n}, {dict(self.terms)})"
@@ -468,7 +411,7 @@ def class_multiplication(model: GroupModel) -> tuple[tuple[tuple[int, ...], ...]
         scale * max(map(_ell1, row)) ** 3 for scale, row in zip(scales, model.table))
     full, image, dots = _residue_map(model.table[0][0].n, bound)
     columns = [[image(x) for x in column] for column in zip(*model.table)]
-    conjugates = [[image(x, -1) for x in column] for column in zip(*model.table)]
+    conjugated = [[image(x, -1) for x in column] for column in zip(*model.table)]
     out = []
     for i, ci in enumerate(model.classes):
         weighted = [ci.size * scale * x for scale, x in zip(scales, columns[i])]
@@ -476,7 +419,7 @@ def class_multiplication(model: GroupModel) -> tuple[tuple[tuple[int, ...], ...]
                 for j, cj in enumerate(model.classes) if j >= i]
         # class sums are central, so N_ijk = N_jik
         out.append(tuple(out[j][i] for j in range(i)) + dots(
-            rows, conjugates, model.order * big_d, f"{model.name}: class products of {ci.label}"))
+            rows, conjugated, model.order * big_d, f"{model.name}: class products of {ci.label}"))
     return tuple(out)
 
 
@@ -943,7 +886,7 @@ def _build_family(spec: GroupSpec):
 def correspondence(spec: GroupSpec) -> Correspondence:
     """Build and cross-check the group, its binary cover and the node dictionary.
 
-    Every check is an exact identity in Z[zeta_N].
+    Every check is an exact identity in Z[zeta_N], decided in F_p.
     """
     g, gh, node_irreps, restriction = _build_family(spec)
     ade = root_system_of(spec)

@@ -1,13 +1,16 @@
-"""Primes p = 1 (mod n) near 2^62, and the one lift of `crc` and `grouprep`:
-an integer x, |x| <= bound, is its symmetric residue modulo the product P of
-the primes past 2 bound, and the witness prime w must agree, which also
-checks that a sum of values of Z[zeta_n] is rational.  Both layers use n =
-2N, N the order of a group's character tables: one prime set per group."""
+"""Every exact decision in F_p, modulo primes p = 1 (mod 2N), N the order of
+a group's character tables: `prime`; the one lift of `crc` and `grouprep`,
+an integer |x| <= bound read back modulo the product P of the primes past
+2 bound and checked by a witness prime w; and `conjugates`, equality in
+Z[zeta_N]."""
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count
+from itertools import accumulate, count
+from math import gcd
+
+from .errors import InternalConsistencyError
 
 
 def is_prime(n: int) -> bool:
@@ -54,3 +57,21 @@ def integer(r: int, modulus: int, witness: int) -> int | None:
     """The x = r (mod P), |x| < P/2, or None when x != r (mod the witness)."""
     x = (r + modulus // 2) % modulus - modulus // 2
     return None if (x - r) % witness else x
+
+
+def conjugates(n: int, terms) -> list[int]:
+    """The images of v = sum c_e zeta_n^e, from its (e, c_e) ``terms``, under
+    zeta_n -> z^(2k) for each k prime to n, k = 1 first, as symmetric
+    residues mod p, for p, z = `prime(2n, 0)`; InternalConsistencyError when
+    2 sum |c_e| >= p.  They are all 0 only when v = 0: p = 1 (mod n) splits
+    completely in Z[zeta_n], and the kernels of the phi(n) maps are exactly
+    the primes above p, so v lies in pZ[zeta_n] and its norm is 0 or at least
+    p^phi(n); each conjugate of v is below p in absolute value, so the norm
+    is below p^phi(n).  They all equal one c only when v = c: the same holds
+    for v - c, whose conjugates stay below sum |c_e| + p/2 < p."""
+    p, z = prime(2 * n, 0)
+    if 2 * sum(abs(c) for _, c in terms) >= p:
+        raise InternalConsistencyError(f"a value of Z[zeta_{n}] is too large for F_{p}")
+    powers = list(accumulate(range(n - 1), lambda a, _: a * z * z % p, initial=1))
+    return [(sum(c * powers[k * e % n] for e, c in terms) + p // 2) % p - p // 2
+            for k in range(1, n + 1) if gcd(k, n) == 1]

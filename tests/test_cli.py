@@ -206,17 +206,27 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     assert failed == {"crc-consistency": "resolution vs orbifold residual 0.33333"}
 
 
-def test_shared_cartan_inverse_failure_fails_only_its_checks(capsys, monkeypatch):
-    def boom(self):
-        raise InternalConsistencyError("synthetic")
-    monkeypatch.setattr(RootSystem, "cartan_inverse", boom)
+def test_perturbed_cartan_matrix_fails_only_its_checks(capsys, monkeypatch):
+    honest = cli.root_system
+
+    def perturbed(ade):
+        rs = honest(ade)
+        cartan = [list(row) for row in rs.cartan]
+        cartan[1][0] -= 1
+        fields = {name: getattr(rs, name) for name in rs.__match_args__}
+        return RootSystem(**fields | {"cartan": tuple(map(tuple, cartan))})
+
+    monkeypatch.setattr(cli, "root_system", perturbed)
     code, out, _ = run(capsys, [
         "verify", "--group", "D5", "--max-q-degree", "2", "--q-series-degree", "2",
     ])
     assert code == EXIT_VERIFY
     failed = {c["name"]: c["detail"] for c in json.loads(out)["checks"]
               if c["status"] == "fail"}
-    assert failed == {"root-sum-identity": "synthetic", "surface-two-point": "synthetic"}
+    assert failed == {
+        "root-sum-identity": "sum over R+ of a a^T != h C^-1",
+        "surface-two-point": "surface two-point != -C^-1",
+    }
 
 
 def test_perturbed_cubic_fails_only_crc_consistency(capsys, monkeypatch):

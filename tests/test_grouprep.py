@@ -2,7 +2,9 @@ import hashlib
 import inspect
 import json
 import math
+import random
 from fractions import Fraction
+from functools import cache
 
 import mpmath as mp
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import qmckay.grouprep as grouprep
 import qmckay.gwtheory as gwtheory
 import qmckay.intersect as intersect
+import qmckay.modular as modular
 from qmckay.crc import as_mpc
 from qmckay.errors import ConfigurationError, InternalConsistencyError
 from qmckay.grouprep import (
@@ -21,7 +24,6 @@ from qmckay.grouprep import (
     binary_simple_roots,
     class_multiplication,
     correspondence,
-    cyclotomic_polynomial,
     exp_turn,
     hard_lefschetz_check,
     hard_lefschetz_exponents,
@@ -232,6 +234,56 @@ def test_class_and_irrep_counts_match(spec):
 # -- exact values in Z[zeta_N] ---------------------------------------------------
 
 
+# A test-only oracle, independent of the F_p rule of `modular.conjugates`:
+# the unique representative of a value of Z[zeta_n] of degree < phi(n),
+# its reduction modulo the cyclotomic polynomial Phi_n.
+
+
+def _poly_divide(num: list[int], den: tuple[int, ...]) -> list[int]:
+    """Quotient of integer polynomials (constant term first) when den, which
+    is monic, divides num exactly."""
+    num = list(num)
+    d = len(den) - 1
+    quotient = [0] * (len(num) - d)
+    for i in range(len(quotient) - 1, -1, -1):
+        c = num[i + d]
+        quotient[i] = c
+        if c:
+            for j, p in enumerate(den):
+                num[i + j] -= c * p
+    return quotient
+
+
+@cache
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Phi_n, constant term first: x^n - 1 divided by every Phi_d, d | n, d < n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_divide(poly, cyclotomic_polynomial(d))
+    return tuple(poly)
+
+
+def reduce_cyclotomic(coefficients: list[int], n: int) -> tuple[int, ...]:
+    """``coefficients[e]`` multiplies zeta_n^e; two values are equal exactly
+    when their reductions are."""
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    acc = list(coefficients)
+    for i in range(len(acc) - 1, d - 1, -1):
+        if acc[i]:
+            for j, p in enumerate(phi[:d]):
+                acc[i - d + j] -= acc[i] * p
+    return tuple(acc[:d])
+
+
+def _reduced(value: Cyclotomic) -> tuple[int, ...]:
+    dense = [0] * value.n
+    for e, c in value.terms:
+        dense[e] = c
+    return reduce_cyclotomic(dense, value.n)
+
+
 def test_cyclotomic_polynomials_small_cases():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)
@@ -246,6 +298,64 @@ def test_cyclotomic_polynomials_match_sympy():
     for n in range(1, 121):
         want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
         assert cyclotomic_polynomial(n) == tuple(int(c) for c in want), n
+
+
+@pytest.mark.parametrize("n", [4, 12, 24, 40, 60, 120])
+def test_equality_in_fp_matches_the_phi_n_oracle(n):
+    rng = random.Random(n)
+
+    def element(size, spread):
+        return Cyclotomic(n, {rng.randrange(n): rng.randint(-spread, spread) for _ in range(size)})
+
+    # zeros whose terms differ: a full coset sum of the d-th roots of unity
+    zeros = [Cyclotomic(n, {a + j * n // d: 1 for j in range(d)})
+             for d in range(2, n + 1) if n % d == 0 for a in (0, 1)]
+    for zero in zeros:
+        assert zero.terms and zero == 0 and zero.integer_value() == 0
+        assert _reduced(zero) == _reduced(Cyclotomic.integer(n, 0))
+    phi_n = len(cyclotomic_polynomial(n)) - 1
+    for _ in range(40):
+        a, b = element(rng.randint(1, 6), 5), element(rng.randint(1, 6), 5)
+        c = a + rng.choice(zeros) * element(3, 3)  # equal to a, other terms
+        seven = c - a + 7
+        for x, y in ((a, b), (a, c), (b, c), (seven, Cyclotomic.integer(n, 7))):
+            assert (x == y) == (_reduced(x) == _reduced(y)), (x, y)
+            if x == y:
+                assert hash(x) == hash(y)
+        for x in (a, b, c, seven):
+            head, *rest = _reduced(x)
+            assert x.integer_value() == (None if any(rest) else head)
+        assert modular.conjugates(n, (a - c).terms) == [0] * phi_n
+    if n % 24 == 0:  # sqrt(2) * sqrt(2) = 2
+        sqrt2 = two_cos_turn(Fraction(1, 8), n)
+        assert (sqrt2 * sqrt2).terms != ((0, 2),) and sqrt2 * sqrt2 == 2
+    if n % 60 == 0:  # phi^2 = phi + 1
+        phi = 1 + two_cos_turn(Fraction(1, 5), n)
+        assert (phi * phi).terms != (phi + 1).terms and phi * phi == phi + 1
+        assert _reduced(phi * phi) == _reduced(phi + 1)
+
+
+def test_integer_value_reads_rationals_that_are_not_reduced():
+    omega = exp_turn(Fraction(1, 3), 12)
+    bar = omega + omega.conjugate()
+    assert bar.terms == ((4, 1), (8, 1))
+    assert modular.conjugates(12, bar.terms) == [-1] * 4
+    assert bar.integer_value() == -1
+    # the twelfth roots of unity sum to 0
+    assert (Cyclotomic(12, {e: 1 for e in range(12)}) + 5).integer_value() == 5
+    assert two_cos_turn(Fraction(1, 4), 24).integer_value() == 0
+    assert two_cos_turn(Fraction(1, 6), 24).integer_value() == 1
+
+
+def test_values_past_the_prime_bound_raise():
+    p = modular.prime(24, 0)[0]
+    assert Cyclotomic.integer(12, p // 2).integer_value() == p // 2  # 2 l1 = p - 1
+    big = Cyclotomic.integer(12, p // 2 + 1)
+    with pytest.raises(InternalConsistencyError):
+        big.integer_value()
+    with pytest.raises(InternalConsistencyError):
+        big == Cyclotomic(12, {4: 1, 8: 1})
+    assert big == Cyclotomic.integer(12, p // 2 + 1)  # identical terms need no image
 
 
 def test_surds_are_exact():
@@ -330,7 +440,7 @@ def _oracle_sum(weights, row_a, row_b, divisor):
         for ea, ca in a.terms:
             for eb, cb in b.terms:
                 acc[(ea - eb) % n] += weight * ca * cb
-    total, *rest = grouprep.reduce_cyclotomic(acc, n)
+    total, *rest = reduce_cyclotomic(acc, n)
     assert not any(rest) and total % divisor == 0
     return total // divisor
 
@@ -382,26 +492,26 @@ def test_sums_in_fp_match_the_cyclotomic_oracle(spec):
 def test_mckay_graph_and_pairing_form_no_cyclotomic_products(monkeypatch, spec):
     corr = correspondence(spec)
     calls = []
-    product, reduce = Cyclotomic.__mul__, grouprep.reduce_cyclotomic
+    product, images = Cyclotomic.__mul__, grouprep.conjugates
 
     def counting_product(self, other):
         calls.append("product")
         return product(self, other)
 
-    def counting_reduce(coefficients, n):
-        calls.append("reduction")
-        return reduce(coefficients, n)
+    def counting_images(n, terms):
+        calls.append("conjugates")
+        return images(n, terms)
 
     monkeypatch.setattr(Cyclotomic, "__mul__", counting_product)
     monkeypatch.setattr(Cyclotomic, "__rmul__", counting_product)
-    monkeypatch.setattr(grouprep, "reduce_cyclotomic", counting_reduce)
+    monkeypatch.setattr(grouprep, "conjugates", counting_images)
     mckay_graph(corr.binary_group)
     intersect.mckay_pairing(spec)
     assert calls == []
     # the counters do count
     gh = corr.binary_group
     (gh.chi_u[1] * gh.table[1][1]).integer_value()
-    assert calls == ["product", "reduction"]
+    assert calls == ["product", "conjugates"]
 
 
 def _with_table(model, rows):
