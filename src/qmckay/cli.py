@@ -35,6 +35,7 @@ from collections.abc import Iterable
 from . import crc
 from .errors import ConfigurationError, InternalConsistencyError, PoleError
 from .grouprep import (
+    EXCEPTIONAL,
     GroupSpec,
     binary_simple_roots,
     correspondence,
@@ -85,12 +86,9 @@ def parse_group(token: str) -> GroupSpec:
     (C:1, A4, D3, E5, ...) and ValueError for unparseable ones.
     """
     text = token.strip().upper()
-    if text in ("T", "TETRAHEDRAL"):
-        return GroupSpec.tetrahedral()
-    if text in ("O", "OCTAHEDRAL"):
-        return GroupSpec.octahedral()
-    if text in ("I", "ICOSAHEDRAL"):
-        return GroupSpec.icosahedral()
+    for kind, (letter, _, _) in EXCEPTIONAL.items():
+        if text in (letter, kind.upper()):
+            return GroupSpec(kind)
     m = re.fullmatch(r"([CD]):([0-9]+)", text)
     if m:
         family, value = m.group(1), int(m.group(2))
@@ -116,22 +114,17 @@ def parse_group(token: str) -> GroupSpec:
                     f"{token}: D-aliases start at D4 (= D:2)"
                 )
             return GroupSpec.dihedral(rank - 2)
-        if rank == 6:
-            return GroupSpec.tetrahedral()
-        if rank == 7:
-            return GroupSpec.octahedral()
-        if rank == 8:
-            return GroupSpec.icosahedral()
+        for kind, (_, e_rank, _) in EXCEPTIONAL.items():
+            if rank == e_rank:
+                return GroupSpec(kind)
         raise UnsupportedGroupError(f"{token}: exceptional aliases are E6, E7, E8")
     raise ValueError(f"cannot parse group {token!r}")
 
 
 def canonical_token(spec: GroupSpec) -> str:
-    if spec.kind == "cyclic":
-        return f"C:{spec.parameter}"
-    if spec.kind == "dihedral":
-        return f"D:{spec.parameter}"
-    return {"tetrahedral": "T", "octahedral": "O", "icosahedral": "I"}[spec.kind]
+    if spec.kind in EXCEPTIONAL:
+        return EXCEPTIONAL[spec.kind][0]
+    return f"{spec.kind[0].upper()}:{spec.parameter}"
 
 
 # ---------------------------------------------------------------------------

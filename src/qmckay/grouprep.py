@@ -66,7 +66,13 @@ from .modular import conjugates, integer, lift
 from .records import record
 from .rootsys import ADEType, cartan_matrix, root_system
 
-_KINDS = ("cyclic", "dihedral", "tetrahedral", "octahedral", "icosahedral")
+# The families that take no parameter: kind -> (CLI token, rank of the
+# root system E6/E7/E8, order of G).
+EXCEPTIONAL = {
+    "tetrahedral": ("T", 6, 12),
+    "octahedral": ("O", 7, 24),
+    "icosahedral": ("I", 8, 60),
+}
 
 
 @record(order=True)
@@ -77,14 +83,13 @@ class GroupSpec:
     parameter: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in ("cyclic", "dihedral", *EXCEPTIONAL):
             raise ConfigurationError(f"unknown group family {self.kind!r}")
-        if self.kind == "cyclic" and self.parameter < 2:
-            raise ConfigurationError("cyclic groups need parameter k >= 2")
-        if self.kind == "dihedral" and self.parameter < 2:
-            raise ConfigurationError("dihedral groups need parameter m >= 2")
-        if self.kind in _KINDS[2:] and self.parameter != 0:
+        if self.kind in EXCEPTIONAL and self.parameter != 0:
             raise ConfigurationError(f"{self.kind} takes no parameter")
+        if self.kind not in EXCEPTIONAL and self.parameter < 2:
+            letter = "k" if self.kind == "cyclic" else "m"
+            raise ConfigurationError(f"{self.kind} groups need parameter {letter} >= 2")
 
     @staticmethod
     def cyclic(k: int) -> "GroupSpec":
@@ -112,14 +117,10 @@ class GroupSpec:
             return self.parameter
         if self.kind == "dihedral":
             return 2 * self.parameter
-        return {"tetrahedral": 12, "octahedral": 24, "icosahedral": 60}[self.kind]
+        return EXCEPTIONAL[self.kind][2]
 
     def __str__(self) -> str:
-        if self.kind == "cyclic":
-            return f"cyclic({self.parameter})"
-        if self.kind == "dihedral":
-            return f"dihedral({self.parameter})"
-        return self.kind
+        return self.kind if self.kind in EXCEPTIONAL else f"{self.kind}({self.parameter})"
 
 
 def root_system_of(spec: GroupSpec) -> ADEType:
@@ -128,7 +129,7 @@ def root_system_of(spec: GroupSpec) -> ADEType:
         return ADEType("A", 2 * spec.parameter - 1)
     if spec.kind == "dihedral":
         return ADEType("D", spec.parameter + 2)
-    return ADEType("E", {"tetrahedral": 6, "octahedral": 7, "icosahedral": 8}[spec.kind])
+    return ADEType("E", EXCEPTIONAL[spec.kind][1])
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +219,8 @@ class Cyclotomic:
         return self.terms == other.terms or not any(conjugates(self.n, (self - other).terms))
 
     def __hash__(self) -> int:
-        value = self.integer_value()
-        return hash(conjugates(self.n, self.terms)[0]) if value is None else hash(value)
+        # a rational value's images all equal it, so this agrees with == on ints
+        return hash(conjugates(self.n, self.terms)[0])
 
     def __repr__(self) -> str:
         return f"Cyclotomic({self.n}, {dict(self.terms)})"
@@ -870,11 +871,8 @@ def _build_family(spec: GroupSpec):
         return _cyclic_family(spec.parameter)
     if spec.kind == "dihedral":
         return _dihedral_family(spec.parameter)
-    if spec.kind == "tetrahedral":
-        return _tetrahedral_family()
-    if spec.kind == "octahedral":
-        return _octahedral_family()
-    return _icosahedral_family()
+    return {"tetrahedral": _tetrahedral_family, "octahedral": _octahedral_family,
+            "icosahedral": _icosahedral_family}[spec.kind]()
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,15 @@ def integer(r: int, modulus: int, witness: int) -> int | None:
     return None if (x - r) % witness else x
 
 
+@lru_cache(maxsize=None)
+def _conjugation_table(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """p of `prime(2n, 0)`, the n powers of z^2 mod p, and the k prime to n,
+    k = 1 first: what every `conjugates` call at this n reads."""
+    p, z = prime(2 * n, 0)
+    powers = tuple(accumulate(range(n - 1), lambda a, _: a * z * z % p, initial=1))
+    return p, powers, tuple(k for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
 def conjugates(n: int, terms) -> list[int]:
     """The images of v = sum c_e zeta_n^e, from its (e, c_e) ``terms``, under
     zeta_n -> z^(2k) for each k prime to n, k = 1 first, as symmetric
@@ -69,9 +78,7 @@ def conjugates(n: int, terms) -> list[int]:
     p^phi(n); each conjugate of v is below p in absolute value, so the norm
     is below p^phi(n).  They all equal one c only when v = c: the same holds
     for v - c, whose conjugates stay below sum |c_e| + p/2 < p."""
-    p, z = prime(2 * n, 0)
+    p, powers, units = _conjugation_table(n)
     if 2 * sum(abs(c) for _, c in terms) >= p:
         raise InternalConsistencyError(f"a value of Z[zeta_{n}] is too large for F_{p}")
-    powers = list(accumulate(range(n - 1), lambda a, _: a * z * z % p, initial=1))
-    return [(sum(c * powers[k * e % n] for e, c in terms) + p // 2) % p - p // 2
-            for k in range(1, n + 1) if gcd(k, n) == 1]
+    return [(sum(c * powers[k * e % n] for e, c in terms) + p // 2) % p - p // 2 for k in units]

@@ -16,7 +16,6 @@ That ordering is part of the public contract.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConfigurationError
@@ -134,11 +133,6 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return self.ade.rank
-
-    def cartan_inverse(self) -> list[list[Fraction]]:
-        from .exact import mat_inverse
-
-        return mat_inverse(self.cartan)
 
 
 @lru_cache(maxsize=None)

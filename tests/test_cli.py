@@ -1,6 +1,7 @@
 """Command line contract: parsing, exit codes, schemas, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -19,6 +20,7 @@ import qmckay.cli as cli
 import qmckay.crc as crc
 import qmckay.intersect as intersect
 import qmckay.modular as modular
+import qmckay.schemas as schemas
 from qmckay.cli import (
     EXIT_ARGS,
     EXIT_GROUP,
@@ -31,7 +33,7 @@ from qmckay.cli import (
     parse_group,
 )
 from qmckay.errors import InternalConsistencyError
-from qmckay.grouprep import GroupSpec, correspondence, root_fibers
+from qmckay.grouprep import GroupSpec, correspondence, root_fibers, root_system_of
 from qmckay.rootsys import RootSystem
 from qmckay.schemas import BY_COMMAND
 from qmckay.series import MultiSeries
@@ -64,6 +66,10 @@ def run(capsys, argv):
     ("E6", GroupSpec.tetrahedral()),
     ("E7", GroupSpec.octahedral()),
     ("E8", GroupSpec.icosahedral()),
+    # the rank is read as an int
+    ("E06", GroupSpec.tetrahedral()),
+    ("e007", GroupSpec.octahedral()),
+    ("E0008", GroupSpec.icosahedral()),
 ])
 def test_parse_group_grammar(token, spec):
     assert parse_group(token) == spec
@@ -83,9 +89,39 @@ def test_parse_group_unparseable(token):
         parse_group(token)
 
 
+# token, str(spec), |G|, root system of the binary cover
+FAMILY_FACTS = (
+    [(f"C:{k}", f"cyclic({k})", k, f"A{2 * k - 1}") for k in range(2, 10)]
+    + [(f"D:{m}", f"dihedral({m})", 2 * m, f"D{m + 2}") for m in range(2, 10)]
+    + [("T", "tetrahedral", 12, "E6"), ("O", "octahedral", 24, "E7"),
+       ("I", "icosahedral", 60, "E8")]
+)
+
+
 def test_canonical_tokens_round_trip():
-    for token in ("C:2", "C:7", "D:2", "D:6", "T", "O", "I"):
-        assert canonical_token(parse_group(token)) == token
+    for token, name, order, ade in FAMILY_FACTS:
+        spec = parse_group(token)
+        assert canonical_token(spec) == token
+        assert (str(spec), spec.order, str(root_system_of(spec))) == (name, order, ade)
+
+
+_A_ALIASES = ("A-aliases name the binary cover's root system, so only odd ranks >= 3 occur "
+              "(A3 = C:2, A5 = C:3, ...)")
+
+
+@pytest.mark.parametrize("token, code, line", [
+    ("A1", EXIT_GROUP, f"unsupported group: A1: {_A_ALIASES}"),
+    ("A4", EXIT_GROUP, f"unsupported group: A4: {_A_ALIASES}"),
+    ("D3", EXIT_GROUP, "unsupported group: D3: D-aliases start at D4 (= D:2)"),
+    ("E5", EXIT_GROUP, "unsupported group: E5: exceptional aliases are E6, E7, E8"),
+    ("E9", EXIT_GROUP, "unsupported group: E9: exceptional aliases are E6, E7, E8"),
+    ("C:1", EXIT_GROUP, "unsupported group: C:1: the cyclic parameter must be at least 2"),
+    ("D:1", EXIT_GROUP, "unsupported group: D:1: the dihedral parameter must be at least 2"),
+    ("X9", EXIT_ARGS, "cannot parse group 'X9'"),
+    ("", EXIT_ARGS, "cannot parse group ''"),
+])
+def test_group_errors_print_one_exact_line(capsys, token, code, line):
+    assert run(capsys, ["bps", "--group", token]) == (code, "", f"qmckay: {line}\n")
 
 
 # -- exit codes ------------------------------------------------------------------
@@ -350,6 +386,37 @@ def test_json_payloads_validate(capsys, command, group):
     code, out, err = run(capsys, argv)
     assert code == EXIT_OK, err
     jsonschema.validate(json.loads(out), BY_COMMAND[command])
+
+
+# SHA-256 of json.dumps(BY_COMMAND, sort_keys=True): every schema value,
+# which perfbench/oracle.py validates the benchmark's JSON output against
+BY_COMMAND_SHA256 = "4e2f4e76d3592496a92776dc64bdba6a4f22a8c6113edb6f36e8cbfbeceb8adc"
+
+
+def test_schemas_are_pinned():
+    blob = json.dumps(BY_COMMAND, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == BY_COMMAND_SHA256
+
+
+def _object_schemas(node):
+    if isinstance(node, dict):
+        if "properties" in node:
+            yield node
+        for value in node.values():
+            yield from _object_schemas(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _object_schemas(value)
+
+
+def test_every_object_schema_requires_exactly_its_fields():
+    roots = [v for k, v in vars(schemas).items() if isinstance(v, dict) and not k.startswith("__")]
+    objects = {id(o): o for o in _object_schemas(roots)}.values()
+    assert len(objects) == 20
+    for obj in objects:
+        assert obj["type"] == "object"
+        assert obj["required"] == list(obj["properties"])
+        assert obj["additionalProperties"] is False
 
 
 def test_verify_passes_for_sigma3(capsys):
@@ -683,7 +750,8 @@ def test_only_decimal_output_imports_mpmath(argv, loaded):
 
 
 
-# lists which of these stdlib modules the package loaded, import and run together
+# lists which of these stdlib modules the package loaded, import and run
+# together, and qmckay.schemas, which only validation needs
 _STDLIB_PROBE = """
 import contextlib, io, sys
 preloaded = set(sys.modules)
@@ -692,7 +760,8 @@ code = 0
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(sys.argv[1:])
-print(code, *sorted({"csv", "dataclasses", "inspect"} & set(sys.modules) - preloaded))
+watched = {"csv", "dataclasses", "inspect", "qmckay.schemas"}
+print(code, *sorted(watched & set(sys.modules) - preloaded))
 """
 
 
@@ -775,3 +844,9 @@ def test_traced_request_matches_the_untraced_cli(argv, degree):
     expected = len(cli.crc.orbifold_potential(GroupSpec.tetrahedral(), degree).rationals)
     counts = [span[4]["coefficients"] for span in spans if span[0] == "crc.orbifold_potential"]
     assert counts == [expected]
+
+
+def test_no_source_line_is_longer_than_100_characters():
+    for path in sorted((ROOT / "src" / "qmckay").glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            assert len(line) <= 100, f"{path.name}:{number}"

@@ -55,6 +55,18 @@ def test_spec_validation():
     assert GroupSpec.icosahedral().order == 60
 
 
+@pytest.mark.parametrize("args, message", [
+    (("cyclic", 1), "cyclic groups need parameter k >= 2"),
+    (("dihedral", 1), "dihedral groups need parameter m >= 2"),
+    (("tetrahedral", 2), "tetrahedral takes no parameter"),
+    (("affine", 3), "unknown group family 'affine'"),
+])
+def test_spec_validation_messages(args, message):
+    with pytest.raises(ConfigurationError) as info:
+        GroupSpec(*args)
+    assert str(info.value) == message
+
+
 def test_root_system_assignment():
     assert root_system_of(GroupSpec.cyclic(2)) == ADEType("A", 3)
     assert root_system_of(GroupSpec.cyclic(5)) == ADEType("A", 9)
@@ -356,6 +368,26 @@ def test_values_past_the_prime_bound_raise():
     with pytest.raises(InternalConsistencyError):
         big == Cyclotomic(12, {4: 1, 8: 1})
     assert big == Cyclotomic.integer(12, p // 2 + 1)  # identical terms need no image
+
+
+def test_hash_takes_the_images_once(monkeypatch):
+    sqrt2 = two_cos_turn(Fraction(1, 8), 24)
+    omega = exp_turn(Fraction(1, 3), 12)
+    calls = []
+    real = grouprep.conjugates
+    monkeypatch.setattr(grouprep, "conjugates", lambda n, terms: calls.append(n) or real(n, terms))
+    hash(sqrt2)
+    assert calls == [24]
+    # a rational value hashes as its int, so hash agrees with == on ints
+    assert hash(omega + omega.conjugate()) == hash(-1)
+
+
+def test_conjugates_build_one_table_per_order():
+    modular.conjugates(36, ((1, 1),))
+    before = modular._conjugation_table.cache_info()
+    assert modular.conjugates(36, ((0, 2), (18, 1))) == [1] * 12  # 2 + zeta_36^18 = 1
+    after = modular._conjugation_table.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 1)
 
 
 def test_surds_are_exact():
