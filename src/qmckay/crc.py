@@ -85,7 +85,7 @@ from fractions import Fraction
 from functools import cache, cached_property, lru_cache, reduce
 from itertools import accumulate, combinations_with_replacement
 from math import factorial, lcm, prod
-from operator import mul, or_
+from operator import index, mul, or_
 from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, InternalConsistencyError, PoleError
@@ -532,7 +532,10 @@ def _class_index(labels: tuple[str, ...], k) -> int:
         if k not in labels:
             raise ConfigurationError(f"unknown conjugacy class {k!r}")
         return labels.index(k)
-    k = int(k)
+    try:
+        k = index(k)
+    except TypeError:
+        raise ConfigurationError(f"class index {k!r} is not an integer") from None
     if not 0 <= k < len(labels):
         raise ConfigurationError(f"class index {k} out of range")
     return k

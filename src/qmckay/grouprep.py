@@ -14,6 +14,9 @@ icosahedral             60          120          E8
 ======================  ==========  ===========  ==============
 
 Character tables are closed-form and parametric in the family parameter.
+Each builder writes the binary group's table; the rotation group's table is
+read off it, since G = G^/{1, z}: the irreps of G are those of G^ that pull
+back, and G's row of each is its G^ row at one preimage of every class.
 Every entry, and chi_V and chi_U, is stored exactly as a `Cyclotomic`: an
 element of Z[zeta_N] with one N per group (2k for cyclic(k), lcm(2m, 4) for
 dihedral(m), 12, 24 and 60 for the exceptional groups), written through
@@ -42,8 +45,9 @@ Fixed conventions (part of the public contract; consumers index by label):
   McKay adjacency from characters and verifies it against the Cartan matrix,
   so a wrong dictionary cannot survive construction.
 * An irrep of the binary group "pulls back" from G exactly when its
-  character at the central involution z equals its dimension.  The nodes
-  whose irreps do not pull back are the binary simple roots.
+  character at the central involution z equals its dimension; these are the
+  irreps of G, in the binary group's order.  The nodes whose irreps do not
+  pull back are the binary simple roots.
 
 Naming caveat: an odd-rank A-type label always names the root system of the
 *binary* group, so ``A3`` belongs to cyclic(2), ``A5`` to cyclic(3), and so
@@ -567,24 +571,33 @@ def _assemble(
     )
 
 
+def _quotient(gh: GroupModel, name, classes, inverse, chi_v, labels=None):
+    """G = G^/{1, z} from its binary cover: the irreps of G are the irreps of
+    G^ that pull back, in G^'s order, and G's row of each is its G^ row read
+    at one preimage of every G class (``image_class``).  ``labels`` names them
+    (G^'s labels by default); ``chi_v`` is a row, or the G^ label of the
+    irrep whose row it is.  Returns G and the G^ index of each G irrep."""
+    pulled = tuple(i for i, r in enumerate(gh.irreps) if pulls_back(gh, r.label))
+    preimage: dict[int, int] = {}
+    for j, cls in enumerate(gh.classes):
+        preimage.setdefault(cls.image_class, j)
+    rows = [[gh.table[i][preimage[c]] for c in range(len(classes))] for i in pulled]
+    if isinstance(chi_v, str):
+        chi_v = rows[pulled.index(gh.irrep_index(chi_v))]
+    labels = labels or [gh.irreps[i].label for i in pulled]
+    irreps = [Irrep(label, gh.irreps[i].dim) for label, i in zip(labels, pulled)]
+    return _assemble(
+        gh.spec, name, gh.order // 2, False, classes, irreps, rows, chi_v, None, inverse,
+        gh.table[0][0].n,
+    ), pulled
+
+
 def _cyclic_family(k: int):
     F = Fraction
-    # G = Z_k.  Classes g0..g(k-1) (powers of the rotation by one k-th turn),
-    # irreps chi0..chi(k-1) with chi_a(g^j) = exp(2 pi i a j / k).
-    classes_g = tuple(
-        ConjClass(f"g{j}", 1, k // gcd(j, k), F(min(j, k - j), k)) for j in range(k)
-    )
-    irreps_g = tuple(Irrep(f"chi{a}", 1) for a in range(k))
     n = 2 * k
-    rows_g = [[Cyclotomic(n, {2 * a * j: 1}) for j in range(k)] for a in range(k)]
-    chi_v = tuple(1 + _two_cos(2 * j, n) for j in range(k))
-    inv_g = tuple((k - j) % k for j in range(k))
-    g = _assemble(
-        GroupSpec.cyclic(k), f"Z{k}", k, False, classes_g, irreps_g, rows_g, chi_v, None, inv_g,
-        n,
-    )
-
-    # Binary group = Z_{2k}; the generator covers the rotation by one k-th turn.
+    # Binary group = Z_{2k}, classes g0..g(2k-1) (powers of a generator that
+    # covers the rotation by one k-th turn), irreps chi0..chi(2k-1) with
+    # chi_a(g^j) = zeta_2k^(a j).
     classes_h = tuple(
         ConjClass(f"g{j}", 1, n // gcd(j, n), None, j % k) for j in range(n)
     )
@@ -597,9 +610,17 @@ def _cyclic_family(k: int):
         n,
     )
 
-    node_irreps = tuple(p + 1 for p in range(n - 1))
-    restriction = {p: f"chi{(p + 1) // 2}" for p in range(n - 1) if (p + 1) % 2 == 0}
-    return g, gh, node_irreps, restriction
+    # G = Z_k, classes g0..g(k-1) (powers of the rotation by one k-th turn);
+    # its chi_a is the chi_2a of Z_{2k}.  Node p carries chi(p+1) of Z_{2k}.
+    classes_g = tuple(
+        ConjClass(f"g{j}", 1, k // gcd(j, k), F(min(j, k - j), k)) for j in range(k)
+    )
+    chi_v = tuple(1 + _two_cos(2 * j, n) for j in range(k))
+    g, pulled = _quotient(
+        gh, f"Z{k}", classes_g, tuple((k - j) % k for j in range(k)), chi_v,
+        [f"chi{a}" for a in range(k)],
+    )
+    return g, gh, tuple(range(1, n)), pulled
 
 
 def _dihedral_family(m: int):
@@ -610,32 +631,13 @@ def _dihedral_family(m: int):
 
     # G = dihedral group of order 2m: rotations r^j about the main axis and m
     # half-turn flips.  Class order: e, r1..r(half or half-1), [r(half) central
-    # when m is even], then the flip class(es).  Irrep order: triv, sgn,
-    # [psi1, psi2 when m is even], rho1, rho2, ...  Each row lists its value
-    # at e = r0, r1..r(m//2), then at each flip class.
+    # when m is even], then the flip class(es).
     rot = range(m // 2 + 1)
     flips = ("sv", "se") if even else ("s",)
     classes_g = (
         [ConjClass("e", 1, 1, F(0))]
         + [ConjClass(f"r{j}", 1 if 2 * j == m else 2, m // gcd(j, m), F(j, m)) for j in rot[1:]]
         + [ConjClass(s, m // len(flips), 2, F(1, 2)) for s in flips]
-    )
-    signs = [(-1) ** j for j in rot]
-    table_g = [
-        (Irrep("triv", 1), [1] * len(classes_g)),
-        (Irrep("sgn", 1), [1] * len(rot) + [-1] * len(flips)),
-    ]
-    if even:
-        table_g += [(Irrep("psi1", 1), signs + [1, -1]), (Irrep("psi2", 1), signs + [-1, 1])]
-    table_g += [
-        (Irrep(f"rho{i}", 2), [_two_cos(i * j * n // m, n) for j in rot] + [0] * len(flips))
-        for i in range(1, (m - 1) // 2 + 1)
-    ]
-    irreps_g, rows_g = zip(*table_g)
-    chi_v = [1 + two_cos_turn(c.turn, n) for c in classes_g]
-    g = _assemble(
-        spec, f"D{m}", 2 * m, False, classes_g, irreps_g, rows_g, chi_v, None,
-        range(len(classes_g)), n,
     )
 
     # Binary group: order 4m with presentation x^(2m) = e, y^2 = x^m,
@@ -673,40 +675,20 @@ def _dihedral_family(m: int):
         spec, f"D{m}^", 4 * m, True, classes_h, irreps_h, rows_h, None, rows_h[4], inv_h, n,
     )
 
+    # G's irreps, pulled back in order: triv, sgn, [psi1, psi2 when m is
+    # even], and rho1, rho2, ... from the binary rho2, rho4, ...
+    labels = ["triv", "sgn"] + (["psi1", "psi2"] if even else [])
+    labels += [f"rho{i}" for i in range(1, (m - 1) // 2 + 1)]
+    chi_v = [1 + two_cos_turn(c.turn, n) for c in classes_g]
+    g, pulled = _quotient(gh, f"D{m}", classes_g, range(len(classes_g)), chi_v, labels)
     # Node dictionary for D(m+2): sgn - rho1 - ... - rho(m-1) < (psi1, psi2).
-    node_irreps = tuple([1] + [3 + p for p in range(1, m)] + [2, 3])
-    restriction = {0: "sgn"}
-    for p in range(2, m, 2):
-        restriction[p] = f"rho{p // 2}"
-    if even:
-        restriction[m] = "psi1"
-        restriction[m + 1] = "psi2"
-    return g, gh, node_irreps, restriction
+    return g, gh, tuple([1] + [3 + p for p in range(1, m)] + [2, 3]), pulled
 
 
 def _tetrahedral_family():
     F = Fraction
     n = 12
     w, wb = exp_turn(F(1, 3), n), exp_turn(F(2, 3), n)
-    classes_g = (
-        ConjClass("e", 1, 1, F(0)),
-        ConjClass("c2", 3, 2, F(1, 2)),
-        ConjClass("c3", 4, 3, F(1, 3)),
-        ConjClass("c3b", 4, 3, F(1, 3)),
-    )
-    irreps_g = (Irrep("triv", 1), Irrep("om", 1), Irrep("omb", 1), Irrep("std3", 3))
-    rows_g = [
-        [1, 1, 1, 1],
-        [1, 1, w, wb],
-        [1, 1, wb, w],
-        [3, -1, 0, 0],
-    ]
-    chi_v = rows_g[3]
-    g = _assemble(
-        GroupSpec.tetrahedral(), "T", 12, False, classes_g, irreps_g, rows_g, chi_v, None,
-        (0, 1, 3, 2), n,
-    )
-
     classes_h = (
         ConjClass("e", 1, 1, None, 0),
         ConjClass("z", 1, 2, None, 0),
@@ -733,39 +715,21 @@ def _tetrahedral_family():
         GroupSpec.tetrahedral(), "T^", 24, True, classes_h, irreps_h, rows_h, None,
         rows_h[4], (0, 1, 2, 4, 3, 6, 5), n,
     )
+    classes_g = (
+        ConjClass("e", 1, 1, F(0)),
+        ConjClass("c2", 3, 2, F(1, 2)),
+        ConjClass("c3", 4, 3, F(1, 3)),
+        ConjClass("c3b", 4, 3, F(1, 3)),
+    )
+    g, pulled = _quotient(gh, "T", classes_g, (0, 1, 3, 2), "std3")
     # E6 nodes (Bourbaki, 0-based): om - u2om - std3 - u2omb - omb on the
     # chain, u2 on the branch node next to std3.
-    node_irreps = (1, 4, 5, 3, 6, 2)
-    restriction = {0: "om", 3: "std3", 5: "omb"}
-    return g, gh, node_irreps, restriction
+    return g, gh, (1, 4, 5, 3, 6, 2), pulled
 
 
 def _octahedral_family():
     F = Fraction
     n = 24
-    classes_g = (
-        ConjClass("e", 1, 1, F(0)),
-        ConjClass("t2", 6, 2, F(1, 2)),
-        ConjClass("d2", 3, 2, F(1, 2)),
-        ConjClass("c3", 8, 3, F(1, 3)),
-        ConjClass("c4", 6, 4, F(1, 4)),
-    )
-    irreps_g = (
-        Irrep("triv", 1), Irrep("sgn", 1), Irrep("two", 2), Irrep("std", 3), Irrep("stdsgn", 3),
-    )
-    rows_g = [
-        [1] * 5,
-        [1, -1, 1, 1, -1],
-        [2, 0, 2, -1, 0],
-        [3, 1, -1, 0, -1],
-        [3, -1, -1, 0, 1],
-    ]
-    chi_v = rows_g[4]
-    g = _assemble(
-        GroupSpec.octahedral(), "O", 24, False, classes_g, irreps_g, rows_g, chi_v, None,
-        (0, 1, 2, 3, 4), n,
-    )
-
     s2 = two_cos_turn(F(1, 8), n)  # sqrt(2) = zeta_24^3 + zeta_24^21
     classes_h = (
         ConjClass("e", 1, 1, None, 0),
@@ -795,40 +759,23 @@ def _octahedral_family():
         GroupSpec.octahedral(), "O^", 48, True, classes_h, irreps_h, rows_h, None,
         rows_h[5], tuple(range(8)), n,
     )
+    classes_g = (
+        ConjClass("e", 1, 1, F(0)),
+        ConjClass("t2", 6, 2, F(1, 2)),
+        ConjClass("d2", 3, 2, F(1, 2)),
+        ConjClass("c3", 8, 3, F(1, 3)),
+        ConjClass("c4", 6, 4, F(1, 4)),
+    )
+    g, pulled = _quotient(gh, "O", classes_g, (0, 1, 2, 3, 4), "stdsgn")
     # E7 nodes: u2 - stdsgn - spin4 - std - u2s - sgn on the chain, with the
     # 2-dimensional `two` on the branch node next to spin4.
-    node_irreps = (5, 2, 4, 7, 3, 6, 1)
-    restriction = {1: "two", 2: "stdsgn", 4: "std", 6: "sgn"}
-    return g, gh, node_irreps, restriction
+    return g, gh, (5, 2, 4, 7, 3, 6, 1), pulled
 
 
 def _icosahedral_family():
     F = Fraction
     n = 60
     ph = 1 + two_cos_turn(F(1, 5), n)  # golden ratio = 1 + zeta_60^12 + zeta_60^48
-    classes_g = (
-        ConjClass("e", 1, 1, F(0)),
-        ConjClass("d2", 15, 2, F(1, 2)),
-        ConjClass("c3", 20, 3, F(1, 3)),
-        ConjClass("c5", 12, 5, F(1, 5)),
-        ConjClass("c5b", 12, 5, F(2, 5)),
-    )
-    irreps_g = (
-        Irrep("triv", 1), Irrep("three", 3), Irrep("threep", 3), Irrep("four", 4), Irrep("five", 5),
-    )
-    rows_g = [
-        [1] * 5,
-        [3, -1, 0, ph, 1 - ph],
-        [3, -1, 0, 1 - ph, ph],
-        [4, 0, 1, -1, -1],
-        [5, 1, -1, 0, 0],
-    ]
-    chi_v = rows_g[1]
-    g = _assemble(
-        GroupSpec.icosahedral(), "I", 60, False, classes_g, irreps_g, rows_g, chi_v, None,
-        (0, 1, 2, 3, 4), n,
-    )
-
     classes_h = (
         ConjClass("e", 1, 1, None, 0),
         ConjClass("z", 1, 2, None, 0),
@@ -859,14 +806,21 @@ def _icosahedral_family():
         GroupSpec.icosahedral(), "I^", 120, True, classes_h, irreps_h, rows_h, None,
         rows_h[5], tuple(range(9)), n,
     )
+    classes_g = (
+        ConjClass("e", 1, 1, F(0)),
+        ConjClass("d2", 15, 2, F(1, 2)),
+        ConjClass("c3", 20, 3, F(1, 3)),
+        ConjClass("c5", 12, 5, F(1, 5)),
+        ConjClass("c5b", 12, 5, F(2, 5)),
+    )
+    g, pulled = _quotient(gh, "I", classes_g, (0, 1, 2, 3, 4), "three")
     # E8 nodes: u2p - four - six - five - spin4 - three - u2 on the chain,
     # threep on the branch node next to six.
-    node_irreps = (6, 2, 3, 8, 4, 7, 1, 5)
-    restriction = {1: "threep", 2: "four", 4: "five", 6: "three"}
-    return g, gh, node_irreps, restriction
+    return g, gh, (6, 2, 3, 8, 4, 7, 1, 5), pulled
 
 
 def _build_family(spec: GroupSpec):
+    """G, G^, the G^ irrep at each node, and the G^ index of each G irrep."""
     if spec.kind == "cyclic":
         return _cyclic_family(spec.parameter)
     if spec.kind == "dihedral":
@@ -886,7 +840,7 @@ def correspondence(spec: GroupSpec) -> Correspondence:
 
     Every check is an exact identity in Z[zeta_N], decided in F_p.
     """
-    g, gh, node_irreps, restriction = _build_family(spec)
+    g, gh, node_irreps, pulled = _build_family(spec)
     ade = root_system_of(spec)
     rank = ade.rank
     if len(node_irreps) != rank or set(node_irreps) != set(range(1, len(gh.irreps))):
@@ -905,30 +859,12 @@ def correspondence(spec: GroupSpec) -> Correspondence:
         if sum(map(mul, row, graph.dims)) != 2 * dim:
             raise InternalConsistencyError(f"{spec}: affine marks identity fails")
 
-    binary_nodes = frozenset(
-        p for p in range(rank) if not pulls_back(gh, gh.irreps[node_irreps[p]].label)
-    )
-    if set(restriction) != set(range(rank)) - binary_nodes:
-        raise InternalConsistencyError(f"{spec}: restriction map keys do not match")
-
+    # G irrep i is G^ irrep pulled[i]; the nodes whose irreps are not pulled
+    # back are the binary nodes.
     slots = g.nontrivial_irreps()
-    slot_labels = tuple(g.irreps[i].label for i in slots)
-    if sorted(restriction.values()) != sorted(slot_labels):
-        raise InternalConsistencyError(f"{spec}: restriction is not onto Irr*(G)")
-    node_slot: list[int | None] = [None] * rank
-    slot_node = [-1] * len(slots)
-    for p, lbl in restriction.items():
-        s = slot_labels.index(lbl)
-        node_slot[p] = s
-        slot_node[s] = p
-        # the node's character must restrict to the named G-irrep
-        hat_row = gh.table[node_irreps[p]]
-        g_row = g.table[g.irrep_index(lbl)]
-        for col, cls in enumerate(gh.classes):
-            if hat_row[col] != g_row[cls.image_class]:
-                raise InternalConsistencyError(
-                    f"{spec}: node {p} does not restrict to {lbl}"
-                )
+    slot_of = {pulled[i]: s for s, i in enumerate(slots)}
+    node_slot = tuple(slot_of.get(i) for i in node_irreps)
+    slot_node = tuple(node_irreps.index(pulled[i]) for i in slots)
 
     return Correspondence(
         spec=spec,
@@ -936,11 +872,11 @@ def correspondence(spec: GroupSpec) -> Correspondence:
         group=g,
         binary_group=gh,
         node_irreps=node_irreps,
-        binary_nodes=binary_nodes,
+        binary_nodes=frozenset(p for p, s in enumerate(node_slot) if s is None),
         slots=slots,
-        slot_labels=slot_labels,
-        node_slot=tuple(node_slot),
-        slot_node=tuple(slot_node),
+        slot_labels=tuple(g.irreps[i].label for i in slots),
+        node_slot=node_slot,
+        slot_node=slot_node,
     )
 
 

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -555,14 +556,14 @@ def _with_table(model, rows):
 def test_one_entry_times_zeta_breaks_the_correspondence(monkeypatch, spec):
     # irrep 1 at the central involution, times zeta_N: every sum through it
     # changes by a nonzero multiple of zeta_N - 1, so none is rational
-    g, gh, nodes, restriction = grouprep._build_family(spec)
+    g, gh, nodes, pulled = grouprep._build_family(spec)
     zeta = Cyclotomic(gh.table[0][0].n, {1: 1})
     rows = [list(row) for row in gh.table]
     rows[1][gh.center_class] = rows[1][gh.center_class] * zeta
     broken = _with_table(gh, rows)
     with pytest.raises(InternalConsistencyError):
         mckay_graph(broken)
-    monkeypatch.setattr(grouprep, "_build_family", lambda _: (g, broken, nodes, restriction))
+    monkeypatch.setattr(grouprep, "_build_family", lambda _: (g, broken, nodes, pulled))
     with pytest.raises(InternalConsistencyError):
         correspondence.__wrapped__(spec)
 
@@ -602,11 +603,64 @@ TABLE_SPECS = (
     + [GroupSpec.tetrahedral(), GroupSpec.octahedral(), GroupSpec.icosahedral()]
 )
 
-# SHA-256 of `_table_record` over TABLE_SPECS.  The goldens and the quaternion
-# oracle compare values; this pins each entry's stored terms, which `as_mpc`
-# sums, so a table rewritten into an equal but differently written element of
-# Z[zeta_N], which can move numeric bits downstream, fails here.
-TABLE_DIGEST = "d3eaa72e57cf6ee895f624031279a98be09d6a8c622bfa4aa7ddc79191a52021"
+# SHA-256 of `_table_record` for each of TABLE_SPECS.  The goldens and the
+# quaternion oracle compare values; this pins each entry's stored terms, which
+# `as_mpc` sums, so a table rewritten into an equal but differently written
+# element of Z[zeta_N], which can move numeric bits downstream, fails here,
+# under the name of its group.
+TABLE_DIGESTS = {
+    "dihedral(2)": "c8f9fb26a826ee4387fa23480392aef0d0b5b9674c4a072f3a956185845c1f39",
+    "dihedral(3)": "a9183d71d83e23cccb2eeb94071fd2d2f66cbaf65785cb23d4d47b9eac25a32f",
+    "dihedral(4)": "1381ea13e43bc8aa93598ab27c686d31ba978e5979d495b700776a37a43896a8",
+    "dihedral(5)": "3d6f47de836a0bd7201236fd1b8ddbe9bf367f250673541318e085eb8373f036",
+    "dihedral(6)": "f56858af55cb367a122090f66d8c62b4643b24d69cb1fc4a38366fae3b1d59d1",
+    "dihedral(7)": "5c8a5d58800ea102eddd8d5cfcf3765d523b38dd731148314fe29ffe3316f908",
+    "dihedral(8)": "87dacaacd7de637eaddb033c2e6b73395d8c7813257e0d0a71b3479896c29703",
+    "dihedral(9)": "940983732edf887f87925245c1b2f5fca93391965251950d63600a5bc05027e1",
+    "dihedral(10)": "bc9d0d565b429a4ace5c03644af974587a3d5a7cfb033f0cdf95ea953c25e17e",
+    "dihedral(11)": "fc8a23d4918b97d4905a7f77edc6352c26f94b0fc86243c825f43b965b5aa249",
+    "dihedral(12)": "70c986aa08db6e5bf9d5c6107dd315f5d89c3faab13418279003ae03b0ca45e1",
+    "dihedral(13)": "135f0049b7ce399c2f347f38faa52c49a2314be2f5a5b0b56543a6e6d8c5806c",
+    "dihedral(14)": "378c0b62e6c93d6fcb23596082b8b9a5451f908b6d262a231104b09711f8e6c0",
+    "dihedral(15)": "41e6c3587141c10188c64eed94a2f64122b4895fc345fb8f5ed31fd9cd065876",
+    "dihedral(16)": "2585328e013f73ec15520c9b5bfd9d99de102a50d89696e029e870be1643aeb1",
+    "dihedral(17)": "442c97ae785f929ae89954931103f148727d640220c700eaeda2ff961ac91177",
+    "dihedral(18)": "f0090f8837840dfaee3ca3226f50172d9fe76e669f70fdfc7197cb2443192e6b",
+    "dihedral(19)": "5735338ce9ccd3b254091d8c13df2c5b501b89229c6daf6995a8973469cd5276",
+    "dihedral(20)": "3979736a64d78f4f2ed085759e9d7fb02fbb3aa89623b41c0511b85d419fd98b",
+    "dihedral(21)": "b63049a5be4fc62166c1d457c4fa54c55b507515038e35de20fbf0f51c5d0a6e",
+    "dihedral(22)": "db11ad2b4a1e16d327bf5dc0d9ad9e344980bd33a2318ffd326d7a66552053e3",
+    "dihedral(23)": "551893d5e08614dd680be2e5972e9f53839d3e0a6aa3397c262df651a06fdd89",
+    "dihedral(24)": "3f7eaba72f6e53b6e504499308d40b5581262d6eb19499ce402025ed83a6c516",
+    "dihedral(25)": "1be2eea771b8db142e06911bd885f4afaaeee36a5e2e717a74b26765cd01e5b5",
+    "dihedral(26)": "3eaed2ba72be062529a858ce12a30cffcec9a492f93db3ae7aaacd5cf5bb4fb8",
+    "dihedral(27)": "49874f6439a7149024d35736cd97dc367526ed3f302174241434d7544b87de40",
+    "dihedral(28)": "c2e55df0ff0c536461fde50c261eaff4392bdceacd0b4b1ec5e513b82998a90d",
+    "dihedral(29)": "f3558e1d5edeef8068be65a3338b8e7779a3f6137673783d5620aca1e343311e",
+    "dihedral(30)": "983a42e893c6d75ecc8539b61107986a44623553a952227f15c3d15c99afd6e3",
+    "cyclic(2)": "1fb84dda2629fc5515bd31a0d5f2a75e8ef1b824f798488d146b74b4e6f62562",
+    "cyclic(3)": "2ca331f87488ba26659fa9c9b631d1d3b1fe894f73e4af833e0d062d49d286da",
+    "cyclic(4)": "1c916a796497c1a1f9e32afa67dc53568d5a8dbc3e6cb3fcb7c96ceef2062bec",
+    "cyclic(5)": "38da8a6493610414ff422299ed505716132ce7897df413377397684176076d78",
+    "cyclic(6)": "c484697f3f5b4e8a6f92c3040d695651f2c9ef042637813fe646ef07e193ff03",
+    "cyclic(7)": "5941c1772e3d9c996b176a72c94ffec389a21ca8eaff07fa52c686c3650b0f89",
+    "cyclic(8)": "3dd8cb3f469e8a968dbd6df480ffb9c7677141ef100ade1225f5f3a6d1de8f76",
+    "cyclic(9)": "d7ef87b10a5ce2badea518151b79d432ae1a39b7b20aeea9475e3385749202e2",
+    "cyclic(10)": "6a5319bab2b172a547727822dee6394ba9740052c350bb761d9f49eba6fdb9ca",
+    "cyclic(11)": "015251020e3d000e02eb510530f4df40f9de766af093e95dea97b88e5b18c657",
+    "cyclic(12)": "3c7cbe7e29c86282703d96fb085a2814c143ed2dd9c82ccb85961cd78dd7fc1d",
+    "cyclic(13)": "cce92282a99acc2221ef0b29e7570cf71750f4bac46acd946c55465a5e7bec79",
+    "cyclic(14)": "eddef14aef3d3f647506850c3922c735e81cd4c67297b4e4ef2a145ce9c3baba",
+    "cyclic(15)": "046831e09d9ef0ecdbd1ac3e08071486fcb3e87041f86b7b0eff730c6ec9b5b1",
+    "cyclic(16)": "3c631cfb09ee34dc6f9a75f0695259656249ce84bb4ffdef47b22cf74321ba5d",
+    "cyclic(17)": "71c359969f7f5f6e39f16cb42eda8a12923ea2af243499620e3e20f3b01a49a6",
+    "cyclic(18)": "8e9152e9eaf7f89f7544d08b2b8e71849bea5ffd5572876abcf8fe77d8e8bd34",
+    "cyclic(19)": "516127f25a9c7b736bd9d17f9a95067a140440c4014957ed9ad3158d4b10f98e",
+    "cyclic(20)": "6dbf2e1a4f954be12f57795c5900365b6b318f3b38527135b9c4aac682ca44d1",
+    "tetrahedral": "4ac80f3d1b81f8c74082e1ea07cffb0fea284b387fedbd4daa5230b57c3d1c4a",
+    "octahedral": "8b9fb3be255cb51effb91319f2320815308c0cb8a535b3a0692ac835da95879c",
+    "icosahedral": "26a1179e9b2ecb21da60cafda85d17cc56a7cce9b31ca515163b326582ca9cd9",
+}
 
 
 def _terms(row):
@@ -633,6 +687,45 @@ def _table_record(spec):
     ]
 
 
+def _digest(spec):
+    blob = json.dumps(_table_record(spec), separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def test_tables_are_pinned_term_for_term():
-    blob = json.dumps([_table_record(s) for s in TABLE_SPECS], separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == TABLE_DIGEST
+    assert [str(s) for s in TABLE_SPECS if _digest(s) != TABLE_DIGESTS[str(s)]] == []
+
+
+def _pulled_nodes(corr):
+    """(node, its binary-group irrep label, its G slot) for each non-binary node."""
+    gh = corr.binary_group
+    return [(p, gh.irreps[i].label, corr.node_slot[p])
+            for p, i in enumerate(corr.node_irreps) if p not in corr.binary_nodes]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+def test_pulled_rows_are_constant_on_the_fibres_of_the_quotient(spec):
+    # G = G^/{1, z}: a pulled-back row takes, at every class of G^, the value
+    # of the G row at the image class, so each hand-written image_class is
+    # checked at both preimages
+    corr = correspondence(spec)
+    g, gh = corr.group, corr.binary_group
+    pairs = [(gh.table[0], g.table[0])] + [
+        (gh.table[corr.node_irreps[p]], g.table[corr.slots[s]]) for p, _, s in _pulled_nodes(corr)]
+    assert len(pairs) == len(g.irreps)
+    for hat_row, row in pairs:
+        for j, cls in enumerate(gh.classes):
+            assert hat_row[j] == row[cls.image_class], (spec, j)
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+def test_pulled_irreps_are_named_by_the_binary_labels(spec):
+    # chi(2a) of Z_2k pulls back to chi(a) of Z_k, rho(2i) of D_m^ to rho(i)
+    # of D_m; every other label, and every exceptional label, is kept
+    corr = correspondence(spec)
+    for p, label, s in _pulled_nodes(corr):
+        halved = re.fullmatch(r"(chi|rho)(\d+)", label)
+        if spec.kind in ("cyclic", "dihedral") and halved:
+            assert int(halved[2]) % 2 == 0, (spec, p, label)
+            label = f"{halved[1]}{int(halved[2]) // 2}"
+        assert corr.slot_labels[s] == label, (spec, p)

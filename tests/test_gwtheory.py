@@ -6,6 +6,7 @@ from math import gcd
 import jsonschema
 import pytest
 
+import qmckay.crc as crc
 import qmckay.gwtheory as gwtheory
 from qmckay.errors import ConfigurationError
 from qmckay.grouprep import GroupSpec, correspondence, root_fibers
@@ -296,6 +297,22 @@ def test_normal_bundle_rejects_unknown_irrep():
         normal_bundle_type(D5, "nope")
     with pytest.raises(ConfigurationError):
         normal_bundle_type(D5, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: crc.third_partial(D5, 1.2, 1, 1),
+    lambda: crc.taylor_third_partial(crc.orbifold_potential(D5, 3), 0.9, 0, 0),
+    lambda: normal_bundle_type(D5, 1.7),
+    lambda: gw_genus0(D5, (1.9, 0)),
+    lambda: gw_all_genus(D5, (1.5, 0.2), 0),
+    lambda: gw_all_genus(D5, (1, 0), 0.5),
+    lambda: curve_class(D5, (1.0, 0, 0, 0, 0)),
+], ids=["third_partial", "taylor_third_partial", "normal_bundle_type", "gw_genus0",
+        "gw_all_genus", "gw_all_genus-genus", "curve_class"])
+def test_non_integral_indices_are_refused(call):
+    # each used to truncate (or, for curve_class, echo) the float
+    with pytest.raises(ConfigurationError, match="integer"):
+        call()
 
 
 # -- serialization -----------------------------------------------------------
