@@ -6,106 +6,58 @@ cover, character tables and the McKay node dictionary, genus-zero BPS
 counts, reduced Gromov-Witten/box-counting partition functions,
 equivariant intersection numbers of the preferred crepant resolution, and
 the orbifold genus-zero potential with its change-of-variables match.
+
+Importing the package imports none of its modules: each public name is read
+from its defining module on first access (PEP 562), which imports that
+module then.
 """
 
-from .errors import ConfigurationError, InternalConsistencyError, PoleError
-from .rootsys import ADEType, RootSystem, parse_ade, root_system
-from .grouprep import (
-    Correspondence,
-    GroupModel,
-    GroupSpec,
-    age,
-    build_binary_group,
-    build_group,
-    binary_simple_roots,
-    correspondence,
-    hard_lefschetz_check,
-    mckay_graph,
-    root_system_of,
-)
-from .series import MultiSeries, Truncation, macmahon_factor, sin_power_expansion
-from .gwtheory import (
-    BPSTable,
-    bps_table,
-    curve_class,
-    gw_all_genus,
-    gw_genus0,
-    normal_bundle_type,
-    partition_function,
-    partition_function_by_roots,
-    q_variables,
-)
-from .intersect import (
-    classical_potential,
-    mckay_pairing,
-    pairing_inverse_check,
-    surface_integrals,
-    threefold_integrals,
-)
-from .crc import (
-    DEFAULT_DPS,
-    PotentialSeries,
-    b_series,
-    change_of_variables,
-    crc_consistency,
-    h_derivative,
-    linear_forms,
-    orbifold_potential,
-    rational_guess,
-    resolution_third_partials,
-    taylor_third_partial,
-    third_partial,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ADEType",
-    "BPSTable",
-    "ConfigurationError",
-    "Correspondence",
-    "DEFAULT_DPS",
-    "GroupModel",
-    "GroupSpec",
-    "InternalConsistencyError",
-    "MultiSeries",
-    "PoleError",
-    "PotentialSeries",
-    "RootSystem",
-    "Truncation",
-    "age",
-    "b_series",
-    "binary_simple_roots",
-    "bps_table",
-    "build_binary_group",
-    "build_group",
-    "change_of_variables",
-    "classical_potential",
-    "correspondence",
-    "crc_consistency",
-    "curve_class",
-    "gw_all_genus",
-    "gw_genus0",
-    "h_derivative",
-    "hard_lefschetz_check",
-    "linear_forms",
-    "macmahon_factor",
-    "mckay_graph",
-    "mckay_pairing",
-    "normal_bundle_type",
-    "orbifold_potential",
-    "pairing_inverse_check",
-    "parse_ade",
-    "partition_function",
-    "partition_function_by_roots",
-    "q_variables",
-    "rational_guess",
-    "resolution_third_partials",
-    "root_system",
-    "root_system_of",
-    "sin_power_expansion",
-    "surface_integrals",
-    "taylor_third_partial",
-    "third_partial",
-    "__version__",
-]
+# the decimal digits `qmckay.crc` works to when no precision is given; stated
+# here, so the command line can print it without importing `qmckay.crc`
+DEFAULT_DPS = 64
+
+# each public name, by the module that defines it
+_HOME = {
+    name: module
+    for module, names in (
+        ("errors", ("ConfigurationError", "InternalConsistencyError", "PoleError")),
+        ("rootsys", ("ADEType", "RootSystem", "parse_ade", "root_system")),
+        ("grouprep", (
+            "Correspondence", "GroupModel", "GroupSpec", "age", "binary_simple_roots",
+            "build_binary_group", "build_group", "correspondence", "hard_lefschetz_check",
+            "mckay_graph", "root_system_of",
+        )),
+        ("series", ("MultiSeries", "Truncation", "macmahon_factor", "sin_power_expansion")),
+        ("gwtheory", (
+            "BPSTable", "bps_table", "curve_class", "gw_all_genus", "gw_genus0",
+            "normal_bundle_type", "partition_function", "partition_function_by_roots",
+            "q_variables",
+        )),
+        ("intersect", (
+            "classical_potential", "mckay_pairing", "pairing_inverse_check",
+            "surface_integrals", "threefold_integrals",
+        )),
+        ("crc", (
+            "PotentialSeries", "b_series", "change_of_variables", "crc_consistency",
+            "h_derivative", "linear_forms", "orbifold_potential", "rational_guess",
+            "resolution_third_partials", "taylor_third_partial", "third_partial",
+        )),
+    )
+    for name in names
+}
+
+__all__ = sorted([*_HOME, "DEFAULT_DPS", "__version__"])
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

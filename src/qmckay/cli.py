@@ -24,7 +24,9 @@ not of order 3 (odd A-ranks only; even ones match no rotation group).
 from __future__ import annotations
 
 import argparse
+import fractions  # noqa: F401 - see _deferred
 import functools
+import importlib.util
 import io
 import json
 import os
@@ -32,35 +34,35 @@ import re
 import sys
 from collections.abc import Iterable
 
-from . import crc
+from . import DEFAULT_DPS
 from .errors import ConfigurationError, InternalConsistencyError, PoleError
-from .grouprep import (
-    EXCEPTIONAL,
-    GroupSpec,
-    binary_simple_roots,
-    correspondence,
-    hard_lefschetz_check,
-    inner_products,
-    root_system_of,
-)
-from .gwtheory import (
-    bps_table,
-    gw_all_genus,
-    normal_bundle_type,
-    partition_function,
-    partition_function_by_roots,
-    q_variables,
-)
-from .intersect import (
-    classical_potential,
-    mckay_pairing,
-    pairing_inverse_check,
-    surface_integrals,
-    threefold_integrals,
-)
 from .records import record
-from .rootsys import root_system
-from .series import Truncation
+
+
+def _deferred(name: str):
+    """The module qmckay.<name>, executed on the first access to one of its
+    attributes (`importlib.util.LazyLoader`), so a command compiles only the
+    layers it runs; a module already imported is returned as it is.
+
+    Every module a layer imports at its top is deferred here or imported
+    above (`fractions` for the layers, which the CLI itself does not use),
+    so executing a deferred module adds no entry to `sys.modules`.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+crc, exact, grouprep, gwtheory, intersect, modular, rootsys, series = map(_deferred, (
+    "crc", "exact", "grouprep", "gwtheory", "intersect", "modular", "rootsys", "series",
+))
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -79,14 +81,15 @@ class UnsupportedGroupError(Exception):
     """A recognisable group name outside the supported families."""
 
 
-def parse_group(token: str) -> GroupSpec:
+def parse_group(token: str) -> grouprep.GroupSpec:
     """Parse "C:k" / "D:m" / "T" / "O" / "I" or an ADE alias.
 
     Raises UnsupportedGroupError for well-formed names outside the families
     (C:1, A4, D3, E5, ...) and ValueError for unparseable ones.
     """
+    GroupSpec = grouprep.GroupSpec
     text = token.strip().upper()
-    for kind, (letter, _, _) in EXCEPTIONAL.items():
+    for kind, (letter, _, _) in grouprep.EXCEPTIONAL.items():
         if text in (letter, kind.upper()):
             return GroupSpec(kind)
     m = re.fullmatch(r"([CD]):([0-9]+)", text)
@@ -114,16 +117,16 @@ def parse_group(token: str) -> GroupSpec:
                     f"{token}: D-aliases start at D4 (= D:2)"
                 )
             return GroupSpec.dihedral(rank - 2)
-        for kind, (_, e_rank, _) in EXCEPTIONAL.items():
+        for kind, (_, e_rank, _) in grouprep.EXCEPTIONAL.items():
             if rank == e_rank:
                 return GroupSpec(kind)
         raise UnsupportedGroupError(f"{token}: exceptional aliases are E6, E7, E8")
     raise ValueError(f"cannot parse group {token!r}")
 
 
-def canonical_token(spec: GroupSpec) -> str:
-    if spec.kind in EXCEPTIONAL:
-        return EXCEPTIONAL[spec.kind][0]
+def canonical_token(spec: grouprep.GroupSpec) -> str:
+    if spec.kind in grouprep.EXCEPTIONAL:
+        return grouprep.EXCEPTIONAL[spec.kind][0]
     return f"{spec.kind[0].upper()}:{spec.parameter}"
 
 
@@ -166,9 +169,9 @@ def _charvalue(v) -> str:
     return mp.nstr(crc.as_mpc(v).real, 30)
 
 
-def cmd_roots(spec: GroupSpec, args) -> Report:
-    ade = root_system_of(spec)
-    rs = root_system(ade)
+def cmd_roots(spec: grouprep.GroupSpec, args) -> Report:
+    ade = grouprep.root_system_of(spec)
+    rs = rootsys.root_system(ade)
     roots = [list(alpha) for alpha in rs.positive_roots]
     payload = {
         "ade": str(ade),
@@ -190,11 +193,11 @@ def cmd_roots(spec: GroupSpec, args) -> Report:
     return Report(payload, fields, rows, lines())
 
 
-def cmd_group(spec: GroupSpec, args) -> Report:
-    corr = correspondence(spec)
+def cmd_group(spec: grouprep.GroupSpec, args) -> Report:
+    corr = grouprep.correspondence(spec)
     g = corr.group
-    rs = root_system(corr.ade)
-    _, ages = hard_lefschetz_check(g)
+    rs = rootsys.root_system(corr.ade)
+    _, ages = grouprep.hard_lefschetz_check(g)
     classes = [
         {
             "label": c.label,
@@ -254,10 +257,10 @@ def cmd_group(spec: GroupSpec, args) -> Report:
     return Report(payload, fields, rows, lines())
 
 
-def cmd_bps(spec: GroupSpec, args) -> Report:
-    table = bps_table(spec)
+def cmd_bps(spec: grouprep.GroupSpec, args) -> Report:
+    table = gwtheory.bps_table(spec)
     payload = table.jsonable()
-    slots = len(q_variables(spec))
+    slots = len(gwtheory.q_variables(spec))
     fields = [f"class_{i}" for i in range(slots)] + ["n0", "fiber_size"]
 
     def lines():
@@ -268,10 +271,10 @@ def cmd_bps(spec: GroupSpec, args) -> Report:
     return Report(payload, fields, _rows(payload), lines())
 
 
-def cmd_gw(spec: GroupSpec, args) -> Report:
+def cmd_gw(spec: grouprep.GroupSpec, args) -> Report:
     cap = args.max_q_degree
     lam = args.lambda_order
-    table = bps_table(spec)
+    table = gwtheory.bps_table(spec)
     classes = set()
     for beta in table.counts:
         size = sum(beta)
@@ -283,7 +286,7 @@ def cmd_gw(spec: GroupSpec, args) -> Report:
     for beta in sorted(classes, key=lambda b: (sum(b), b)):
         g = 0
         while 2 * g - 2 <= lam:
-            value = gw_all_genus(spec, beta, g)
+            value = gwtheory.gw_all_genus(spec, beta, g)
             invariants.append({
                 "class": list(beta),
                 "genus": g,
@@ -297,7 +300,7 @@ def cmd_gw(spec: GroupSpec, args) -> Report:
         "lambda_order": lam,
         "invariants": invariants,
     }
-    slots = len(q_variables(spec))
+    slots = len(gwtheory.q_variables(spec))
     fields = [f"class_{i}" for i in range(slots)] + [
         "genus", "lambda_power", "coefficient",
     ]
@@ -316,19 +319,19 @@ def cmd_gw(spec: GroupSpec, args) -> Report:
     return Report(payload, fields, _rows(invariants), lines())
 
 
-def _partition_report(spec: GroupSpec, args, kind: str) -> Report:
-    trunc = Truncation(q_total=args.max_q_degree, big_q=args.q_series_degree)
-    series = partition_function(spec, trunc).series
-    terms = series.terms_jsonable()
+def _partition_report(spec: grouprep.GroupSpec, args, kind: str) -> Report:
+    trunc = series.Truncation(q_total=args.max_q_degree, big_q=args.q_series_degree)
+    z = gwtheory.partition_function(spec, trunc).series
+    terms = z.terms_jsonable()
     payload = {
         "group": canonical_token(spec),
         "kind": kind,
         "max_q_degree": args.max_q_degree,
         "big_q_degree": args.q_series_degree,
-        "variables": list(series.variables),
+        "variables": list(z.variables),
         "terms": terms,
     }
-    fields = list(series.variables) + ["t_power", "numerator", "denominator"]
+    fields = list(z.variables) + ["t_power", "numerator", "denominator"]
     name = "reduced GW partition function" if kind == "gw" else "reduced DT series"
 
     def lines():
@@ -336,9 +339,9 @@ def _partition_report(spec: GroupSpec, args, kind: str) -> Report:
             f"{canonical_token(spec)}: {name}, q-degree <= {args.max_q_degree}, "
             f"Q-degree <= {args.q_series_degree}"
         )
-        yield series.format_text()
+        yield z.format_text()
 
-    return Report(payload, fields, _rows(terms, series.variables), lines())
+    return Report(payload, fields, _rows(terms, z.variables), lines())
 
 
 def _scalar_block(scalar) -> dict:
@@ -392,15 +395,16 @@ def _intersect_rows(payload) -> Iterable[list]:
                     yield [block, i, j, k, x, t]
 
 
-def cmd_intersect(spec: GroupSpec, args) -> Report:
-    pairing, pairing_t = mckay_pairing(spec)
-    threefold = threefold_integrals(spec)  # first: it builds what classical_potential reads
-    potential = classical_potential(spec)
-    corr = correspondence(spec)
+def cmd_intersect(spec: grouprep.GroupSpec, args) -> Report:
+    pairing, pairing_t = intersect.mckay_pairing(spec)
+    # first: it builds what classical_potential reads
+    threefold = intersect.threefold_integrals(spec)
+    potential = intersect.classical_potential(spec)
+    corr = grouprep.correspondence(spec)
     payload = {
         "group": canonical_token(spec),
         "threefold": _integrals_block(threefold),
-        "surface": _integrals_block(surface_integrals(spec)),
+        "surface": _integrals_block(intersect.surface_integrals(spec)),
         "pairing": {"matrix": _strings(pairing, {}), "t_power": pairing_t},
         "classical": {
             "delta_e_cubed": _scalar_block(potential.delta_e_cubed),
@@ -433,7 +437,7 @@ def cmd_intersect(spec: GroupSpec, args) -> Report:
     return Report(payload, fields, _intersect_rows(payload), lines())
 
 
-def cmd_crc(spec: GroupSpec, args) -> Report:
+def cmd_crc(spec: grouprep.GroupSpec, args) -> Report:
     potential = crc.orbifold_potential(spec, args.degree, args.precision)
     payload = potential.jsonable()
     fields = ["degree"] + [f"x_{lbl}" for lbl in potential.class_labels] + [
@@ -459,7 +463,7 @@ def cmd_crc(spec: GroupSpec, args) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(spec: GroupSpec, args) -> Report:
+def cmd_verify(spec: grouprep.GroupSpec, args) -> Report:
     checks: list[dict] = []
 
     def check(name: str):
@@ -471,8 +475,8 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
                 checks.append({"name": name, "status": "fail", "detail": str(exc)})
         return wrap
 
-    corr = correspondence(spec)
-    rs = root_system(corr.ade)
+    corr = grouprep.correspondence(spec)
+    rs = rootsys.root_system(corr.ade)
 
     @check("mckay-graph")
     def _():
@@ -487,7 +491,7 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
     def _():
         pairs = 0
         for g in (corr.group, corr.binary_group):
-            products = inner_products(g, g.table, g.table)
+            products = grouprep.inner_products(g, g.table, g.table)
             n = len(g.irreps)
             for a in range(n):
                 for b in range(a, n):
@@ -521,7 +525,7 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
 
     @check("ages-hard-lefschetz")
     def _():
-        ok, ages = hard_lefschetz_check(corr.group)
+        ok, ages = grouprep.hard_lefschetz_check(corr.group)
         if not ok:
             raise InternalConsistencyError("age(g) != age(g^-1) somewhere")
         bad = [a for a in ages[1:] if a != 1]
@@ -532,7 +536,7 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
     # one BPS table serves bps-fibers and bps-recovery
     @functools.cache
     def table():
-        return bps_table(spec)
+        return gwtheory.bps_table(spec)
 
     @check("bps-fibers")
     def _():
@@ -540,7 +544,7 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
         sizes = set(fibers.values())
         if not sizes <= {1, 2, 4, 8}:
             raise InternalConsistencyError(f"fiber sizes {sorted(sizes)}")
-        expected = len(rs.positive_roots) - len(binary_simple_roots(spec))
+        expected = len(rs.positive_roots) - len(grouprep.binary_simple_roots(spec))
         got = sum(fibers.values())
         if got != expected:
             raise InternalConsistencyError(
@@ -548,13 +552,13 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
             )
         return f"{len(table().counts)} classes, fiber sizes {sorted(sizes)}"
 
-    trunc = Truncation(q_total=args.max_q_degree, big_q=args.q_series_degree)
+    trunc = series.Truncation(q_total=args.max_q_degree, big_q=args.q_series_degree)
 
     # Z and log Z are shared by the three series checks; a failure is not
     # cached, so each check that needs the value reports it
     @functools.cache
     def z_series():
-        return partition_function(spec, trunc).series
+        return gwtheory.partition_function(spec, trunc).series
 
     @functools.cache
     def log_z():
@@ -563,27 +567,27 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
     @check("partition-factorization")
     def _():
         per_class = z_series()
-        per_root = partition_function_by_roots(spec, trunc).series
+        per_root = gwtheory.partition_function_by_roots(spec, trunc).series
         if per_class != per_root:
             raise InternalConsistencyError("per-class and per-root products differ")
         return f"{len(per_class)} terms agree"
 
     @check("exp-log-round-trip")
     def _():
-        series = z_series()
-        if log_z().exp() != series:
+        z = z_series()
+        if log_z().exp() != z:
             raise InternalConsistencyError("exp(log Z) != Z")
         return "exp(log Z) == Z exactly"
 
     @check("bps-recovery")
     def _():
-        series = z_series()
+        z = z_series()
         free = log_z()
         n_checked = 0
         for beta, n0 in sorted(table().counts.items()):
             if sum(beta) > args.max_q_degree or args.q_series_degree < 1:
                 continue
-            exponents = {v: b for v, b in zip(series.variables, beta) if b}
+            exponents = {v: b for v, b in zip(z.variables, beta) if b}
             exponents["Q"] = 1
             got = free.coefficient(exponents)
             want = -n0
@@ -596,13 +600,13 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
 
     @check("pairing-inversion")
     def _():
-        if not pairing_inverse_check(spec):
+        if not intersect.pairing_inverse_check(spec):
             raise InternalConsistencyError("pairing x two-point != identity")
         return "pairing inverts the two-point matrix exactly"
 
     @check("surface-two-point")
     def _():
-        surface = surface_integrals(spec)
+        surface = intersect.surface_integrals(spec)
         if not times_cartan_is(surface.two_point, -1):
             raise InternalConsistencyError("surface two-point != -C^-1")
         return "surface two-point equals -C^-1 exactly"
@@ -610,7 +614,7 @@ def cmd_verify(spec: GroupSpec, args) -> Report:
     @check("normal-bundles")
     def _():
         for label in corr.slot_labels:
-            a, b = normal_bundle_type(spec, label)
+            a, b = gwtheory.normal_bundle_type(spec, label)
             if a + b != -2:
                 raise InternalConsistencyError(
                     f"normal bundle ({a},{b}) of {label} does not sum to -2"
@@ -683,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=(
                 f"digits crc prints of its exact coefficients (at most 30), "
                 f"{MIN_PRECISION} to {MAX_PRECISION} "
-                f"(default ${PRECISION_ENV} or {crc.DEFAULT_DPS})"
+                f"(default ${PRECISION_ENV} or {DEFAULT_DPS})"
             ),
         )
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
@@ -753,7 +757,7 @@ def _resolve_precision(args) -> int:
     else:
         env = os.environ.get(PRECISION_ENV)
         if env is None:
-            return crc.DEFAULT_DPS
+            return DEFAULT_DPS
         try:
             dps = int(env)
         except ValueError:

@@ -86,21 +86,16 @@ from functools import cache, cached_property, lru_cache, reduce
 from itertools import accumulate, combinations_with_replacement
 from math import factorial, lcm, prod
 from operator import index, mul, or_
-from typing import TYPE_CHECKING
 
+from . import DEFAULT_DPS
 from .errors import ConfigurationError, InternalConsistencyError, PoleError
 from .grouprep import (
     Cyclotomic, GroupSpec, class_multiplication, correspondence, exp_turn, root_fibers,
     two_cos_turn,
 )
-from .intersect import classical_potential
 from .modular import integer, lift
 from .records import record
 
-if TYPE_CHECKING:
-    import mpmath as mp
-
-DEFAULT_DPS = 64
 _GUARD = 10
 
 
@@ -679,6 +674,8 @@ def _resolution_rationals(spec: GroupSpec) -> dict[tuple[int, int, int], Fractio
     1/(2 sin(pi dim_sum/|G|)) <= |G|/4, each partial is at most
     (sum |cubic_abc| + R |G|/8) (2 max|C|)^3 in absolute value, R roots.
     """
+    from .intersect import classical_potential  # here, so a crc request never compiles it
+
     g = correspondence(spec).group
     cubic = classical_potential(spec).cubic
     den = lcm(2, *(c.denominator for plane in cubic for row in plane for c in row))

@@ -432,16 +432,21 @@ def pulls_back(model: GroupModel, irrep_label: str) -> bool:
     """True when the binary-group irrep factors through the rotation group."""
     if not model.is_binary:
         raise ConfigurationError("pulls_back applies to binary-group models")
-    i = model.irrep_index(irrep_label)
+    return _pulls_back(model, model.irrep_index(irrep_label))
+
+
+def _pulls_back(model: GroupModel, i: int) -> bool:
+    """`pulls_back` for the binary-group irrep at index i: chi_i(z) = +dim."""
     dim = model.irreps[i].dim
     z = model.table[i][model.center_class]
-    if z == dim:
-        return True
-    if z == -dim:
-        return False
-    raise InternalConsistencyError(
-        f"character of {irrep_label} at the central involution is neither +-dim: {z!r}"
-    )
+    # identical terms need no conjugate, as in Cyclotomic.__eq__
+    value = dim if z.terms == ((0, dim),) else z.integer_value()
+    if value not in (dim, -dim):
+        raise InternalConsistencyError(
+            f"character of {model.irreps[i].label} at the central involution is "
+            f"neither +-dim: {z!r}"
+        )
+    return value == dim
 
 
 def mckay_graph(model: GroupModel) -> McKayGraph:
@@ -577,7 +582,7 @@ def _quotient(gh: GroupModel, name, classes, inverse, chi_v, labels=None):
     at one preimage of every G class (``image_class``).  ``labels`` names them
     (G^'s labels by default); ``chi_v`` is a row, or the G^ label of the
     irrep whose row it is.  Returns G and the G^ index of each G irrep."""
-    pulled = tuple(i for i, r in enumerate(gh.irreps) if pulls_back(gh, r.label))
+    pulled = tuple(i for i in range(len(gh.irreps)) if _pulls_back(gh, i))
     preimage: dict[int, int] = {}
     for j, cls in enumerate(gh.classes):
         preimage.setdefault(cls.image_class, j)

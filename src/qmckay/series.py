@@ -39,11 +39,11 @@ the sum of the caps are zero.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add
-from typing import Mapping
 
 from .errors import ConfigurationError, InternalConsistencyError
 from .records import record

@@ -18,8 +18,10 @@ import pytest
 
 import qmckay.cli as cli
 import qmckay.crc as crc
+import qmckay.gwtheory as gwtheory
 import qmckay.intersect as intersect
 import qmckay.modular as modular
+import qmckay.rootsys as rootsys
 import qmckay.schemas as schemas
 from qmckay.cli import (
     EXIT_ARGS,
@@ -215,7 +217,7 @@ def test_intersect_builds_the_threefold_tensors_in_threefold_integrals(capsys, m
         return wrapper
 
     for name in ("threefold_integrals", "classical_potential"):
-        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        monkeypatch.setattr(intersect, name, counting(name, getattr(intersect, name)))
     intersect._threefold.cache_clear()
     code, _, _ = run(capsys, ["intersect", "--group", "D5"])
     assert code == EXIT_OK
@@ -243,7 +245,7 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
 
 
 def test_perturbed_cartan_matrix_fails_only_its_checks(capsys, monkeypatch):
-    honest = cli.root_system
+    honest = rootsys.root_system
 
     def perturbed(ade):
         rs = honest(ade)
@@ -252,7 +254,7 @@ def test_perturbed_cartan_matrix_fails_only_its_checks(capsys, monkeypatch):
         fields = {name: getattr(rs, name) for name in rs.__match_args__}
         return RootSystem(**fields | {"cartan": tuple(map(tuple, cartan))})
 
-    monkeypatch.setattr(cli, "root_system", perturbed)
+    monkeypatch.setattr(rootsys, "root_system", perturbed)
     code, out, _ = run(capsys, [
         "verify", "--group", "D5", "--max-q-degree", "2", "--q-series-degree", "2",
     ])
@@ -266,7 +268,7 @@ def test_perturbed_cartan_matrix_fails_only_its_checks(capsys, monkeypatch):
 
 
 def test_perturbed_cubic_fails_only_crc_consistency(capsys, monkeypatch):
-    honest = cli.crc.classical_potential
+    honest = intersect.classical_potential
 
     def perturbed(spec):
         data = honest(spec)
@@ -279,7 +281,7 @@ def test_perturbed_cubic_fails_only_crc_consistency(capsys, monkeypatch):
     # i^3 cubic(L, L, L) moves off the reals, so the resolution side no
     # longer lifts to a rational: the witness prime proves it differs from
     # the rational orbifold side
-    monkeypatch.setattr(cli.crc, "classical_potential", perturbed)
+    monkeypatch.setattr(intersect, "classical_potential", perturbed)
     with pytest.raises(InternalConsistencyError, match="not rational"):
         cli.crc.crc_consistency(GroupSpec.dihedral(3))
     code, out, _ = run(capsys, [
@@ -308,7 +310,7 @@ def test_perturbed_orbifold_side_gives_the_exact_residual(monkeypatch):
 def test_internal_failure_exits_four(capsys, monkeypatch):
     def boom(spec):
         raise InternalConsistencyError("synthetic")
-    monkeypatch.setattr(cli, "bps_table", boom)
+    monkeypatch.setattr(gwtheory, "bps_table", boom)
     code, out, err = run(capsys, ["bps", "--group", "D5"])
     assert code == EXIT_INTERNAL
     assert out == ""
@@ -500,7 +502,7 @@ def test_roots_payload_counts(capsys):
 
 def test_verify_shares_one_partition_function(capsys, monkeypatch):
     calls = {"partition_function": 0, "log": 0}
-    partition_function = cli.partition_function
+    partition_function = gwtheory.partition_function
     log = MultiSeries.log
 
     def counting_partition_function(*args, **kwargs):
@@ -511,7 +513,7 @@ def test_verify_shares_one_partition_function(capsys, monkeypatch):
         calls["log"] += 1
         return log(self)
 
-    monkeypatch.setattr(cli, "partition_function", counting_partition_function)
+    monkeypatch.setattr(gwtheory, "partition_function", counting_partition_function)
     monkeypatch.setattr(MultiSeries, "log", counting_log)
     code, out, _ = run(capsys, ["verify", "--group", "C:3", "--max-q-degree", "3",
                                 "--q-series-degree", "3"])
@@ -522,13 +524,15 @@ def test_verify_shares_one_partition_function(capsys, monkeypatch):
 
 def test_verify_builds_one_bps_table(capsys, monkeypatch):
     calls = {"bps_table": 0}
-    table = cli.bps_table
+    table = gwtheory.bps_table
 
     def counting_bps_table(*args, **kwargs):
-        calls["bps_table"] += 1
+        # the command's own calls: partition_function builds a table too
+        if sys._getframe(1).f_globals["__name__"] == cli.__name__:
+            calls["bps_table"] += 1
         return table(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "bps_table", counting_bps_table)
+    monkeypatch.setattr(gwtheory, "bps_table", counting_bps_table)
     root_fibers.cache_clear()
     code, out, _ = run(capsys, ["verify", "--group", "C:3", "--max-q-degree", "3",
                                 "--q-series-degree", "3"])
@@ -782,6 +786,86 @@ def test_records_and_renderers_load_no_unused_stdlib(argv, loaded):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", *loaded]
+
+
+# imports the module argv[1], runs `main(argv[2:])` when a command follows,
+# and lists the layer modules that were executed; the CLI registers the
+# others in sys.modules unexecuted, as lazy modules of another type
+_FOOTPRINT_PROBE = """
+import contextlib, importlib, io, sys, types
+module = importlib.import_module(sys.argv[1])
+code = 0
+if sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = module.main(sys.argv[2:])
+layers = ("crc", "exact", "grouprep", "gwtheory", "intersect", "modular", "rootsys", "series")
+print(code, *(n for n in layers if type(sys.modules.get("qmckay." + n)) is types.ModuleType))
+"""
+
+
+@pytest.mark.parametrize("module, argv, executed", [
+    ("qmckay", [], []),
+    ("qmckay.cli", [], []),
+    ("qmckay.cli", ["crc", "--group", "T", "--degree", "4"],
+     ["crc", "grouprep", "modular", "rootsys"]),
+    ("qmckay.cli", ["roots", "--group", "E8"], ["grouprep", "modular", "rootsys"]),
+    ("qmckay.cli", ["intersect", "--group", "D:4"],
+     ["exact", "grouprep", "intersect", "modular", "rootsys"]),
+    ("qmckay.cli", ["verify", "--group", "T"],
+     ["crc", "exact", "grouprep", "gwtheory", "intersect", "modular", "rootsys", "series"]),
+], ids=["import-package", "import-cli", "crc", "roots", "intersect", "verify"])
+def test_each_command_executes_only_the_layers_it_runs(module, argv, executed):
+    result = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE, module, *argv],
+        capture_output=True, text=True, timeout=120, env=_src_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", *executed]
+
+
+# the namespace scan of perfbench/tracer.py's `Recorder.install`: `vars()`
+# executes each deferred layer while sys.modules is being iterated, which
+# raises if executing one adds an entry
+_SCAN_PROBE = """
+import sys
+import qmckay.cli
+before = set(sys.modules)
+[vars(m) for n, m in sys.modules.items() if n == "qmckay" or n.startswith("qmckay.")]
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_executing_the_deferred_layers_adds_no_module():
+    result = subprocess.run(
+        [sys.executable, "-c", _SCAN_PROBE],
+        capture_output=True, text=True, timeout=120, env=_src_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"
+
+
+# SHA-256 of the --help text of qmckay and of each subcommand at 80 columns;
+# the default precision the text prints is read without importing crc
+HELP_SHA256 = {
+    "": "2d3bad092aabdef4ec141c777ee2e0fb48541c99f550d7efb69358f5757daeba",
+    "roots": "72dd87dc7cd7fb807346490d378514346b940b99e170e8ca04df2d2d8059ee12",
+    "group": "71e7d1edecfe24acc1a6d661489f12342d66de3422c8e3b0bc213e8a24972d48",
+    "bps": "0f9ef7aa114095ba72fde46e6e1d4879b8560897ed514fe339b2a958e1dfddbf",
+    "gw": "5adcc07007a64fc1d3f7535cc8f962139d20e13dd5f4c88704520daa668cf353",
+    "partition": "8a03a84ad770e92b39ca861fad35eb3452641e3f0f9e10c62729f0e38f4e181f",
+    "dt": "6c7597211f3fab6617ef8981627da8aa51117620dce7b93ea29711b77db27097",
+    "intersect": "cda85402efdebf38d187b1e795bf5002f72eb49cd6d0c4b52cae99a6026dc659",
+    "crc": "f67825780b1ff708e96d107705a79999f86b09402401cdc898d209efbddfd301",
+    "verify": "1d89fe7860ee05fdb6c84799c07e7aaa67e3accd7773f00e4c0b443c46da859c",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_SHA256), ids=lambda c: c or "qmckay")
+def test_help_text_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(capsys, [command, "--help"] if command else ["--help"])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
 
 # resolves every (module, attribute path) of the tracer's LAYERS after
 # importing only the CLI, as `Recorder.install` does

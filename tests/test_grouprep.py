@@ -32,6 +32,7 @@ from qmckay.grouprep import (
     inner_products,
     inverse_exponents,
     mckay_graph,
+    pulls_back,
     root_system_of,
     two_cos_turn,
 )
@@ -566,6 +567,25 @@ def test_one_entry_times_zeta_breaks_the_correspondence(monkeypatch, spec):
     monkeypatch.setattr(grouprep, "_build_family", lambda _: (g, broken, nodes, pulled))
     with pytest.raises(InternalConsistencyError):
         correspondence.__wrapped__(spec)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
+def test_pulls_back_by_label_names_the_pulled_irreps(spec):
+    _, gh, _, pulled = grouprep._build_family(spec)
+    assert tuple(i for i, r in enumerate(gh.irreps) if pulls_back(gh, r.label)) == pulled
+    # chi(z) = +-dim decides it, whatever terms store the value
+    minus_one = Cyclotomic(gh.table[0][0].n, {gh.table[0][0].n // 2: 1})
+    rows = [list(row) for row in gh.table]
+    rows[0][gh.center_class] = -minus_one  # +1, stored as -zeta^(n/2)
+    rows[1][gh.center_class] = -rows[1][gh.center_class] * minus_one
+    flipped = _with_table(gh, rows)
+    assert pulls_back(flipped, gh.irreps[0].label)
+    assert pulls_back(flipped, gh.irreps[1].label) == pulls_back(gh, gh.irreps[1].label)
+    rows[1][gh.center_class] = rows[1][gh.center_class] + 1
+    with pytest.raises(InternalConsistencyError, match="neither"):
+        pulls_back(_with_table(gh, rows), gh.irreps[1].label)
+    with pytest.raises(ConfigurationError):
+        pulls_back(build_group(spec), gh.irreps[0].label)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
