@@ -19,6 +19,9 @@ __version__ = "0.1.0"
 # the decimal digits `qmckay.crc` works to when no precision is given; stated
 # here, so the command line can print it without importing `qmckay.crc`
 DEFAULT_DPS = 64
+# the guard digits each mpf view works with beyond its precision; stated here,
+# so `qmckay.crc` and `qmckay.numeric` share it without importing each other
+_GUARD = 10
 
 # each public name, by the module that defines it
 _HOME = {
@@ -41,10 +44,11 @@ _HOME = {
             "classical_potential", "mckay_pairing", "pairing_inverse_check",
             "surface_integrals", "threefold_integrals",
         )),
-        ("crc", (
-            "PotentialSeries", "b_series", "change_of_variables", "crc_consistency",
-            "h_derivative", "linear_forms", "orbifold_potential", "rational_guess",
-            "resolution_third_partials", "taylor_third_partial", "third_partial",
+        ("crc", ("PotentialSeries", "crc_consistency", "orbifold_potential")),
+        ("numeric", (
+            "b_series", "change_of_variables", "h_derivative", "linear_forms",
+            "rational_guess", "resolution_third_partials", "taylor_third_partial",
+            "third_partial",
         )),
     )
     for name in names

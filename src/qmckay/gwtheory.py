@@ -28,17 +28,11 @@ from math import gcd
 from operator import index
 from types import MappingProxyType
 
+from . import series  # read through the module: a deferred `series` runs only when used
 from .errors import ConfigurationError
 from .grouprep import GroupSpec, correspondence, root_fibers
 from .records import record
 from .rootsys import root_system
-from .series import (
-    MultiSeries,
-    Truncation,
-    macmahon_exponent,
-    macmahon_factor,
-    sin_power_coefficients,
-)
 
 CurveClass = tuple[int, ...]
 
@@ -106,7 +100,7 @@ class PartitionFunction:
     """
 
     spec: GroupSpec
-    series: MultiSeries
+    series: series.MultiSeries
     factors: tuple[tuple[CurveClass, Fraction], ...]
 
 
@@ -115,7 +109,7 @@ def _beta_exponents(variables, beta) -> dict[str, int]:
 
 
 def partition_function(
-    spec: GroupSpec, truncation: Truncation
+    spec: GroupSpec, truncation: series.Truncation
 ) -> PartitionFunction:
     """Product over BPS classes of the MacMahon factor at weight n0, taken
     as one exponential: Z = exp(-sum over classes of n0 * macmahon_exponent).
@@ -123,17 +117,17 @@ def partition_function(
     This is the exp-of-a-sum route; `partition_function_by_roots` is the
     product-of-exps route it is checked against.
     """
-    table = bps_table(spec)
+    fibers = root_fibers(spec)
     variables = q_variables(spec) + ("Q",)
-    factors = tuple((beta, table.counts[beta]) for beta in sorted(table.counts))
-    log_z = MultiSeries.linear_combination(variables, truncation, [
-        (-weight, macmahon_exponent(variables, truncation, _beta_exponents(variables, beta)))
+    factors = tuple((beta, Fraction(fibers[beta], 2)) for beta in sorted(fibers))  # n0 = f/2
+    log_z = series.MultiSeries.linear_combination(variables, truncation, [
+        (-weight, series.macmahon_exponent(variables, truncation, _beta_exponents(variables, beta)))
         for beta, weight in factors])
     return PartitionFunction(spec=spec, series=log_z.exp(), factors=factors)
 
 
 def partition_function_by_roots(
-    spec: GroupSpec, truncation: Truncation
+    spec: GroupSpec, truncation: series.Truncation
 ) -> PartitionFunction:
     """The same product taken root by root at weight 1/2.
 
@@ -151,7 +145,7 @@ def partition_function_by_roots(
     roots = root_system(corr.ade).positive_roots
     variables = q_variables(spec) + ("Q",)
     half = Fraction(1, 2)
-    acc = MultiSeries.one(variables, truncation)
+    acc = series.MultiSeries.one(variables, truncation)
     factors = []
     built = {}  # restricted roots repeat, so each distinct factor is built once
     for alpha in roots:
@@ -162,7 +156,7 @@ def partition_function_by_roots(
         if sum(beta) > truncation.q_total:
             continue  # every term of its factor is past the q-cap: the factor is exactly 1
         if beta not in built:
-            built[beta] = macmahon_factor(
+            built[beta] = series.macmahon_factor(
                 variables, truncation, _beta_exponents(variables, beta), half
             )
         acc = acc * built[beta]
@@ -172,7 +166,7 @@ def partition_function_by_roots(
 @lru_cache(maxsize=None)
 def _cover_kernel(d: int, order: int) -> MappingProxyType:
     """(2 sin(d lam/2))^-2 through lam^order, built once per (d, order)."""
-    return MappingProxyType(sin_power_coefficients(-2, d, order))
+    return MappingProxyType(series.sin_power_coefficients(-2, d, order))
 
 
 def _divisors_of_class(beta: CurveClass):

@@ -332,6 +332,17 @@ def test_out_of_memory_exits_two_with_one_line(capsys, monkeypatch, where):
     assert err == "qmckay: out of memory: roots --group E8\n"
 
 
+def test_out_of_memory_in_a_verify_check_exits_two_with_one_line(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(gwtheory, "partition_function_by_roots", exhausted)
+    code, out, err = run(capsys, ["verify", "--group", "T"])
+    assert code == EXIT_ARGS
+    assert out == ""
+    assert err == "qmckay: out of memory: verify --group T\n"
+
+
 def _address_space_100mb():
     import resource
 
@@ -527,9 +538,7 @@ def test_verify_builds_one_bps_table(capsys, monkeypatch):
     table = gwtheory.bps_table
 
     def counting_bps_table(*args, **kwargs):
-        # the command's own calls: partition_function builds a table too
-        if sys._getframe(1).f_globals["__name__"] == cli.__name__:
-            calls["bps_table"] += 1
+        calls["bps_table"] += 1
         return table(*args, **kwargs)
 
     monkeypatch.setattr(gwtheory, "bps_table", counting_bps_table)
@@ -539,7 +548,7 @@ def test_verify_builds_one_bps_table(capsys, monkeypatch):
     assert code == EXIT_OK
     assert json.loads(out)["status"] == "pass"
     # bps-fibers and bps-recovery share one table, and partition_function
-    # reuses the root scan behind it
+    # reads the root scan behind it instead of building another
     assert calls == {"bps_table": 1}
     assert root_fibers.cache_info().misses == 1
 
@@ -789,8 +798,9 @@ def test_records_and_renderers_load_no_unused_stdlib(argv, loaded):
 
 
 # imports the module argv[1], runs `main(argv[2:])` when a command follows,
-# and lists the layer modules that were executed; the CLI registers the
-# others in sys.modules unexecuted, as lazy modules of another type
+# and lists the layer modules and command modules that were executed; the
+# CLI registers the other layers in sys.modules unexecuted, as lazy modules
+# of another type, and imports a command module only to run its command
 _FOOTPRINT_PROBE = """
 import contextlib, importlib, io, sys, types
 module = importlib.import_module(sys.argv[1])
@@ -798,8 +808,11 @@ code = 0
 if sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = module.main(sys.argv[2:])
-layers = ("crc", "exact", "grouprep", "gwtheory", "intersect", "modular", "rootsys", "series")
-print(code, *(n for n in layers if type(sys.modules.get("qmckay." + n)) is types.ModuleType))
+layers = ("crc", "exact", "grouprep", "gwtheory", "intersect", "modular", "numeric", "rootsys",
+          "series")
+commands = ("bps", "crc", "group", "gw", "intersect", "partition", "roots", "verify")
+names = [*layers, *("commands." + c for c in commands)]
+print(code, *(n for n in names if type(sys.modules.get("qmckay." + n)) is types.ModuleType))
 """
 
 
@@ -807,13 +820,28 @@ print(code, *(n for n in layers if type(sys.modules.get("qmckay." + n)) is types
     ("qmckay", [], []),
     ("qmckay.cli", [], []),
     ("qmckay.cli", ["crc", "--group", "T", "--degree", "4"],
-     ["crc", "grouprep", "modular", "rootsys"]),
-    ("qmckay.cli", ["roots", "--group", "E8"], ["grouprep", "modular", "rootsys"]),
+     ["crc", "grouprep", "modular", "rootsys", "commands.crc"]),
+    ("qmckay.cli", ["roots", "--group", "E8"],
+     ["grouprep", "modular", "rootsys", "commands.roots"]),
     ("qmckay.cli", ["intersect", "--group", "D:4"],
-     ["exact", "grouprep", "intersect", "modular", "rootsys"]),
+     ["exact", "grouprep", "intersect", "modular", "rootsys", "commands.intersect"]),
     ("qmckay.cli", ["verify", "--group", "T"],
-     ["crc", "exact", "grouprep", "gwtheory", "intersect", "modular", "rootsys", "series"]),
-], ids=["import-package", "import-cli", "crc", "roots", "intersect", "verify"])
+     ["crc", "exact", "grouprep", "gwtheory", "intersect", "modular", "rootsys", "series",
+      "commands.verify"]),
+    # chi_V on the order-5 classes is no integer, so it is printed through numeric.as_mpc
+    ("qmckay.cli", ["group", "--group", "C:5"],
+     ["grouprep", "modular", "numeric", "rootsys", "commands.group"]),
+    ("qmckay.cli", ["bps", "--group", "C:16"],
+     ["grouprep", "gwtheory", "modular", "rootsys", "commands.bps"]),
+    ("qmckay.cli", ["gw", "--group", "C:3", "--max-q-degree", "2", "--lambda-order", "2"],
+     ["grouprep", "gwtheory", "modular", "rootsys", "series", "commands.gw"]),
+    ("qmckay.cli", ["partition", "--group", "C:3", "--max-q-degree", "2",
+                    "--q-series-degree", "2"],
+     ["grouprep", "gwtheory", "modular", "rootsys", "series", "commands.partition"]),
+    ("qmckay.cli", ["dt", "--group", "C:3", "--max-q-degree", "2", "--q-series-degree", "2"],
+     ["grouprep", "gwtheory", "modular", "rootsys", "series", "commands.partition"]),
+], ids=["import-package", "import-cli", "crc", "roots", "intersect", "verify", "group", "bps",
+        "gw", "partition", "dt"])
 def test_each_command_executes_only_the_layers_it_runs(module, argv, executed):
     result = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT_PROBE, module, *argv],
@@ -821,6 +849,30 @@ def test_each_command_executes_only_the_layers_it_runs(module, argv, executed):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", *executed]
+
+
+# the import log of a fresh `python -m qmckay.cli` request, in which the CLI
+# is `__main__`: importing `qmckay.cli` as well would execute it a second time
+@pytest.mark.parametrize("argv", [
+    ["roots", "--group", "C:2"],
+    ["group", "--group", "C:5"],
+    ["bps", "--group", "C:2"],
+    ["gw", "--group", "C:2", "--max-q-degree", "1", "--lambda-order", "0"],
+    ["partition", "--group", "C:2", "--max-q-degree", "1", "--q-series-degree", "1"],
+    ["dt", "--group", "C:2", "--max-q-degree", "1", "--q-series-degree", "1"],
+    ["intersect", "--group", "C:2"],
+    ["crc", "--group", "C:2", "--degree", "3"],
+    ["verify", "--group", "C:2", "--max-q-degree", "1", "--q-series-degree", "1"],
+], ids=lambda argv: argv[0])
+def test_the_cli_run_as_main_never_imports_itself(argv):
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qmckay.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=_src_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    imported = [line.rpartition("|")[2].strip() for line in result.stderr.splitlines()]
+    assert "qmckay.commands" in imported
+    assert "qmckay.cli" not in imported
 
 
 # the namespace scan of perfbench/tracer.py's `Recorder.install`: `vars()`
@@ -931,6 +983,6 @@ def test_traced_request_matches_the_untraced_cli(argv, degree):
 
 
 def test_no_source_line_is_longer_than_100_characters():
-    for path in sorted((ROOT / "src" / "qmckay").glob("*.py")):
+    for path in sorted((ROOT / "src" / "qmckay").rglob("*.py")):
         for number, line in enumerate(path.read_text().splitlines(), 1):
             assert len(line) <= 100, f"{path.name}:{number}"

@@ -16,6 +16,7 @@ import pytest
 import qmckay.crc as crc
 import qmckay.grouprep as grouprep
 import qmckay.modular as modular
+import qmckay.numeric as numeric
 from qmckay.crc import (
     DEFAULT_DPS,
     b_series,
@@ -590,7 +591,7 @@ def _reference_exponent_vectors(n_vars, total):
 def _reference_potential(spec, degree, dps):
     """One mpc term per (curve class, monomial), weighted by the class's
     fiber, powers and factorials each time."""
-    system, roots = crc._root_forms(spec, dps)
+    system, roots = numeric._root_forms(spec, dps)
     order = correspondence(spec).group.order
     n_vars = len(system.class_labels)
     with mp.workdps(dps + crc._GUARD):
@@ -601,7 +602,7 @@ def _reference_potential(spec, degree, dps):
         for root in roots:
             t = mp.cot(mp.pi * mp.mpf(root.dim_sum) / order)
             for n in range(3, degree + 1):
-                hn = crc._poly_eval(crc._h_poly(n), t)
+                hn = numeric._poly_eval(crc._h_poly(n), t)
                 for key in _reference_exponent_vectors(n_vars, n):
                     term = root.multiplicity * hn / 2
                     for e, l in zip(key, root.coefficients):
@@ -617,7 +618,7 @@ def _reference_potential(spec, degree, dps):
 
 def _reference_resolution_partials(spec, dps):
     """The cubic contracted with L over all (a, b, c) at once, per triple."""
-    system, roots = crc._root_forms(spec, dps)
+    system, roots = numeric._root_forms(spec, dps)
     cubic = classical_potential(spec)
     order = correspondence(spec).group.order
     n = len(system.class_labels)
@@ -675,15 +676,15 @@ def test_resolution_partials_match_full_contraction_reference(spec):
 
 def test_root_forms_built_once_per_group_and_precision(monkeypatch):
     calls = []
-    build = crc.linear_forms
+    build = numeric.linear_forms
 
     def counting_linear_forms(spec, dps=crc.DEFAULT_DPS):
         calls.append((spec, dps))
         return build(spec, dps)
 
     spec = GroupSpec.dihedral(2)
-    monkeypatch.setattr(crc, "linear_forms", counting_linear_forms)
-    crc._root_forms.cache_clear()
+    monkeypatch.setattr(numeric, "linear_forms", counting_linear_forms)
+    numeric._root_forms.cache_clear()
     try:
         orbifold_potential(spec, 4, 40)
         crc_consistency(spec, 40)
@@ -692,7 +693,7 @@ def test_root_forms_built_once_per_group_and_precision(monkeypatch):
         third_partial(spec, 0, 1, 2, dps=50)
         assert calls == [(spec, 40), (spec, 50)]
     finally:
-        crc._root_forms.cache_clear()
+        numeric._root_forms.cache_clear()
 
 
 # -- the selection-rule tree against the dense tree it replaced ----------------
@@ -765,7 +766,7 @@ def _dense_potential(spec, degree, dps):
     rows, weights and multiply order `orbifold_potential` used before it
     became exact, returned before any magnitude filter (real parts, the
     imaginary parts checked)."""
-    system, roots = crc._root_forms(spec, dps)
+    system, roots = numeric._root_forms(spec, dps)
     order = correspondence(spec).group.order
     levels, terms = _dense_monomial_tree(len(system.class_labels), degree)
     with mp.workdps(dps + crc._GUARD):
@@ -773,7 +774,7 @@ def _dense_potential(spec, degree, dps):
         for root in roots:
             t = mp.cot(mp.pi * mp.mpf(root.dim_sum) / order)
             half_h = [None] * 3 + [
-                root.multiplicity * crc._poly_eval(crc._h_poly(n), t) / 2
+                root.multiplicity * numeric._poly_eval(crc._h_poly(n), t) / 2
                 for n in range(3, degree + 1)
             ]
             rows = []

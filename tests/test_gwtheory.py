@@ -8,6 +8,7 @@ import pytest
 
 import qmckay.crc as crc
 import qmckay.gwtheory as gwtheory
+import qmckay.series as series
 from qmckay.errors import ConfigurationError
 from qmckay.grouprep import GroupSpec, correspondence, root_fibers
 from qmckay.gwtheory import (
@@ -158,13 +159,13 @@ def test_all_genus_matches_cover_kernel_series(spec):
 
 def test_all_genus_builds_table_and_kernels_once(monkeypatch):
     calls = []
-    kernel = gwtheory.sin_power_coefficients
+    kernel = series.sin_power_coefficients
 
     def counting_kernel(power, d, order):
         calls.append((d, order))
         return kernel(power, d, order)
 
-    monkeypatch.setattr(gwtheory, "sin_power_coefficients", counting_kernel)
+    monkeypatch.setattr(series, "sin_power_coefficients", counting_kernel)
     root_fibers.cache_clear()
     gwtheory._cover_kernel.cache_clear()
     try:

@@ -7,6 +7,7 @@ import pytest
 
 import qmckay
 import qmckay.crc as crc
+import qmckay.numeric as numeric
 
 
 @pytest.mark.parametrize("name", qmckay.__all__)
@@ -20,6 +21,22 @@ def test_every_public_name_is_its_defining_modules_object(name):
         return
     assert value.__name__ == name
     assert getattr(importlib.import_module(value.__module__), name) is value
+
+
+# crc's public names: the package's names that crc or numeric defines, and
+# every mpf view that crc reads from numeric
+CRC_NAMES = sorted({
+    name for name in qmckay.__all__
+    if getattr(getattr(qmckay, name), "__module__", None) in (crc.__name__, numeric.__name__)
+} | set(numeric.__all__))
+
+
+@pytest.mark.parametrize("name", CRC_NAMES)
+def test_every_crc_name_is_one_object_from_the_package_crc_and_its_module(name):
+    value = getattr(crc, name)
+    assert getattr(importlib.import_module(value.__module__), name) is value
+    if name in qmckay.__all__:
+        assert getattr(qmckay, name) is value
 
 
 def test_dir_lists_every_public_name():

@@ -5,11 +5,12 @@ import dataclasses
 import mpmath as mp
 import pytest
 
-import qmckay.cli as cli
+import qmckay.commands as commands
 import qmckay.crc as crc
 import qmckay.grouprep as grouprep
 import qmckay.gwtheory as gwtheory
 import qmckay.intersect as intersect
+import qmckay.numeric as numeric
 import qmckay.rootsys as rootsys
 import qmckay.series as series
 from qmckay.errors import ConfigurationError
@@ -20,9 +21,14 @@ from qmckay.series import Truncation
 
 D3 = GroupSpec.dihedral(3)
 
+# keyed by the public module of each record's family: `Report` of the command
+# modules under `cli`, the records of crc's mpf views (`qmckay.numeric`) under `crc`
+PUBLIC_HOME = {"commands": "cli", "numeric": "crc"}
+
 RECORDS = {
-    f"{module.__name__.rpartition('.')[2]}.{name}": obj
-    for module in (cli, crc, grouprep, gwtheory, intersect, rootsys, series)
+    f"{PUBLIC_HOME.get(short, short)}.{name}": obj
+    for module in (commands, crc, numeric, grouprep, gwtheory, intersect, rootsys, series)
+    for short in [module.__name__.rpartition('.')[2]]
     for name, obj in vars(module).items()
     if isinstance(obj, type) and obj.__module__ == module.__name__
     and "__match_args__" in vars(obj)
@@ -30,10 +36,10 @@ RECORDS = {
 
 # one real instance per record class, built on first use
 SAMPLES = {
-    "cli.Report": lambda: cli.Report({"n": 1}, ["n"], [[1]], ["n 1"]),
+    "cli.Report": lambda: commands.Report({"n": 1}, ["n"], [[1]], ["n 1"]),
     "crc.LinearForm": lambda: crc.linear_forms(D3).forms[0],
     "crc.FormSystem": lambda: crc.linear_forms(D3),
-    "crc._RootForm": lambda: crc._root_forms(D3, crc.DEFAULT_DPS)[1][0],
+    "crc._RootForm": lambda: numeric._root_forms(D3, crc.DEFAULT_DPS)[1][0],
     "crc.PotentialSeries": lambda: crc.orbifold_potential(D3, 4),
     "crc.ChangeOfVariables": lambda: crc.change_of_variables(D3),
     "grouprep.GroupSpec": lambda: GroupSpec.tetrahedral(),
