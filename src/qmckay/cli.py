@@ -4,11 +4,13 @@ Every subcommand takes a group, computes one block of the correspondence
 data, and emits a deterministic report: identical invocations produce
 identical bytes.  JSON payloads carry all numbers as strings ("p/q" for
 rationals, decimal strings for reals) and validate against the schemas in
-`qmckay.schemas`.  CSV is drawn from the payload's records, and only when
-CSV is asked for: each record is one row in column order, a list value
-fills consecutive columns, and a sparse exponent dict fills one column per
-variable, 0 where absent.  Text is for reading, and its lines are likewise
-built only when text is asked for.
+`qmckay.schemas`.  JSON is written in one direct pass, byte-identical to
+`json.dumps(payload, indent=2, sort_keys=True)` plus a newline, and `json`
+is loaded only when JSON is asked for.  CSV is drawn from the payload's
+records, and only when CSV is asked for: each record is one row in column
+order, a list value fills consecutive columns, and a sparse exponent dict
+fills one column per variable, 0 where absent.  Text is for reading, and
+its lines are likewise built only when text is asked for.
 
 This module is the plumbing: the parser, the group grammar, the precision,
 rendering and exit codes.  Each report is built by its command's module in
@@ -17,7 +19,8 @@ rendering and exit codes.  Each report is built by its command's module in
 Exit codes: 0 success, 1 verification failure, 2 bad arguments (a precision
 outside 10..4000 digits, an --output path that cannot be written) or out of
 memory, 3 unsupported group, 4 internal consistency failure (rounding
-residual, tan pole, broken invariant).
+residual, tan pole, broken invariant) or any other unexpected error, each
+reported as one stderr line.
 
 Group grammar: "C:k" (cyclic, k >= 2), "D:m" (dihedral, m >= 2), "T", "O",
 "I", or a root-system alias "A3", "D5", "E6", ...  An A-alias names the
@@ -31,7 +34,6 @@ import argparse
 import fractions  # noqa: F401 - see _deferred
 import importlib.util
 import io
-import json
 import os
 import re
 import sys
@@ -247,9 +249,69 @@ def _resolve_precision(args) -> int:
     return dps
 
 
+def _write_json(value, put, quote, pad: str) -> None:
+    """Write `value` through `put` byte for byte as `json.dumps(value,
+    indent=2, sort_keys=True)` does; `pad` is a newline and the indent of
+    `value`.  A str or int in a container is one `put` of separator and
+    value, with no call.  Anything but str, int, bool, None, list, tuple and
+    a dict with str keys is a TypeError.
+    """
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return put("[]")
+        inner = pad + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                put(sep + quote(item))
+            elif kind is int:
+                put(sep + int.__repr__(item))
+            else:
+                put(sep)
+                _write_json(item, put, quote, inner)
+            sep = comma
+        put(pad)
+        return put("]")
+    if kind is dict:
+        if not value:
+            return put("{}")
+        inner = pad + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"payload key {key!r} is not a str")
+            item = value[key]
+            kind = type(item)
+            if kind is str:
+                put(sep + quote(key) + ": " + quote(item))
+            elif kind is int:
+                put(sep + quote(key) + ": " + int.__repr__(item))
+            else:
+                put(sep + quote(key) + ": ")
+                _write_json(item, put, quote, inner)
+            sep = comma
+        put(pad)
+        return put("}")
+    if kind is str:
+        return put(quote(value))
+    if kind is int:
+        return put(int.__repr__(value))
+    if value is None or kind is bool:
+        return put("null" if value is None else "true" if value else "false")
+    raise TypeError(f"payload value {value!r} of type {kind.__name__} has no JSON form")
+
+
 def render(report: Report, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report.payload, indent=2, sort_keys=True) + "\n"
+        # here, so only a --format json request loads json
+        from json.encoder import encode_basestring_ascii
+
+        out: list[str] = []
+        _write_json(report.payload, out.append, encode_basestring_ascii, "\n")
+        out.append("\n")
+        return "".join(out)
     if fmt == "csv":
         import csv  # here, so only a --format csv request loads it
 
@@ -297,6 +359,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"qmckay: out of memory: {args.command} --group {args.group}", file=sys.stderr)
         return EXIT_ARGS
+    except Exception as exc:  # a programming error: one line, not a traceback and exit 1
+        print(f"qmckay: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.output:
         try:
             with open(args.output, "w", newline="") as handle:

@@ -132,12 +132,15 @@ def partition_function_by_roots(
     """The same product taken root by root at weight 1/2.
 
     This is the product-of-exps route: one `macmahon_factor` (an exp) per
-    distinct restricted root, multiplied in once per positive root; a root
-    whose restricted degree exceeds the q-cap keeps its entry in
-    ``factors`` but is not multiplied in, since its factor is exactly 1.  It
-    exactly equals `partition_function`, which takes a single exp of the
-    per-class sum; it is kept as an independent route so the per-class
-    collapse and the exp-of-a-sum are testable rather than assumed.
+    distinct restricted root, raised to the number of positive roots over
+    it; a root whose restricted degree exceeds the q-cap keeps its entry in
+    ``factors`` but is not multiplied in, since its factor is exactly 1.
+    The powers are multiplied as a product tree, the shortest two at a time
+    by length, so no large partial product is multiplied by each small
+    factor in turn.  It exactly equals `partition_function`, which takes a
+    single exp of the per-class sum; it is kept as an independent route so
+    the per-class collapse and the exp-of-a-sum are testable rather than
+    assumed.
     """
     if truncation.q_total is None or truncation.big_q is None:
         raise ConfigurationError("the MacMahon factor needs q and Q caps")
@@ -145,9 +148,8 @@ def partition_function_by_roots(
     roots = root_system(corr.ade).positive_roots
     variables = q_variables(spec) + ("Q",)
     half = Fraction(1, 2)
-    acc = series.MultiSeries.one(variables, truncation)
     factors = []
-    built = {}  # restricted roots repeat, so each distinct factor is built once
+    counts: dict[CurveClass, int] = {}  # restricted roots repeat: one factor per class
     for alpha in roots:
         beta = tuple(alpha[node] for node in corr.slot_node)
         if all(b == 0 for b in beta):
@@ -155,12 +157,17 @@ def partition_function_by_roots(
         factors.append((beta, half))
         if sum(beta) > truncation.q_total:
             continue  # every term of its factor is past the q-cap: the factor is exactly 1
-        if beta not in built:
-            built[beta] = series.macmahon_factor(
-                variables, truncation, _beta_exponents(variables, beta), half
-            )
-        acc = acc * built[beta]
-    return PartitionFunction(spec=spec, series=acc, factors=tuple(factors))
+        counts[beta] = counts.get(beta, 0) + 1
+    powers = [
+        series.macmahon_factor(variables, truncation, _beta_exponents(variables, beta), half)
+        ** count
+        for beta, count in counts.items()
+    ] or [series.MultiSeries.one(variables, truncation)]
+    while len(powers) > 1:
+        powers.sort(key=len)
+        odd = powers[-1:] if len(powers) % 2 else []
+        powers = [a * b for a, b in zip(powers[::2], powers[1::2])] + odd
+    return PartitionFunction(spec=spec, series=powers[0], factors=tuple(factors))
 
 
 @lru_cache(maxsize=None)

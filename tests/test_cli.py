@@ -11,10 +11,13 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import jsonschema
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmckay.cli as cli
 import qmckay.crc as crc
@@ -29,10 +32,12 @@ from qmckay.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VERIFY,
+    Report,
     UnsupportedGroupError,
     canonical_token,
     main,
     parse_group,
+    render,
 )
 from qmckay.errors import InternalConsistencyError
 from qmckay.grouprep import GroupSpec, correspondence, root_fibers, root_system_of
@@ -317,6 +322,40 @@ def test_internal_failure_exits_four(capsys, monkeypatch):
     assert "internal consistency" in err
 
 
+def _raise_type_error(*args):
+    raise TypeError("synthetic")
+
+
+@pytest.mark.parametrize("argv, layer, name", [
+    (["verify", "--group", "C:2"], intersect, "pairing_inverse_check"),
+    (["bps", "--group", "D5"], gwtheory, "bps_table"),
+], ids=["verify", "bps"])
+def test_unexpected_error_exits_four_with_one_line(capsys, monkeypatch, argv, layer, name):
+    # a programming error in a layer is no failed verification (exit 1) and
+    # no traceback: one line, nothing on stdout
+    monkeypatch.setattr(layer, name, _raise_type_error)
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "qmckay: internal error: TypeError: synthetic\n"
+
+
+def test_a_float_in_a_payload_exits_four_with_one_line(capsys, monkeypatch):
+    honest = cli.COMMANDS["roots"]
+
+    def with_a_float(spec, args):
+        report = honest(spec, args)
+        fields = {name: getattr(report, name) for name in report.__match_args__}
+        return Report(**fields | {"payload": report.payload | {"coxeter_number": 1.5}})
+
+    monkeypatch.setitem(cli.COMMANDS, "roots", with_a_float)
+    code, out, err = run(capsys, ["roots", "--group", "E8"])
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("qmckay: internal error: TypeError: payload value 1.5 ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("where", ["command", "render"])
 def test_out_of_memory_exits_two_with_one_line(capsys, monkeypatch, where):
     def exhausted(*args):
@@ -399,6 +438,46 @@ def test_json_payloads_validate(capsys, command, group):
     code, out, err = run(capsys, argv)
     assert code == EXIT_OK, err
     jsonschema.validate(json.loads(out), BY_COMMAND[command])
+
+
+def _json_text(payload) -> str:
+    return render(Report(payload=payload, csv_fields=[], csv_rows=(), text_lines=()), "json")
+
+
+@pytest.mark.parametrize("group", ["D5", "C:3"])
+@pytest.mark.parametrize("command", sorted(BY_COMMAND))
+def test_json_writer_matches_json_dumps_on_every_payload(command, group):
+    # the writer against the library encoder on each real payload shape,
+    # such as the None among group's nodes, which the goldens pin only as bytes
+    args = cli.build_parser().parse_args([command, "--group", group] + FAST_FLAGS.get(command, []))
+    args.precision = cli.DEFAULT_DPS
+    payload = cli.COMMANDS[command](parse_group(group), args).payload
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/[]{}:,\n\t\x00\x1f\x7f\u2028\U0001d11e'))
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | _TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_JSON_TREES)
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    1.5, [0, 2.0], {"x": Fraction(1, 2)}, {1: "a"}, {"x": {None: 0}},
+    MappingProxyType({"x": 1}), {"x": {1, 2}}, b"bytes",
+], ids=["float", "float-in-list", "fraction", "int-key", "none-key", "mappingproxy", "set",
+        "bytes"])
+def test_json_writer_refuses_what_no_payload_holds(payload):
+    with pytest.raises(TypeError, match="payload"):
+        _json_text(payload)
 
 
 # SHA-256 of json.dumps(BY_COMMAND, sort_keys=True): every schema value,
@@ -710,6 +789,17 @@ def _src_env():
     return env
 
 
+def test_verify_passes_on_a_stress_group_in_a_subprocess():
+    # C:16's per-root oracle multiplies 480 factors; as a product tree the
+    # whole request takes well under a second
+    result = subprocess.run(
+        [sys.executable, "-m", "qmckay.cli", "verify", "--group", "C:16"],
+        capture_output=True, text=True, timeout=120, env=_src_env(),
+    )
+    assert result.returncode == EXIT_OK, result.stderr
+    assert json.loads(result.stdout)["status"] == "pass"
+
+
 def test_console_entry_point_from_pyproject():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
@@ -773,17 +863,17 @@ code = 0
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(sys.argv[1:])
-watched = {"csv", "dataclasses", "inspect", "qmckay.schemas"}
+watched = {"csv", "dataclasses", "inspect", "json", "qmckay.schemas"}
 print(code, *sorted(watched & set(sys.modules) - preloaded))
 """
 
 
 @pytest.mark.parametrize("argv, loaded", [
     ([], []),
-    (["verify", "--group", "T"], []),
+    (["verify", "--group", "T"], ["json"]),
     (["verify", "--group", "T", "--format", "text"], []),
-    (["crc", "--group", "T", "--degree", "4"], []),
-    (["roots", "--group", "E8"], []),
+    (["crc", "--group", "T", "--degree", "4"], ["json"]),
+    (["roots", "--group", "E8"], ["json"]),
     (["roots", "--group", "E8", "--format", "text"], []),
     (["roots", "--group", "E8", "--format", "csv"], ["csv"]),
     (["crc", "--group", "T", "--degree", "4", "--format", "csv"], ["csv"]),

@@ -229,6 +229,36 @@ def test_per_root_product_skips_only_factors_that_are_one(spec):
     assert by_root.series == partition_function(spec, tr).series
 
 
+def _sequential_product(spec, tr):
+    """The per-root product multiplied into one accumulator root by root,
+    and its factor list: one (restricted root, 1/2) per nonzero one."""
+    corr = correspondence(spec)
+    variables = q_variables(spec) + ("Q",)
+    acc = MultiSeries.one(variables, tr)
+    factors, built = [], {}
+    for alpha in root_system(corr.ade).positive_roots:
+        beta = tuple(alpha[node] for node in corr.slot_node)
+        if any(beta):
+            factors.append((beta, Fraction(1, 2)))
+        if any(beta) and sum(beta) <= tr.q_total:
+            if beta not in built:
+                built[beta] = macmahon_factor(
+                    variables, tr, dict(zip(variables, beta)), Fraction(1, 2))
+            acc = acc * built[beta]
+    return acc, tuple(factors)
+
+
+@pytest.mark.parametrize("tr", [Truncation(q_total=4, big_q=4), Truncation(q_total=5, big_q=2)],
+                         ids=repr)
+@pytest.mark.parametrize("spec", ALL_SPECS + [GroupSpec.cyclic(20), GroupSpec.dihedral(24)],
+                         ids=str)
+def test_product_tree_equals_the_sequential_product_and_the_per_class_route(spec, tr):
+    # the tree only reorders the multiplications of the per-root product
+    tree = partition_function_by_roots(spec, tr)
+    assert (tree.series, tree.factors) == _sequential_product(spec, tr)
+    assert tree.series == partition_function(spec, tr).series
+
+
 @pytest.mark.parametrize("tr", [Truncation(q_total=0), Truncation(big_q=2)], ids=repr)
 def test_both_partition_routes_need_both_caps(tr):
     # every factor past a q-cap of 0 is 1, but the product still needs a Q cap
