@@ -29,7 +29,7 @@ derived from the values (tensor multiplicities, pairings, class
 multiplication constants) as dot products of ints, a matrix per call, read
 back under a proven bound and checked by a witness prime.  No tolerance or
 rounding is involved, and this module never imports mpmath; the one numeric
-view of a value, `as_mpc`, is in `qmckay.crc`.
+view of a value, `as_mpc`, is in `qmckay.numeric`.
 
 Fixed conventions (part of the public contract; consumers index by label):
 
