@@ -37,13 +37,6 @@ class Context:
         return self.z.log()
 
 
-def _times_cartan_is(m, cartan, x) -> bool:
-    """M C == x I, i.e. M = x C^-1 for the Cartan matrix C, over the <= 4 nonzeros per column."""
-    columns = [[(k, c) for k, c in enumerate(column) if c] for column in zip(*cartan)]
-    return [[sum(row[k] * c for k, c in column) for column in columns] for row in m] == [
-        [x * (i == j) for j in range(len(cartan))] for i in range(len(cartan))]
-
-
 def _mckay_graph(ctx: Context) -> str:
     # correspondence() itself asserts adjacency = 2I - Cartan; surviving
     # construction plus a shape sanity line is the observable here
@@ -74,7 +67,7 @@ def _root_sum_identity(ctx: Context) -> str:
         for i, a in support:
             for j, b in support:
                 total[i][j] += a * b
-    if not _times_cartan_is(total, rs.cartan, rs.coxeter_number):
+    if not intersect.times_is(total, rs.cartan, rs.coxeter_number):
         raise InternalConsistencyError("sum over R+ of a a^T != h C^-1")
     return f"sum over {len(rs.positive_roots)} roots equals h * C^-1"
 
@@ -141,7 +134,7 @@ def _pairing_inversion(ctx: Context) -> str:
 
 def _surface_two_point(ctx: Context) -> str:
     surface = intersect.surface_integrals(ctx.spec)
-    if not _times_cartan_is(surface.two_point, ctx.rs.cartan, -1):
+    if not intersect.times_is(surface.two_point, ctx.rs.cartan, -1):
         raise InternalConsistencyError("surface two-point != -C^-1")
     return "surface two-point equals -C^-1 exactly"
 

@@ -1,7 +1,8 @@
 """Small exact linear-algebra helpers over `fractions.Fraction`.
 
 Matrices are lists (or tuples) of rows; every entry is coerced to Fraction.
-Only what the package needs: products, inverses, identity.
+The tests' dense oracle: no command runs it, and `qmckay.cli` registers it
+only for perfbench's tracer, which wraps `mat_inverse`.
 """
 
 from __future__ import annotations

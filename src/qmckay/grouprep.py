@@ -65,7 +65,7 @@ from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
 
-from .errors import ConfigurationError, InternalConsistencyError
+from .errors import ConfigurationError, InternalConsistencyError, as_int
 from .modular import conjugates, integer, lift
 from .records import record
 from .rootsys import ADEType, cartan_matrix, root_system
@@ -89,6 +89,7 @@ class GroupSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("cyclic", "dihedral", *EXCEPTIONAL):
             raise ConfigurationError(f"unknown group family {self.kind!r}")
+        as_int(self.parameter, "a group parameter")
         if self.kind in EXCEPTIONAL and self.parameter != 0:
             raise ConfigurationError(f"{self.kind} takes no parameter")
         if self.kind not in EXCEPTIONAL and self.parameter < 2:

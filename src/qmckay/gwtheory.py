@@ -25,24 +25,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import index
 from types import MappingProxyType
 
 from . import series  # read through the module: a deferred `series` runs only when used
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_int
 from .grouprep import GroupSpec, correspondence, root_fibers
 from .records import record
 from .rootsys import root_system
 
 CurveClass = tuple[int, ...]
-
-
-def _index(value, what: str) -> int:
-    """``value`` as an int; a non-integer such as 1.7 is refused, not truncated."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}") from None
 
 
 def q_variables(spec: GroupSpec) -> tuple[str, ...]:
@@ -54,7 +45,7 @@ def q_variables(spec: GroupSpec) -> tuple[str, ...]:
 def curve_class(spec: GroupSpec, alpha) -> CurveClass:
     """Image of a positive root: its coefficients at the non-binary nodes."""
     corr = correspondence(spec)
-    alpha = tuple(_index(a, "a root coefficient") for a in alpha)
+    alpha = tuple(as_int(a, "a root coefficient") for a in alpha)
     roots = root_system(corr.ade).positive_roots
     if alpha not in roots:
         raise ConfigurationError(f"{alpha} is not a positive root of {corr.ade}")
@@ -187,7 +178,7 @@ def _divisors_of_class(beta: CurveClass):
 
 def gw_genus0(spec: GroupSpec, beta) -> Fraction:
     """Genus-zero invariant: sum over d | beta of n0(beta/d) / d^3."""
-    beta = tuple(_index(b, "a curve class entry") for b in beta)
+    beta = tuple(as_int(b, "a curve class entry") for b in beta)
     if all(b == 0 for b in beta):
         raise ConfigurationError("the zero class has no invariant")
     fibers = root_fibers(spec)
@@ -202,10 +193,10 @@ def gw_all_genus(spec: GroupSpec, beta, g: int) -> Fraction:
 
         sum over d | beta of n0(beta/d) * [lam^(2g-2)] (1/d)(2 sin(d lam/2))^-2
     """
-    beta = tuple(_index(b, "a curve class entry") for b in beta)
+    beta = tuple(as_int(b, "a curve class entry") for b in beta)
     if all(b == 0 for b in beta):
         raise ConfigurationError("the zero class has no invariant")
-    g = _index(g, "the genus")
+    g = as_int(g, "the genus")
     if g < 0:
         raise ConfigurationError("the genus must be nonnegative")
     fibers = root_fibers(spec)
@@ -231,7 +222,7 @@ def normal_bundle_type(spec: GroupSpec, rho) -> tuple[int, int]:
             raise ConfigurationError(f"{rho!r} is not a nontrivial irrep of {spec}")
         slot = corr.slot_labels.index(rho)
     else:
-        slot = _index(rho, "an irrep index")
+        slot = as_int(rho, "an irrep index")
         if not 0 <= slot < len(corr.slots):
             raise ConfigurationError(f"irrep index {slot} out of range for {spec}")
     node = corr.slot_node[slot]

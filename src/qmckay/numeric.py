@@ -19,10 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from operator import index
 
 from . import DEFAULT_DPS, _GUARD, crc
-from .errors import ConfigurationError, PoleError
+from .errors import ConfigurationError, PoleError, as_int
 from .grouprep import Cyclotomic, GroupSpec, correspondence
 from .records import record
 
@@ -189,10 +188,7 @@ def _class_index(labels: tuple[str, ...], k) -> int:
         if k not in labels:
             raise ConfigurationError(f"unknown conjugacy class {k!r}")
         return labels.index(k)
-    try:
-        k = index(k)
-    except TypeError:
-        raise ConfigurationError(f"class index {k!r} is not an integer") from None
+    k = as_int(k, "a class index")
     if not 0 <= k < len(labels):
         raise ConfigurationError(f"class index {k} out of range")
     return k

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, as_int
 from .records import record
 
 RootVector = tuple[int, ...]
@@ -36,6 +36,7 @@ class ADEType:
     def __post_init__(self) -> None:
         if self.family not in ("A", "D", "E"):
             raise ConfigurationError(f"unknown family {self.family!r}")
+        as_int(self.rank, "a rank")
         if self.family == "A" and self.rank < 1:
             raise ConfigurationError("A-type rank must be >= 1")
         if self.family == "D" and self.rank < 4:

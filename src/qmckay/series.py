@@ -45,7 +45,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 
-from .errors import ConfigurationError, InternalConsistencyError
+from .errors import ConfigurationError, InternalConsistencyError, as_int
 from .records import record
 
 LAMBDA_FLOOR = -2
@@ -65,7 +65,7 @@ class Truncation:
 
     def __post_init__(self) -> None:
         for cap in (self.q_total, self.big_q, self.lam):
-            if cap is not None and cap < 0:
+            if cap is not None and as_int(cap, "a truncation cap") < 0:
                 raise ConfigurationError("truncation caps must be nonnegative")
 
 

@@ -914,9 +914,9 @@ print(code, *(n for n in names if type(sys.modules.get("qmckay." + n)) is types.
     ("qmckay.cli", ["roots", "--group", "E8"],
      ["grouprep", "modular", "rootsys", "commands.roots"]),
     ("qmckay.cli", ["intersect", "--group", "D:4"],
-     ["exact", "grouprep", "intersect", "modular", "rootsys", "commands.intersect"]),
+     ["grouprep", "intersect", "modular", "rootsys", "commands.intersect"]),
     ("qmckay.cli", ["verify", "--group", "T"],
-     ["crc", "exact", "grouprep", "gwtheory", "intersect", "modular", "rootsys", "series",
+     ["crc", "grouprep", "gwtheory", "intersect", "modular", "rootsys", "series",
       "commands.verify"]),
     # chi_V on the order-5 classes is no integer, so it is printed through numeric.as_mpc
     ("qmckay.cli", ["group", "--group", "C:5"],

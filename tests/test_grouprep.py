@@ -37,6 +37,7 @@ from qmckay.grouprep import (
     two_cos_turn,
 )
 from qmckay.rootsys import ADEType, root_system
+from qmckay.series import MultiSeries, Truncation
 
 ALL_SPECS = (
     [GroupSpec.cyclic(k) for k in range(2, 9)]
@@ -67,6 +68,22 @@ def test_spec_validation_messages(args, message):
     with pytest.raises(ConfigurationError) as info:
         GroupSpec(*args)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GroupSpec("cyclic", 2.5),
+    lambda: correspondence(GroupSpec("cyclic", 3.0)),
+    lambda: GroupSpec("cyclic", "3"),
+    lambda: GroupSpec("tetrahedral", 0.0),
+    lambda: root_system(ADEType("A", 3.0)),
+    lambda: MultiSeries.one(("q1", "Q"), Truncation(q_total=2.5, big_q=2)),
+    lambda: Truncation(lam=Fraction(1)),
+], ids=["cyclic-2.5", "cyclic-3.0", "cyclic-str", "tetrahedral-0.0", "A-3.0", "q_total-2.5",
+        "lam-Fraction"])
+def test_non_integer_parameters_are_refused_at_construction(build):
+    # each used to construct, then fail inside a layer with a TypeError or AttributeError
+    with pytest.raises(ConfigurationError, match="integer"):
+        build()
 
 
 def test_root_system_assignment():

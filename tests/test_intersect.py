@@ -4,9 +4,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmckay.cli as cli
 import qmckay.intersect as intersect
+from qmckay.errors import ConfigurationError
 from qmckay.exact import identity, mat_inverse, mat_mul
 from qmckay.grouprep import GroupSpec, correspondence
 from qmckay.intersect import (
@@ -178,6 +181,33 @@ def test_pairing_product_is_identity_matrix():
         [list(row) for row in data.two_point],
     )
     assert product == identity(2)
+
+
+_ENTRIES = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def _times_cases(draw):
+    """(M, A, x): A square with n <= 5; M is x * A^-1 when asked for and A is
+    invertible, so that both outcomes occur, and otherwise drawn like A."""
+    n = draw(st.integers(1, 5))
+    x = draw(st.integers(-2, 2))
+    a = [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        try:
+            return [[x * v for v in row] for row in mat_inverse(a)], a, x
+        except ConfigurationError:
+            pass
+    return [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)], a, x
+
+
+@settings(max_examples=80, deadline=None)
+@given(_times_cases())
+def test_times_is_agrees_with_the_dense_oracle(case):
+    m, a, x = case
+    n = len(a)
+    assert intersect.times_is(m, a, x) == (
+        mat_mul(m, a) == [[x * (i == j) for j in range(n)] for i in range(n)])
 
 
 # -- root tensors against the dense loop ----------------------------------------
