@@ -92,13 +92,21 @@ from math import factorial, lcm, prod
 from operator import mul, or_
 
 from . import DEFAULT_DPS, _GUARD
-from .errors import ConfigurationError, InternalConsistencyError, PoleError
+from .errors import ConfigurationError, InternalConsistencyError, PoleError, as_int, dense
 from .grouprep import (
     Cyclotomic, GroupSpec, class_multiplication, correspondence, exp_turn, root_fibers,
     two_cos_turn,
 )
 from .modular import integer, lift
 from .records import record
+
+
+def _precision(dps) -> int:
+    """``dps``, the decimal digits of an mpf view, as an int of at least 1."""
+    dps = as_int(dps, "the precision")
+    if dps < 1:
+        raise ConfigurationError(f"the precision must be at least 1 digit, got {dps}")
+    return dps
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +124,7 @@ def _h_poly(n: int) -> tuple[Fraction, ...]:
     h''' = T/2 and dT/ds = -(1 + T^2)/2, so h^(n+1) = -(1 + T^2)/2 * d/dT h^(n).
     """
     global _h_tower
-    if n < 3:
+    if as_int(n, "the derivative order") < 3:
         raise ConfigurationError("derivatives of order below three are not defined")
     tower, pad = _h_tower, [Fraction(0)] * 2
     while len(tower) <= n - 3:
@@ -196,6 +204,9 @@ class PotentialSeries:
     dps: int
     rationals: dict[tuple[int, ...], Fraction]
 
+    def __post_init__(self) -> None:
+        _precision(self.dps)
+
     @cached_property
     def coefficients(self) -> dict[tuple[int, ...], mp.mpf]:
         """``rationals`` as mpf at dps plus guard digits, formed on first access."""
@@ -205,10 +216,8 @@ class PotentialSeries:
 
     def coefficient(self, exponents: dict[str, int]) -> mp.mpf:
         """One coefficient of ``rationals`` as mpf at dps plus guard digits."""
-        unknown = set(exponents) - set(self.class_labels)
-        if unknown:
-            raise ConfigurationError(f"unknown conjugacy classes {sorted(unknown)}")
-        key = tuple(exponents.get(lbl, 0) for lbl in self.class_labels)
+        key = tuple(as_int(e, "an exponent")
+                    for e in dense(exponents, self.class_labels, "conjugacy classes"))
         from .numeric import _as_mpf
 
         return _as_mpf([self.rationals.get(key, 0)], self.dps)[0]
@@ -378,6 +387,7 @@ def _exact_coefficients(spec: GroupSpec, levels, terms, degree: int) -> list[Fra
 
 def orbifold_potential(spec: GroupSpec, degree: int, dps: int = DEFAULT_DPS) -> PotentialSeries:
     """Taylor coefficients of F(x) up to the given total degree (>= 3), exact."""
+    degree = as_int(degree, "the degree")
     if degree < 3:
         raise ConfigurationError("the potential starts at degree three")
     levels, terms = _monomial_tree(spec, degree)

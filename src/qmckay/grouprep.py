@@ -472,6 +472,8 @@ def age(exponents: tuple[int, int, int], modulus: int) -> Fraction:
 
     Requires 0 <= k_i < modulus and k1+k2+k3 = 0 mod modulus (determinant 1).
     """
+    modulus = as_int(modulus, "the modulus")
+    exponents = tuple(as_int(k, "an eigenvalue exponent") for k in exponents)
     if modulus < 1:
         raise ConfigurationError("modulus must be a positive integer")
     if len(exponents) != 3 or any(not (0 <= k < modulus) for k in exponents):

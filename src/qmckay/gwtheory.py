@@ -13,7 +13,9 @@ Conventions:
 
 * A curve class is a tuple of nonnegative integers over Irr*(G) in the
   canonical ordering (dimension, then table position); the q-variables
-  q1..qr follow the same ordering.
+  q1..qr follow the same ordering.  `gw_genus0` and `gw_all_genus` read
+  their class through one reader, which refuses a class of the wrong
+  length, a negative entry and the zero class.
 * The partition-function variable Q is formal.  The genus parameter enters
   only through `gw_all_genus`, which converts BPS counts to fixed-genus
   invariants by exact divisor sums against sine-power expansions; no
@@ -28,7 +30,7 @@ from math import gcd
 from types import MappingProxyType
 
 from . import series  # read through the module: a deferred `series` runs only when used
-from .errors import ConfigurationError, as_int
+from .errors import ConfigurationError, as_int, position
 from .grouprep import GroupSpec, correspondence, root_fibers
 from .records import record
 from .rootsys import root_system
@@ -176,12 +178,23 @@ def _divisors_of_class(beta: CurveClass):
             yield d
 
 
+def _read_class(spec: GroupSpec, beta) -> tuple[CurveClass, dict[CurveClass, int]]:
+    """``beta`` as a curve class of ``spec``, one nonnegative integer per
+    Irr*(G) slot and not all zero, with the `root_fibers` table it indexes."""
+    fibers = root_fibers(spec)
+    beta = tuple(as_int(b, "a curve class entry") for b in beta)
+    width = len(next(iter(fibers)))
+    if len(beta) != width or min(beta) < 0:
+        raise ConfigurationError(
+            f"a curve class of {spec} is {width} nonnegative integers, got {beta}")
+    if not any(beta):
+        raise ConfigurationError("the zero class has no invariant")
+    return beta, fibers
+
+
 def gw_genus0(spec: GroupSpec, beta) -> Fraction:
     """Genus-zero invariant: sum over d | beta of n0(beta/d) / d^3."""
-    beta = tuple(as_int(b, "a curve class entry") for b in beta)
-    if all(b == 0 for b in beta):
-        raise ConfigurationError("the zero class has no invariant")
-    fibers = root_fibers(spec)
+    beta, fibers = _read_class(spec, beta)
     total = Fraction(0)
     for d in _divisors_of_class(beta):
         total += Fraction(fibers.get(tuple(b // d for b in beta), 0), 2 * d ** 3)  # n0 = f/2
@@ -193,13 +206,10 @@ def gw_all_genus(spec: GroupSpec, beta, g: int) -> Fraction:
 
         sum over d | beta of n0(beta/d) * [lam^(2g-2)] (1/d)(2 sin(d lam/2))^-2
     """
-    beta = tuple(as_int(b, "a curve class entry") for b in beta)
-    if all(b == 0 for b in beta):
-        raise ConfigurationError("the zero class has no invariant")
+    beta, fibers = _read_class(spec, beta)
     g = as_int(g, "the genus")
     if g < 0:
         raise ConfigurationError("the genus must be nonnegative")
-    fibers = root_fibers(spec)
     order = max(2 * g - 2, 0)
     total = Fraction(0)
     for d in _divisors_of_class(beta):
@@ -217,15 +227,7 @@ def normal_bundle_type(spec: GroupSpec, rho) -> tuple[int, int]:
     curve.  ``rho`` is an Irr*(G) label or its index in the canonical order.
     """
     corr = correspondence(spec)
-    if isinstance(rho, str):
-        if rho not in corr.slot_labels:
-            raise ConfigurationError(f"{rho!r} is not a nontrivial irrep of {spec}")
-        slot = corr.slot_labels.index(rho)
-    else:
-        slot = as_int(rho, "an irrep index")
-        if not 0 <= slot < len(corr.slots):
-            raise ConfigurationError(f"irrep index {slot} out of range for {spec}")
-    node = corr.slot_node[slot]
+    node = corr.slot_node[position(corr.slot_labels, rho, "nontrivial irrep")]
     cartan = root_system(corr.ade).cartan
     k = sum(
         1

@@ -11,7 +11,10 @@ back from a decimal.  mpmath is imported by the functions that form an mpf,
 not by this module.  `crc` keeps the exact layer and reads these names from
 here on first access (PEP 562), so a request that forms no mpf never
 compiles them; `crc` itself is reached through its module attribute, so
-`as_mpc` (the chi_V column of `group`) runs without it.
+`as_mpc` (the chi_V column of `group`) runs without it.  Every precision
+opens mpmath's context through `_guarded`, which refuses a dps that is not
+an integer of at least 1; a class argument is a label or an index
+(`errors.position`), and x is a sparse {label: value} map (`errors.dense`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from . import DEFAULT_DPS, _GUARD, crc
-from .errors import ConfigurationError, PoleError, as_int
+from .errors import ConfigurationError, PoleError, as_int, dense, position
 from .grouprep import Cyclotomic, GroupSpec, correspondence
 from .records import record
 
@@ -35,16 +38,23 @@ __all__ = [
 def _near_pole(cos_value, dps: int) -> bool:
     import mpmath as mp
 
-    # 10^-(dps - _GUARD), but never coarser than 10^-(dps // 2), so that
-    # ordinary points still evaluate at low precision
-    return abs(cos_value) < mp.mpf(10) ** -max(dps - _GUARD, dps // 2)
+    # 10^-(dps - _GUARD), but never coarser than 10^-(dps // 2) or 10^-1, so
+    # that ordinary points still evaluate at low precision
+    return abs(cos_value) < mp.mpf(10) ** -max(dps - _GUARD, dps // 2, 1)
+
+
+def _guarded(dps: int):
+    """mpmath's working context at dps plus guard digits; dps must be an integer >= 1."""
+    import mpmath as mp
+
+    return mp.workdps(crc._precision(dps) + _GUARD)
 
 
 def _as_mpf(values, dps: int) -> list:
     """Exact rationals as mpf at dps plus guard digits."""
     import mpmath as mp
 
-    with mp.workdps(dps + _GUARD):
+    with _guarded(dps):
         return [mp.mpf(v.numerator) / v.denominator for v in values]
 
 
@@ -71,7 +81,7 @@ def h_derivative(n: int, s, dps: int = DEFAULT_DPS):
     import mpmath as mp
 
     poly = crc._h_poly(n)  # refuses n < 3 before s is read
-    with mp.workdps(dps + _GUARD):
+    with _guarded(dps):
         s = mp.mpf(s)
         if not mp.isfinite(s):
             raise ConfigurationError(f"h^({n}) needs a finite point, got s = {s}")
@@ -130,7 +140,7 @@ def linear_forms(spec: GroupSpec, dps: int = DEFAULT_DPS) -> FormSystem:
 
     corr = correspondence(spec)
     g = corr.group
-    with mp.workdps(dps + _GUARD):
+    with _guarded(dps):
         forms = tuple(
             LinearForm(
                 irrep=label,
@@ -163,7 +173,7 @@ def _root_forms(spec: GroupSpec, dps: int) -> tuple[FormSystem, tuple[_RootForm,
 
     system = linear_forms(spec, dps)
     columns = list(zip(*(form.coefficients for form in system.forms)))  # L_s(C) per class
-    with mp.workdps(dps + _GUARD):
+    with _guarded(dps):
         roots = tuple(
             _RootForm(multiplicity=fiber, dim_sum=dim_sum, coefficients=tuple(
                 sum(b * f for b, f in zip(beta, column) if b) for column in columns))
@@ -178,20 +188,9 @@ def taylor_third_partial(potential: crc.PotentialSeries, k, k2, k3) -> mp.mpf:
     labels = potential.class_labels
     key = [0] * len(labels)
     for kk in (k, k2, k3):
-        key[_class_index(labels, kk)] += 1
+        key[position(labels, kk, "conjugacy class")] += 1
     value = potential.rationals.get(tuple(key), 0) * prod(map(factorial, key))
     return _as_mpf([value], potential.dps)[0]
-
-
-def _class_index(labels: tuple[str, ...], k) -> int:
-    if isinstance(k, str):
-        if k not in labels:
-            raise ConfigurationError(f"unknown conjugacy class {k!r}")
-        return labels.index(k)
-    k = as_int(k, "a class index")
-    if not 0 <= k < len(labels):
-        raise ConfigurationError(f"class index {k} out of range")
-    return k
 
 
 def third_partial(spec: GroupSpec, k, k2, k3, x=None, dps: int = DEFAULT_DPS):
@@ -207,13 +206,10 @@ def third_partial(spec: GroupSpec, k, k2, k3, x=None, dps: int = DEFAULT_DPS):
     system, roots = _root_forms(spec, dps)
     order = correspondence(spec).group.order
     labels = system.class_labels
-    idx = [_class_index(labels, kk) for kk in (k, k2, k3)]
+    idx = [position(labels, kk, "conjugacy class") for kk in (k, k2, k3)]
     x = dict(x or {})
-    unknown = set(x) - set(labels)
-    if unknown:
-        raise ConfigurationError(f"unknown conjugacy classes {sorted(unknown)}")
-    with mp.workdps(dps + _GUARD):
-        xvec = [mp.mpf(x.get(lbl, 0)) for lbl in labels]
+    with _guarded(dps):
+        xvec = [mp.mpf(v) for v in dense(x, labels, "conjugacy classes")]
         if not all(map(mp.isfinite, xvec)):
             raise ConfigurationError(f"third partial needs finite x, got {x}")
         total = mp.mpc(0)
@@ -246,7 +242,7 @@ def b_series(spec: GroupSpec, n_terms: int, dps: int = DEFAULT_DPS) -> tuple:
     """
     if spec != GroupSpec.dihedral(3):
         raise ConfigurationError("the b-series is specific to dihedral(3)")
-    if n_terms < 1:
+    if as_int(n_terms, "the number of terms") < 1:
         raise ConfigurationError("need at least one coefficient")
     potential = crc.orbifold_potential(spec, n_terms + 2, dps)
     exact = [
@@ -283,7 +279,7 @@ def change_of_variables(spec: GroupSpec, dps: int = DEFAULT_DPS) -> ChangeOfVari
     import mpmath as mp
 
     system = linear_forms(spec, dps)
-    with mp.workdps(dps + _GUARD):
+    with _guarded(dps):
         rows = tuple(
             tuple(mp.mpc(0, 1) * c for c in form.coefficients) for form in system.forms
         )
@@ -309,7 +305,7 @@ def resolution_third_partials(spec: GroupSpec, dps: int = DEFAULT_DPS) -> dict:
     import mpmath as mp
 
     exact = crc._resolution_rationals(spec)
-    with mp.workdps(dps + _GUARD):
+    with _guarded(dps):
         return {t: mp.mpc(mp.mpf(v.numerator) / v.denominator) for t, v in exact.items()}
 
 
@@ -317,14 +313,19 @@ def rational_guess(value, max_denominator: int = 10 ** 6, dps: int = DEFAULT_DPS
     """A small rational within 1e-20 of the value, or None.
 
     The candidate comes from a continued-fraction pass on the exact binary
-    value; acceptance is decided at full precision.  A value whose last
-    place at that precision is coarser than 1e-20 gets None, because being
-    within 1e-20 of a rational says nothing about it.
+    value; acceptance is decided at full precision.  A value that is not
+    finite gets None, and so does one whose last place at that precision is
+    coarser than 1e-20, because being within 1e-20 of a rational says
+    nothing about it.
     """
     import mpmath as mp
 
-    with mp.workdps(dps + _GUARD):
+    if as_int(max_denominator, "the largest denominator") < 1:
+        raise ConfigurationError("the largest denominator must be at least 1")
+    with _guarded(dps):
         value = mp.mpf(value)
+        if not mp.isfinite(value):
+            return None
         if value and mp.ldexp(1, mp.mag(value) - mp.mp.prec) > mp.mpf("1e-20"):
             return None
         exact = Fraction(*mp.libmp.to_rational(value._mpf_))

@@ -45,7 +45,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 
-from .errors import ConfigurationError, InternalConsistencyError, as_int
+from .errors import ConfigurationError, InternalConsistencyError, as_int, dense
 from .records import record
 
 LAMBDA_FLOOR = -2
@@ -92,10 +92,7 @@ def _layout(variables, truncation, q_reach=0, big_q_reach=0) -> tuple:
 
 
 def _exponent_key(variables, exponents: Mapping[str, int]) -> tuple[int, ...]:
-    unknown = set(exponents) - set(variables)
-    if unknown:
-        raise ConfigurationError(f"unknown variables {sorted(unknown)}")
-    return tuple(exponents.get(v, 0) for v in variables)
+    return tuple(as_int(e, "an exponent") for e in dense(exponents, variables, "variables"))
 
 
 def _pack(lay, key) -> int:
@@ -476,7 +473,7 @@ def macmahon_exponent(variables, truncation, beta: Mapping[str, int]) -> MultiSe
     variables = tuple(variables)
     if "Q" not in variables:
         raise ConfigurationError("the MacMahon factor needs a Q variable")
-    beta_key = tuple(beta.get(v, 0) for v in variables)
+    beta_key = _exponent_key(variables, beta)
     beta_total = sum(
         e for v, e in zip(variables, beta_key) if v not in ("Q", "lam")
     )
@@ -510,6 +507,8 @@ def sin_power_coefficients(power: int, d: int, order: int) -> dict[int, Fraction
     Negative powers are fine (the leading exponent is ``power``); exact
     rational arithmetic throughout.
     """
+    power, order = as_int(power, "the sine power"), as_int(order, "the lambda order")
+    d = as_int(d, "the cover degree")
     if d < 1:
         raise ConfigurationError("the cover degree d must be positive")
     if order < power:
@@ -558,6 +557,8 @@ def sin_power_expansion(d: int, g: int, lambda_order: int) -> MultiSeries:
     The degree-d, genus-g multiple-cover kernel: at g = 0 the leading term
     is lam^-2/d^3, at g = 1 the series is the constant 1/d.
     """
+    d, g = as_int(d, "the cover degree"), as_int(g, "the genus")
+    lambda_order = as_int(lambda_order, "the lambda order")
     if g < 0:
         raise ConfigurationError("the genus must be nonnegative")
     if lambda_order < 0 or lambda_order % 2:
