@@ -13,14 +13,17 @@ fills one column per variable, 0 where absent.  Text is for reading, and
 its lines are likewise built only when text is asked for.
 
 This module is the plumbing: the parser, the group grammar, the precision,
-rendering and exit codes.  Each report is built by its command's module in
-`qmckay.commands`, which `COMMANDS` imports only when that command runs.
+rendering and exit codes.  Each subcommand is one row of `SUBCOMMANDS`,
+which the parser, the bounds check and `COMMANDS` read; `COMMANDS` imports
+the command's module in `qmckay.commands` only when that command runs.
 
-Exit codes: 0 success, 1 verification failure, 2 bad arguments (a precision
-outside 10..4000 digits, an --output path that cannot be written) or out of
-memory, 3 unsupported group, 4 internal consistency failure (rounding
-residual, tan pole, broken invariant) or any other unexpected error, each
-reported as one stderr line.
+Exit codes: 0 success, 1 verification failure, 2 bad arguments (a flag below
+its least value, a precision outside 10..4000 digits, an --output path that
+cannot be written) or out of memory, 3 unsupported group, 4 internal
+consistency failure (rounding residual, tan pole, broken invariant) or any
+other unexpected error, each reported as one stderr line.  The bounds, the
+group and the precision are checked in that order, and the first bad one
+is the one reported.
 
 Group grammar: "C:k" (cyclic, k >= 2), "D:m" (dihedral, m >= 2), "T", "O",
 "I", or a root-system alias "A3", "D5", "E6", ...  An A-alias names the
@@ -141,11 +144,33 @@ def _builder(module: str, command: str):
     return build
 
 
-COMMANDS = {command: _builder(module, command) for command, module in (
-    ("roots", "roots"), ("group", "group"), ("bps", "bps"), ("gw", "gw"),
-    ("partition", "partition"), ("dt", "partition"), ("intersect", "intersect"),
-    ("crc", "crc"), ("verify", "verify"),
-)}
+# the integer flags of partition, dt and verify
+SERIES_FLAGS = (
+    ("--max-q-degree", 4, 0, "total degree cap on the curve-class variables q_i"),
+    ("--q-series-degree", 4, 0, "degree cap on the box-counting variable Q"),
+)
+
+# per subcommand, in --help order: name, module under qmckay.commands, help,
+# and its integer flags as (flag, default, least value, help)
+SUBCOMMANDS = (
+    ("roots", "roots", "positive roots of the associated ADE system", ()),
+    ("group", "group", "character and McKay-correspondence data", ()),
+    ("bps", "bps", "genus-zero BPS table", ()),
+    ("gw", "gw", "Gromov-Witten invariants per curve class", (
+        ("--max-q-degree", 4, 0, "total degree cap on the curve classes listed"),
+        ("--lambda-order", 4, 0, "largest lambda power reported"),
+    )),
+    ("partition", "partition", "reduced GW partition function", SERIES_FLAGS),
+    ("dt", "partition", "reduced DT (box-counting) series", SERIES_FLAGS),
+    ("intersect", "intersect", "equivariant intersection numbers", ()),
+    ("crc", "crc", "orbifold potential Taylor coefficients", (
+        ("--degree", 4, 3, "highest total degree of reported coefficients (>= 3)"),
+    )),
+    ("verify", "verify", "run the invariant suite for one group", SERIES_FLAGS),
+)
+
+COMMANDS = {name: _builder(module, name) for name, module, _, _ in SUBCOMMANDS}
+_INT_FLAGS = {name: flags for name, _, _, flags in SUBCOMMANDS}
 
 
 # ---------------------------------------------------------------------------
@@ -159,79 +184,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum McKay correspondence data for polyhedral singularities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    precision_help = (
+        f"digits crc prints of its exact coefficients (at most 30), "
+        f"{MIN_PRECISION} to {MAX_PRECISION} (default ${PRECISION_ENV} or {DEFAULT_DPS})"
+    )
+    for name, _, summary, flags in SUBCOMMANDS:
+        p = sub.add_parser(name, help=summary)
         p.add_argument(
             "--group", required=True,
             help="C:k, D:m, T, O, I, or root-system alias (A3 = C:2, D5 = D:3, E6 = T)",
         )
-        p.add_argument(
-            "--precision", type=int, default=None,
-            help=(
-                f"digits crc prints of its exact coefficients (at most 30), "
-                f"{MIN_PRECISION} to {MAX_PRECISION} "
-                f"(default ${PRECISION_ENV} or {DEFAULT_DPS})"
-            ),
-        )
+        p.add_argument("--precision", type=int, default=None, help=precision_help)
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--output", default=None, help="write the report to a file")
-
-    def series_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--max-q-degree", type=int, default=4,
-            help="total degree cap on the curve-class variables q_i",
-        )
-        p.add_argument(
-            "--q-series-degree", type=int, default=4,
-            help="degree cap on the box-counting variable Q",
-        )
-
-    common(sub.add_parser("roots", help="positive roots of the associated ADE system"))
-    common(sub.add_parser("group", help="character and McKay-correspondence data"))
-    common(sub.add_parser("bps", help="genus-zero BPS table"))
-
-    gw = sub.add_parser("gw", help="Gromov-Witten invariants per curve class")
-    common(gw)
-    gw.add_argument(
-        "--max-q-degree", type=int, default=4,
-        help="total degree cap on the curve classes listed",
-    )
-    gw.add_argument(
-        "--lambda-order", type=int, default=4,
-        help="largest lambda power reported",
-    )
-
-    partition = sub.add_parser("partition", help="reduced GW partition function")
-    common(partition)
-    series_flags(partition)
-    dt = sub.add_parser("dt", help="reduced DT (box-counting) series")
-    common(dt)
-    series_flags(dt)
-
-    common(sub.add_parser("intersect", help="equivariant intersection numbers"))
-
-    crc_cmd = sub.add_parser("crc", help="orbifold potential Taylor coefficients")
-    common(crc_cmd)
-    crc_cmd.add_argument(
-        "--degree", type=int, default=4,
-        help="highest total degree of reported coefficients (>= 3)",
-    )
-
-    verify = sub.add_parser("verify", help="run the invariant suite for one group")
-    common(verify)
-    series_flags(verify)
+        for flag, default, _, text in flags:
+            p.add_argument(flag, type=int, default=default, help=text)
     return parser
 
 
-def _validate_bounds(args) -> str | None:
-    for name in ("max_q_degree", "q_series_degree", "lambda_order"):
-        value = getattr(args, name, None)
-        if value is not None and value < 0:
-            return f"--{name.replace('_', '-')} must be nonnegative"
-    degree = getattr(args, "degree", None)
-    if degree is not None and degree < 3:
-        return "--degree must be at least 3"
-    return None
+def _validate_bounds(args) -> None:
+    """Raise ValueError for the first integer flag of the request's row
+    that lies below its least value."""
+    for flag, _, least, _ in _INT_FLAGS[args.command]:
+        if getattr(args, flag[2:].replace("-", "_")) < least:
+            raise ValueError(f"{flag} must be " + (
+                "nonnegative" if least == 0 else f"at least {least}"))
 
 
 def _resolve_precision(args) -> int:
@@ -331,22 +308,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ARGS
 
-    problem = _validate_bounds(args)
-    if problem:
-        print(f"qmckay: {problem}", file=sys.stderr)
-        return EXIT_ARGS
-
     try:
+        _validate_bounds(args)
         spec = parse_group(args.group)
+        args.precision = _resolve_precision(args)
     except UnsupportedGroupError as exc:
         print(f"qmckay: unsupported group: {exc}", file=sys.stderr)
         return EXIT_GROUP
-    except ValueError as exc:
-        print(f"qmckay: {exc}", file=sys.stderr)
-        return EXIT_ARGS
-
-    try:
-        args.precision = _resolve_precision(args)
     except ValueError as exc:
         print(f"qmckay: {exc}", file=sys.stderr)
         return EXIT_ARGS

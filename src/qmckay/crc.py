@@ -387,6 +387,7 @@ def _exact_coefficients(spec: GroupSpec, levels, terms, degree: int) -> list[Fra
 
 def orbifold_potential(spec: GroupSpec, degree: int, dps: int = DEFAULT_DPS) -> PotentialSeries:
     """Taylor coefficients of F(x) up to the given total degree (>= 3), exact."""
+    _precision(dps)  # before the lift, which a bad dps would only waste
     degree = as_int(degree, "the degree")
     if degree < 3:
         raise ConfigurationError("the potential starts at degree three")
@@ -460,12 +461,14 @@ def crc_consistency(spec: GroupSpec, dps: int = DEFAULT_DPS) -> Fraction:
     degree-3 coefficients of `orbifold_potential` times prod e_i!, that is
     (1/4) * sum over roots of l_k l_k' l_k'' * cot(theta0/2), and 0 on the
     triples the selection rule excludes.  Both sides are `Fraction`s, and so
-    is the residual returned: exactly 0 when they agree, at any ``dps``.  By the identity
-    (1+w)/(1-w) = i*cot(theta/2) they agree as soon as the cubic is
-    (1/4) * sum over roots of r (x) r (x) r, so 0 confirms that identity and
-    the cubic's definition, not the correspondence independently.  A
+    is the residual returned: exactly 0 when they agree, at any valid
+    ``dps``.  By the identity (1+w)/(1-w) = i*cot(theta/2) they agree as
+    soon as the cubic is (1/4) * sum over roots of r (x) r (x) r, so 0
+    confirms that identity and the cubic's definition, not the
+    correspondence independently.  A
     resolution side that is not rational fails its witness prime, which
     raises InternalConsistencyError."""
+    _precision(dps)
     orbifold = orbifold_potential(spec, 3).rationals
     n = len(correspondence(spec).group.classes) - 1
     worst = Fraction(0)

@@ -304,6 +304,7 @@ def resolution_third_partials(spec: GroupSpec, dps: int = DEFAULT_DPS) -> dict:
     """
     import mpmath as mp
 
+    crc._precision(dps)
     exact = crc._resolution_rationals(spec)
     with _guarded(dps):
         return {t: mp.mpc(mp.mpf(v.numerator) / v.denominator) for t, v in exact.items()}

@@ -110,8 +110,11 @@ class MultiSeries:
     """A truncated series: mapping from exponent tuples to Fractions.
 
     Construct through `zero`, `one`, `monomial` or `from_terms`; instances
-    are immutable by convention (no mutating API).  ``_parts`` maps grade
-    triples to {packed key: numerator over ``_den``}.
+    are immutable by convention (no mutating API).  A given key with a
+    negative q or Q exponent or a lam exponent below -2 is a
+    ConfigurationError; a product that falls below the lam floor is an
+    InternalConsistencyError.  ``_parts`` maps grade triples to {packed
+    key: numerator over ``_den``}.
     """
 
     __slots__ = ("variables", "truncation", "_lay", "_parts", "_den")
@@ -132,9 +135,9 @@ class MultiSeries:
                 continue
             grades = self._grades(key)
             if any(e < 0 for v, e in zip(variables, key) if v != "lam"):
-                raise InternalConsistencyError("negative exponent in a q or Q variable")
+                raise ConfigurationError("negative exponent in a q or Q variable")
             if grades[2] < LAMBDA_FLOOR:
-                raise InternalConsistencyError(
+                raise ConfigurationError(
                     f"lambda exponent {grades[2]} fell below {LAMBDA_FLOOR}")
             if all(cap is None or d <= cap for d, cap in zip(grades, caps)):
                 kept.setdefault(grades, {})[key] = coeff

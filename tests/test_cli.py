@@ -169,6 +169,43 @@ def test_negative_cap_exits_two(capsys):
     assert code == EXIT_ARGS
 
 
+# every integer flag of every subcommand: the value just below its least
+# value, and the one stderr line that value gets
+BOUNDS = {
+    ("gw", "--max-q-degree"): (-1, "qmckay: --max-q-degree must be nonnegative"),
+    ("gw", "--lambda-order"): (-1, "qmckay: --lambda-order must be nonnegative"),
+    ("crc", "--degree"): (2, "qmckay: --degree must be at least 3"),
+    **{(command, flag): (-1, f"qmckay: {flag} must be nonnegative")
+       for command in ("partition", "dt", "verify")
+       for flag in ("--max-q-degree", "--q-series-degree")},
+}
+
+
+def test_the_subcommand_table_is_the_one_list():
+    names = [name for name, _, _, _ in cli.SUBCOMMANDS]
+    assert names == ["roots", "group", "bps", "gw", "partition", "dt", "intersect", "crc",
+                     "verify"]
+    assert set(names) == set(BY_COMMAND) == set(cli.COMMANDS)
+    (choices,) = [action.choices for action in cli.build_parser()._actions
+                  if isinstance(action.choices, dict)]
+    assert list(choices) == names
+    assert {(name, flag) for name, _, _, flags in cli.SUBCOMMANDS
+            for flag, _, _, _ in flags} == set(BOUNDS)
+
+
+@pytest.mark.parametrize("command, flag", sorted(BOUNDS))
+def test_each_integer_flag_is_refused_below_its_least_value(capsys, command, flag):
+    below, line = BOUNDS[command, flag]
+    argv = [command, "--group", "C:2", flag]
+    assert run(capsys, argv + [str(below)]) == (EXIT_ARGS, "", line + "\n")
+    assert cli._validate_bounds(cli.build_parser().parse_args(argv + [str(below + 1)])) is None
+
+
+def test_the_first_bad_flag_of_the_row_is_the_one_reported(capsys):
+    argv = ["gw", "--group", "C:1", "--lambda-order", "-1", "--max-q-degree", "-1"]
+    assert run(capsys, argv) == (EXIT_ARGS, "", "qmckay: --max-q-degree must be nonnegative\n")
+
+
 def test_verify_lambda_order_is_deprecated(capsys):
     # removed after its deprecation: argparse now refuses the flag
     base = ["verify", "--group", "C:2", "--max-q-degree", "1", "--q-series-degree", "1"]

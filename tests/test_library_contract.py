@@ -2,8 +2,11 @@
 function raises ConfigurationError, never a bare TypeError, IndexError,
 AttributeError or PoleError from inside a layer, and never a value."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache, partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,7 @@ D3, T = GroupSpec.dihedral(3), GroupSpec.tetrahedral()
 SPECS = st.sampled_from([D3, T])
 NOT_INTS = st.sampled_from([1.5, 3.0])
 NEGATIVE = st.integers(-5, -1)
-BAD_DPS = st.sampled_from([-5, 0, 1.5, 3.0])
+BAD_DPS = st.sampled_from([-5, 0, 1.5, 3.0, "x"])
 VARS, TR = ("q1", "q2", "Q", "lam"), Truncation(q_total=3, big_q=3, lam=2)
 
 
@@ -66,6 +69,13 @@ def bad_exponents(names):
         st.builds(lambda name, e: {name: e}, st.sampled_from(names), NOT_INTS))
 
 
+def bad_keys():
+    """A negative q or Q exponent, or a lam exponent below the floor -2."""
+    return st.one_of(
+        st.builds(lambda name, e: {name: e}, st.sampled_from(VARS[:3]), NEGATIVE),
+        st.integers(-6, -3).map(lambda e: {"lam": e}))
+
+
 @st.composite
 def class_triples(draw, labels):
     """Three class arguments, one of them malformed."""
@@ -104,10 +114,16 @@ MALFORMED = {
         lambda e: partial(MultiSeries.one(VARS, TR).coefficient, e)),
     "MultiSeries.monomial": bad_exponents(VARS).map(
         lambda e: partial(MultiSeries.monomial, VARS, TR, e)),
+    "MultiSeries.__init__": bad_keys().map(
+        lambda e: partial(MultiSeries.monomial, VARS, TR, e)),
     "orbifold_potential": SPECS.flatmap(lambda spec: st.one_of(
         st.one_of(NOT_INTS, st.integers(-3, 2)).map(
             lambda degree: partial(crc.orbifold_potential, spec, degree)),
         BAD_DPS.map(lambda dps: partial(crc.orbifold_potential, spec, 3, dps)))),
+    "crc_consistency": SPECS.flatmap(lambda spec: BAD_DPS.map(
+        lambda dps: partial(crc.crc_consistency, spec, dps))),
+    "resolution_third_partials": SPECS.flatmap(lambda spec: BAD_DPS.map(
+        lambda dps: partial(numeric.resolution_third_partials, spec, dps))),
     "h_derivative": st.one_of(
         st.one_of(NOT_INTS, st.integers(-3, 2)).map(
             lambda n: partial(numeric.h_derivative, n, 0.5)),
@@ -140,13 +156,25 @@ MALFORMED = {
 }
 
 
+def _unreachable(*args):
+    raise AssertionError("a malformed argument reached an exact lift")
+
+
+def refuse(call):
+    """Assert that ``call`` raises ConfigurationError before either exact
+    lift of `qmckay.crc` runs: a refusal after the lift is a late one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crc, "_monomial_tree", _unreachable)
+        patch.setattr(crc, "_resolution_rationals", _unreachable)
+        with pytest.raises(ConfigurationError):
+            call()
+
+
 @pytest.mark.parametrize("entry", list(MALFORMED))
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_a_malformed_argument_raises_configuration_error(entry, data):
-    call = data.draw(MALFORMED[entry], label="call")
-    with pytest.raises(ConfigurationError):
-        call()
+    refuse(data.draw(MALFORMED[entry], label="call"))
 
 
 REPROS = {
@@ -166,13 +194,23 @@ REPROS = {
     "orbifold_potential-dps-minus-5": lambda: crc.orbifold_potential(D3, 4, -5).jsonable(),
     "third_partial-dps-0": lambda: numeric.third_partial(D3, 0, 0, 0, dps=0),
     "h_derivative-dps-minus-3": lambda: numeric.h_derivative(3, 0.5, dps=-3),
+    "orbifold_potential-D24-dps-0": lambda: crc.orbifold_potential(
+        GroupSpec.dihedral(24), 6, 0),
+    "crc_consistency-dps-0": lambda: crc.crc_consistency(D3, 0),
+    "crc_consistency-dps-minus-5": lambda: crc.crc_consistency(D3, -5),
+    "crc_consistency-dps-1.5": lambda: crc.crc_consistency(D3, 1.5),
+    "crc_consistency-dps-x": lambda: crc.crc_consistency(D3, "x"),
+    "resolution_third_partials-dps-0": lambda: numeric.resolution_third_partials(D3, 0),
+    "MultiSeries.monomial-negative-q": lambda: MultiSeries.monomial(
+        ("q1", "Q"), Truncation(q_total=3, big_q=3), {"q1": -1}),
+    "MultiSeries.from_terms-lam-below-floor": lambda: MultiSeries.from_terms(
+        ("lam",), Truncation(lam=4), {(-3,): 1}),
 }
 
 
 @pytest.mark.parametrize("call", REPROS.values(), ids=list(REPROS))
 def test_each_malformed_call_is_refused(call):
-    with pytest.raises(ConfigurationError):
-        call()
+    refuse(call)
 
 
 # -- well-formed calls keep their values ----------------------------------------
@@ -224,3 +262,29 @@ def test_rational_guess_of_a_non_finite_value_is_none():
     assert numeric.rational_guess(float("nan")) is None
     assert numeric.rational_guess(float("inf")) is None
     assert numeric.rational_guess(float("-inf")) is None
+
+
+# -- the test configuration reports a falsifying example ------------------------
+
+_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+"""
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    """With warnings as errors, Hypothesis's failure report must not turn a
+    third-party DeprecationWarning into an INTERNALERROR."""
+    (tmp_path / "test_fails.py").write_text(_FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider",
+         "-q", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "Falsifying example: test_fails(" in result.stdout
+    assert "INTERNALERROR" not in result.stdout + result.stderr

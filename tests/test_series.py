@@ -62,7 +62,7 @@ def test_zero_coefficients_dropped():
 
 
 def test_negative_q_exponent_raises():
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(ConfigurationError):
         MultiSeries.from_terms(VARS, TR, {(-1, 0, 0): 1})
 
 
@@ -70,7 +70,7 @@ def test_lambda_floor_is_minus_two():
     tr = Truncation(lam=4)
     ok = MultiSeries.from_terms(("lam",), tr, {(-2,): 1})
     assert ok.coefficient({"lam": -2}) == 1
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(ConfigurationError):
         MultiSeries.from_terms(("lam",), tr, {(-3,): 1})
 
 
