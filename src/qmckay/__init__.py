@@ -20,7 +20,8 @@ __version__ = "0.1.0"
 # here, so the command line can print it without importing `qmckay.crc`
 DEFAULT_DPS = 64
 # the guard digits each mpf view works with beyond its precision; stated here,
-# so `qmckay.crc` and `qmckay.numeric` share it without importing each other
+# so `group` runs `numeric.as_mpc` without executing `qmckay.crc`, which
+# `numeric` reaches only through its module attribute
 _GUARD = 10
 
 # each public name, by the module that defines it

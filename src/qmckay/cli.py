@@ -83,8 +83,8 @@ crc, exact, grouprep, gwtheory, intersect, modular, numeric, rootsys, series = m
 
 PRECISION_ENV = "QMCKAY_PRECISION"
 MIN_PRECISION = 10
-# crc rounds its exact coefficients to precision + 10 digits before it
-# prints them; the cap keeps that rounding bounded
+# crc rounds its exact coefficients to precision + `qmckay._GUARD` digits
+# before it prints them; the cap keeps that rounding bounded
 MAX_PRECISION = 4_000
 
 

@@ -17,6 +17,10 @@ Character tables are closed-form and parametric in the family parameter.
 Each builder writes the binary group's table; the rotation group's table is
 read off it, since G = G^/{1, z}: the irreps of G are those of G^ that pull
 back, and G's row of each is its G^ row at one preimage of every class.
+A builder states G^'s classes and table and one (label, turn) pair per G
+class, nothing more: each G class's size, element order and inverse are
+read off the G^ classes over it, each irrep's dimension is its character
+at the identity, and each group's order is the spec's (doubled for G^).
 Every entry, and chi_V and chi_U, is stored exactly as a `Cyclotomic`: an
 element of Z[zeta_N] with one N per group (2k for cyclic(k), lcm(2m, 4) for
 dihedral(m), 12, 24 and 60 for the exceptional groups), written through
@@ -531,25 +535,24 @@ def _exact(value, n: int) -> Cyclotomic:
     raise InternalConsistencyError(f"entry {value!r} is not in Z[zeta_{n}]")
 
 
-def _assemble(
-    spec,
-    name,
-    order,
-    is_binary,
-    classes,
-    irreps,
-    rows,
-    chi_v,
-    chi_u,
-    inverse,
-    n,
-) -> GroupModel:
-    """Validate one group's data and store every character value in Z[zeta_n]."""
+def _assemble(spec, name, classes, labels, rows, inverse, n, chi_v=None, chi_u=None) -> GroupModel:
+    """Validate one group's data and store every character value in Z[zeta_n].
+
+    The model with a defining character ``chi_u`` is the binary cover, of
+    order 2|G|; each irrep's dimension is its character at class 0, the
+    identity."""
+    is_binary = chi_u is not None
+    order = spec.order * (2 if is_binary else 1)
     classes = tuple(classes)
-    irreps = tuple(irreps)
     rows = tuple(tuple(_exact(x, n) for x in r) for r in rows)
     chi_v = tuple(_exact(x, n) for x in chi_v) if chi_v is not None else None
     chi_u = tuple(_exact(x, n) for x in chi_u) if chi_u is not None else None
+    irreps = []
+    for label, row in zip(labels, rows):
+        dim = row[0].integer_value()
+        if dim is None or dim < 1:
+            raise InternalConsistencyError(f"{name}: {label} at the identity is not a dimension")
+        irreps.append(Irrep(label, dim))
     if sum(c.size for c in classes) != order:
         raise InternalConsistencyError(f"{name}: class sizes do not sum to the order")
     if sum(r.dim * r.dim for r in irreps) != order:
@@ -570,7 +573,7 @@ def _assemble(
         order=order,
         is_binary=is_binary,
         classes=classes,
-        irreps=irreps,
+        irreps=tuple(irreps),
         table=rows,
         chi_v=chi_v,
         chi_u=chi_u,
@@ -579,55 +582,51 @@ def _assemble(
     )
 
 
-def _quotient(gh: GroupModel, name, classes, inverse, chi_v, labels=None):
-    """G = G^/{1, z} from its binary cover: the irreps of G are the irreps of
-    G^ that pull back, in G^'s order, and G's row of each is its G^ row read
-    at one preimage of every G class (``image_class``).  ``labels`` names them
-    (G^'s labels by default); ``chi_v`` is a row, or the G^ label of the
-    irrep whose row it is.  Returns G and the G^ index of each G irrep."""
+def _quotient(gh: GroupModel, name, turns, chi_v, labels=None):
+    """G = G^/{1, z} from its binary cover.  ``turns`` lists G's classes as
+    (label, turn) pairs; each class is the image (``image_class``) of the G^
+    classes over it, so its size is half theirs, its element order is the
+    turn's denominator, and its inverse is the image of their inverse.  The
+    irreps of G are the irreps of G^ that pull back, in G^'s order, and G's
+    row of each is its G^ row read at one preimage of every G class.
+    ``labels`` names them (G^'s labels by default); ``chi_v`` is a row, or
+    the G^ label of the irrep whose row it is.  Returns G and the G^ index of
+    each G irrep."""
     pulled = tuple(i for i in range(len(gh.irreps)) if _pulls_back(gh, i))
     preimage: dict[int, int] = {}
+    sizes = [0] * len(turns)
     for j, cls in enumerate(gh.classes):
         preimage.setdefault(cls.image_class, j)
-    rows = [[gh.table[i][preimage[c]] for c in range(len(classes))] for i in pulled]
+        sizes[cls.image_class] += cls.size
+    classes = [ConjClass(label, size // 2, turn.denominator, turn)
+               for (label, turn), size in zip(turns, sizes)]
+    inverse = [gh.classes[gh.inverse_class[preimage[c]]].image_class for c in range(len(turns))]
+    rows = [[gh.table[i][preimage[c]] for c in range(len(turns))] for i in pulled]
     if isinstance(chi_v, str):
         chi_v = rows[pulled.index(gh.irrep_index(chi_v))]
     labels = labels or [gh.irreps[i].label for i in pulled]
-    irreps = [Irrep(label, gh.irreps[i].dim) for label, i in zip(labels, pulled)]
-    return _assemble(
-        gh.spec, name, gh.order // 2, False, classes, irreps, rows, chi_v, None, inverse,
-        gh.table[0][0].n,
-    ), pulled
+    return _assemble(gh.spec, name, classes, labels, rows, inverse, gh.table[0][0].n, chi_v), pulled
 
 
 def _cyclic_family(k: int):
-    F = Fraction
     n = 2 * k
     # Binary group = Z_{2k}, classes g0..g(2k-1) (powers of a generator that
     # covers the rotation by one k-th turn), irreps chi0..chi(2k-1) with
     # chi_a(g^j) = zeta_2k^(a j).
-    classes_h = tuple(
-        ConjClass(f"g{j}", 1, n // gcd(j, n), None, j % k) for j in range(n)
-    )
-    irreps_h = tuple(Irrep(f"chi{a}", 1) for a in range(n))
+    classes_h = [ConjClass(f"g{j}", 1, n // gcd(j, n), None, j % k) for j in range(n)]
     rows_h = [[Cyclotomic(n, {a * j: 1}) for j in range(n)] for a in range(n)]
     chi_u = tuple(_two_cos(j, n) for j in range(n))
     inv_h = tuple((n - j) % n for j in range(n))
     gh = _assemble(
-        GroupSpec.cyclic(k), f"Z{n}", n, True, classes_h, irreps_h, rows_h, None, chi_u, inv_h,
-        n,
+        GroupSpec.cyclic(k), f"Z{n}", classes_h, [f"chi{a}" for a in range(n)], rows_h, inv_h,
+        n, chi_u=chi_u,
     )
 
     # G = Z_k, classes g0..g(k-1) (powers of the rotation by one k-th turn);
     # its chi_a is the chi_2a of Z_{2k}.  Node p carries chi(p+1) of Z_{2k}.
-    classes_g = tuple(
-        ConjClass(f"g{j}", 1, k // gcd(j, k), F(min(j, k - j), k)) for j in range(k)
-    )
+    turns = [(f"g{j}", Fraction(min(j, k - j), k)) for j in range(k)]
     chi_v = tuple(1 + _two_cos(2 * j, n) for j in range(k))
-    g, pulled = _quotient(
-        gh, f"Z{k}", classes_g, tuple((k - j) % k for j in range(k)), chi_v,
-        [f"chi{a}" for a in range(k)],
-    )
+    g, pulled = _quotient(gh, f"Z{k}", turns, chi_v, [f"chi{a}" for a in range(k)])
     return g, gh, tuple(range(1, n)), pulled
 
 
@@ -635,18 +634,13 @@ def _dihedral_family(m: int):
     F = Fraction
     even = m % 2 == 0
     n = lcm(2 * m, 4)
-    spec = GroupSpec.dihedral(m)
 
     # G = dihedral group of order 2m: rotations r^j about the main axis and m
     # half-turn flips.  Class order: e, r1..r(half or half-1), [r(half) central
     # when m is even], then the flip class(es).
-    rot = range(m // 2 + 1)
     flips = ("sv", "se") if even else ("s",)
-    classes_g = (
-        [ConjClass("e", 1, 1, F(0))]
-        + [ConjClass(f"r{j}", 1 if 2 * j == m else 2, m // gcd(j, m), F(j, m)) for j in rot[1:]]
-        + [ConjClass(s, m // len(flips), 2, F(1, 2)) for s in flips]
-    )
+    turns = ([("e", F(0))] + [(f"r{j}", F(j, m)) for j in range(1, m // 2 + 1)]
+             + [(s, F(1, 2)) for s in flips])
 
     # Binary group: order 4m with presentation x^(2m) = e, y^2 = x^m,
     # y x y^-1 = x^-1.  Classes: e, z = x^m, {x^j, x^-j} for j = 1..m-1,
@@ -657,38 +651,37 @@ def _dihedral_family(m: int):
     classes_h = (
         [ConjClass("e", 1, 1, None, 0), ConjClass("z", 1, 2, None, 0)]
         + [ConjClass(f"x{j}", 2, 2 * m // gcd(j, 2 * m), None, min(j, m - j)) for j in range(1, m)]
-        + [ConjClass("ya", m, 4, None, len(rot)), ConjClass("yb", m, 4, None, len(classes_g) - 1)]
+        + [ConjClass("ya", m, 4, None, len(turns) - len(flips)),
+           ConjClass("yb", m, 4, None, len(turns) - 1)]
     )
     x_signs = [(-1) ** j for j in (0, m, *range(1, m))]  # x-exponents of e, z, x1, ...
     a, b = (1, -1) if even else (exp_turn(F(1, 4), n), exp_turn(F(3, 4), n))  # psi1 at ya, yb
     table_h = [
-        (Irrep("triv", 1), [1] * (m + 3)),
-        (Irrep("sgn", 1), [1] * (m + 1) + [-1, -1]),
-        (Irrep("psi1", 1), x_signs + [a, b]),
-        (Irrep("psi2", 1), x_signs + [b, a]),
+        ("triv", [1] * (m + 3)),
+        ("sgn", [1] * (m + 1) + [-1, -1]),
+        ("psi1", x_signs + [a, b]),
+        ("psi2", x_signs + [b, a]),
     ] + [
         # rho_i(z) = 2(-1)^i is written as an int: for odd i, _two_cos
         # would store the equal value 2 zeta^(N/2), whose terms differ
-        (
-            Irrep(f"rho{i}", 2),
-            [2, 2 * (-1) ** i] + [_two_cos(i * j * n // (2 * m), n) for j in range(1, m)] + [0, 0],
-        )
+        (f"rho{i}", [2, 2 * (-1) ** i] + [_two_cos(i * j * n // (2 * m), n) for j in range(1, m)]
+         + [0, 0])
         for i in range(1, m)
     ]
-    irreps_h, rows_h = zip(*table_h)
+    labels_h, rows_h = zip(*table_h)
     inv_h = list(range(m + 3))
     if not even:
         inv_h[-2:] = [m + 2, m + 1]
     gh = _assemble(  # rho1 is the defining 2-dimensional representation
-        spec, f"D{m}^", 4 * m, True, classes_h, irreps_h, rows_h, None, rows_h[4], inv_h, n,
+        GroupSpec.dihedral(m), f"D{m}^", classes_h, labels_h, rows_h, inv_h, n, chi_u=rows_h[4],
     )
 
     # G's irreps, pulled back in order: triv, sgn, [psi1, psi2 when m is
     # even], and rho1, rho2, ... from the binary rho2, rho4, ...
     labels = ["triv", "sgn"] + (["psi1", "psi2"] if even else [])
     labels += [f"rho{i}" for i in range(1, (m - 1) // 2 + 1)]
-    chi_v = [1 + two_cos_turn(c.turn, n) for c in classes_g]
-    g, pulled = _quotient(gh, f"D{m}", classes_g, range(len(classes_g)), chi_v, labels)
+    chi_v = [1 + two_cos_turn(t, n) for _, t in turns]
+    g, pulled = _quotient(gh, f"D{m}", turns, chi_v, labels)
     # Node dictionary for D(m+2): sgn - rho1 - ... - rho(m-1) < (psi1, psi2).
     return g, gh, tuple([1] + [3 + p for p in range(1, m)] + [2, 3]), pulled
 
@@ -706,10 +699,7 @@ def _tetrahedral_family():
         ConjClass("h3", 4, 3, None, 2),
         ConjClass("h3b", 4, 3, None, 3),
     )
-    irreps_h = (
-        Irrep("triv", 1), Irrep("om", 1), Irrep("omb", 1), Irrep("std3", 3),
-        Irrep("u2", 2), Irrep("u2om", 2), Irrep("u2omb", 2),
-    )
+    labels_h = ("triv", "om", "omb", "std3", "u2", "u2om", "u2omb")
     rows_h = [
         [1] * 7,
         [1, 1, 1, w, wb, w, wb],
@@ -720,16 +710,11 @@ def _tetrahedral_family():
         [2, -2, 0, wb, w, -wb, -w],
     ]
     gh = _assemble(
-        GroupSpec.tetrahedral(), "T^", 24, True, classes_h, irreps_h, rows_h, None,
-        rows_h[4], (0, 1, 2, 4, 3, 6, 5), n,
+        GroupSpec.tetrahedral(), "T^", classes_h, labels_h, rows_h, (0, 1, 2, 4, 3, 6, 5), n,
+        chi_u=rows_h[4],
     )
-    classes_g = (
-        ConjClass("e", 1, 1, F(0)),
-        ConjClass("c2", 3, 2, F(1, 2)),
-        ConjClass("c3", 4, 3, F(1, 3)),
-        ConjClass("c3b", 4, 3, F(1, 3)),
-    )
-    g, pulled = _quotient(gh, "T", classes_g, (0, 1, 3, 2), "std3")
+    turns = (("e", F(0)), ("c2", F(1, 2)), ("c3", F(1, 3)), ("c3b", F(1, 3)))
+    g, pulled = _quotient(gh, "T", turns, "std3")
     # E6 nodes (Bourbaki, 0-based): om - u2om - std3 - u2omb - omb on the
     # chain, u2 on the branch node next to std3.
     return g, gh, (1, 4, 5, 3, 6, 2), pulled
@@ -749,10 +734,7 @@ def _octahedral_family():
         ConjClass("o8", 6, 8, None, 4),
         ConjClass("o8b", 6, 8, None, 4),
     )
-    irreps_h = (
-        Irrep("triv", 1), Irrep("sgn", 1), Irrep("two", 2), Irrep("std", 3),
-        Irrep("stdsgn", 3), Irrep("u2", 2), Irrep("u2s", 2), Irrep("spin4", 4),
-    )
+    labels_h = ("triv", "sgn", "two", "std", "stdsgn", "u2", "u2s", "spin4")
     rows_h = [
         [1] * 8,
         [1, 1, 1, -1, 1, 1, -1, -1],
@@ -764,17 +746,10 @@ def _octahedral_family():
         [4, -4, 0, 0, -1, 1, 0, 0],
     ]
     gh = _assemble(
-        GroupSpec.octahedral(), "O^", 48, True, classes_h, irreps_h, rows_h, None,
-        rows_h[5], tuple(range(8)), n,
+        GroupSpec.octahedral(), "O^", classes_h, labels_h, rows_h, range(8), n, chi_u=rows_h[5],
     )
-    classes_g = (
-        ConjClass("e", 1, 1, F(0)),
-        ConjClass("t2", 6, 2, F(1, 2)),
-        ConjClass("d2", 3, 2, F(1, 2)),
-        ConjClass("c3", 8, 3, F(1, 3)),
-        ConjClass("c4", 6, 4, F(1, 4)),
-    )
-    g, pulled = _quotient(gh, "O", classes_g, (0, 1, 2, 3, 4), "stdsgn")
+    turns = (("e", F(0)), ("t2", F(1, 2)), ("d2", F(1, 2)), ("c3", F(1, 3)), ("c4", F(1, 4)))
+    g, pulled = _quotient(gh, "O", turns, "stdsgn")
     # E7 nodes: u2 - stdsgn - spin4 - std - u2s - sgn on the chain, with the
     # 2-dimensional `two` on the branch node next to spin4.
     return g, gh, (5, 2, 4, 7, 3, 6, 1), pulled
@@ -795,10 +770,7 @@ def _icosahedral_family():
         ConjClass("d10b", 12, 10, None, 4),
         ConjClass("d5b", 12, 5, None, 3),
     )
-    irreps_h = (
-        Irrep("triv", 1), Irrep("three", 3), Irrep("threep", 3), Irrep("four", 4),
-        Irrep("five", 5), Irrep("u2", 2), Irrep("u2p", 2), Irrep("spin4", 4), Irrep("six", 6),
-    )
+    labels_h = ("triv", "three", "threep", "four", "five", "u2", "u2p", "spin4", "six")
     rows_h = [
         [1] * 9,
         [3, 3, -1, 0, 0, ph, 1 - ph, 1 - ph, ph],
@@ -811,17 +783,10 @@ def _icosahedral_family():
         [6, -6, 0, 0, 0, -1, 1, -1, 1],
     ]
     gh = _assemble(
-        GroupSpec.icosahedral(), "I^", 120, True, classes_h, irreps_h, rows_h, None,
-        rows_h[5], tuple(range(9)), n,
+        GroupSpec.icosahedral(), "I^", classes_h, labels_h, rows_h, range(9), n, chi_u=rows_h[5],
     )
-    classes_g = (
-        ConjClass("e", 1, 1, F(0)),
-        ConjClass("d2", 15, 2, F(1, 2)),
-        ConjClass("c3", 20, 3, F(1, 3)),
-        ConjClass("c5", 12, 5, F(1, 5)),
-        ConjClass("c5b", 12, 5, F(2, 5)),
-    )
-    g, pulled = _quotient(gh, "I", classes_g, (0, 1, 2, 3, 4), "three")
+    turns = (("e", F(0)), ("d2", F(1, 2)), ("c3", F(1, 3)), ("c5", F(1, 5)), ("c5b", F(2, 5)))
+    g, pulled = _quotient(gh, "I", turns, "three")
     # E8 nodes: u2p - four - six - five - spin4 - three - u2 on the chain,
     # threep on the branch node next to six.
     return g, gh, (6, 2, 3, 8, 4, 7, 1, 5), pulled

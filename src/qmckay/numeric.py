@@ -13,8 +13,9 @@ here on first access (PEP 562), so a request that forms no mpf never
 compiles them; `crc` itself is reached through its module attribute, so
 `as_mpc` (the chi_V column of `group`) runs without it.  Every precision
 opens mpmath's context through `_guarded`, which refuses a dps that is not
-an integer of at least 1; a class argument is a label or an index
-(`errors.position`), and x is a sparse {label: value} map (`errors.dense`).
+an integer of at least 1, and each view calls it before any other work; a
+class argument is a label or an index (`errors.position`), and x is a
+sparse {label: value} map (`errors.dense`).
 """
 
 from __future__ import annotations
@@ -44,10 +45,12 @@ def _near_pole(cos_value, dps: int) -> bool:
 
 
 def _guarded(dps: int):
-    """mpmath's working context at dps plus guard digits; dps must be an integer >= 1."""
+    """mpmath's working context at dps plus guard digits; dps must be an
+    integer >= 1, which is checked before mpmath is imported."""
+    dps = crc._precision(dps)
     import mpmath as mp
 
-    return mp.workdps(crc._precision(dps) + _GUARD)
+    return mp.workdps(dps + _GUARD)
 
 
 def _as_mpf(values, dps: int) -> list:
@@ -136,11 +139,10 @@ def as_mpc(v: Cyclotomic) -> mp.mpc:
 
 
 def linear_forms(spec: GroupSpec, dps: int = DEFAULT_DPS) -> FormSystem:
-    import mpmath as mp
-
+    guarded = _guarded(dps)  # refuses a bad dps before the correspondence is built
     corr = correspondence(spec)
     g = corr.group
-    with _guarded(dps):
+    with guarded:
         forms = tuple(
             LinearForm(
                 irrep=label,
@@ -203,12 +205,13 @@ def third_partial(spec: GroupSpec, k, k2, k3, x=None, dps: int = DEFAULT_DPS):
     """
     import mpmath as mp
 
+    guarded = _guarded(dps)  # refuses a bad dps before it is a cache key
     system, roots = _root_forms(spec, dps)
     order = correspondence(spec).group.order
     labels = system.class_labels
     idx = [position(labels, kk, "conjugacy class") for kk in (k, k2, k3)]
     x = dict(x or {})
-    with _guarded(dps):
+    with guarded:
         xvec = [mp.mpf(v) for v in dense(x, labels, "conjugacy classes")]
         if not all(map(mp.isfinite, xvec)):
             raise ConfigurationError(f"third partial needs finite x, got {x}")
@@ -304,9 +307,9 @@ def resolution_third_partials(spec: GroupSpec, dps: int = DEFAULT_DPS) -> dict:
     """
     import mpmath as mp
 
-    crc._precision(dps)
+    guarded = _guarded(dps)  # refuses a bad dps before the exact work
     exact = crc._resolution_rationals(spec)
-    with _guarded(dps):
+    with guarded:
         return {t: mp.mpc(mp.mpf(v.numerator) / v.denominator) for t, v in exact.items()}
 
 

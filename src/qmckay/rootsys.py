@@ -10,8 +10,10 @@ Node numbering is fixed once and for all and shared by every consumer:
 
 Positive roots are coefficient vectors over the simple roots, enumerated by
 height-induction closure, with the Cartan pairing read sparsely off the
-Dynkin edges, and returned sorted by (height, lexicographic coefficients).
-That ordering is part of the public contract.
+rows of the Cartan matrix, and returned sorted by (height, lexicographic
+coefficients).  That ordering is part of the public contract.  The Coxeter
+number is not tabulated: it is one more than the height of the highest
+root, and the root count checks it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from .errors import ConfigurationError, as_int
 from .records import record
 
 RootVector = tuple[int, ...]
-
-_COXETER_E = {6: 12, 7: 18, 8: 30}
 
 
 @record(order=True)
@@ -68,14 +68,6 @@ def cartan_matrix(ade: ADEType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in mat)
 
 
-def coxeter_number(ade: ADEType) -> int:
-    if ade.family == "A":
-        return ade.rank + 1
-    if ade.family == "D":
-        return 2 * ade.rank - 2
-    return _COXETER_E[ade.rank]
-
-
 @lru_cache(maxsize=None)
 def positive_roots(ade: ADEType) -> tuple[RootVector, ...]:
     """All positive roots, sorted by (height, lexicographic coefficients).
@@ -83,17 +75,14 @@ def positive_roots(ade: ADEType) -> tuple[RootVector, ...]:
     Height induction: a positive root of height h+1 is some height-h root
     alpha plus a simple root e_i, and (for simply-laced systems) alpha + e_i
     is a root exactly when the Cartan pairing (C alpha)_i equals -1.  Since
-    C = 2I - adjacency, the pairing is read off the Dynkin edges as
-    2 alpha_i - (sum of alpha_j over the neighbours j of i), so each step
+    C = 2I - adjacency, the pairing is read off the -1 entries of row i of C
+    as 2 alpha_i - (sum of alpha_j over the neighbours j of i), so each step
     costs the node's degree rather than a dense row of C.  Each round of the
     closure yields exactly the roots one height up, so sorting each round
     lexicographically gives the full order.
     """
     n = ade.rank
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for i, j in dynkin_edges(ade):
-        neighbours[i].append(j)
-        neighbours[j].append(i)
+    neighbours = [[j for j, c in enumerate(row) if c < 0] for row in cartan_matrix(ade)]
     frontier = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     roots: list[RootVector] = []
     while frontier:
@@ -138,11 +127,13 @@ class RootSystem:
 
 @lru_cache(maxsize=None)
 def root_system(ade: ADEType) -> RootSystem:
-    roots = positive_roots(ade)
-    h = coxeter_number(ade)
+    """The bundle for one type; the Coxeter number is h = ht(theta) + 1 for
+    the highest root theta, checked against the root count 2|R+| = rank * h."""
+    roots, top = positive_roots(ade), highest_root(ade)
+    h = sum(top) + 1
     if 2 * len(roots) != ade.rank * h:
         raise ConfigurationError(f"root count of {ade} violates rank*h = |R|")
-    return RootSystem(ade, cartan_matrix(ade), roots, h, highest_root(ade))
+    return RootSystem(ade, cartan_matrix(ade), roots, h, top)
 
 
 def parse_ade(label: str) -> ADEType:

@@ -110,11 +110,12 @@ class MultiSeries:
     """A truncated series: mapping from exponent tuples to Fractions.
 
     Construct through `zero`, `one`, `monomial` or `from_terms`; instances
-    are immutable by convention (no mutating API).  A given key with a
-    negative q or Q exponent or a lam exponent below -2 is a
-    ConfigurationError; a product that falls below the lam floor is an
-    InternalConsistencyError.  ``_parts`` maps grade triples to {packed
-    key: numerator over ``_den``}.
+    are immutable by convention (no mutating API).  A given key with an
+    exponent that is not an integer, a negative q or Q exponent or a lam
+    exponent below -2 is a ConfigurationError, and so is an operand of +, -
+    or * that is neither a series nor a rational; a product that falls
+    below the lam floor is an InternalConsistencyError.  ``_parts`` maps
+    grade triples to {packed key: numerator over ``_den``}.
     """
 
     __slots__ = ("variables", "truncation", "_lay", "_parts", "_den")
@@ -127,7 +128,7 @@ class MultiSeries:
         caps = (truncation.q_total, truncation.big_q, truncation.lam)
         kept: dict = {}
         for key, coeff in terms.items():
-            key = tuple(key)
+            key = tuple(as_int(e, "an exponent") for e in key)
             if len(key) != len(variables):
                 raise ConfigurationError("exponent tuple does not match the variables")
             coeff = _as_fraction(coeff)
@@ -226,6 +227,8 @@ class MultiSeries:
         return self._make(acc, den, lay)
 
     def _check_compatible(self, other: "MultiSeries") -> None:
+        if not isinstance(other, MultiSeries):
+            raise ConfigurationError(f"a series operand must be a MultiSeries, got {other!r}")
         if self.variables != other.variables or self.truncation != other.truncation:
             raise ConfigurationError("series live in different truncated rings")
 
@@ -316,8 +319,8 @@ class MultiSeries:
         return self._combine([(1, self), (-1, other)])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, MultiSeries):
+            return self.scale(other)  # which refuses a factor that is not rational
         self._check_compatible(other)
         lay = _layout(self.variables, self.truncation, *map(add, self._reach(), other._reach()))
         acc: dict = {}
@@ -415,7 +418,7 @@ class MultiSeries:
 
     def pow_rational(self, r: Fraction) -> "MultiSeries":
         """(series)^r for rational r; the base needs constant term one."""
-        r = Fraction(r)
+        r = _as_fraction(r)
         return self.log().scale(r).exp()
 
     # -- presentation ------------------------------------------------------

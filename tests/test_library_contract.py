@@ -2,6 +2,7 @@
 function raises ConfigurationError, never a bare TypeError, IndexError,
 AttributeError or PoleError from inside a layer, and never a value."""
 
+import inspect
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,10 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmckay import crc, numeric, series
+import qmckay
+from qmckay import crc, gwtheory, numeric, series
 from qmckay.errors import ConfigurationError
-from qmckay.grouprep import GroupSpec, age, correspondence
+from qmckay.grouprep import (
+    Cyclotomic, GroupSpec, age, build_binary_group, build_group, correspondence, exp_turn,
+    hard_lefschetz_check, mckay_graph, root_system_of,
+)
 from qmckay.gwtheory import gw_all_genus, gw_genus0, normal_bundle_type, q_variables
+from qmckay.rootsys import parse_ade, root_system
 from qmckay.series import MultiSeries, Truncation, sin_power_expansion
 
 D3, T = GroupSpec.dihedral(3), GroupSpec.tetrahedral()
@@ -69,6 +75,17 @@ def bad_exponents(names):
         st.builds(lambda name, e: {name: e}, st.sampled_from(names), NOT_INTS))
 
 
+def bad_roots(spec):
+    """A vector that is not a positive root of the group's root system, or
+    one with a non-integer entry."""
+    roots = root_system(root_system_of(spec)).positive_roots
+    return st.lists(st.one_of(st.integers(-1, 3), NOT_INTS), max_size=8).map(tuple).filter(
+        lambda alpha: alpha not in roots)
+
+
+UNCAPPED = st.sampled_from([Truncation(), Truncation(q_total=2), Truncation(big_q=2)])
+
+
 def bad_keys():
     """A negative q or Q exponent, or a lam exponent below the floor -2."""
     return st.one_of(
@@ -116,6 +133,33 @@ MALFORMED = {
         lambda e: partial(MultiSeries.monomial, VARS, TR, e)),
     "MultiSeries.__init__": bad_keys().map(
         lambda e: partial(MultiSeries.monomial, VARS, TR, e)),
+    "MultiSeries.from_terms": st.sampled_from([(1.5, 0), ("1", 0), (1, 2.0)]).map(
+        lambda key: partial(MultiSeries.from_terms, ("q1", "Q"),
+                            Truncation(q_total=2, big_q=2), {key: 1})),
+    # an operand that is neither a series nor a rational
+    "MultiSeries.arithmetic": st.sampled_from([
+        lambda s: s * 1.5, lambda s: 1.5 * s, lambda s: s + 1, lambda s: s - Fraction(1, 2),
+        lambda s: s * "2"]).map(lambda op: partial(op, MultiSeries.one(VARS, TR))),
+    "MultiSeries.pow_rational": st.sampled_from([0.5, "x", 1.5]).map(
+        lambda r: partial(MultiSeries.one(("lam",), Truncation(lam=2)).pow_rational, r)),
+    "macmahon_factor": st.one_of(
+        bad_exponents(VARS).map(lambda e: partial(series.macmahon_factor, VARS, TR, e, 1)),
+        st.sampled_from([{}, {"Q": 1}]).map(
+            lambda e: partial(series.macmahon_factor, VARS, TR, e, 1)),
+        NOT_INTS.map(lambda w: partial(series.macmahon_factor, VARS, TR, {"q1": 1}, w)),
+        UNCAPPED.map(lambda t: partial(series.macmahon_factor, VARS, t, {"q1": 1}, 1))),
+    "parse_ade": st.sampled_from(["", "A", "F4", "A0", "A-1", "D3", "E9", "Ax", "5A"]).map(
+        lambda label: partial(parse_ade, label)),
+    "curve_class": SPECS.flatmap(lambda spec: bad_roots(spec).map(
+        lambda alpha: partial(gwtheory.curve_class, spec, alpha))),
+    "partition_function": SPECS.flatmap(lambda spec: UNCAPPED.map(
+        lambda t: partial(gwtheory.partition_function, spec, t))),
+    "partition_function_by_roots": SPECS.flatmap(lambda spec: UNCAPPED.map(
+        lambda t: partial(gwtheory.partition_function_by_roots, spec, t))),
+    "linear_forms": SPECS.flatmap(lambda spec: BAD_DPS.map(
+        lambda dps: partial(numeric.linear_forms, spec, dps))),
+    "change_of_variables": SPECS.flatmap(lambda spec: BAD_DPS.map(
+        lambda dps: partial(numeric.change_of_variables, spec, dps))),
     "orbifold_potential": SPECS.flatmap(lambda spec: st.one_of(
         st.one_of(NOT_INTS, st.integers(-3, 2)).map(
             lambda degree: partial(crc.orbifold_potential, spec, degree)),
@@ -205,12 +249,52 @@ REPROS = {
         ("q1", "Q"), Truncation(q_total=3, big_q=3), {"q1": -1}),
     "MultiSeries.from_terms-lam-below-floor": lambda: MultiSeries.from_terms(
         ("lam",), Truncation(lam=4), {(-3,): 1}),
+    "MultiSeries-add-different-rings": lambda: MultiSeries.one(VARS, TR) + MultiSeries.one(
+        VARS, Truncation(q_total=2, big_q=3, lam=2)),
+    "MultiSeries.lambda_slices-no-lam": lambda: MultiSeries.one(
+        ("q1", "Q"), Truncation(q_total=2, big_q=2)).lambda_slices(),
+    "MultiSeries-power-minus-one": lambda: MultiSeries.one(VARS, TR) ** -1,
+    "sin_power_series-no-lam-cap": lambda: series.sin_power_series(
+        VARS, Truncation(q_total=2, big_q=2), 2, 1),
+    "sin_power_series-no-lam-variable": lambda: series.sin_power_series(
+        ("q1", "Q"), TR, 2, 1),
+    "Cyclotomic-mixed-orders": lambda: Cyclotomic(4, {1: 1}) + Cyclotomic(6, {1: 1}),
+    "exp_turn-not-a-power": lambda: exp_turn(Fraction(1, 3), 4),
+    "irrep_index-unknown": lambda: build_group(D3).irrep_index("nope"),
+    "mckay_graph-rotation-group": lambda: mckay_graph(build_group(D3)),
+    "hard_lefschetz_check-binary-group": lambda: hard_lefschetz_check(build_binary_group(D3)),
 }
 
 
 @pytest.mark.parametrize("call", REPROS.values(), ids=list(REPROS))
 def test_each_malformed_call_is_refused(call):
     refuse(call)
+
+
+# public functions whose argument is a record (an ADEType or a GroupModel),
+# which the README puts outside the argument contract
+RECORD_ARGUMENTS = {"root_system", "mckay_graph", "hard_lefschetz_check"}
+
+
+def test_every_public_function_with_an_argument_has_malformed_calls():
+    """Each function of `qmckay.__all__` that takes more than a GroupSpec has
+    a MALFORMED entry; `callable` counts the lru_cache-wrapped ones, such as
+    `root_system`, which `inspect.isfunction` skips."""
+    public = {name: getattr(qmckay, name) for name in qmckay.__all__}
+    takes_more = {name for name, f in public.items() if callable(f) and not inspect.isclass(f)
+                  and set(inspect.signature(f).parameters) - {"spec"}}
+    assert RECORD_ARGUMENTS <= takes_more
+    assert sorted(takes_more - RECORD_ARGUMENTS - set(MALFORMED)) == []
+
+
+@pytest.mark.parametrize("view", [
+    numeric.linear_forms, numeric.change_of_variables,
+    lambda spec, dps: numeric.third_partial(spec, 0, 0, 0, dps=dps),
+], ids=["linear_forms", "change_of_variables", "third_partial"])
+def test_the_mpf_views_read_dps_before_the_correspondence(monkeypatch, view):
+    monkeypatch.setattr(numeric, "correspondence", _unreachable)
+    with pytest.raises(ConfigurationError):
+        view(D3, 0)
 
 
 # -- well-formed calls keep their values ----------------------------------------

@@ -295,6 +295,20 @@ def test_format_text_readable():
     assert s.format_text() == "1 - q1*Q^2"
 
 
+def test_zero_prints_as_zero():
+    assert MultiSeries.zero(VARS, TR).format_text() == "0"
+
+
+def test_an_int_scales_from_either_side():
+    s = mono({"q1": 1}, Fraction(1, 2))
+    assert s * 2 == 2 * s == mono({"q1": 1})
+
+
+def test_sine_coefficients_past_the_order_are_empty():
+    # (2 sin(lam/2))^3 starts at lam^3, past the order 2
+    assert sin_power_coefficients(3, 1, 2) == {}
+
+
 # -- packed keys ---------------------------------------------------------------
 
 
