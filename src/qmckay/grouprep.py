@@ -235,13 +235,6 @@ class Cyclotomic:
         return f"Cyclotomic({self.n}, {dict(self.terms)})"
 
 
-def _two_cos(e: int, n: int) -> Cyclotomic:
-    """zeta_n^e + zeta_n^-e; the constructor adds up equal powers, so e = -e
-    (mod n) gives coefficient 2 (key n is -0, which a dict merges with 0)."""
-    e %= n
-    return Cyclotomic(n, {e: 1, -e or n: 1})
-
-
 def exp_turn(t: Fraction, n: int) -> Cyclotomic:
     """exp(2*pi*i*t) as zeta_n^(n*t); n*t must be an integer."""
     e = Fraction(t) * n
@@ -252,7 +245,8 @@ def exp_turn(t: Fraction, n: int) -> Cyclotomic:
 
 def two_cos_turn(t: Fraction, n: int) -> Cyclotomic:
     """2*cos(2*pi*t) as zeta_n^(n*t) + zeta_n^(-n*t)."""
-    return exp_turn(t, n) + exp_turn(-t, n)
+    z = exp_turn(t, n)
+    return z + z.conjugate()
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +609,7 @@ def _cyclic_family(k: int):
     # chi_a(g^j) = zeta_2k^(a j).
     classes_h = [ConjClass(f"g{j}", 1, n // gcd(j, n), None, j % k) for j in range(n)]
     rows_h = [[Cyclotomic(n, {a * j: 1}) for j in range(n)] for a in range(n)]
-    chi_u = tuple(_two_cos(j, n) for j in range(n))
+    chi_u = tuple(two_cos_turn(Fraction(j, n), n) for j in range(n))
     inv_h = tuple((n - j) % n for j in range(n))
     gh = _assemble(
         GroupSpec.cyclic(k), f"Z{n}", classes_h, [f"chi{a}" for a in range(n)], rows_h, inv_h,
@@ -625,7 +619,7 @@ def _cyclic_family(k: int):
     # G = Z_k, classes g0..g(k-1) (powers of the rotation by one k-th turn);
     # its chi_a is the chi_2a of Z_{2k}.  Node p carries chi(p+1) of Z_{2k}.
     turns = [(f"g{j}", Fraction(min(j, k - j), k)) for j in range(k)]
-    chi_v = tuple(1 + _two_cos(2 * j, n) for j in range(k))
+    chi_v = tuple(1 + two_cos_turn(Fraction(2 * j, n), n) for j in range(k))
     g, pulled = _quotient(gh, f"Z{k}", turns, chi_v, [f"chi{a}" for a in range(k)])
     return g, gh, tuple(range(1, n)), pulled
 
@@ -662,9 +656,9 @@ def _dihedral_family(m: int):
         ("psi1", x_signs + [a, b]),
         ("psi2", x_signs + [b, a]),
     ] + [
-        # rho_i(z) = 2(-1)^i is written as an int: for odd i, _two_cos
-        # would store the equal value 2 zeta^(N/2), whose terms differ
-        (f"rho{i}", [2, 2 * (-1) ** i] + [_two_cos(i * j * n // (2 * m), n) for j in range(1, m)]
+        # rho_i(z) = 2(-1)^i is written as an int: for odd i, two_cos_turn
+        # would store the equal value 2 zeta^(n/2), whose terms differ
+        (f"rho{i}", [2, 2 * (-1) ** i] + [two_cos_turn(F(i * j, 2 * m), n) for j in range(1, m)]
          + [0, 0])
         for i in range(1, m)
     ]

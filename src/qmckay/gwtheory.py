@@ -18,8 +18,9 @@ Conventions:
   length, a negative entry and the zero class.
 * The partition-function variable Q is formal.  The genus parameter enters
   only through `gw_all_genus`, which converts BPS counts to fixed-genus
-  invariants by exact divisor sums against sine-power expansions; no
-  analytic substitution relating Q and the genus parameter is ever made.
+  invariants by exact divisor sums against the multiple-cover kernel
+  `series.sin_power_expansion`; no analytic substitution relating Q and the
+  genus parameter is ever made.
 """
 
 from __future__ import annotations
@@ -165,8 +166,9 @@ def partition_function_by_roots(
 
 @lru_cache(maxsize=None)
 def _cover_kernel(d: int, order: int) -> MappingProxyType:
-    """(2 sin(d lam/2))^-2 through lam^order, built once per (d, order)."""
-    return MappingProxyType(series.sin_power_coefficients(-2, d, order))
+    """(1/d)(2 sin(d lam/2))^-2 through lam^order as {lam exponent: coefficient},
+    built once per (d, order); a dict read is cheaper than `coefficient`."""
+    return MappingProxyType({e: c for (e,), c in series.sin_power_expansion(d, 0, order).items()})
 
 
 def _divisors_of_class(beta: CurveClass):
@@ -215,7 +217,7 @@ def gw_all_genus(spec: GroupSpec, beta, g: int) -> Fraction:
     for d in _divisors_of_class(beta):
         f = fibers.get(tuple(b // d for b in beta))
         if f is not None:
-            total += Fraction(f, 2 * d) * _cover_kernel(d, order).get(2 * g - 2, 0)  # n0 = f/2
+            total += Fraction(f, 2) * _cover_kernel(d, order).get(2 * g - 2, 0)  # n0 = f/2
     return total
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import add
 
 from .errors import ConfigurationError, InternalConsistencyError, as_int, dense
@@ -312,11 +312,16 @@ class MultiSeries:
     def __add__(self, other: "MultiSeries") -> "MultiSeries":
         return self._combine([(1, self), (1, other)])
 
+    __radd__ = __add__  # so 1 + s is refused like s + 1
+
     def __neg__(self) -> "MultiSeries":
         return self.scale(-1)
 
     def __sub__(self, other: "MultiSeries") -> "MultiSeries":
         return self._combine([(1, self), (-1, other)])
+
+    def __rsub__(self, other) -> "MultiSeries":
+        return self._combine([(1, other), (-1, self)])
 
     def __mul__(self, other):
         if not isinstance(other, MultiSeries):
@@ -506,62 +511,12 @@ def macmahon_factor(variables, truncation, beta, weight) -> MultiSeries:
     return macmahon_exponent(variables, truncation, beta).scale(-w).exp()
 
 
-def sin_power_coefficients(power: int, d: int, order: int) -> dict[int, Fraction]:
-    """Taylor coefficients of (2*sin(d*lam/2))^power around lam = 0.
-
-    Returns {lam exponent: coefficient} for exponents up to ``order``.
-    Negative powers are fine (the leading exponent is ``power``); exact
-    rational arithmetic throughout.
-    """
-    power, order = as_int(power, "the sine power"), as_int(order, "the lambda order")
-    d = as_int(d, "the cover degree")
-    if d < 1:
-        raise ConfigurationError("the cover degree d must be positive")
-    if order < power:
-        return {}
-    # 2*sin(d*lam/2) = d * lam * v(lam) with v(0) = 1, so the power is
-    # d^power * lam^power * v^power; v^power is needed through lam^n
-    n = order - power
-    v = {}
-    sign = 1
-    fact = 1
-    k = 0
-    while 2 * k <= n:
-        # coefficient of lam^(2k) in v: (-1)^k d^(2k) / (2^(2k) (2k+1)!)
-        v[(2 * k,)] = Fraction(sign * d ** (2 * k), (2 ** (2 * k)) * fact)
-        k += 1
-        fact *= (2 * k) * (2 * k + 1)
-        sign = -sign
-    vp = MultiSeries(("lam",), Truncation(lam=n), v).pow_rational(power)
-    scale = Fraction(d) ** power
-    return {power + key[0]: scale * c for key, c in sorted(vp.items())}
-
-
-def sin_power_series(variables, truncation, power: int, d: int) -> MultiSeries:
-    """(2*sin(d*lam/2))^power as a MultiSeries in the given ring."""
-    t = truncation
-    if t.lam is None:
-        raise ConfigurationError("sine expansions need a lam cap")
-    variables = tuple(variables)
-    if "lam" not in variables:
-        raise ConfigurationError("sine expansions need a lam variable")
-    if power < LAMBDA_FLOOR:
-        raise ConfigurationError(f"sine powers below {LAMBDA_FLOOR} leave the ring")
-    li = variables.index("lam")
-    coeffs = sin_power_coefficients(power, d, t.lam)
-    terms = {}
-    for e, c in coeffs.items():
-        key = [0] * len(variables)
-        key[li] = e
-        terms[tuple(key)] = c
-    return MultiSeries(variables, truncation, terms)
-
-
 def sin_power_expansion(d: int, g: int, lambda_order: int) -> MultiSeries:
     """(1/d) * (2*sin(d*lam/2))^(2g-2) as an exact lam-Laurent series.
 
     The degree-d, genus-g multiple-cover kernel: at g = 0 the leading term
-    is lam^-2/d^3, at g = 1 the series is the constant 1/d.
+    is lam^-2/d^3, at g = 1 the series is the constant 1/d.  It is zero when
+    its leading power 2g-2 lies past the lambda order.
     """
     d, g = as_int(d, "the cover degree"), as_int(g, "the genus")
     lambda_order = as_int(lambda_order, "the lambda order")
@@ -569,5 +524,17 @@ def sin_power_expansion(d: int, g: int, lambda_order: int) -> MultiSeries:
         raise ConfigurationError("the genus must be nonnegative")
     if lambda_order < 0 or lambda_order % 2:
         raise ConfigurationError("the lambda order must be even and nonnegative")
-    tr = Truncation(lam=lambda_order)
-    return sin_power_series(("lam",), tr, 2 * g - 2, d).scale(Fraction(1, d))
+    if d < 1:
+        raise ConfigurationError("the cover degree d must be positive")
+    power, tr = 2 * g - 2, Truncation(lam=lambda_order)
+    n = lambda_order - power
+    if n < 0:
+        return MultiSeries.zero(("lam",), tr)
+    # 2*sin(d*lam/2) = d * lam * v(lam) with v(0) = 1, so the kernel is
+    # d^power/d * lam^power * v^power; v^power is needed through lam^n.
+    # The coefficient of lam^(2k) in v is (-1)^k d^(2k) / (2^(2k) (2k+1)!).
+    v = {(2 * k,): Fraction((-d * d) ** k, 4 ** k * factorial(2 * k + 1))
+         for k in range(n // 2 + 1)}
+    vp = MultiSeries(("lam",), Truncation(lam=n), v).pow_rational(power)
+    scale = Fraction(d) ** power / d
+    return MultiSeries(("lam",), tr, {(power + e,): scale * c for (e,), c in vp.items()})

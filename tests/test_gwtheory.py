@@ -1,7 +1,7 @@
 """BPS tables, partition functions, and fixed-genus invariants."""
 
 from fractions import Fraction
-from math import gcd
+from math import comb, factorial, gcd
 
 import jsonschema
 import pytest
@@ -159,13 +159,13 @@ def test_all_genus_matches_cover_kernel_series(spec):
 
 def test_all_genus_builds_table_and_kernels_once(monkeypatch):
     calls = []
-    kernel = series.sin_power_coefficients
+    kernel = series.sin_power_expansion
 
-    def counting_kernel(power, d, order):
+    def counting_kernel(d, g, order):
         calls.append((d, order))
-        return kernel(power, d, order)
+        return kernel(d, g, order)
 
-    monkeypatch.setattr(series, "sin_power_coefficients", counting_kernel)
+    monkeypatch.setattr(series, "sin_power_expansion", counting_kernel)
     root_fibers.cache_clear()
     gwtheory._cover_kernel.cache_clear()
     try:
@@ -180,6 +180,66 @@ def test_all_genus_builds_table_and_kernels_once(monkeypatch):
     finally:
         root_fibers.cache_clear()
         gwtheory._cover_kernel.cache_clear()
+
+
+# -- closed forms of the multiple-cover kernel, in Fraction arithmetic alone --
+
+
+def _bernoulli(n):
+    """B_0..B_n from sum_{k<=m} C(m+1, k) B_k = 0 (m >= 1), with B_1 = -1/2."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+BERNOULLI = _bernoulli(12)
+
+
+def _genus_zero_coefficient(d, genus):
+    """[lam^(2G-2)] (1/d)(2 sin(d lam/2))^-2, G = genus: the Faber-Pandharipande
+    multiple-cover formula (-1)^(G+1) B_2G (2G-1) d^(2G-3) / (2G)!."""
+    return (Fraction((-1) ** (genus + 1) * (2 * genus - 1), factorial(2 * genus))
+            * BERNOULLI[2 * genus] * Fraction(d) ** (2 * genus - 3))
+
+
+def _positive_genus_coefficient(d, g, e):
+    """[lam^e] (1/d)(2 sin(d lam/2))^(2K), K = g - 1 >= 0, read off
+    (2 sin(y/2))^(2K) = sum_{j=-K..K} (-1)^j C(2K, K-j) e^(i j y)."""
+    if e % 2:
+        return Fraction(0)
+    k, n = g - 1, e // 2
+    return sum(Fraction((-1) ** (abs(j) + n) * comb(2 * k, k - j) * (j * d) ** e, factorial(e))
+               for j in range(-k, k + 1)) / d
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_genus_zero_kernel_matches_the_bernoulli_closed_form(d):
+    kernel = sin_power_expansion(d, 0, 10)
+    assert dict(kernel.items()) == {
+        (2 * genus - 2,): _genus_zero_coefficient(d, genus) for genus in range(7)}
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+@pytest.mark.parametrize("d", range(1, 6))
+def test_positive_genus_kernel_matches_the_exponential_sum(d, g):
+    want = {(e,): _positive_genus_coefficient(d, g, e) for e in range(13)}
+    assert dict(sin_power_expansion(d, g, 12).items()) == {
+        key: c for key, c in want.items() if c}
+
+
+@pytest.mark.parametrize("spec", [D5, GroupSpec.cyclic(4)], ids=str)
+def test_all_genus_matches_the_bernoulli_divisor_sum(spec):
+    counts = bps_table(spec).counts
+    for beta in counts:
+        for mult in range(1, 5):
+            cls = tuple(mult * b for b in beta)
+            divisors = [d for d in range(1, mult * max(beta) + 1)
+                        if all(b % d == 0 for b in cls)]
+            for g in range(6):
+                want = sum(counts.get(tuple(b // d for b in cls), 0)
+                           * _genus_zero_coefficient(d, g) for d in divisors)
+                assert gw_all_genus(spec, cls, g) == want, (cls, g)
 
 
 def test_negative_genus_rejected():

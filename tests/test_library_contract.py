@@ -183,11 +183,6 @@ MALFORMED = {
                   st.just(1), st.one_of(NOT_INTS, NEGATIVE), st.just(2)),
         st.builds(partial, st.just(sin_power_expansion),
                   st.just(1), st.just(1), st.one_of(NOT_INTS, NEGATIVE, st.just(3)))),
-    "sin_power_coefficients": st.one_of(
-        NOT_INTS.map(lambda p: partial(series.sin_power_coefficients, p, 1, 2)),
-        st.one_of(NOT_INTS, st.integers(-3, 0)).map(
-            lambda d: partial(series.sin_power_coefficients, -2, d, 2)),
-        NOT_INTS.map(lambda order: partial(series.sin_power_coefficients, -2, 1, order))),
     "age": st.one_of(
         st.builds(lambda i, bad: partial(age, (0, 1, 2)[:i] + (bad,) + (0, 1, 2)[i + 1:], 3),
                   st.integers(0, 2), st.one_of(NOT_INTS, NEGATIVE)),
@@ -232,7 +227,6 @@ REPROS = {
     "b_series": lambda: numeric.b_series(D3, 2.0),
     "h_derivative": lambda: numeric.h_derivative(3.5, 0.5),
     "sin_power_expansion": lambda: sin_power_expansion(1.0, 1, 2),
-    "sin_power_coefficients": lambda: series.sin_power_coefficients(-2, 1.5, 2),
     "age": lambda: age((0, 1.5, 1.5), 3),
     "orbifold_potential-dps-0": lambda: crc.orbifold_potential(D3, 4, 0).jsonable(),
     "orbifold_potential-dps-minus-5": lambda: crc.orbifold_potential(D3, 4, -5).jsonable(),
@@ -254,10 +248,8 @@ REPROS = {
     "MultiSeries.lambda_slices-no-lam": lambda: MultiSeries.one(
         ("q1", "Q"), Truncation(q_total=2, big_q=2)).lambda_slices(),
     "MultiSeries-power-minus-one": lambda: MultiSeries.one(VARS, TR) ** -1,
-    "sin_power_series-no-lam-cap": lambda: series.sin_power_series(
-        VARS, Truncation(q_total=2, big_q=2), 2, 1),
-    "sin_power_series-no-lam-variable": lambda: series.sin_power_series(
-        ("q1", "Q"), TR, 2, 1),
+    "int-plus-MultiSeries": lambda: 1 + MultiSeries.one(VARS, TR),
+    "int-minus-MultiSeries": lambda: 1 - MultiSeries.one(VARS, TR),
     "Cyclotomic-mixed-orders": lambda: Cyclotomic(4, {1: 1}) + Cyclotomic(6, {1: 1}),
     "exp_turn-not-a-power": lambda: exp_turn(Fraction(1, 3), 4),
     "irrep_index-unknown": lambda: build_group(D3).irrep_index("nope"),

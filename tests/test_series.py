@@ -12,9 +12,7 @@ from qmckay.series import (
     Truncation,
     macmahon_exponent,
     macmahon_factor,
-    sin_power_coefficients,
     sin_power_expansion,
-    sin_power_series,
 )
 
 VARS = ("q1", "q2", "Q")
@@ -217,7 +215,7 @@ def test_macmahon_requires_caps_and_q_variable():
         macmahon_exponent(VARS, TR, {})
 
 
-# -- sine kernels ------------------------------------------------------------
+# -- the multiple-cover kernel ----------------------------------------------
 
 INVERSE_SQUARE = {-2: Fraction(1), 0: Fraction(1, 12),
                   2: Fraction(1, 240), 4: Fraction(1, 6048)}
@@ -225,19 +223,17 @@ SQUARE = {2: Fraction(1), 4: Fraction(-1, 12), 6: Fraction(1, 360)}
 
 
 def test_inverse_sine_square_coefficients():
-    assert sin_power_coefficients(-2, 1, 4) == INVERSE_SQUARE
+    assert dict(sin_power_expansion(1, 0, 4).items()) == {
+        (e,): c for e, c in INVERSE_SQUARE.items()}
 
 
-def test_sine_square_coefficients():
-    assert sin_power_coefficients(2, 1, 6) == SQUARE
-
-
-@pytest.mark.parametrize("power", [-2, 2])
+@pytest.mark.parametrize("g", [0, 2])
 @pytest.mark.parametrize("d", [2, 3, 5])
-def test_sine_coefficients_scale_by_degree(power, d):
-    base = sin_power_coefficients(power, 1, 6)
-    scaled = sin_power_coefficients(power, d, 6)
-    assert scaled == {e: c * Fraction(d) ** e for e, c in base.items()}
+def test_sine_coefficients_scale_by_degree(g, d):
+    # the lam^e coefficient of (1/d)(2 sin(d lam/2))^(2g-2) is c * d^(e-1)
+    base = sin_power_expansion(1, g, 6)
+    scaled = sin_power_expansion(d, g, 6)
+    assert dict(scaled.items()) == {(e,): c * Fraction(d) ** (e - 1) for (e,), c in base.items()}
 
 
 def test_cover_kernel_leading_terms():
@@ -263,8 +259,6 @@ def test_sine_expansion_validation():
         sin_power_expansion(1, -1, 4)
     with pytest.raises(ConfigurationError):
         sin_power_expansion(1, 0, 3)
-    with pytest.raises(ConfigurationError):
-        sin_power_series(("lam",), Truncation(lam=4), -3, 1)
 
 
 # -- presentation ------------------------------------------------------------
@@ -305,8 +299,8 @@ def test_an_int_scales_from_either_side():
 
 
 def test_sine_coefficients_past_the_order_are_empty():
-    # (2 sin(lam/2))^3 starts at lam^3, past the order 2
-    assert sin_power_coefficients(3, 1, 2) == {}
+    # (2 sin(lam/2))^4 starts at lam^4, past the order 2
+    assert sin_power_expansion(1, 3, 2).is_zero()
 
 
 # -- packed keys ---------------------------------------------------------------
@@ -383,6 +377,8 @@ def test_product_equals_and_hashes_as_its_terms():
     assert product == rebuilt
     assert hash(product) == hash(rebuilt)
     assert len({product, rebuilt}) == 1
+    assert product != 1
+    assert mono({"q1": 1}, Fraction(1, 2)) != mono({"q1": 1})
 
 
 def test_public_edges_yield_tuples_and_fractions():
