@@ -322,7 +322,7 @@ def main(argv=None) -> int:
     try:
         report = COMMANDS[args.command](spec, args)
         text = render(report, args.format)
-    except (PoleError, InternalConsistencyError, ConfigurationError, AssertionError) as exc:
+    except (PoleError, InternalConsistencyError, ConfigurationError) as exc:
         print(f"qmckay: internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except MemoryError:

@@ -55,8 +55,8 @@ Structure of the computation:
 * The forms are defined once, exactly, in `_exact_forms`: (|G|/|C|) L_s(C)
   = 2 sin(pi t) chi_s(C) in Z[zeta_M], M = 2N for N, the order of the
   tables, even and a multiple of |G| (so 2q | M for each class turn p/q),
-  with sqrt(3 - chi_V) = 2 sin(pi t) = -i (zeta_2q^p - zeta_2q^-p) once
-  chi_V = 1 + 2 cos(2 pi t) is checked exactly;
+  with sqrt(3 - chi_V) = 2 sin(pi t) = -i (zeta_2q^p - zeta_2q^-p), since
+  `grouprep` builds chi_V = 1 + 2 cos(2 pi t) exactly;
   `linear_forms` is their mpc view.  The tree is filled once, modulo a
   product of primes = 1 (mod M), zeta_M sent to an element of order M
   modulo each, and so is each class's T = cot(pi d/|G|) = i (w + 1)/(w - 1),
@@ -95,7 +95,6 @@ from . import DEFAULT_DPS, _GUARD
 from .errors import ConfigurationError, InternalConsistencyError, PoleError, as_int, dense
 from .grouprep import (
     Cyclotomic, GroupSpec, class_multiplication, correspondence, exp_turn, root_fibers,
-    two_cos_turn,
 )
 from .modular import integer, lift
 from .records import record
@@ -139,25 +138,16 @@ def _h_poly(n: int) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _check_chi_v(g) -> None:
-    """chi_V = 1 + 2 cos(2 pi t) on every class of turn t, exactly, so that
-    sqrt(3 - chi_V) = 2 sin(pi t), real and >= 0 for t in [0, 1/2]."""
-    for c, chi in zip(g.classes, g.chi_v):
-        if chi != 1 + two_cos_turn(c.turn, chi.n):
-            raise InternalConsistencyError(f"chi_V on {c.label} is not 1 + 2 cos(2 pi turn)")
-
-
 @lru_cache(maxsize=None)
 def _exact_forms(spec: GroupSpec) -> tuple[int, tuple[tuple[Cyclotomic, ...], ...]]:
     """m = 2N, N the tables' order: N is even and a multiple of |G|, so i,
     zeta_|G| and zeta_2q (q | |G|) are powers of zeta_m, and `grouprep`
     sums at order m too.  Per slot s and nontrivial class C of turn t the
     exact (|G|/|C|) L_s(C) = 2 sin(pi t) chi_s(C) in Z[zeta_m], 2 sin(pi t)
-    = -i (zeta_2q^p - zeta_2q^-p) = sqrt(3 - chi_V(C)) once `_check_chi_v`
-    holds.  `numeric.linear_forms` reads the entries as mpc, `_embedding` modulo p."""
+    = -i (zeta_2q^p - zeta_2q^-p) = sqrt(3 - chi_V(C)), as `grouprep` builds chi_V
+    = 1 + 2 cos(2 pi t).  `numeric.linear_forms` reads the entries as mpc, `_embedding` modulo p."""
     corr = correspondence(spec)
     g = corr.group
-    _check_chi_v(g)
     m = 2 * g.chi_v[0].n
     sines = [exp_turn(Fraction(3, 4), m) * (exp_turn(c.turn / 2, m) - exp_turn(-c.turn / 2, m))
              for c in g.classes[1:]]  # -i (zeta_2q^p - zeta_2q^-p)
@@ -215,9 +205,11 @@ class PotentialSeries:
         return dict(zip(self.rationals, _as_mpf(self.rationals.values(), self.dps)))
 
     def coefficient(self, exponents: dict[str, int]) -> mp.mpf:
-        """One coefficient of ``rationals`` as mpf at dps plus guard digits."""
+        """One coefficient of ``rationals``, no exponent negative, as mpf at dps + guard digits."""
         key = tuple(as_int(e, "an exponent")
                     for e in dense(exponents, self.class_labels, "conjugacy classes"))
+        if min(key) < 0:
+            raise ConfigurationError(f"exponents must be nonnegative, got {key}")
         from .numeric import _as_mpf
 
         return _as_mpf([self.rationals.get(key, 0)], self.dps)[0]

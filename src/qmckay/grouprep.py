@@ -20,7 +20,9 @@ back, and G's row of each is its G^ row at one preimage of every class.
 A builder states G^'s classes and table and one (label, turn) pair per G
 class, nothing more: each G class's size, element order and inverse are
 read off the G^ classes over it, each irrep's dimension is its character
-at the identity, and each group's order is the spec's (doubled for G^).
+at the identity, class 0, and each group's order is the spec's (doubled
+for G^).  chi_V = 1 + 2 cos(2 pi t) is read off the turns t (T, O and I
+name V, whose row must equal it), so sqrt(3 - chi_V) = 2 sin(pi t).
 Every entry, and chi_V and chi_U, is stored exactly as a `Cyclotomic`: an
 element of Z[zeta_N] with one N per group (2k for cyclic(k), lcm(2m, 4) for
 dihedral(m), 12, 24 and 60 for the exceptional groups), written through
@@ -177,18 +179,17 @@ class Cyclotomic:
         return Cyclotomic(self.n, {-e: c for e, c in self.terms})
 
     def _coerce(self, other) -> "Cyclotomic":
+        """``other`` in this Z[zeta_n], an int as a constant; else ConfigurationError."""
         if isinstance(other, Cyclotomic):
             if other.n != self.n:
                 raise ConfigurationError(f"zeta_{self.n} and zeta_{other.n} values do not mix")
             return other
         if isinstance(other, int):
             return Cyclotomic.integer(self.n, other)
-        return NotImplemented
+        raise ConfigurationError(f"{other!r} is not in Z[zeta_{self.n}]")
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return other
         acc = dict(self.terms)
         for e, c in other.terms:
             acc[e] = acc.get(e, 0) + c
@@ -200,18 +201,13 @@ class Cyclotomic:
         return Cyclotomic(self.n, {e: -c for e, c in self.terms})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return other
         acc: dict[int, int] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
@@ -222,9 +218,9 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
+        if not isinstance(other, (Cyclotomic, int)):
+            return NotImplemented
         other = self._coerce(other)
-        if other is NotImplemented:
-            return other
         return self.terms == other.terms or not any(conjugates(self.n, (self - other).terms))
 
     def __hash__(self) -> int:
@@ -520,27 +516,22 @@ def hard_lefschetz_check(model: GroupModel) -> tuple[bool, tuple[Fraction, ...]]
 # ---------------------------------------------------------------------------
 
 
-def _exact(value, n: int) -> Cyclotomic:
-    """A table entry as an element of Z[zeta_n]; an int becomes a constant."""
-    if isinstance(value, Cyclotomic) and value.n == n:
-        return value
-    if isinstance(value, int):
-        return Cyclotomic.integer(n, value)
-    raise InternalConsistencyError(f"entry {value!r} is not in Z[zeta_{n}]")
-
-
 def _assemble(spec, name, classes, labels, rows, inverse, n, chi_v=None, chi_u=None) -> GroupModel:
-    """Validate one group's data and store every character value in Z[zeta_n].
+    """Validate one group's data and store every character value in Z[zeta_n]
+    (`Cyclotomic._coerce`: an int becomes a constant).
 
     The model with a defining character ``chi_u`` is the binary cover, of
-    order 2|G|; each irrep's dimension is its character at class 0, the
-    identity."""
+    order 2|G|; class 0 must be the identity, and each irrep's dimension is
+    its character there."""
     is_binary = chi_u is not None
     order = spec.order * (2 if is_binary else 1)
     classes = tuple(classes)
-    rows = tuple(tuple(_exact(x, n) for x in r) for r in rows)
-    chi_v = tuple(_exact(x, n) for x in chi_v) if chi_v is not None else None
-    chi_u = tuple(_exact(x, n) for x in chi_u) if chi_u is not None else None
+    if classes[0].size != 1 or classes[0].element_order != 1:
+        raise InternalConsistencyError(f"{name}: class 0 is not the identity")
+    exact = Cyclotomic.integer(n, 0)._coerce
+    rows = tuple(tuple(map(exact, r)) for r in rows)
+    chi_v = tuple(map(exact, chi_v)) if chi_v is not None else None
+    chi_u = tuple(map(exact, chi_u)) if chi_u is not None else None
     irreps = []
     for label, row in zip(labels, rows):
         dim = row[0].integer_value()
@@ -576,16 +567,17 @@ def _assemble(spec, name, classes, labels, rows, inverse, n, chi_v=None, chi_u=N
     )
 
 
-def _quotient(gh: GroupModel, name, turns, chi_v, labels=None):
+def _quotient(gh: GroupModel, name, turns, labels=None, rotation=None):
     """G = G^/{1, z} from its binary cover.  ``turns`` lists G's classes as
     (label, turn) pairs; each class is the image (``image_class``) of the G^
     classes over it, so its size is half theirs, its element order is the
     turn's denominator, and its inverse is the image of their inverse.  The
     irreps of G are the irreps of G^ that pull back, in G^'s order, and G's
     row of each is its G^ row read at one preimage of every G class.
-    ``labels`` names them (G^'s labels by default); ``chi_v`` is a row, or
-    the G^ label of the irrep whose row it is.  Returns G and the G^ index of
-    each G irrep."""
+    ``labels`` names them (G^'s labels by default).  chi_V is 1 + 2 cos(2 pi t)
+    at each class of turn t; ``rotation`` names the G^ irrep that is V, whose
+    pulled-back row must equal it exactly and is stored as written.  Returns
+    G and the G^ index of each G irrep."""
     pulled = tuple(i for i in range(len(gh.irreps)) if _pulls_back(gh, i))
     preimage: dict[int, int] = {}
     sizes = [0] * len(turns)
@@ -596,10 +588,15 @@ def _quotient(gh: GroupModel, name, turns, chi_v, labels=None):
                for (label, turn), size in zip(turns, sizes)]
     inverse = [gh.classes[gh.inverse_class[preimage[c]]].image_class for c in range(len(turns))]
     rows = [[gh.table[i][preimage[c]] for c in range(len(turns))] for i in pulled]
-    if isinstance(chi_v, str):
-        chi_v = rows[pulled.index(gh.irrep_index(chi_v))]
+    n = gh.table[0][0].n
+    chi_v = [1 + two_cos_turn(t, n) for _, t in turns]
+    if rotation is not None:
+        row = rows[pulled.index(gh.irrep_index(rotation))]
+        if row != chi_v:
+            raise InternalConsistencyError(f"{name}: {rotation} is not 1 + 2 cos(2 pi turn)")
+        chi_v = row
     labels = labels or [gh.irreps[i].label for i in pulled]
-    return _assemble(gh.spec, name, classes, labels, rows, inverse, gh.table[0][0].n, chi_v), pulled
+    return _assemble(gh.spec, name, classes, labels, rows, inverse, n, chi_v), pulled
 
 
 def _cyclic_family(k: int):
@@ -619,8 +616,7 @@ def _cyclic_family(k: int):
     # G = Z_k, classes g0..g(k-1) (powers of the rotation by one k-th turn);
     # its chi_a is the chi_2a of Z_{2k}.  Node p carries chi(p+1) of Z_{2k}.
     turns = [(f"g{j}", Fraction(min(j, k - j), k)) for j in range(k)]
-    chi_v = tuple(1 + two_cos_turn(Fraction(2 * j, n), n) for j in range(k))
-    g, pulled = _quotient(gh, f"Z{k}", turns, chi_v, [f"chi{a}" for a in range(k)])
+    g, pulled = _quotient(gh, f"Z{k}", turns, [f"chi{a}" for a in range(k)])
     return g, gh, tuple(range(1, n)), pulled
 
 
@@ -674,8 +670,7 @@ def _dihedral_family(m: int):
     # even], and rho1, rho2, ... from the binary rho2, rho4, ...
     labels = ["triv", "sgn"] + (["psi1", "psi2"] if even else [])
     labels += [f"rho{i}" for i in range(1, (m - 1) // 2 + 1)]
-    chi_v = [1 + two_cos_turn(t, n) for _, t in turns]
-    g, pulled = _quotient(gh, f"D{m}", turns, chi_v, labels)
+    g, pulled = _quotient(gh, f"D{m}", turns, labels)
     # Node dictionary for D(m+2): sgn - rho1 - ... - rho(m-1) < (psi1, psi2).
     return g, gh, tuple([1] + [3 + p for p in range(1, m)] + [2, 3]), pulled
 
@@ -708,7 +703,7 @@ def _tetrahedral_family():
         chi_u=rows_h[4],
     )
     turns = (("e", F(0)), ("c2", F(1, 2)), ("c3", F(1, 3)), ("c3b", F(1, 3)))
-    g, pulled = _quotient(gh, "T", turns, "std3")
+    g, pulled = _quotient(gh, "T", turns, rotation="std3")
     # E6 nodes (Bourbaki, 0-based): om - u2om - std3 - u2omb - omb on the
     # chain, u2 on the branch node next to std3.
     return g, gh, (1, 4, 5, 3, 6, 2), pulled
@@ -743,7 +738,7 @@ def _octahedral_family():
         GroupSpec.octahedral(), "O^", classes_h, labels_h, rows_h, range(8), n, chi_u=rows_h[5],
     )
     turns = (("e", F(0)), ("t2", F(1, 2)), ("d2", F(1, 2)), ("c3", F(1, 3)), ("c4", F(1, 4)))
-    g, pulled = _quotient(gh, "O", turns, "stdsgn")
+    g, pulled = _quotient(gh, "O", turns, rotation="stdsgn")
     # E7 nodes: u2 - stdsgn - spin4 - std - u2s - sgn on the chain, with the
     # 2-dimensional `two` on the branch node next to spin4.
     return g, gh, (5, 2, 4, 7, 3, 6, 1), pulled
@@ -780,7 +775,7 @@ def _icosahedral_family():
         GroupSpec.icosahedral(), "I^", classes_h, labels_h, rows_h, range(9), n, chi_u=rows_h[5],
     )
     turns = (("e", F(0)), ("d2", F(1, 2)), ("c3", F(1, 3)), ("c5", F(1, 5)), ("c5b", F(2, 5)))
-    g, pulled = _quotient(gh, "I", turns, "three")
+    g, pulled = _quotient(gh, "I", turns, rotation="three")
     # E8 nodes: u2p - four - six - five - spin4 - three - u2 on the chain,
     # threep on the branch node next to six.
     return g, gh, (6, 2, 3, 8, 4, 7, 1, 5), pulled

@@ -171,13 +171,9 @@ def _cover_kernel(d: int, order: int) -> MappingProxyType:
     return MappingProxyType({e: c for (e,), c in series.sin_power_expansion(d, 0, order).items()})
 
 
-def _divisors_of_class(beta: CurveClass):
-    g = 0
-    for b in beta:
-        g = gcd(g, b)
-    for d in range(1, g + 1):
-        if g % d == 0:
-            yield d
+def _divisors_of_class(beta: CurveClass) -> list[int]:
+    g = gcd(*beta)
+    return [d for d in range(1, g + 1) if g % d == 0]
 
 
 def _read_class(spec: GroupSpec, beta) -> tuple[CurveClass, dict[CurveClass, int]]:
@@ -196,11 +192,7 @@ def _read_class(spec: GroupSpec, beta) -> tuple[CurveClass, dict[CurveClass, int
 
 def gw_genus0(spec: GroupSpec, beta) -> Fraction:
     """Genus-zero invariant: sum over d | beta of n0(beta/d) / d^3."""
-    beta, fibers = _read_class(spec, beta)
-    total = Fraction(0)
-    for d in _divisors_of_class(beta):
-        total += Fraction(fibers.get(tuple(b // d for b in beta), 0), 2 * d ** 3)  # n0 = f/2
-    return total
+    return gw_all_genus(spec, beta, 0)
 
 
 def gw_all_genus(spec: GroupSpec, beta, g: int) -> Fraction:

@@ -221,7 +221,6 @@ def classical_potential(spec: GroupSpec) -> ClassicalPotential:
     corr = correspondence(spec)
     data = _threefold(spec)
     g = corr.group
-    assert g.classes[0].size == 1 and g.classes[0].element_order == 1
     pairs = {}
     for cls in g.classes[1:]:
         centralizer = g.order // cls.size

@@ -110,12 +110,13 @@ class MultiSeries:
     """A truncated series: mapping from exponent tuples to Fractions.
 
     Construct through `zero`, `one`, `monomial` or `from_terms`; instances
-    are immutable by convention (no mutating API).  A given key with an
-    exponent that is not an integer, a negative q or Q exponent or a lam
-    exponent below -2 is a ConfigurationError, and so is an operand of +, -
-    or * that is neither a series nor a rational; a product that falls
-    below the lam floor is an InternalConsistencyError.  ``_parts`` maps
-    grade triples to {packed key: numerator over ``_den``}.
+    are immutable by convention (no mutating API).  A given key, stored or
+    looked up, with an exponent that is not an integer, a negative q or Q
+    exponent or a lam exponent below -2 is a ConfigurationError, and so is
+    an operand of +, - or * that is neither a series nor a rational; a key
+    past a cap reads 0, and a product that falls below the lam floor is an
+    InternalConsistencyError.  ``_parts`` maps grade triples to {packed key:
+    numerator over ``_den``}.
     """
 
     __slots__ = ("variables", "truncation", "_lay", "_parts", "_den")
@@ -135,11 +136,6 @@ class MultiSeries:
             if coeff == 0:
                 continue
             grades = self._grades(key)
-            if any(e < 0 for v, e in zip(variables, key) if v != "lam"):
-                raise ConfigurationError("negative exponent in a q or Q variable")
-            if grades[2] < LAMBDA_FLOOR:
-                raise ConfigurationError(
-                    f"lambda exponent {grades[2]} fell below {LAMBDA_FLOOR}")
             if all(cap is None or d <= cap for d, cap in zip(grades, caps)):
                 kept.setdefault(grades, {})[key] = coeff
         self._lay = lay = _layout(variables, truncation, *self._reach(kept))
@@ -150,8 +146,13 @@ class MultiSeries:
     # -- bookkeeping -------------------------------------------------------
 
     def _grades(self, key) -> tuple[int, int, int]:
+        """(q-degree, Q-degree, lam exponent) of a given key the ring can hold."""
         e = dict(zip(self.variables, key))
         big_q, lam = e.pop("Q", 0), e.pop("lam", 0)
+        if big_q < 0 or any(x < 0 for x in e.values()):
+            raise ConfigurationError("negative exponent in a q or Q variable")
+        if lam < LAMBDA_FLOOR:
+            raise ConfigurationError(f"lambda exponent {lam} fell below {LAMBDA_FLOOR}")
         return sum(e.values()), big_q, lam
 
     def _reach(self, parts=None) -> tuple[int, int]:
@@ -273,10 +274,11 @@ class MultiSeries:
 
     def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
         key = _exponent_key(self.variables, exponents)
+        grades = self._grades(key)
         k = _pack(self._lay, key)
         if _unpack(self._lay, k) != key:  # a field overflowed: no stored key is there
             return Fraction(0)
-        return Fraction(self._parts.get(self._grades(key), {}).get(k, 0), self._den)
+        return Fraction(self._parts.get(grades, {}).get(k, 0), self._den)
 
     def constant_term(self) -> Fraction:
         return Fraction(self._parts.get((0, 0, 0), {}).get(0, 0), self._den)

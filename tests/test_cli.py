@@ -1,5 +1,6 @@
 """Command line contract: parsing, exit codes, schemas, determinism."""
 
+import ast
 import csv
 import hashlib
 import io
@@ -1047,18 +1048,21 @@ def test_help_text_is_unchanged(capsys, monkeypatch, command):
     assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
 
 # resolves every (module, attribute path) of the tracer's LAYERS after
-# importing only the CLI, as `Recorder.install` does
+# importing only the CLI, as `Recorder.install` does, and prints each layer
+# that does not resolve, or whose `cache_hits` count is declared for an
+# uncached function or missing for a cached one (the tracer records it for
+# every function with `cache_info`, and a count no row declares is a KeyError)
 _LAYERS_PROBE = """
 import importlib.util, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
 tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
 import qmckay.cli
-for layer, module, path, _, _ in tracer.LAYERS:
+for layer, module, path, _, counts in tracer.LAYERS:
     owner = sys.modules.get(module)
     for part in path.split("."):
         owner = getattr(owner, part, None)
-    if not callable(owner):
+    if not callable(owner) or hasattr(owner, "cache_info") != ("cache_hits" in counts):
         print(layer, module, path)
 print(len(tracer.LAYERS))
 """
@@ -1113,3 +1117,11 @@ def test_no_source_line_is_longer_than_100_characters():
     for path in sorted((ROOT / "src" / "qmckay").rglob("*.py")):
         for number, line in enumerate(path.read_text().splitlines(), 1):
             assert len(line) <= 100, f"{path.name}:{number}"
+
+
+def test_no_source_check_is_an_assert_statement():
+    # `python -O` strips an assert, and `cli.main` maps no AssertionError
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "qmckay").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -116,15 +116,6 @@ def test_witness_prime_rejects_a_corrupt_residue(monkeypatch, corrupt):
         orbifold_potential(D5, 5)
 
 
-def test_chi_v_identity_is_checked_exactly():
-    g = correspondence(D5).group
-    crc._check_chi_v(g)
-    fields = {name: getattr(g, name) for name in g.__match_args__}
-    broken = type(g)(**fields | {"chi_v": (g.chi_v[0], g.chi_v[2], g.chi_v[1])})
-    with pytest.raises(InternalConsistencyError):
-        crc._check_chi_v(broken)
-
-
 def test_fp_primes_are_deterministic_and_of_the_right_shape():
     m = 24
     assert modular.prime(m, 0) == modular.prime(m, 0)

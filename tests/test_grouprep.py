@@ -378,6 +378,13 @@ def test_integer_value_reads_rationals_that_are_not_reduced():
     assert two_cos_turn(Fraction(1, 6), 24).integer_value() == 1
 
 
+def test_equality_with_a_value_outside_the_ring_is_false():
+    # arithmetic with such a value is refused (the library contract's REPROS)
+    zeta = Cyclotomic(4, {1: 1})
+    assert zeta != None and zeta != 1.5 and not zeta == "zeta"  # noqa: E711
+    assert Cyclotomic.integer(4, 2) == 2 and 2 == Cyclotomic.integer(4, 2)
+
+
 def test_values_past_the_prime_bound_raise():
     p = modular.prime(24, 0)[0]
     assert Cyclotomic.integer(12, p // 2).integer_value() == p // 2  # 2 l1 = p - 1
@@ -766,3 +773,39 @@ def test_pulled_irreps_are_named_by_the_binary_labels(spec):
             assert int(halved[2]) % 2 == 0, (spec, p, label)
             label = f"{halved[1]}{int(halved[2]) // 2}"
         assert corr.slot_labels[s] == label, (spec, p)
+
+
+@pytest.mark.parametrize("spec, rotation, mistyped", [
+    (GroupSpec.tetrahedral(), "std3", {"c2": Fraction(1, 3)}),
+    (GroupSpec.octahedral(), "stdsgn", {"d2": Fraction(1, 4)}),
+    (GroupSpec.icosahedral(), "three", {"c5": Fraction(2, 5), "c5b": Fraction(1, 5)}),
+], ids=["T", "O", "I"])
+def test_chi_v_is_read_off_the_turns_and_checked_against_v(spec, rotation, mistyped):
+    corr = correspondence(spec)
+    g, gh = corr.group, corr.binary_group
+    turns = [(c.label, c.turn) for c in g.classes]
+    rebuilt, _ = grouprep._quotient(gh, g.name, turns, rotation=rotation)
+    # V's row is stored as written, in terms the derived value need not share
+    assert _terms(rebuilt.chi_v) == _terms(g.table[g.irrep_index(rotation)]) == _terms(g.chi_v)
+    wrong = [(label, mistyped.get(label, t)) for label, t in turns]
+    with pytest.raises(InternalConsistencyError, match=rf"{g.name}: {rotation} is not 1 \+ 2 cos"):
+        grouprep._quotient(gh, g.name, wrong, rotation=rotation)
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["D3", "D3^"])
+def test_class_zero_must_be_the_identity(binary):
+    corr = correspondence(GroupSpec.dihedral(3))
+    model = corr.binary_group if binary else corr.group
+
+    def assemble(order):
+        character = "chi_u" if binary else "chi_v"
+        return grouprep._assemble(
+            model.spec, model.name, [model.classes[j] for j in order],
+            [r.label for r in model.irreps], [[row[j] for j in order] for row in model.table],
+            [order.index(model.inverse_class[j]) for j in order], model.table[0][0].n,
+            **{character: [getattr(model, character)[j] for j in order]})
+
+    identity = list(range(len(model.classes)))
+    assert assemble(identity) == model
+    with pytest.raises(InternalConsistencyError, match="class 0 is not the identity"):
+        assemble([1, 0, *identity[2:]])

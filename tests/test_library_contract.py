@@ -239,6 +239,12 @@ REPROS = {
     "crc_consistency-dps-1.5": lambda: crc.crc_consistency(D3, 1.5),
     "crc_consistency-dps-x": lambda: crc.crc_consistency(D3, "x"),
     "resolution_third_partials-dps-0": lambda: numeric.resolution_third_partials(D3, 0),
+    "MultiSeries.coefficient-negative-q": lambda: MultiSeries.one(
+        ("q1", "Q"), Truncation(3, 3)).coefficient({"q1": -1}),
+    "MultiSeries.coefficient-lam-below-floor": lambda: MultiSeries.one(VARS, TR).coefficient(
+        {"lam": -3}),
+    "PotentialSeries.coefficient-negative": lambda: _potential(D3).coefficient(
+        {"s": -1, "r1": 5}),
     "MultiSeries.monomial-negative-q": lambda: MultiSeries.monomial(
         ("q1", "Q"), Truncation(q_total=3, big_q=3), {"q1": -1}),
     "MultiSeries.from_terms-lam-below-floor": lambda: MultiSeries.from_terms(
@@ -251,6 +257,8 @@ REPROS = {
     "int-plus-MultiSeries": lambda: 1 + MultiSeries.one(VARS, TR),
     "int-minus-MultiSeries": lambda: 1 - MultiSeries.one(VARS, TR),
     "Cyclotomic-mixed-orders": lambda: Cyclotomic(4, {1: 1}) + Cyclotomic(6, {1: 1}),
+    "Cyclotomic-plus-float": lambda: Cyclotomic(4, {1: 1}) + 1.5,
+    "float-times-Cyclotomic": lambda: 1.5 * Cyclotomic(4, {1: 1}),
     "exp_turn-not-a-power": lambda: exp_turn(Fraction(1, 3), 4),
     "irrep_index-unknown": lambda: build_group(D3).irrep_index("nope"),
     "mckay_graph-rotation-group": lambda: mckay_graph(build_group(D3)),

@@ -322,15 +322,16 @@ def test_coefficient_past_a_field_is_zero_not_aliased():
     assert s.coefficient({"q1": 4}) == 0  # q1 = 4 would carry into q2
     assert s.coefficient({"q1": 3, "q2": 1}) == 0
     assert s.coefficient({"Q": 4}) == 0  # Q = 4 would carry into lam
-    assert s.coefficient({"q1": -1}) == 0
-    assert s.coefficient({"lam": -3}) == 0
     assert s.coefficient({"lam": 3}) == 0
     assert s.coefficient({"lam": -2}) == 1
     assert s.coefficient({"q2": 1}) == 2
-    # same grades and same packed int as q3 under 2-bit fields: -4 + 5*4 == 16
     t = MultiSeries.from_terms(("q1", "q2", "q3"), Truncation(q_total=3), {(0, 0, 1): 7})
     assert t.coefficient({"q3": 1}) == 7
-    assert t.coefficient({"q1": -4, "q2": 5}) == 0
+    # a key the ring cannot hold is refused, not read as 0; {q1: -4, q2: 5}
+    # has q3's grades and packed int under 2-bit fields (-4 + 5*4 == 16)
+    for owner, key in ((s, {"q1": -1}), (s, {"lam": -3}), (t, {"q1": -4, "q2": 5})):
+        with pytest.raises(ConfigurationError):
+            owner.coefficient(key)
 
 
 def test_uncapped_direction_outgrows_the_cap_widths():
