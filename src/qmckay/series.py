@@ -15,10 +15,11 @@ and raises instead of truncating silently.
 Storage is packed (Monagan and Pearce, Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors, CASC 2007): an exponent vector
 is one int of bit fields, so adding keys adds vectors, and coefficients are
-int numerators over one reduced denominator per series.  A q-variable's or
-Q's field is as wide as its cap or, uncapped, as the largest exponent the
-operation can reach, so no field carries into the next; lam sits on top,
-unbounded, so it may go negative.
+int numerators over one reduced denominator per series.  The layout
+belongs to the ring, so no series is ever repacked: a q-variable's or Q's
+field is as wide as its cap or, uncapped, 64 bits, and a q-degree or Q
+exponent past 2^64 - 1 in an uncapped direction is refused, so no field
+carries into the next; lam sits on top, unbounded, so it may go negative.
 
 Arithmetic is graded.  Every key has a grade triple (q-degree, Q-degree,
 lam-order), and products work on buckets of terms that share a triple: a
@@ -33,8 +34,8 @@ f = exp(g), D f = (D g) f, so the grade-w parts satisfy
     w * f_w = sum_{k=1..w} k * g_k * f_(w-k),
 
 which gives f from g (exp) or g from f (log) one grade at a time, forming
-only grade-w products, each over a denominator of its own.  Grades above
-the sum of the caps are zero.
+only grade-w products, each over a denominator of its own, and then sums
+the grades like any other sum.  Grades above the sum of the caps are zero.
 """
 
 from __future__ import annotations
@@ -43,20 +44,21 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from operator import add
 
 from .errors import ConfigurationError, InternalConsistencyError, as_int, dense
 from .records import record
 
 LAMBDA_FLOOR = -2
+_TOP = 2**64 - 1  # the largest q-degree or Q exponent an uncapped direction holds
 
 
 @record
 class Truncation:
     """Degree caps: total degree in the q-variables, degree in Q, order in lam.
 
-    A cap of None leaves that direction unbounded; operations that need a
-    cap to terminate (exp, log) refuse to run without one.
+    A cap of None bounds the q-degree or the Q exponent at 2^64 - 1 and
+    leaves lam unbounded; operations that need a cap to terminate (exp,
+    log) refuse to run without one.
     """
 
     q_total: int | None = None
@@ -78,17 +80,24 @@ def _as_fraction(x) -> Fraction:
 
 
 @lru_cache(maxsize=256)
-def _layout(variables, truncation, q_reach=0, big_q_reach=0) -> tuple:
-    """(shift, mask) per variable of a packed key: the q-variables, then Q,
-    each as wide as its cap or, uncapped, its reach; lam on top, unmasked."""
+def _layout(variables, truncation) -> tuple:
+    """(shift, mask) per variable of a packed key in the ring: the
+    q-variables, then Q (no width without a Q variable), each as wide as its
+    cap or, uncapped, as _TOP; lam on top, unmasked."""
     t = truncation
-    wq = (q_reach if t.q_total is None else t.q_total).bit_length()
-    wQ = (big_q_reach if t.big_q is None else t.big_q).bit_length()
+    wq = (_TOP if t.q_total is None else t.q_total).bit_length()
+    wQ = (_TOP if t.big_q is None else t.big_q).bit_length() if "Q" in variables else 0
     qs = [v for v in variables if v not in ("Q", "lam")]
     top = len(qs) * wq + wQ
     place = {"Q": (top - wQ, (1 << wQ) - 1), "lam": (top, -1)}
     place.update((v, (i * wq, (1 << wq) - 1)) for i, v in enumerate(qs))
     return tuple(place[v] for v in variables)
+
+
+def _check_top(t: Truncation, q: int, big_q: int) -> None:
+    """Refuse a q-degree or Q exponent past _TOP in an uncapped direction."""
+    if max(q if t.q_total is None else 0, big_q if t.big_q is None else 0) > _TOP:
+        raise ConfigurationError("an uncapped q-degree or Q exponent is bounded at 2^64 - 1")
 
 
 def _exponent_key(variables, exponents: Mapping[str, int]) -> tuple[int, ...]:
@@ -110,13 +119,15 @@ class MultiSeries:
     """A truncated series: mapping from exponent tuples to Fractions.
 
     Construct through `zero`, `one`, `monomial` or `from_terms`; instances
-    are immutable by convention (no mutating API).  A given key, stored or
-    looked up, with an exponent that is not an integer, a negative q or Q
-    exponent or a lam exponent below -2 is a ConfigurationError, and so is
-    an operand of +, - or * that is neither a series nor a rational; a key
-    past a cap reads 0, and a product that falls below the lam floor is an
-    InternalConsistencyError.  ``_parts`` maps grade triples to {packed key:
-    numerator over ``_den``}.
+    are immutable by convention (no mutating API).  A given key, stored
+    (even with a zero coefficient) or looked up, with an exponent that is
+    not an integer, a negative q or Q exponent, a lam exponent below -2 or,
+    in an uncapped direction, a q-degree or Q exponent past 2^64 - 1 is a
+    ConfigurationError.  So is an operand of +, - or * that is neither a
+    series nor a rational, and a product past 2^64 - 1 in an uncapped
+    direction.  A key past a cap reads 0, and a product that falls below
+    the lam floor is an InternalConsistencyError.  ``_parts`` maps grade
+    triples to {packed key: numerator over ``_den``}, in the ring's layout.
     """
 
     __slots__ = ("variables", "truncation", "_lay", "_parts", "_den")
@@ -132,13 +143,10 @@ class MultiSeries:
             key = tuple(as_int(e, "an exponent") for e in key)
             if len(key) != len(variables):
                 raise ConfigurationError("exponent tuple does not match the variables")
-            coeff = _as_fraction(coeff)
-            if coeff == 0:
-                continue
-            grades = self._grades(key)
-            if all(cap is None or d <= cap for d, cap in zip(grades, caps)):
+            grades, coeff = self._grades(key), _as_fraction(coeff)
+            if coeff and all(cap is None or d <= cap for d, cap in zip(grades, caps)):
                 kept.setdefault(grades, {})[key] = coeff
-        self._lay = lay = _layout(variables, truncation, *self._reach(kept))
+        self._lay = lay = _layout(variables, truncation)
         self._den = den = lcm(*(c.denominator for b in kept.values() for c in b.values()))
         self._parts = {g: {_pack(lay, k): c.numerator * (den // c.denominator)
                            for k, c in b.items()} for g, b in kept.items()}
@@ -153,23 +161,11 @@ class MultiSeries:
             raise ConfigurationError("negative exponent in a q or Q variable")
         if lam < LAMBDA_FLOOR:
             raise ConfigurationError(f"lambda exponent {lam} fell below {LAMBDA_FLOOR}")
-        return sum(e.values()), big_q, lam
+        q = sum(e.values())
+        _check_top(self.truncation, q, big_q)
+        return q, big_q, lam
 
-    def _reach(self, parts=None) -> tuple[int, int]:
-        """The largest q- and Q-degree present; 0 where the cap sets the width."""
-        t, parts = self.truncation, self._parts if parts is None else parts
-        return tuple(0 if cap is not None else max((g[i] for g in parts), default=0)
-                     for i, cap in enumerate((t.q_total, t.big_q)))
-
-    def _parts_in(self, lay: tuple) -> dict:
-        """The graded numerators repacked into ``lay``, which must fit them."""
-        if lay == self._lay:
-            return self._parts
-        old = self._lay
-        return {g: {_pack(lay, _unpack(old, k)): c for k, c in b.items()}
-                for g, b in self._parts.items()}
-
-    def _make(self, parts, den, lay) -> "MultiSeries":
+    def _make(self, parts, den) -> "MultiSeries":
         """A series in this ring from graded int numerators over ``den``;
         zeros drop and the fraction is reduced."""
         kept, g = {}, den
@@ -181,7 +177,7 @@ class MultiSeries:
                 g = gcd(g, *b.values())
         out = object.__new__(MultiSeries)
         out.variables, out.truncation = self.variables, self.truncation
-        out._lay, out._den, out._parts = lay, den // g, kept if g == 1 else {
+        out._lay, out._den, out._parts = self._lay, den // g, kept if g == 1 else {
             gr: {k: c // g for k, c in b.items()} for gr, b in kept.items()}
         return out
 
@@ -189,11 +185,13 @@ class MultiSeries:
         """Add m times the capped product of two graded term sets into ``acc``.
 
         A bucket pair whose grades pass a cap is skipped before any of its
-        terms is formed; one that passes the lambda floor raises, whether or
-        not a cap would have dropped it.
+        terms is formed; one that passes the lambda floor, or 2^64 - 1 in an
+        uncapped q or Q direction, raises, whether or not a cap would have
+        dropped it.
         """
         t = self.truncation
-        cq, cQ, cl = t.q_total, t.big_q, t.lam
+        cq, cQ, cl = (_TOP if t.q_total is None else t.q_total,
+                      _TOP if t.big_q is None else t.big_q, t.lam)
         for (qa, Qa, la), ta in left.items():
             for (qb, Qb, lb), tb in right.items():
                 ld = la + lb
@@ -201,8 +199,9 @@ class MultiSeries:
                     raise InternalConsistencyError(
                         f"lambda exponent {ld} fell below {LAMBDA_FLOOR}")
                 qd, Qd = qa + qb, Qa + Qb
-                if ((cq is not None and qd > cq) or (cQ is not None and Qd > cQ)
-                        or (cl is not None and ld > cl)):
+                if qd > cq or Qd > cQ or (cl is not None and ld > cl):
+                    if qd > _TOP or Qd > _TOP:
+                        _check_top(t, qd, Qd)
                     continue
                 bucket = acc.setdefault((qd, Qd, ld), {})
                 get = bucket.get
@@ -217,15 +216,13 @@ class MultiSeries:
         """sum of c * s over the (c, s) pairs, as products with the unit."""
         for _, s in pairs:
             self._check_compatible(s)
-        lay = _layout(self.variables, self.truncation,
-                      *map(max, zip((0, 0), *(s._reach() for _, s in pairs))))
         pairs = [(_as_fraction(c), s) for c, s in pairs]
         den = lcm(*(c.denominator * s._den for c, s in pairs))
         acc: dict = {}
         for c, s in pairs:
-            self._accumulate(acc, s._parts_in(lay), _UNIT,
+            self._accumulate(acc, s._parts, _UNIT,
                              c.numerator * (den // (c.denominator * s._den)))
-        return self._make(acc, den, lay)
+        return self._make(acc, den)
 
     def _check_compatible(self, other: "MultiSeries") -> None:
         if not isinstance(other, MultiSeries):
@@ -291,8 +288,7 @@ class MultiSeries:
         out: dict[int, dict] = {}
         for (q, Q, d), b in self._parts.items():
             out.setdefault(d, {})[q, Q, 0] = {k - (d << shift): c for k, c in b.items()}
-        return {d: self._make(p, self._den, self._lay)
-                for d, p in sorted(out.items())}
+        return {d: self._make(p, self._den) for d, p in sorted(out.items())}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiSeries):
@@ -300,8 +296,7 @@ class MultiSeries:
         if (self.variables, self.truncation, self._den) != (
                 other.variables, other.truncation, other._den):
             return False
-        lay = _layout(self.variables, self.truncation, *map(max, self._reach(), other._reach()))
-        return self._parts_in(lay) == other._parts_in(lay)
+        return self._parts == other._parts
 
     def __hash__(self):
         return hash((self.variables, self.truncation, frozenset(self.items())))
@@ -329,10 +324,9 @@ class MultiSeries:
         if not isinstance(other, MultiSeries):
             return self.scale(other)  # which refuses a factor that is not rational
         self._check_compatible(other)
-        lay = _layout(self.variables, self.truncation, *map(add, self._reach(), other._reach()))
         acc: dict = {}
-        self._accumulate(acc, self._parts_in(lay), other._parts_in(lay))
-        return self._make(acc, self._den * other._den, lay)
+        self._accumulate(acc, self._parts, other._parts)
+        return self._make(acc, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -353,18 +347,17 @@ class MultiSeries:
 
     # -- transcendental operations ----------------------------------------
 
-    def _weight_parts(self) -> tuple[int, tuple, dict[int, dict]]:
-        """Top grade, layout and non-constant buckets by capped grade for
-        exp/log; a result term is a product of at most top-grade terms.
+    def _weight_parts(self) -> tuple[int, dict[int, dict]]:
+        """The top grade (the sum of the caps) and the non-constant buckets
+        by capped grade, for exp/log; no grade past the top is nonzero.
 
         Every term must raise at least one capped grading, and lam exponents
         must be nonnegative so products cannot dive toward the lam floor.
         """
         t = self.truncation
         top = sum(cap for cap in (t.q_total, t.big_q, t.lam) if cap is not None)
-        lay = _layout(self.variables, t, *(top * r for r in self._reach()))
         out: dict[int, dict] = {}
-        for (qd, Qd, ld), bucket in self._parts_in(lay).items():
+        for (qd, Qd, ld), bucket in self._parts.items():
             if ld < 0:
                 raise ConfigurationError(
                     "exp/log need nonnegative lam exponents in the argument")
@@ -376,13 +369,7 @@ class MultiSeries:
                     "exp/log argument has a term no truncation cap controls")
             if w:
                 out.setdefault(w, {})[qd, Qd, ld] = bucket
-        return top, lay, out
-
-    def _join(self, grades, lay) -> "MultiSeries":
-        """The sum of series with disjoint grade triples."""
-        den = lcm(*(s._den for s in grades))
-        return self._make({g: {k: c * (den // s._den) for k, c in b.items()}
-                           for s in grades for g, b in s._parts.items()}, den, lay)
+        return top, out
 
     def exp(self) -> "MultiSeries":
         """Exponential; the argument needs zero constant term.
@@ -392,16 +379,16 @@ class MultiSeries:
         """
         if self.constant_term() != 0:
             raise ConfigurationError("exp needs a zero constant term")
-        top, lay, g = self._weight_parts()
-        f = [self._make(_UNIT, 1, lay)]
+        top, g = self._weight_parts()
+        f = [self._make(_UNIT, 1)]
         for w in range(1, top + 1):
             terms = [(k, part, f[w - k]) for k, part in g.items() if k <= w and f[w - k]._parts]
             den = lcm(*(fk._den for _, _, fk in terms))
             acc: dict = {}
             for k, part, fk in terms:
                 self._accumulate(acc, part, fk._parts, k * (den // fk._den))
-            f.append(self._make(acc, den * self._den * w, lay))
-        return self._join(f, lay)
+            f.append(self._make(acc, den * self._den * w))
+        return self._combine([(1, piece) for piece in f])
 
     def log(self) -> "MultiSeries":
         """Logarithm; the argument needs constant term one.
@@ -411,7 +398,7 @@ class MultiSeries:
         """
         if self.constant_term() != 1:
             raise ConfigurationError("log needs constant term one")
-        top, lay, f = self._weight_parts()
+        top, f = self._weight_parts()
         g: dict[int, MultiSeries] = {}
         for w in range(1, top + 1):
             terms = [(k, gk) for k, gk in g.items() if gk._parts and w - k in f]
@@ -420,8 +407,8 @@ class MultiSeries:
             self._accumulate(acc, f.get(w, {}), _UNIT, w * den)
             for k, gk in terms:
                 self._accumulate(acc, gk._parts, f[w - k], -k * (den // gk._den))
-            g[w] = self._make(acc, den * self._den * w, lay)
-        return self._join(g.values(), lay)
+            g[w] = self._make(acc, den * self._den * w)
+        return self._combine([(1, piece) for piece in g.values()])
 
     def pow_rational(self, r: Fraction) -> "MultiSeries":
         """(series)^r for rational r; the base needs constant term one."""

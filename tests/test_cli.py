@@ -6,9 +6,11 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -1125,3 +1127,21 @@ def test_no_source_check_is_an_assert_statement():
              for path in sorted((ROOT / "src" / "qmckay").rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_source_function_is_named_outside_its_def():
+    """A function or method of `src/qmckay` whose name appears nowhere in
+    src/, tests/, perfbench/ or pyproject.toml but in a def has no caller.
+    Dunders are exempt, and so are the `cmd_*` builders that `cli._builder`
+    reaches by `getattr`."""
+    files = [ROOT / "pyproject.toml", *(path for top in ("src", "tests", "perfbench")
+                                        for path in sorted((ROOT / top).rglob("*.py")))]
+    text = "\n".join(path.read_text() for path in files)
+    words = Counter(re.findall(r"\w+", text))
+    defs = Counter(re.findall(r"\bdef\s+(\w+)", text))
+    names = {node.name for path in sorted((ROOT / "src" / "qmckay").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    dead = sorted(name for name in names if words[name] <= defs[name]
+                  and not name.startswith("cmd_") and not re.fullmatch(r"__\w+__", name))
+    assert dead == []

@@ -347,6 +347,29 @@ def test_uncapped_direction_outgrows_the_cap_widths():
                                {(1, k): math.comb(40, k) for k in range(41)})
 
 
+@pytest.mark.parametrize("variables, tr, var", [
+    (("q1",), Truncation(), "q1"),
+    (("q1", "Q"), Truncation(q_total=2), "Q"),
+], ids=["q", "Q"])
+def test_an_uncapped_direction_is_bounded_at_two_to_the_64_minus_one(variables, tr, var):
+    top = 2**64 - 1
+    s = MultiSeries.monomial(variables, tr, {var: top}, 3)
+    assert s.coefficient({var: top}) == 3
+    with pytest.raises(ConfigurationError):
+        MultiSeries.monomial(variables, tr, {var: top + 1})
+    with pytest.raises(ConfigurationError):
+        s.coefficient({var: top + 1})
+    half = MultiSeries.monomial(variables, tr, {var: 2**63})
+    with pytest.raises(ConfigurationError):
+        half * half
+
+
+def test_a_cap_past_two_to_the_64_is_kept():
+    tr = Truncation(q_total=2**70)
+    big, q1 = (MultiSeries.monomial(("q1",), tr, {"q1": e}) for e in (2**65, 1))
+    assert dict((big * q1).items()) == {(2**65 + 1,): 1}
+
+
 def test_lambda_at_the_floor_survives_and_products_still_raise():
     tr = Truncation(q_total=2, lam=2)
     a = MultiSeries.from_terms(("q1", "lam"), tr, {(1, -2): Fraction(1, 3), (0, 0): 1})
