@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 # the decimal digits `qmckay.crc` works to when no precision is given; stated
 # here, so the command line can print it without importing `qmckay.crc`
 DEFAULT_DPS = 64
-# the guard digits each mpf view works with beyond its precision; stated here,
-# so `group` runs `numeric.as_mpc` without executing `qmckay.crc`, which
-# `numeric` reaches only through its module attribute
+# the guard digits each mpf view works with beyond its precision, read by
+# `qmckay.crc` and `qmckay.numeric`
 _GUARD = 10
 
 # each public name, by the module that defines it

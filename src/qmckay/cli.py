@@ -5,12 +5,13 @@ data, and emits a deterministic report: identical invocations produce
 identical bytes.  JSON payloads carry all numbers as strings ("p/q" for
 rationals, decimal strings for reals) and validate against the schemas in
 `qmckay.schemas`.  JSON is written in one direct pass, byte-identical to
-`json.dumps(payload, indent=2, sort_keys=True)` plus a newline, and `json`
-is loaded only when JSON is asked for.  CSV is drawn from the payload's
-records, and only when CSV is asked for: each record is one row in column
-order, a list value fills consecutive columns, and a sparse exponent dict
-fills one column per variable, 0 where absent.  Text is for reading, and
-its lines are likewise built only when text is asked for.
+`json.dumps(payload, indent=2, sort_keys=True)` plus a newline; it quotes
+strings with `_json`, the C module under the `json` package, which is loaded
+only when JSON is asked for.  CSV is drawn from the payload's records, and
+only when CSV is asked for: each record is one row in column order, a list
+value fills consecutive columns, and a sparse exponent dict fills one column
+per variable, 0 where absent.  Text is for reading, and its lines are
+likewise built only when text is asked for.
 
 This module is the plumbing: the parser, the group grammar, the precision,
 rendering and exit codes.  Each subcommand is one row of `SUBCOMMANDS`,
@@ -75,7 +76,7 @@ def _deferred(name: str):
     return module
 
 
-# no command runs `exact`; it is registered for perfbench's tracer, which wraps `mat_inverse`
+# no command runs `exact` or `numeric`; perfbench's tracer wraps functions of both
 crc, exact, grouprep, gwtheory, intersect, modular, numeric, rootsys, series = map(_deferred, (
     "crc", "exact", "grouprep", "gwtheory", "intersect", "modular", "numeric", "rootsys",
     "series",
@@ -283,8 +284,12 @@ def _write_json(value, put, quote, pad: str) -> None:
 
 def render(report: Report, fmt: str) -> str:
     if fmt == "json":
-        # here, so only a --format json request loads json
-        from json.encoder import encode_basestring_ascii
+        # here, so only a --format json request loads it; the C function
+        # json.encoder re-exports, without the json package around it
+        try:
+            from _json import encode_basestring_ascii
+        except ImportError:
+            from json.encoder import encode_basestring_ascii
 
         out: list[str] = []
         _write_json(report.payload, out.append, encode_basestring_ascii, "\n")

@@ -1,18 +1,26 @@
-"""`qmckay group`: the character data of G and its McKay node dictionary."""
+"""`qmckay group`: the character data of G and its McKay node dictionary.
+
+chi_V on each class is printed from its exact cyclotomic value: an integer
+as it is, any other value by `digits.cos_nstr`, with no mpmath.
+"""
 
 from __future__ import annotations
 
-from .. import grouprep, numeric, rootsys
+from .. import grouprep, rootsys
+from ..digits import cos_nstr
 from . import Report, _rows, canonical_token
+
+# The output contract: chi_V is printed to 30 digits as mpmath's default
+# 53-bit context rounds it, so only about 16 of them are right.  ROADMAP
+# item 19 moves this to the working digits, with new digests.
+_CONTEXT_DPS = 15
 
 
 def _charvalue(v) -> str:
     value = v.integer_value()
     if value is not None:
         return str(value)
-    import mpmath as mp
-
-    return mp.nstr(numeric.as_mpc(v).real, 30)
+    return cos_nstr(v.terms, v.n, _CONTEXT_DPS, 30)
 
 
 def cmd_group(spec: grouprep.GroupSpec, args) -> Report:

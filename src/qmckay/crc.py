@@ -16,7 +16,7 @@ x = 0 decimal view is one exact value converted once:
 `b_series` (2(j+1)(-1)^j times the coefficient of x_s^2 x_r1^(j+1)) and
 `resolution_third_partials` in `qmckay.numeric`, which also holds the views
 that work at decimal precision (`third_partial` at real x, `linear_forms`,
-`change_of_variables`) and `as_mpc`, the one numeric view of a character
+`change_of_variables`) and `as_mpc`, the one mpf view of a character
 value, so `grouprep` is free of mpmath.  Every public name of `numeric` is
 read from here too, on first access (PEP 562), so a request that forms no
 mpf never compiles them.  mpmath is imported by the functions that form an

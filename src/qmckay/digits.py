@@ -16,10 +16,17 @@ bytes are what callers compare:
 
 Values beyond 2^+-3500, which ``to_digits_exp`` first scales by a power of
 ten computed in floating point, are handed to mpmath itself.
+
+`cos_nstr(terms, n, dps, places)` prints the same way a sum of cosines of
+rational turns, such as a real character value, rounded to the nearest float
+of the working bits.  It brackets the exact sum in binary fixed point
+(`cos_sum`: π by Machin's formula and each cosine by its Taylor series, all
+in ints) and prints once both ends of the bracket print alike.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import log
 
 
@@ -80,3 +87,79 @@ def nstr(n: int, d: int, dps: int, places: int) -> str:
     if exponent == 0:
         return sign + text
     return f"{sign}{text}e{exponent:+d}"
+
+
+# Below, an int A at `bits` stands for A / 2^bits, and each value comes with
+# a bound E on its error in the same units.
+
+# the bits `cos_nstr` starts from; it doubles them until the bracket decides
+_FIRST_BITS = 128
+
+
+def _atan_inv(x: int, bits: int) -> tuple[int, int]:
+    """atan(1/x) for an int x >= 5, as (A, E)."""
+    # x^-(2k+1) cut toward zero is below 25/24 under its true value, and the
+    # division by 2k + 1 cuts below 1 more, so each term is off by less than
+    # 3; past the first power that reads 0 the alternating tail is below 2
+    total, power, k, x2 = 0, (1 << bits) // x, 0, x * x
+    while power:
+        total += -(power // (2 * k + 1)) if k & 1 else power // (2 * k + 1)
+        power //= x2
+        k += 1
+    return total, 3 * k + 2
+
+
+@lru_cache(maxsize=8)
+def _pi(bits: int) -> tuple[int, int]:
+    """π by Machin's formula, 16 atan(1/5) - 4 atan(1/239), as (A, E)."""
+    a, a_err = _atan_inv(5, bits)
+    b, b_err = _atan_inv(239, bits)
+    return 16 * a - 4 * b, 16 * a_err + 4 * b_err
+
+
+def cos_sum(terms, n: int, bits: int) -> tuple[int, int]:
+    """The sum of c * cos(2π e / n) over the (e, c) pairs, 0 <= e < n, as
+    (A, E) at ``bits`` >= 32: A / 2^bits lies within E / 2^bits of it."""
+    weights: dict[int, int] = {}
+    for e, c in terms:
+        m = min(e, n - e)  # the same cosine, of an angle in [0, π]
+        weights[m] = weights.get(m, 0) + c
+    p, p_err = _pi(bits)
+    one = 1 << bits
+    total = err = 0
+    for m, c in weights.items():
+        # θ is off by at most p_err + 1, and so, cos being 1-Lipschitz, is
+        # cos θ; θ < 3.46, so each Taylor ratio θ^2 / ((2k - 1) 2k) past the
+        # first is below 1: the k-th term, one cut from the last, is off by
+        # less than k, and past the first term that reads 0 (the k-th) the
+        # alternating tail is below k too
+        theta = 2 * m * p // n
+        square, scale = theta * theta, one * one
+        cos, term, k = one, one, 0
+        while term:
+            k += 1
+            term = term * square // (scale * (2 * k - 1) * 2 * k)
+            cos += -term if k & 1 else term
+        total += c * cos
+        err += abs(c) * (p_err + 1 + k * (k + 1) // 2 + k)
+    return total, err
+
+
+def cos_nstr(terms, n: int, dps: int, places: int) -> str:
+    """`nstr` of the sum of c * cos(2π e / n) over the (e, c) pairs, rounded
+    half to even to dps_to_prec(dps) bits as mpmath's ``+z`` rounds it.
+
+    The bracket [A - E, A + E] holds the sum, and rounding and printing are
+    monotone, so when both ends print alike the sum prints so too;
+    otherwise the bits double.  Only a sum half-way between two floats of
+    the working bits would never decide, and there is none: the sum is half
+    an algebraic integer, so an irrational one is no dyadic rational and a
+    rational one is a multiple of 1/2.
+    """
+    bits = _FIRST_BITS
+    while True:
+        a, err = cos_sum(terms, n, bits)
+        text = nstr(a - err, 1 << bits, dps, places)
+        if text == nstr(a + err, 1 << bits, dps, places):
+            return text
+        bits *= 2

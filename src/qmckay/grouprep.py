@@ -34,8 +34,9 @@ value by its images under every Galois conjugate, and the integer quantities
 derived from the values (tensor multiplicities, pairings, class
 multiplication constants) as dot products of ints, a matrix per call, read
 back under a proven bound and checked by a witness prime.  No tolerance or
-rounding is involved, and this module never imports mpmath; the one numeric
-view of a value, `as_mpc`, is in `qmckay.numeric`.
+rounding is involved, and this module never imports mpmath; the one mpf view
+of a value, `as_mpc`, is in `qmckay.numeric`, and `digits.cos_nstr` prints a
+real one without mpmath.
 
 Fixed conventions (part of the public contract; consumers index by label):
 
@@ -231,18 +232,23 @@ class Cyclotomic:
         return f"Cyclotomic({self.n}, {dict(self.terms)})"
 
 
+def _turn_power(t: Fraction, n: int) -> int:
+    """n*t, which must be an integer."""
+    e, r = divmod(t.numerator * n, t.denominator)
+    if r:
+        raise ConfigurationError(f"exp(2 pi i {t}) is not a power of zeta_{n}")
+    return e
+
+
 def exp_turn(t: Fraction, n: int) -> Cyclotomic:
     """exp(2*pi*i*t) as zeta_n^(n*t); n*t must be an integer."""
-    e = Fraction(t) * n
-    if e.denominator != 1:
-        raise ConfigurationError(f"exp(2 pi i {t}) is not a power of zeta_{n}")
-    return Cyclotomic(n, {e.numerator: 1})
+    return Cyclotomic(n, {_turn_power(t, n): 1})
 
 
 def two_cos_turn(t: Fraction, n: int) -> Cyclotomic:
     """2*cos(2*pi*t) as zeta_n^(n*t) + zeta_n^(-n*t)."""
-    z = exp_turn(t, n)
-    return z + z.conjugate()
+    e = _turn_power(t, n)
+    return Cyclotomic(n, {e: 1, -e: 1} if e else {0: 2})
 
 
 # ---------------------------------------------------------------------------

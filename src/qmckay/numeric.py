@@ -10,12 +10,11 @@ convert exact rationals once, and `rational_guess` reads a small rational
 back from a decimal.  mpmath is imported by the functions that form an mpf,
 not by this module.  `crc` keeps the exact layer and reads these names from
 here on first access (PEP 562), so a request that forms no mpf never
-compiles them; `crc` itself is reached through its module attribute, so
-`as_mpc` (the chi_V column of `group`) runs without it.  Every precision
-opens mpmath's context through `_guarded`, which refuses a dps that is not
-an integer of at least 1, and each view calls it before any other work; a
-class argument is a label or an index (`errors.position`), and x is a
-sparse {label: value} map (`errors.dense`).
+compiles them; no CLI command forms one.  Every precision opens mpmath's
+context through `_guarded`, which refuses a dps that is not an integer of at
+least 1, and each view calls it before any other work; a class argument is a
+label or an index (`errors.position`), and x is a sparse {label: value} map
+(`errors.dense`).
 """
 
 from __future__ import annotations

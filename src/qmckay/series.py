@@ -109,7 +109,7 @@ def _pack(lay, key) -> int:
 
 
 def _unpack(lay, k: int) -> tuple[int, ...]:
-    return tuple((k >> s) & m for s, m in lay)
+    return tuple([(k >> s) & m for s, m in lay])  # a list builds faster than a generator
 
 
 _UNIT = {(0, 0, 0): {0: 1}}
@@ -417,39 +417,39 @@ class MultiSeries:
 
     # -- presentation ------------------------------------------------------
 
-    def sorted_terms(self):
-        """Terms in graded lexicographic order (total degree, then key)."""
-        return sorted(self.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int, int]]:
+        """(key, numerator, denominator) per term, the fraction in lowest
+        terms, in graded lexicographic order (total degree, then key)."""
+        lay, den = self._lay, self._den
+        rows = []
+        for b in self._parts.values():
+            for k, c in b.items():
+                key, g = _unpack(lay, k), gcd(c, den)
+                rows.append((sum(key), key, c // g, den // g))
+        rows.sort()
+        return [(key, n, d) for _, key, n, d in rows]
 
     def terms_jsonable(self) -> list:
-        out = []
-        for key, coeff in self.sorted_terms():
-            exponents = {v: e for v, e in zip(self.variables, key) if e != 0}
-            out.append({
-                "exponents": exponents,
-                "t_power": 0,  # the payload schema keeps the field; a series has no weight
-                "numerator": str(coeff.numerator),
-                "denominator": str(coeff.denominator),
-            })
-        return out
+        variables = self.variables
+        return [{
+            "exponents": {v: e for v, e in zip(variables, key) if e},
+            "t_power": 0,  # the payload schema keeps the field; a series has no weight
+            "numerator": str(n),
+            "denominator": str(d),
+        } for key, n, d in self.sorted_terms()]
 
     def format_text(self) -> str:
         if not self._parts:
             return "0"
         parts = []
-        for key, coeff in self.sorted_terms():
-            factors = []
-            for var, e in zip(self.variables, key):
-                if e == 0:
-                    continue
-                factors.append(var if e == 1 else f"{var}^{e}")
-            mono = "*".join(factors)
+        for key, n, d in self.sorted_terms():
+            coeff = str(n) if d == 1 else f"{n}/{d}"
+            mono = "*".join(var if e == 1 else f"{var}^{e}"
+                            for var, e in zip(self.variables, key) if e)
             if not mono:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(mono)
-            elif coeff == -1:
-                parts.append(f"-{mono}")
+                parts.append(coeff)
+            elif d == 1 and n in (1, -1):
+                parts.append(mono if n == 1 else f"-{mono}")
             else:
                 parts.append(f"{coeff}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")

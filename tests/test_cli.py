@@ -880,8 +880,11 @@ print(code, "mpmath" in sys.modules)
                   "--precision", "10"], False, id="crc-text-precision10-False"),
     pytest.param(["crc", "--group", "T", "--degree", "4", "--precision", "4000"], False,
                  id="crc-precision4000-False"),
-    # chi_V = 1 + 2 cos(2 pi/5) on the order-5 classes of I is printed as a decimal
-    (["group", "--group", "I"], True),
+    # chi_V = 1 + 2 cos(2 pi/5) on the order-5 classes is printed as a decimal,
+    # from its exact value
+    (["group", "--group", "I"], False),
+    pytest.param(["group", "--group", "C:5"], False, id="group-C5-False"),
+    pytest.param(["group", "--group", "C:20"], False, id="group-C20-False"),
 ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
 def test_only_decimal_output_imports_mpmath(argv, loaded):
     result = subprocess.run(
@@ -903,17 +906,17 @@ code = 0
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(sys.argv[1:])
-watched = {"csv", "dataclasses", "inspect", "json", "qmckay.schemas"}
+watched = {"_json", "csv", "dataclasses", "inspect", "json", "qmckay.schemas"}
 print(code, *sorted(watched & set(sys.modules) - preloaded))
 """
 
 
 @pytest.mark.parametrize("argv, loaded", [
     ([], []),
-    (["verify", "--group", "T"], ["json"]),
+    (["verify", "--group", "T"], ["_json"]),
     (["verify", "--group", "T", "--format", "text"], []),
-    (["crc", "--group", "T", "--degree", "4"], ["json"]),
-    (["roots", "--group", "E8"], ["json"]),
+    (["crc", "--group", "T", "--degree", "4"], ["_json"]),
+    (["roots", "--group", "E8"], ["_json"]),
     (["roots", "--group", "E8", "--format", "text"], []),
     (["roots", "--group", "E8", "--format", "csv"], ["csv"]),
     (["crc", "--group", "T", "--degree", "4", "--format", "csv"], ["csv"]),
@@ -958,9 +961,9 @@ print(code, *(n for n in names if type(sys.modules.get("qmckay." + n)) is types.
     ("qmckay.cli", ["verify", "--group", "T"],
      ["crc", "grouprep", "gwtheory", "intersect", "modular", "rootsys", "series",
       "commands.verify"]),
-    # chi_V on the order-5 classes is no integer, so it is printed through numeric.as_mpc
+    # chi_V on the order-5 classes is no integer, and is printed without numeric.as_mpc
     ("qmckay.cli", ["group", "--group", "C:5"],
-     ["grouprep", "modular", "numeric", "rootsys", "commands.group"]),
+     ["grouprep", "modular", "rootsys", "commands.group"]),
     ("qmckay.cli", ["bps", "--group", "C:16"],
      ["grouprep", "gwtheory", "modular", "rootsys", "commands.bps"]),
     ("qmckay.cli", ["gw", "--group", "C:3", "--max-q-degree", "2", "--lambda-order", "2"],
@@ -1119,6 +1122,20 @@ def test_no_source_line_is_longer_than_100_characters():
     for path in sorted((ROOT / "src" / "qmckay").rglob("*.py")):
         for number, line in enumerate(path.read_text().splitlines(), 1):
             assert len(line) <= 100, f"{path.name}:{number}"
+
+
+def test_no_command_imports_mpmath():
+    # statically, what the subprocess probe of each command checks at run time
+    paths = [ROOT / "src" / "qmckay" / "cli.py",
+             *sorted((ROOT / "src" / "qmckay" / "commands").glob("*.py"))]
+    found = [f"{path.name}:{node.lineno}"
+             for path in paths for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Import) and any(
+                 alias.name.partition(".")[0] == "mpmath" for alias in node.names)
+             or isinstance(node, ast.ImportFrom) and not node.level
+             and (node.module or "").partition(".")[0] == "mpmath"]
+    assert len(paths) > 2
+    assert found == []
 
 
 def test_no_source_check_is_an_assert_statement():

@@ -1,16 +1,23 @@
-"""`digits.nstr` against mpmath's own `nstr` of the rounded quotient."""
+"""`digits.nstr` against mpmath's own `nstr` of the rounded quotient, and
+`digits.cos_nstr` against mpmath's route to the same digits."""
 
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import mpmath as mp
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qmckay import digits
 from qmckay.crc import _GUARD
-from qmckay.digits import nstr
+from qmckay.digits import cos_nstr, cos_sum, nstr
+from qmckay.grouprep import GroupSpec, correspondence, two_cos_turn
+from qmckay.numeric import as_mpc
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,3 +83,42 @@ def test_nstr_loads_mpmath_only_past_2_to_the_3500():
                             timeout=120, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "True"]
+
+
+# -- sums of cosines: the chi_V column of `group` -------------------------------
+# `group` printed mp.nstr(numeric.as_mpc(v).real, 30) in mpmath's default
+# 53-bit context; `cos_nstr` shares no code with that route.
+
+
+def _mpmath_route(v):
+    with mp.workdps(15):
+        return mp.nstr(as_mpc(v).real, 30)
+
+
+def _cos_route(v):
+    return cos_nstr(v.terms, v.n, 15, 30)
+
+
+def test_cos_nstr_matches_mpmath_on_every_turn_up_to_120():
+    # 1 + 2 cos(2 pi p/q) for q <= 120 covers every chi_V value of C:2-60 and
+    # D:2-60; q - p gives the same value, and an integer is printed as one
+    values = [1 + two_cos_turn(Fraction(p, q), q)
+              for q in range(2, 121) for p in range(1, q // 2 + 1) if gcd(p, q) == 1]
+    values = [v for v in values if v.integer_value() is None]
+    assert len(values) > 2000
+    assert [v.terms for v in values if _cos_route(v) != _mpmath_route(v)] == []
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.tetrahedral(), GroupSpec.octahedral(),
+                                  GroupSpec.icosahedral()], ids=["T", "O", "I"])
+def test_cos_nstr_matches_mpmath_on_the_exceptional_chi_v_rows(spec):
+    values = [v for v in correspondence(spec).group.chi_v if v.integer_value() is None]
+    assert [_cos_route(v) for v in values] == [_mpmath_route(v) for v in values]
+
+
+def test_cos_nstr_refines_a_bracket_that_does_not_decide(monkeypatch):
+    phi = 1 + two_cos_turn(Fraction(1, 5), 5)
+    a, err = cos_sum(phi.terms, phi.n, 32)
+    assert nstr(a - err, 1 << 32, 15, 30) != nstr(a + err, 1 << 32, 15, 30)
+    monkeypatch.setattr(digits, "_FIRST_BITS", 32)
+    assert _cos_route(phi) == _mpmath_route(phi) == "1.61803398874989490252573887119"

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qmckay.errors import ConfigurationError, InternalConsistencyError
 from qmckay.series import (
@@ -557,3 +557,49 @@ def test_exp_log_match_power_sum_reference(data, tr):
     assert u.exp() == naive_exp(u)
     f = MultiSeries.one(LAM_VARS, tr) + u
     assert f.log() == naive_log(f)
+
+
+# -- presentation against the Fraction reference ---------------------------------
+# The presentation the int one replaced: a Fraction per term, sorted by a key.
+
+
+def reference_sorted_terms(s):
+    return sorted(s.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+
+
+def reference_terms_jsonable(s):
+    return [{
+        "exponents": {v: e for v, e in zip(s.variables, key) if e != 0},
+        "t_power": 0,
+        "numerator": str(coeff.numerator),
+        "denominator": str(coeff.denominator),
+    } for key, coeff in reference_sorted_terms(s)]
+
+
+def reference_format_text(s):
+    if s.is_zero():
+        return "0"
+    parts = []
+    for key, coeff in reference_sorted_terms(s):
+        mono = "*".join(var if e == 1 else f"{var}^{e}"
+                        for var, e in zip(s.variables, key) if e != 0)
+        if not mono:
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append(mono)
+        elif coeff == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{coeff}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+@given(s=st.one_of(small_series(), *(lam_series(tr) for tr in LAM_RINGS)))
+@example(s=MultiSeries.zero(VARS, SMALL_TR))
+@example(s=MultiSeries.zero(LAM_VARS, LAM_RINGS[0]))
+@settings(max_examples=150, deadline=None)
+def test_presentation_matches_the_fraction_reference(s):
+    assert s.sorted_terms() == [(key, c.numerator, c.denominator)
+                                for key, c in reference_sorted_terms(s)]
+    assert s.terms_jsonable() == reference_terms_jsonable(s)
+    assert s.format_text() == reference_format_text(s)
