@@ -286,10 +286,7 @@ def render(report: Report, fmt: str) -> str:
     if fmt == "json":
         # here, so only a --format json request loads it; the C function
         # json.encoder re-exports, without the json package around it
-        try:
-            from _json import encode_basestring_ascii
-        except ImportError:
-            from json.encoder import encode_basestring_ascii
+        from _json import encode_basestring_ascii
 
         out: list[str] = []
         _write_json(report.payload, out.append, encode_basestring_ascii, "\n")

@@ -36,8 +36,7 @@ def _integrals_block(data) -> dict:
 
 def _intersect_rows(payload) -> Iterable[list]:
     """CSV rows (block, i, j, k, value, t_power) of an intersect payload: one
-    per scalar, a delta_pair's class as i, and one per matrix or tensor entry.
-    Every field is a str, as `csv` would write it."""
+    per scalar, a delta_pair's class as i, and one per matrix or tensor entry."""
     classical = payload["classical"]
     blocks = [
         (f"{name}.{part}", payload[name][part])
@@ -47,21 +46,17 @@ def _intersect_rows(payload) -> Iterable[list]:
     blocks += [("pairing", payload["pairing"]),
                ("classical.delta_e_cubed", classical["delta_e_cubed"])]
     blocks += [("classical.delta_pair", entry) for entry in classical["delta_pair"]]
-    # every matrix is square and every tensor cubic, so the longest first
-    # axis bounds every index
-    index = list(map(str, range(max(
-        len(data.get("matrix") or data.get("tensor") or ()) for _, data in blocks))))
     for block, data in blocks:
-        t = str(data["t_power"])
+        t = data["t_power"]
         if "value" in data:
             yield [block, data.get("class", ""), "", "", data["value"], t]
         for i, row in enumerate(data.get("matrix", ())):
             for j, x in enumerate(row):
-                yield [block, index[i], index[j], "", x, t]
+                yield [block, i, j, "", x, t]
         for i, plane in enumerate(data.get("tensor", ())):
             for j, row in enumerate(plane):
                 for k, x in enumerate(row):
-                    yield [block, index[i], index[j], index[k], x, t]
+                    yield [block, i, j, k, x, t]
 
 
 def cmd_intersect(spec: grouprep.GroupSpec, args) -> Report:

@@ -151,14 +151,22 @@ def cos_nstr(terms, n: int, dps: int, places: int) -> str:
 
     The bracket [A - E, A + E] holds the sum, and rounding and printing are
     monotone, so when both ends print alike the sum prints so too;
-    otherwise the bits double.  Only a sum half-way between two floats of
-    the working bits would never decide, and there is none: the sum is half
-    an algebraic integer, so an irrational one is no dyadic rational and a
-    rational one is a multiple of 1/2.
+    otherwise the bits double.  The sum is half an algebraic integer α of
+    Q(zeta_n), so an irrational one is no dyadic rational and a nonzero
+    rational one is a multiple of 1/2 that is a float: no sum other than 0
+    lies half-way between two floats, and those brackets decide.  Around 0
+    the ends print with opposite signs at every bits, so 0 is decided apart:
+    each conjugate of α is at most B = 2 Σ|c| in size and a nonzero α has a
+    norm of at least 1, so |α| >= B^-(n - 1), and a bracket inside half that
+    about 0 holds only the sum 0, which prints as "0.0".
     """
+    # a nonzero sum is at least 1 / zero_scale in size
+    zero_scale = 2 * (2 * sum(abs(c) for _, c in terms)) ** (n - 1)
     bits = _FIRST_BITS
     while True:
         a, err = cos_sum(terms, n, bits)
+        if (abs(a) + err) * zero_scale < 1 << bits:
+            return "0.0"
         text = nstr(a - err, 1 << bits, dps, places)
         if text == nstr(a + err, 1 << bits, dps, places):
             return text

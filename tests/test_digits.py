@@ -122,3 +122,14 @@ def test_cos_nstr_refines_a_bracket_that_does_not_decide(monkeypatch):
     assert nstr(a - err, 1 << 32, 15, 30) != nstr(a + err, 1 << 32, 15, 30)
     monkeypatch.setattr(digits, "_FIRST_BITS", 32)
     assert _cos_route(phi) == _mpmath_route(phi) == "1.61803398874989490252573887119"
+
+
+@pytest.mark.parametrize("terms, n", [
+    ((), 1),
+    (((1, 1),), 4),  # cos(pi/2)
+    (((1, 1), (2, 1)), 6),  # cos(pi/3) + cos(2pi/3)
+    (((0, 1), (1, 1), (2, 1), (3, 1), (4, 1)), 5),  # 1 + 2cos(2pi/5) + 2cos(4pi/5)
+    (((1, 3), (7, -3)), 8),  # 3cos(pi/4) - 3cos(7pi/4)
+], ids=["empty", "C4", "C6", "C5", "C8"])
+def test_cos_nstr_prints_a_zero_sum_as_zero(terms, n):
+    assert cos_nstr(terms, n, 15, 30) == "0.0"
