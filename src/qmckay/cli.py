@@ -7,11 +7,13 @@ rationals, decimal strings for reals) and validate against the schemas in
 `qmckay.schemas`.  JSON is written in one direct pass, byte-identical to
 `json.dumps(payload, indent=2, sort_keys=True)` plus a newline; it quotes
 strings with `_json`, the C module under the `json` package, which is loaded
-only when JSON is asked for.  CSV is drawn from the payload's records, and
-only when CSV is asked for: each record is one row in column order, a list
-value fills consecutive columns, and a sparse exponent dict fills one column
-per variable, 0 where absent.  Text is for reading, and its lines are
-likewise built only when text is asked for.
+only when JSON is asked for, and quotes each distinct dict key once per
+render: a memo holds its quoted form and ": ", so a record list that repeats
+its keys thousands of times reuses them.  CSV is drawn from the payload's
+records, and only when CSV is asked for: each record is one row in column
+order, a list value fills consecutive columns, and a sparse exponent dict
+fills one column per variable, 0 where absent.  Text is for reading, and its
+lines are likewise built only when text is asked for.
 
 This module is the plumbing: the parser, the group grammar, the precision,
 rendering and exit codes.  Each subcommand is one row of `SUBCOMMANDS`,
@@ -228,12 +230,26 @@ def _resolve_precision(args) -> int:
     return dps
 
 
-def _write_json(value, put, quote, pad: str) -> None:
+class _KeyHeads(dict):
+    """The memo of a render's dict keys: ``heads[key]`` is ``quote(key) +
+    ": "``, quoted on the key's first use only, so a record list that repeats
+    its keys quotes each once."""
+
+    def __init__(self, quote):
+        self.quote = quote
+
+    def __missing__(self, key):
+        head = self[key] = self.quote(key) + ": "
+        return head
+
+
+def _write_json(value, put, quote, heads: _KeyHeads, pad: str) -> None:
     """Write `value` through `put` byte for byte as `json.dumps(value,
     indent=2, sort_keys=True)` does; `pad` is a newline and the indent of
-    `value`.  A str or int in a container is one `put` of separator and
-    value, with no call.  Anything but str, int, bool, None, list, tuple and
-    a dict with str keys is a TypeError.
+    `value`, and `heads` a memo of quoted keys that one render shares.  A
+    str or int in a container is one `put` of separator and value, with no
+    call.  Anything but str, int, bool, None, list, tuple and a dict with
+    str keys is a TypeError.
     """
     kind = type(value)
     if kind is list or kind is tuple:
@@ -249,7 +265,7 @@ def _write_json(value, put, quote, pad: str) -> None:
                 put(sep + int.__repr__(item))
             else:
                 put(sep)
-                _write_json(item, put, quote, inner)
+                _write_json(item, put, quote, heads, inner)
             sep = comma
         put(pad)
         return put("]")
@@ -264,12 +280,12 @@ def _write_json(value, put, quote, pad: str) -> None:
             item = value[key]
             kind = type(item)
             if kind is str:
-                put(sep + quote(key) + ": " + quote(item))
+                put(sep + heads[key] + quote(item))
             elif kind is int:
-                put(sep + quote(key) + ": " + int.__repr__(item))
+                put(sep + heads[key] + int.__repr__(item))
             else:
-                put(sep + quote(key) + ": ")
-                _write_json(item, put, quote, inner)
+                put(sep + heads[key])
+                _write_json(item, put, quote, heads, inner)
             sep = comma
         put(pad)
         return put("}")
@@ -289,7 +305,8 @@ def render(report: Report, fmt: str) -> str:
         from _json import encode_basestring_ascii
 
         out: list[str] = []
-        _write_json(report.payload, out.append, encode_basestring_ascii, "\n")
+        _write_json(report.payload, out.append, encode_basestring_ascii,
+                    _KeyHeads(encode_basestring_ascii), "\n")
         out.append("\n")
         return "".join(out)
     if fmt == "csv":

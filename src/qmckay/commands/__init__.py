@@ -10,7 +10,7 @@ CLI is `__main__`, and importing it would execute it a second time.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from ..records import record
 
@@ -33,7 +33,7 @@ def canonical_token(spec) -> str:
 class Report:
     payload: object
     csv_fields: list[str]
-    csv_rows: Iterable[list]  # a generator over the payload, run by `render`
+    csv_rows: Iterable[Sequence]  # a lazy iterator over the payload, run by `render`
     text_lines: Iterable[str]  # likewise, run only for text
     exit_code: int = EXIT_OK
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import chain, repeat
 
 from .. import grouprep, intersect
 from . import Report, canonical_token
@@ -34,9 +35,13 @@ def _integrals_block(data) -> dict:
     }
 
 
-def _intersect_rows(payload) -> Iterable[list]:
-    """CSV rows (block, i, j, k, value, t_power) of an intersect payload: one
-    per scalar, a delta_pair's class as i, and one per matrix or tensor entry."""
+def _indices(lengths) -> list[str]:
+    return [str(x) for x in range(max(lengths, default=0))]
+
+
+def _row_runs(payload) -> Iterator[Iterable[tuple]]:
+    """The rows of `_intersect_rows`, in runs: a scalar's one row, or one
+    `zip` per matrix or tensor row, whose fields are all str already."""
     classical = payload["classical"]
     blocks = [
         (f"{name}.{part}", payload[name][part])
@@ -47,16 +52,28 @@ def _intersect_rows(payload) -> Iterable[list]:
                ("classical.delta_e_cubed", classical["delta_e_cubed"])]
     blocks += [("classical.delta_pair", entry) for entry in classical["delta_pair"]]
     for block, data in blocks:
-        t = data["t_power"]
+        t = str(data["t_power"])
         if "value" in data:
-            yield [block, data.get("class", ""), "", "", data["value"], t]
-        for i, row in enumerate(data.get("matrix", ())):
-            for j, x in enumerate(row):
-                yield [block, i, j, "", x, t]
-        for i, plane in enumerate(data.get("tensor", ())):
-            for j, row in enumerate(plane):
-                for k, x in enumerate(row):
-                    yield [block, i, j, k, x, t]
+            yield [(block, data.get("class", ""), "", "", data["value"], t)]
+        block_, t_ = repeat(block), repeat(t)
+        # index strings as long as this block's longest axis, square or not
+        matrix = data.get("matrix", ())
+        index = _indices([len(matrix), *map(len, matrix)])
+        for i, row in zip(index, matrix):
+            yield zip(block_, repeat(i), index, repeat(""), row, t_)
+        tensor = data.get("tensor", ())
+        index = _indices([len(tensor), *map(len, tensor), *(len(r) for p in tensor for r in p)])
+        for i, plane in zip(index, tensor):
+            for j, row in zip(index, plane):
+                yield zip(block_, repeat(i), repeat(j), index, row, t_)
+
+
+def _intersect_rows(payload) -> Iterable[tuple]:
+    """CSV rows (block, i, j, k, value, t_power) of an intersect payload: one
+    per scalar, a delta_pair's class as i, and one per matrix or tensor entry.
+    Every field is a str and each matrix or tensor row is one C iterator, so
+    neither this nor `csv` runs Python code per entry."""
+    return chain.from_iterable(_row_runs(payload))
 
 
 def cmd_intersect(spec: grouprep.GroupSpec, args) -> Report:

@@ -1,5 +1,6 @@
 """Shared exception types, and the argument readers `as_int`, `position` and `dense`."""
 
+from collections.abc import Mapping
 from operator import index
 
 
@@ -37,7 +38,10 @@ def position(labels, key, what: str) -> int:
 
 def dense(values, names, what: str) -> tuple:
     """The sparse map ``values`` as a tuple over ``names``: an absent name
-    reads as 0, and a key that is not one of the names is refused."""
+    reads as 0, and a non-mapping or a key that is not one of the names is
+    refused."""
+    if not isinstance(values, Mapping):
+        raise ConfigurationError(f"expected a map over {what}, got {values!r}")
     unknown = set(values) - set(names)
     if unknown:
         raise ConfigurationError(f"unknown {what} {sorted(unknown, key=repr)}")

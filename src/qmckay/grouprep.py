@@ -69,7 +69,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from operator import mul
+from operator import lshift, mul
 from types import MappingProxyType
 
 from .errors import ConfigurationError, InternalConsistencyError, as_int
@@ -363,9 +363,17 @@ def _residue_map(n: int, bound):
         return sum(c * powers[sign * e] for e, c in value.terms) % full
 
     def dots(rows, columns, divisor: int, what: str) -> tuple[tuple[int, ...], ...]:
+        # entries lie in [0, full), so a sum over K classes is at most
+        # K (full - 1)^2 < 2^width; with column c's entries shifted c * width
+        # bits, a row's sums come out of one product sum, no field carrying
+        # into the next (the packing of Monagan and Pearce)
+        width = (max(map(len, columns), default=0) * (full - 1) ** 2).bit_length()
+        mask, shifts = (1 << width) - 1, range(0, width * len(columns), width)
+        packed = [sum(map(lshift, entries, shifts)) for entries in zip(*columns)]
         out = []
         for row in rows:
-            sums = [integer(sum(map(mul, row, column)), modulus, witness) for column in columns]
+            total = sum(map(mul, row, packed))
+            sums = [integer(total >> shift & mask, modulus, witness) for shift in shifts]
             if any(x is None or x % divisor for x in sums):
                 raise InternalConsistencyError(f"{what} is not {divisor} times an integer")
             out.append(tuple(x // divisor for x in sums))

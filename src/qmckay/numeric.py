@@ -209,9 +209,12 @@ def third_partial(spec: GroupSpec, k, k2, k3, x=None, dps: int = DEFAULT_DPS):
     order = correspondence(spec).group.order
     labels = system.class_labels
     idx = [position(labels, kk, "conjugacy class") for kk in (k, k2, k3)]
-    x = dict(x or {})
+    values = dense({} if x is None else x, labels, "conjugacy classes")
     with guarded:
-        xvec = [mp.mpf(v) for v in dense(x, labels, "conjugacy classes")]
+        try:
+            xvec = [mp.mpf(v) for v in values]
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"third partial needs real x, got {x!r}") from None
         if not all(map(mp.isfinite, xvec)):
             raise ConfigurationError(f"third partial needs finite x, got {x}")
         total = mp.mpc(0)

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmckay.cli as cli
+import qmckay.commands.intersect as intersect_command
 import qmckay.crc as crc
 import qmckay.gwtheory as gwtheory
 import qmckay.intersect as intersect
@@ -510,6 +511,36 @@ def test_json_writer_matches_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+# a few keys, so dicts repeat their keys as partition's term records do: keys
+# that need escaping, and "key", which is also drawn as a value
+_KEYS = st.sampled_from(["key", '"', " ", "\u00e9", "a\\b", "degree"])
+_RECORDS = st.recursive(
+    st.none() | st.integers() | _KEYS,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(_KEYS, inner, max_size=6),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.dictionaries(_KEYS, _RECORDS, max_size=6), max_size=8) | _RECORDS)
+def test_json_writer_matches_json_dumps_on_repeated_keys(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_quotes_each_key_once_per_render():
+    quoted = Counter()
+
+    def quote(text):
+        quoted[text] += 1
+        return json.encoder.encode_basestring_ascii(text)
+
+    records = [{"degree": d, "value": "1/2", "nested": {"value": "x"}} for d in range(3)]
+    out = []
+    cli._write_json(records, out.append, quote, cli._KeyHeads(quote), "\n")
+    assert "".join(out) == json.dumps(records, indent=2, sort_keys=True)
+    assert quoted == {"degree": 1, "nested": 1, "value": 1, "1/2": 3, "x": 3}
+
+
 @pytest.mark.parametrize("payload", [
     1.5, [0, 2.0], {"x": Fraction(1, 2)}, {1: "a"}, {"x": {None: 0}},
     MappingProxyType({"x": 1}), {"x": {1, 2}}, b"bytes",
@@ -773,6 +804,80 @@ def test_csv_output_parses(capsys):
     assert len(rows) == 5
     assert set(rows[0]) == {"class_0", "class_1", "n0", "fiber_size"}
     assert rows[0]["n0"] == "4"
+
+
+def _intersect_report(group):
+    args = cli.build_parser().parse_args(["intersect", "--group", group, "--format", "csv"])
+    return cli.COMMANDS["intersect"](parse_group(group), args)
+
+
+def _nested_intersect_rows(payload):
+    """The intersect CSV rows by nested loops over the payload, every field a str."""
+    blocks = [(f"{name}.{part}", payload[name][part]) for name in ("threefold", "surface")
+              for part in ("zero_point", "two_point", "three_point")]
+    blocks += [("pairing", payload["pairing"]),
+               ("classical.delta_e_cubed", payload["classical"]["delta_e_cubed"])]
+    blocks += [("classical.delta_pair", entry) for entry in payload["classical"]["delta_pair"]]
+    rows = []
+    for block, data in blocks:
+        t = str(data["t_power"])
+        if "value" in data:
+            rows.append((block, data.get("class", ""), "", "", data["value"], t))
+        for i, row in enumerate(data.get("matrix", ())):
+            for j, x in enumerate(row):
+                rows.append((block, str(i), str(j), "", x, t))
+        for i, plane in enumerate(data.get("tensor", ())):
+            for j, row in enumerate(plane):
+                for k, x in enumerate(row):
+                    rows.append((block, str(i), str(j), str(k), x, t))
+    return rows
+
+
+def _intersect_csv_rows(payload):
+    return [tuple(row) for row in intersect_command._intersect_rows(payload)]
+
+
+@pytest.mark.parametrize("group", ["C:2", "D:3", "T", "C:6"])
+def test_intersect_csv_rows_are_strings_in_nested_loop_order(group):
+    payload = _intersect_report(group).payload
+    rows = _intersect_csv_rows(payload)
+    assert all(type(field) is str for row in rows for field in row)
+    assert rows == _nested_intersect_rows(payload)
+
+
+def test_intersect_csv_rows_index_a_block_that_is_not_square():
+    def scalar(value, **extra):
+        return {"value": value, "t_power": -1, **extra}
+
+    def block(matrix, tensor):
+        return {"zero_point": scalar("1/2"), "two_point": {"matrix": matrix, "t_power": 0},
+                "three_point": {"tensor": tensor, "t_power": 2}}
+
+    payload = {
+        "threefold": block([["1", "2", "3", "4"]], [[["5"], ["6", "7", "8"]], [["9"]]]),
+        "surface": block([["1"], ["2"], ["3"]], [[["4", "5"]], [["6"]], [["7"]], []]),
+        "pairing": {"matrix": [["1", "2"], [], ["3"]], "t_power": 1},
+        "classical": {"delta_e_cubed": scalar("3"), "delta_pair": [scalar("4", **{"class": "g1"})]},
+    }
+    assert _intersect_csv_rows(payload) == _nested_intersect_rows(payload)
+
+
+def test_intersect_csv_runs_no_python_code_per_tensor_entry():
+    report = _intersect_report("C:6")
+    entries = sum(len(row) for name in ("threefold", "surface")
+                  for plane in report.payload[name]["three_point"]["tensor"] for row in plane)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"  # a Python function call or a generator resumed
+
+    sys.setprofile(count)
+    try:
+        render(report, "csv")
+    finally:
+        sys.setprofile(None)
+    assert 0 < calls < entries
 
 
 @pytest.mark.parametrize("argv, expected", [

@@ -457,6 +457,33 @@ def test_inner_product_rejects_non_integer_sums():
     assert inner_product(model, [one, one, one], [one, one, one]) == 1
 
 
+def _unpacked_dots(n, bound, rows, columns, divisor):
+    """`_residue_map`'s dots one entry at a time, as a reference."""
+    modulus, witness, _ = modular.lift(2 * n, bound)
+    sums = [[modular.integer(sum(a * b for a, b in zip(row, column)), modulus, witness)
+             for column in columns] for row in rows]
+    assert all(x is not None and x % divisor == 0 for line in sums for x in line)
+    return tuple(tuple(x // divisor for x in line) for line in sums)
+
+
+def test_packed_dots_carry_nothing_at_the_largest_residues():
+    # every entry full - 1 makes each sum K (full - 1)^2 over K classes, the
+    # most a packed field holds; a field one bit too narrow carries into the next
+    n, bound = 6, 10 ** 3
+    full, _, dots = grouprep._residue_map(n, bound)
+    rng = random.Random(0)
+    for classes in range(1, 121):
+        top = [full - 1] * classes
+        # the residues of -1, -2, 0, 1 and 2: large products, small integer sums
+        mixed = [rng.choice([full - 1, full - 2, 0, 1, 2]) for _ in range(classes)]
+        rows, columns = [top, mixed, top], [top, mixed, top, [0] * classes, top]
+        assert dots(rows, columns, 1, "edge") == _unpacked_dots(n, bound, rows, columns, 1)
+        # the top rows' sums are classes (mod full); one more divides none of them
+        assert dots([top], [top, top], classes, "edge") == ((1, 1),)
+        with pytest.raises(InternalConsistencyError, match="edge is not"):
+            dots([top], [top, top], classes + 1, "edge")
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
 def test_class_products_count_every_pair_once(spec):
     # C_i C_j has |C_i||C_j| terms and C_k takes N_ijk |C_k| of them; the

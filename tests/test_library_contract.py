@@ -68,10 +68,14 @@ def bad_positions(labels):
         NEGATIVE, st.integers(len(labels), len(labels) + 3), NOT_INTS)
 
 
+NOT_MAPPINGS = st.sampled_from([5, 1.5, [("q1", 1)], ("s", 1), "ab"])
+
+
 def bad_exponents(names):
-    """An unknown name, or a known name with a non-integer exponent."""
+    """An unknown name, a known name with a non-integer exponent, or no
+    mapping at all."""
     return st.one_of(
-        st.builds(dict, st.just([("nope", 1)])),
+        st.builds(dict, st.just([("nope", 1)])), NOT_MAPPINGS,
         st.builds(lambda name, e: {name: e}, st.sampled_from(names), NOT_INTS))
 
 
@@ -109,7 +113,12 @@ def third_partial_calls(draw):
     if kind == "class":
         return partial(numeric.third_partial, spec, *draw(class_triples(labels)))
     if kind == "x":
-        return partial(numeric.third_partial, spec, 0, 0, 0, x={labels[0]: 0.1, "nope": 0.2})
+        x = draw(st.one_of(
+            st.just({labels[0]: 0.1, "nope": 0.2}), NOT_MAPPINGS,
+            # a value mpmath cannot read as a real
+            st.sampled_from([None, 1 + 2j, "abc", b"1", [0.1], Fraction(1, 3)]).map(
+                lambda v: {labels[-1]: v})))
+        return partial(numeric.third_partial, spec, 0, 0, 0, x=x)
     return partial(numeric.third_partial, spec, 0, 0, 0, dps=draw(BAD_DPS))
 
 
@@ -265,6 +274,16 @@ REPROS = {
     "irrep_index-unknown": lambda: build_group(D3).irrep_index("nope"),
     "mckay_graph-rotation-group": lambda: mckay_graph(build_group(D3)),
     "hard_lefschetz_check-binary-group": lambda: hard_lefschetz_check(build_binary_group(D3)),
+    "MultiSeries.monomial-int": lambda: MultiSeries.monomial(("q1", "Q"), Truncation(2, 2), 5),
+    "MultiSeries.coefficient-None": lambda: MultiSeries.one(VARS, TR).coefficient(None),
+    "macmahon_factor-int": lambda: series.macmahon_factor(VARS, TR, 5, 1),
+    "PotentialSeries.coefficient-int": lambda: _potential(D3).coefficient(5),
+    "third_partial-x-list": lambda: numeric.third_partial(D3, 0, 0, 0, x=[0.1]),
+    "third_partial-x-str": lambda: numeric.third_partial(D3, 0, 0, 0, x="ab"),
+    "third_partial-x-None-value": lambda: numeric.third_partial(D3, 0, 0, 0, x={"r1": None}),
+    "third_partial-x-complex-value": lambda: numeric.third_partial(
+        D3, 0, 0, 0, x={"r1": 1 + 2j}),
+    "third_partial-x-str-value": lambda: numeric.third_partial(D3, 0, 0, 0, x={"r1": "abc"}),
 }
 
 
