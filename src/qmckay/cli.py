@@ -19,10 +19,16 @@ This module is the plumbing: the parser, the group grammar, the precision,
 rendering and exit codes.  Each subcommand is one row of `SUBCOMMANDS`,
 which the parser, the bounds check and `COMMANDS` read; `COMMANDS` imports
 the command's module in `qmckay.commands` only when that command runs.
+A canonical argv (the subcommand's exact name, then flag and value pairs
+with each flag spelled in full, no value starting with "-", and every value
+of its flag's type and choices) is read straight from `SUBCOMMANDS` and
+`COMMON_FLAGS`, without argparse, which is imported only for any other argv:
+help, every error message and every other spelling still come from
+argparse, with the same bytes.
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments (a flag below
-its least value, a precision outside 10..4000 digits, an --output path that
-cannot be written) or out of memory, 3 unsupported group, 4 internal
+its least value, a precision outside 10..4000 digits, an --output path or a
+stdout that cannot be written) or out of memory, 3 unsupported group, 4 internal
 consistency failure (rounding residual, tan pole, broken invariant) or any
 other unexpected error, each reported as one stderr line.  The bounds, the
 group and the precision are checked in that order, and the first bad one
@@ -36,13 +42,13 @@ not of order 3 (odd A-ranks only; even ones match no rotation group).
 
 from __future__ import annotations
 
-import argparse
 import fractions  # noqa: F401 - see _deferred
 import importlib.util
 import io
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from . import DEFAULT_DPS
 from .commands import (  # noqa: F401 - EXIT_OK, EXIT_VERIFY and canonical_token re-exported
@@ -175,34 +181,81 @@ SUBCOMMANDS = (
 COMMANDS = {name: _builder(module, name) for name, module, _, _ in SUBCOMMANDS}
 _INT_FLAGS = {name: flags for name, _, _, flags in SUBCOMMANDS}
 
+# the flags every subcommand takes, in --help order, with their keywords of
+# `add_argument`, which `_canonical_args` reads too
+COMMON_FLAGS = (
+    ("--group", {
+        "required": True,
+        "help": "C:k, D:m, T, O, I, or root-system alias (A3 = C:2, D5 = D:3, E6 = T)",
+    }),
+    ("--precision", {"type": int, "default": None, "help": (
+        f"digits crc prints of its exact coefficients (at most 30), "
+        f"{MIN_PRECISION} to {MAX_PRECISION} (default ${PRECISION_ENV} or {DEFAULT_DPS})"
+    )}),
+    ("--format", {"choices": ("json", "csv", "text"), "default": "json"}),
+    ("--output", {"default": None, "help": "write the report to a file"}),
+)
+
 
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _flags(command: str) -> tuple:
+    """(flag, `add_argument` keywords) of each flag `command` takes, in
+    --help order: the common flags, then the integer flags of its row."""
+    return (*COMMON_FLAGS, *(
+        (flag, {"type": int, "default": default, "help": text})
+        for flag, default, _, text in _INT_FLAGS[command]))
+
+
+def build_parser():
+    # here, so a canonical argv, which `_canonical_args` reads, never loads it
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qmckay",
         description="Quantum McKay correspondence data for polyhedral singularities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    precision_help = (
-        f"digits crc prints of its exact coefficients (at most 30), "
-        f"{MIN_PRECISION} to {MAX_PRECISION} (default ${PRECISION_ENV} or {DEFAULT_DPS})"
-    )
-    for name, _, summary, flags in SUBCOMMANDS:
+    for name, _, summary, _ in SUBCOMMANDS:
         p = sub.add_parser(name, help=summary)
-        p.add_argument(
-            "--group", required=True,
-            help="C:k, D:m, T, O, I, or root-system alias (A3 = C:2, D5 = D:3, E6 = T)",
-        )
-        p.add_argument("--precision", type=int, default=None, help=precision_help)
-        p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-        p.add_argument("--output", default=None, help="write the report to a file")
-        for flag, default, _, text in flags:
-            p.add_argument(flag, type=int, default=default, help=text)
+        for flag, options in _flags(name):
+            p.add_argument(flag, **options)
     return parser
+
+
+def _canonical_args(argv) -> SimpleNamespace | None:
+    """The arguments `build_parser().parse_args(argv)` returns, with equal
+    `vars()`, when argv is canonical: a subcommand's exact name, then (flag,
+    value) pairs, each flag spelled as in that subcommand's `_flags`, no
+    value starting with "-", each value one its flag's type and choices
+    accept, and every required flag given; a repeated flag's last value
+    wins.  None for any other argv, which argparse decides: help, errors,
+    abbreviations, --flag=value, negative numbers.
+    """
+    if not argv or argv[0] not in _INT_FLAGS or len(argv) % 2 == 0:
+        return None
+    flags = dict(_flags(argv[0]))
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        options = flags.get(flag)
+        if options is None or value.startswith("-"):
+            return None
+        if "type" in options:
+            try:
+                value = options["type"](value)
+            except ValueError:
+                return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        given[flag] = value
+    if any(options.get("required") and flag not in given for flag, options in flags.items()):
+        return None
+    return SimpleNamespace(command=argv[0], **{
+        flag[2:].replace("-", "_"): given.get(flag, options.get("default"))
+        for flag, options in flags.items()})
 
 
 def _validate_bounds(args) -> None:
@@ -320,12 +373,28 @@ def render(report: Report, fmt: str) -> str:
     return "\n".join(report.text_lines) + "\n"
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _drop_stdout() -> None:
+    """After a failed write to stdout, point its descriptor at the null
+    device, so the flush at interpreter exit drops what is still buffered
+    instead of failing again and printing a traceback."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_ARGS
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # a stream with no descriptor keeps nothing
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _canonical_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_ARGS
 
     try:
         _validate_bounds(args)
@@ -350,16 +419,19 @@ def main(argv=None) -> int:
     except Exception as exc:  # a programming error: one line, not a traceback and exit 1
         print(f"qmckay: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w", newline="") as handle:
                 handle.write(text)
-        except OSError as exc:
-            print(f"qmckay: cannot write {args.output}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return EXIT_ARGS
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:  # BrokenPipeError too
+        if not args.output:
+            _drop_stdout()
+        print(f"qmckay: cannot write {args.output or '<stdout>'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_ARGS
     return report.exit_code
 
 

@@ -2,7 +2,9 @@
 
 import ast
 import csv
+import errno
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -790,6 +792,21 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert target.read_text() == stdout_text
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--group", "T"],
+    ["roots", "--group", "E8", "--format", "text"],
+], ids=["verify-json", "roots-text"])
+def test_a_stdout_that_cannot_be_written_exits_two(argv):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "qmckay.cli", *argv], stdout=full, stderr=subprocess.PIPE,
+            text=True, timeout=120, env=_src_env(),
+        )
+    assert result.returncode == EXIT_ARGS
+    assert result.stderr == f"qmckay: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
 def test_unwritable_output_exits_two(capsys, tmp_path):
     for target in (tmp_path / "no" / "such" / "x.json", tmp_path):
         code, out, err = run(capsys, ["roots", "--group", "T", "--output", str(target)])
@@ -1011,7 +1028,7 @@ code = 0
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(sys.argv[1:])
-watched = {"_json", "csv", "dataclasses", "inspect", "json", "qmckay.schemas"}
+watched = {"_json", "argparse", "csv", "dataclasses", "inspect", "json", "qmckay.schemas"}
 print(code, *sorted(watched & set(sys.modules) - preloaded))
 """
 
@@ -1025,7 +1042,12 @@ print(code, *sorted(watched & set(sys.modules) - preloaded))
     (["roots", "--group", "E8", "--format", "text"], []),
     (["roots", "--group", "E8", "--format", "csv"], ["csv"]),
     (["crc", "--group", "T", "--degree", "4", "--format", "csv"], ["csv"]),
-], ids=["import", "verify", "verify-text", "crc", "roots", "roots-text", "roots-csv", "crc-csv"])
+    # argparse reads every argv that is not canonical, and writes help
+    (["--help"], ["argparse"]),
+    (["verify", "--gro", "T"], ["_json", "argparse"]),
+    (["verify", "--group=T"], ["_json", "argparse"]),
+], ids=["import", "verify", "verify-text", "crc", "roots", "roots-text", "roots-csv", "crc-csv",
+        "help", "verify-abbreviated", "verify-equals"])
 def test_records_and_renderers_load_no_unused_stdlib(argv, loaded):
     result = subprocess.run(
         [sys.executable, "-c", _STDLIB_PROBE, *argv],
@@ -1033,6 +1055,18 @@ def test_records_and_renderers_load_no_unused_stdlib(argv, loaded):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", *loaded]
+
+
+def test_every_benchmark_request_is_read_without_argparse(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    requests = [workloads.PROBE, *(argv for workload in workloads.WORKLOADS.values()
+                                   for argv in workload.requests)]
+    assert len(requests) == 20
+    assert all(cli._canonical_args(argv) is not None for argv in requests)
 
 
 # imports the module argv[1], runs `main(argv[2:])` when a command follows,

@@ -1,6 +1,8 @@
 """The CLI contract as one property over a grid of argv, run in process
 through `cli.main`: every input either succeeds or exits with its documented
-code and its one stderr line, and a success is well-formed and repeatable."""
+code and its one stderr line, and a success is well-formed and repeatable.
+A second property holds the argparse-free reading of a canonical argv to
+what argparse reads."""
 
 import contextlib
 import csv
@@ -13,7 +15,7 @@ from pathlib import Path
 from unittest import mock
 
 import jsonschema
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmckay import cli
@@ -144,3 +146,81 @@ def test_every_request_keeps_the_cli_contract(request):
         json_argv = [*argv[:-1], "json"]
         payload = json.loads(_main(json_argv, env)[1])
         assert len(rows) == _records(command, payload)
+
+
+# argv tokens for the canonical-argv property: every flag and subcommand,
+# near misses of both, and values argparse reads in its own ways
+COMMON = ("--group", "--precision", "--format", "--output")
+COMMAND_TOKENS = (*FLAGS, "verif", "Verify", "verify ", "crcs", "", "-h", "--help")
+FLAG_TOKENS = (
+    *COMMON, *VALUES, "--gro", "--deg", "--form", "--max-q", "--lambda", "--prec", "--out",
+    "--group=T", "--degree=5", "--format=csv", "-h", "--help", "--", "-g",
+)
+VALUE_TOKENS = (
+    "T", "C:3", "E8", "json", "csv", "text", "xml", "JSON", "0", "3", "4", "5", " 5", "5 ",
+    "+2", "1_0", "\u0663", "-1", "", "1e3", "--group", "-", "report.json",
+)
+# the values each flag mostly takes: 0 to ٣ (int() reads all of them) for
+# an integer flag
+OWN_VALUES = {"--group": VALUE_TOKENS[:3], "--format": VALUE_TOKENS[3:7],
+              "--output": VALUE_TOKENS[:6]}
+_PARSER = cli.build_parser()
+
+
+def _canonical(argv) -> bool:
+    """Whether argv has the canonical form, spelled out apart from `cli`."""
+    command, pairs = argv[0], argv[1:]
+    if command not in FLAGS or len(pairs) % 2:
+        return False
+    ints = {*FLAGS[command], "--precision"}
+    for flag, value in zip(pairs[::2], pairs[1::2]):
+        if flag not in {*COMMON, *ints} or value.startswith("-"):
+            return False
+        if flag in ints:
+            try:
+                int(value)
+            except ValueError:
+                return False
+        if flag == "--format" and value not in ("json", "csv", "text"):
+            return False
+    return "--group" in pairs[::2]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand token, then mostly (flag, value) pairs, some of them
+    repeated or of another subcommand, and now and then a lone token."""
+    argv = [draw(st.sampled_from((*FLAGS, *COMMAND_TOKENS)))]
+    own = [*COMMON, *FLAGS.get(argv[0], ())]
+    if draw(st.integers(0, 4)):
+        argv += ["--group", draw(st.sampled_from(VALUE_TOKENS[:3]))]
+    for _ in range(draw(st.integers(0, 4))):
+        if not draw(st.integers(0, 7)):
+            argv.append(draw(st.sampled_from((*FLAG_TOKENS, *VALUE_TOKENS))))
+        elif draw(st.integers(0, 3)):
+            flag = draw(st.sampled_from(own))
+            argv += [flag, draw(st.sampled_from(OWN_VALUES.get(flag, VALUE_TOKENS[8:17])))]
+        else:
+            argv += [draw(st.sampled_from((*own, *FLAG_TOKENS))),
+                     draw(st.sampled_from(VALUE_TOKENS))]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argvs())
+@example(["verify", "--gro", "T"])
+@example(["verify", "--group=T"])
+@example(["crc", "--group", "T", "--degree", "-1"])
+@example(["roots", "--group", "T", "--format", "xml"])
+def test_a_canonical_argv_reads_as_argparse_reads_it(argv):
+    fast = cli._canonical_args(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            parsed = _PARSER.parse_args(argv)
+    except SystemExit:
+        assert fast is None
+        return
+    assert (fast is not None) == _canonical(argv)
+    if fast is not None:
+        assert vars(fast) == vars(parsed)
