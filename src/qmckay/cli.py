@@ -7,9 +7,7 @@ rationals, decimal strings for reals) and validate against the schemas in
 `qmckay.schemas`.  JSON is written in one direct pass, byte-identical to
 `json.dumps(payload, indent=2, sort_keys=True)` plus a newline; it quotes
 strings with `_json`, the C module under the `json` package, which is loaded
-only when JSON is asked for, and quotes each distinct dict key once per
-render: a memo holds its quoted form and ": ", so a record list that repeats
-its keys thousands of times reuses them.  CSV is drawn from the payload's
+only when JSON is asked for.  CSV is drawn from the payload's
 records, and only when CSV is asked for: each record is one row in column
 order, a list value fills consecutive columns, and a sparse exponent dict
 fills one column per variable, 0 where absent.  Text is for reading, and its
@@ -30,9 +28,10 @@ Exit codes: 0 success, 1 verification failure, 2 bad arguments (a flag below
 its least value, a precision outside 10..4000 digits, an --output path or a
 stdout that cannot be written) or out of memory, 3 unsupported group, 4 internal
 consistency failure (rounding residual, tan pole, broken invariant) or any
-other unexpected error, each reported as one stderr line.  The bounds, the
-group and the precision are checked in that order, and the first bad one
-is the one reported.
+other unexpected error, each reported as one stderr line by `_fail`; a
+stderr that cannot be written loses the line, not the code.  The bounds,
+the group and the precision are checked in that order, and the first bad
+one is the one reported.
 
 Group grammar: "C:k" (cyclic, k >= 2), "D:m" (dihedral, m >= 2), "T", "O",
 "I", or a root-system alias "A3", "D5", "E6", ...  An A-alias names the
@@ -84,10 +83,10 @@ def _deferred(name: str):
     return module
 
 
-# no command runs `exact` or `numeric`; perfbench's tracer wraps functions of both
-crc, exact, grouprep, gwtheory, intersect, modular, numeric, rootsys, series = map(_deferred, (
-    "crc", "exact", "grouprep", "gwtheory", "intersect", "modular", "numeric", "rootsys",
-    "series",
+# no command runs `exact`: it is here because perfbench's tracer looks it up in
+# sys.modules; the tracer reaches `numeric` through `crc`'s `__getattr__`
+crc, exact, grouprep, gwtheory, intersect, modular, rootsys, series = map(_deferred, (
+    "crc", "exact", "grouprep", "gwtheory", "intersect", "modular", "rootsys", "series",
 ))
 
 PRECISION_ENV = "QMCKAY_PRECISION"
@@ -283,26 +282,12 @@ def _resolve_precision(args) -> int:
     return dps
 
 
-class _KeyHeads(dict):
-    """The memo of a render's dict keys: ``heads[key]`` is ``quote(key) +
-    ": "``, quoted on the key's first use only, so a record list that repeats
-    its keys quotes each once."""
-
-    def __init__(self, quote):
-        self.quote = quote
-
-    def __missing__(self, key):
-        head = self[key] = self.quote(key) + ": "
-        return head
-
-
-def _write_json(value, put, quote, heads: _KeyHeads, pad: str) -> None:
+def _write_json(value, put, quote, pad: str) -> None:
     """Write `value` through `put` byte for byte as `json.dumps(value,
     indent=2, sort_keys=True)` does; `pad` is a newline and the indent of
-    `value`, and `heads` a memo of quoted keys that one render shares.  A
-    str or int in a container is one `put` of separator and value, with no
-    call.  Anything but str, int, bool, None, list, tuple and a dict with
-    str keys is a TypeError.
+    `value`.  A str or int in a container is one `put` of separator and
+    value, with no call.  Anything but str, int, bool, None, list, tuple and
+    a dict with str keys is a TypeError.
     """
     kind = type(value)
     if kind is list or kind is tuple:
@@ -318,7 +303,7 @@ def _write_json(value, put, quote, heads: _KeyHeads, pad: str) -> None:
                 put(sep + int.__repr__(item))
             else:
                 put(sep)
-                _write_json(item, put, quote, heads, inner)
+                _write_json(item, put, quote, inner)
             sep = comma
         put(pad)
         return put("]")
@@ -332,13 +317,14 @@ def _write_json(value, put, quote, heads: _KeyHeads, pad: str) -> None:
                 raise TypeError(f"payload key {key!r} is not a str")
             item = value[key]
             kind = type(item)
+            head = sep + quote(key) + ": "
             if kind is str:
-                put(sep + heads[key] + quote(item))
+                put(head + quote(item))
             elif kind is int:
-                put(sep + heads[key] + int.__repr__(item))
+                put(head + int.__repr__(item))
             else:
-                put(sep + heads[key])
-                _write_json(item, put, quote, heads, inner)
+                put(head)
+                _write_json(item, put, quote, inner)
             sep = comma
         put(pad)
         return put("}")
@@ -358,8 +344,7 @@ def render(report: Report, fmt: str) -> str:
         from _json import encode_basestring_ascii
 
         out: list[str] = []
-        _write_json(report.payload, out.append, encode_basestring_ascii,
-                    _KeyHeads(encode_basestring_ascii), "\n")
+        _write_json(report.payload, out.append, encode_basestring_ascii, "\n")
         out.append("\n")
         return "".join(out)
     if fmt == "csv":
@@ -386,6 +371,16 @@ def _drop_stdout() -> None:
     os.close(null)
 
 
+def _fail(code: int, message: str) -> int:
+    """Write the one stderr line `qmckay: <message>` and return `code`; a
+    stderr that cannot be written loses the line, not the code."""
+    try:
+        print(f"qmckay: {message}", file=sys.stderr)
+    except OSError:
+        pass
+    return code
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -401,24 +396,19 @@ def main(argv=None) -> int:
         spec = parse_group(args.group)
         args.precision = _resolve_precision(args)
     except UnsupportedGroupError as exc:
-        print(f"qmckay: unsupported group: {exc}", file=sys.stderr)
-        return EXIT_GROUP
+        return _fail(EXIT_GROUP, f"unsupported group: {exc}")
     except ValueError as exc:
-        print(f"qmckay: {exc}", file=sys.stderr)
-        return EXIT_ARGS
+        return _fail(EXIT_ARGS, str(exc))
 
     try:
         report = COMMANDS[args.command](spec, args)
         text = render(report, args.format)
     except (PoleError, InternalConsistencyError, ConfigurationError) as exc:
-        print(f"qmckay: internal consistency failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(EXIT_INTERNAL, f"internal consistency failure: {exc}")
     except MemoryError:
-        print(f"qmckay: out of memory: {args.command} --group {args.group}", file=sys.stderr)
-        return EXIT_ARGS
+        return _fail(EXIT_ARGS, f"out of memory: {args.command} --group {args.group}")
     except Exception as exc:  # a programming error: one line, not a traceback and exit 1
-        print(f"qmckay: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}")
     try:
         if args.output:
             with open(args.output, "w", newline="") as handle:
@@ -429,9 +419,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # BrokenPipeError too
         if not args.output:
             _drop_stdout()
-        print(f"qmckay: cannot write {args.output or '<stdout>'}: {exc.strerror or exc}",
-              file=sys.stderr)
-        return EXIT_ARGS
+        return _fail(EXIT_ARGS, f"cannot write {args.output or '<stdout>'}: {exc.strerror or exc}")
     return report.exit_code
 
 

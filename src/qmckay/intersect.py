@@ -115,22 +115,33 @@ def _root_tensors(
     return two_m, three_t
 
 
+def _integrals(
+    basis, zero_point, vectors, two_denominator: int, three_denominator: int, t_power: int
+) -> IntersectionData:
+    """The record of `_root_tensors(vectors, two_denominator,
+    three_denominator)` in `basis`: one-points zero, the two-point block at
+    t^t_power and the three-point block one power of t higher."""
+    two, three = _root_tensors(vectors, two_denominator, three_denominator)
+    return IntersectionData(
+        basis=basis,
+        zero_point=zero_point,
+        one_point=tuple(Fraction(0) for _ in basis),
+        two_point=two,
+        two_point_t_power=t_power,
+        three_point=three,
+        three_point_t_power=t_power + 1,
+    )
+
+
 # The cache sits behind `threefold_integrals` rather than on it: the layer
 # tracer in perfbench/tracer.py records cache hits for every traced function
 # that has `cache_info`, and declares that count for this layer nowhere.
 @lru_cache(maxsize=None)
 def _threefold(spec: GroupSpec) -> IntersectionData:
     corr = correspondence(spec)
-    rs = root_system(corr.ade)
-    two, three = _root_tensors(root_fibers(spec), -2 * rs.coxeter_number, 4)
-    return IntersectionData(
-        basis=corr.slot_labels,
-        zero_point=EquivariantScalar(Fraction(1, spec.order), -3),
-        one_point=tuple(Fraction(0) for _ in corr.slots),
-        two_point=two,
-        two_point_t_power=-1,
-        three_point=three,
-        three_point_t_power=0,
+    return _integrals(
+        corr.slot_labels, EquivariantScalar(Fraction(1, spec.order), -3), root_fibers(spec),
+        -2 * root_system(corr.ade).coxeter_number, 4, -1,
     )
 
 
@@ -153,19 +164,10 @@ def surface_integrals(spec: GroupSpec) -> IntersectionData:
     """
     corr = correspondence(spec)
     rs = root_system(corr.ade)
-    two, three = _root_tensors(dict.fromkeys(rs.positive_roots, 1), -rs.coxeter_number, 2)
-    rank = rs.rank
-    labels = tuple(
-        corr.binary_group.irreps[i].label for i in corr.node_irreps
-    )
-    return IntersectionData(
-        basis=labels,
-        zero_point=EquivariantScalar(Fraction(4, corr.binary_group.order), -2),
-        one_point=tuple(Fraction(0) for _ in range(rank)),
-        two_point=two,
-        two_point_t_power=0,
-        three_point=three,
-        three_point_t_power=1,
+    return _integrals(
+        tuple(corr.binary_group.irreps[i].label for i in corr.node_irreps),
+        EquivariantScalar(Fraction(4, corr.binary_group.order), -2),
+        dict.fromkeys(rs.positive_roots, 1), -rs.coxeter_number, 2, 0,
     )
 
 
@@ -229,6 +231,6 @@ def classical_potential(spec: GroupSpec) -> ClassicalPotential:
         basis=data.basis,
         cubic=data.three_point,
         cubic_t_power=data.three_point_t_power,
-        delta_e_cubed=EquivariantScalar(Fraction(1, g.order), -3),
+        delta_e_cubed=data.zero_point,
         delta_pair=pairs,
     )

@@ -529,20 +529,6 @@ def test_json_writer_matches_json_dumps_on_repeated_keys(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
-def test_json_writer_quotes_each_key_once_per_render():
-    quoted = Counter()
-
-    def quote(text):
-        quoted[text] += 1
-        return json.encoder.encode_basestring_ascii(text)
-
-    records = [{"degree": d, "value": "1/2", "nested": {"value": "x"}} for d in range(3)]
-    out = []
-    cli._write_json(records, out.append, quote, cli._KeyHeads(quote), "\n")
-    assert "".join(out) == json.dumps(records, indent=2, sort_keys=True)
-    assert quoted == {"degree": 1, "nested": 1, "value": 1, "1/2": 3, "x": 3}
-
-
 @pytest.mark.parametrize("payload", [
     1.5, [0, 2.0], {"x": Fraction(1, 2)}, {1: "a"}, {"x": {None: 0}},
     MappingProxyType({"x": 1}), {"x": {1, 2}}, b"bytes",
@@ -805,6 +791,43 @@ def test_a_stdout_that_cannot_be_written_exits_two(argv):
         )
     assert result.returncode == EXIT_ARGS
     assert result.stderr == f"qmckay: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
+# a failure line that stderr cannot take is lost; its exit code is kept
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, code, stdout_full", [
+    (["roots", "--group", "C:1"], EXIT_GROUP, False),
+    (["roots", "--group", "E8", "--precision", "5"], EXIT_ARGS, False),
+    (["crc", "--group", "T", "--degree", "2"], EXIT_ARGS, False),
+    (["roots", "--group", "E8"], EXIT_ARGS, True),
+], ids=["unsupported-group", "bad-precision", "bad-degree", "unwritable-stdout"])
+def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(argv, code, stdout_full):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "qmckay.cli", *argv],
+            stdout=full if stdout_full else subprocess.DEVNULL, stderr=full,
+            timeout=120, env=_src_env(),
+        )
+    assert result.returncode == code
+
+
+class _FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("error, code", [
+    (InternalConsistencyError("synthetic"), EXIT_INTERNAL),
+    (MemoryError(), EXIT_ARGS),
+    (RuntimeError("synthetic"), EXIT_INTERNAL),
+], ids=["internal-consistency", "out-of-memory", "unexpected"])
+def test_a_failing_command_keeps_its_code_when_stderr_fails(monkeypatch, error, code):
+    def failing(spec, args):
+        raise error
+
+    monkeypatch.setitem(cli.COMMANDS, "roots", failing)
+    monkeypatch.setattr(sys, "stderr", _FullStream())
+    assert cli.main(["roots", "--group", "E8"]) == code
 
 
 def test_unwritable_output_exits_two(capsys, tmp_path):
@@ -1166,6 +1189,49 @@ def test_executing_the_deferred_layers_adds_no_module():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "\n"
+
+
+# the qmckay modules a fresh `import qmckay.cli` registers unexecuted: the
+# lazy modules, whose type is not `types.ModuleType`
+_LAZY_PROBE = """
+import sys, types
+import qmckay.cli
+print(*sorted(n for n, m in sys.modules.items()
+              if n.startswith("qmckay.") and type(m) is not types.ModuleType))
+"""
+
+
+def _top_level_imports(module: str) -> set[str]:
+    """The qmckay modules that the qmckay module `module` imports at its top."""
+    package = ROOT / "src" / "qmckay"
+    tree = ast.parse((package / f"{module.rpartition('.')[2]}.py").read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else (a.name for a in node.names))
+    return {f"qmckay.{name}" for name in names if (package / f"{name}.py").exists()}
+
+
+def test_the_cli_registers_exactly_the_traced_layers_and_their_imports():
+    # the tracer looks each traced layer up in sys.modules, and executing a
+    # deferred layer executes what its module imports at its top
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wanted = {module for _, module, _, _, _ in tracer.LAYERS} - {"qmckay.cli"}
+    pending = set(wanted)
+    while pending:
+        found = _top_level_imports(pending.pop()) - wanted
+        wanted |= found
+        pending |= found
+    result = subprocess.run(
+        [sys.executable, "-c", _LAZY_PROBE],
+        capture_output=True, text=True, timeout=120, env=_src_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    # the CLI executes `errors` and `records` itself, through `qmckay.commands`
+    assert result.stdout.split() == sorted(wanted - {"qmckay.errors", "qmckay.records"})
 
 
 # SHA-256 of the --help text of qmckay and of each subcommand at 80 columns;
